@@ -425,7 +425,7 @@ def criterion_class_preservation() -> CriterionResult:
     hcase = sobolev_flow_case()
     hresult = evolve(hcase.field, hcase.t_final, hcase.dt, hcase.grid,
                      decay_class=hcase.field.decay_class)
-    tracking = sobolev_tracking(hresult, hcase.field)
+    tracking = sobolev_tracking(hresult)
     h_contained = all(
         DecayClass.SOBOLEV_INFINITY.contains(classify_decay(snap).inferred_class)
         for _, snap in hresult.snapshots)

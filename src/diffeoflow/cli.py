@@ -267,9 +267,9 @@ def cmd_evolve(config: RunConfig) -> int:
     result = evolve(field, config.t_final, config.dt, grid,
                     decay_class=field.decay_class)
 
-    bound, measured, sup_holds = displacement_sup_bound(result, field)
-    predicted, observed, gronwall_holds = gronwall_bound(result, field)
-    tracking = sobolev_tracking(result, field)
+    bound, measured, sup_holds = displacement_sup_bound(result)
+    predicted, observed, gronwall_holds = gronwall_bound(result)
+    tracking = sobolev_tracking(result)
     log_gap = 0.0
     for t, derived in right_log_derivative(result):
         exact = field.at_time(grid, t).values

@@ -151,28 +151,36 @@ def _interp_stencil(grid: Grid, coords: np.ndarray):
     return base, w
 
 
-def _sample_values(values: np.ndarray, grid: Grid, points: np.ndarray, extrapolation: str) -> np.ndarray:
-    """Interpolate grid ``values`` at ``points`` of shape ``(m, dim)``."""
+def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) -> np.ndarray:
+    """Interpolate flat node arrays ``channels`` at ``points`` of shape ``(m, dim)``.
+
+    All channels share one stencil: the base index and the weight of each of
+    the ``4^dim`` offsets are built once and applied to every channel.
+    Returns shape ``(len(channels), m)``.
+    """
     half = grid.half_width
-    if extrapolation == "clamp":
-        coords = np.clip(points, -half, half)
-        inside = None
-    else:
-        inside = np.all(np.abs(points) <= half, axis=-1)
-        coords = np.clip(points, -half, half)
-    base, weights = _interp_stencil(grid, coords)
-    flat = values.reshape(-1)
-    strides = [grid.points_per_axis ** (grid.dim - 1 - j) for j in range(grid.dim)]
-    acc = np.zeros(points.shape[0])
-    for offsets in itertools.product(range(4), repeat=grid.dim):
-        idx = np.zeros(points.shape[0], dtype=np.int64)
-        w = np.ones(points.shape[0])
-        for j, k in enumerate(offsets):
-            idx += (base[:, j] + k) * strides[j]
-            w = w * weights[:, j, k]
-        acc += w * flat[idx]
-    if inside is not None:
-        acc = np.where(inside, acc, 0.0)
+    base, weights = _interp_stencil(grid, np.clip(points, -half, half))
+    dim = grid.dim
+    strides = [grid.points_per_axis ** (dim - 1 - j) for j in range(dim)]
+    origin = base[:, 0] * strides[0]
+    for j in range(1, dim):
+        origin += base[:, j] * strides[j]
+    m = points.shape[0]
+    acc = np.zeros((len(channels), m))
+    idx = np.empty(m, dtype=np.int64)
+    w = np.empty(m)
+    term = np.empty(m)
+    for offsets in itertools.product(range(4), repeat=dim):
+        np.add(origin, sum(k * stride for k, stride in zip(offsets, strides)), out=idx)
+        w[:] = weights[:, 0, offsets[0]]
+        for j in range(1, dim):
+            np.multiply(w, weights[:, j, offsets[j]], out=w)
+        for c, channel in enumerate(channels):
+            np.take(channel, idx, out=term, mode="wrap")  # idx is in range; skips buffering
+            np.multiply(w, term, out=term)
+            acc[c] += term
+    if extrapolation == "zero":
+        acc[:, ~np.all(np.abs(points) <= half, axis=-1)] = 0.0
     return acc
 
 
@@ -238,8 +246,8 @@ class ScalarField:
 
     def sample(self, points) -> np.ndarray:
         pts, lead = _normalize_points(points, self.grid.dim)
-        out = _sample_values(self.values, self.grid, pts, self.extrapolation)
-        return out.reshape(lead)
+        out = _gather([self.values.reshape(-1)], self.grid, pts, self.extrapolation)
+        return out[0].reshape(lead)
 
     def partial_derivative(self, alpha) -> "ScalarField":
         alpha = _check_alpha(alpha, self.grid.dim)
@@ -315,12 +323,9 @@ class DisplacementField:
 
     def sample(self, points) -> np.ndarray:
         pts, lead = _normalize_points(points, self.grid.dim)
-        out = np.stack(
-            [_sample_values(self.values[i], self.grid, pts, self.extrapolation)
-             for i in range(self.grid.dim)],
-            axis=-1,
-        )
-        return out.reshape(lead + (self.grid.dim,))
+        out = _gather(list(self.values.reshape(self.grid.dim, -1)), self.grid, pts,
+                      self.extrapolation)
+        return np.ascontiguousarray(out.T).reshape(lead + (self.grid.dim,))
 
     def partial_derivative(self, alpha) -> "DisplacementField":
         alpha = _check_alpha(alpha, self.grid.dim)
@@ -329,37 +334,33 @@ class DisplacementField:
         rows = [self._components[i].partial_derivative(alpha).values for i in range(self.grid.dim)]
         return DisplacementField(self.grid, np.stack(rows), self.extrapolation)
 
+    def _first_derivatives(self) -> list:
+        """Cached ``d_j g_i`` node arrays in row-major ``(i, j)`` order."""
+        dim = self.grid.dim
+        axes = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
+        return [self._components[i].partial_derivative(alpha).values
+                for i in range(dim) for alpha in axes]
+
     def jacobian_grid(self) -> np.ndarray:
         """Node-wise Jacobian of the displacement, shape ``(dim, dim) + grid.shape``."""
         dim = self.grid.dim
-        out = np.empty((dim, dim) + self.grid.shape)
-        for i in range(dim):
-            for j in range(dim):
-                alpha = tuple(1 if k == j else 0 for k in range(dim))
-                out[i, j] = self._components[i].partial_derivative(alpha).values
-        return out
+        return np.stack(self._first_derivatives()).reshape((dim, dim) + self.grid.shape)
 
     def jacobian_at(self, points) -> np.ndarray:
         """Interpolated displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``."""
         pts, lead = _normalize_points(points, self.grid.dim)
         dim = self.grid.dim
-        out = np.empty((pts.shape[0], dim, dim))
-        for i in range(dim):
-            comp = self._components[i]
-            for j in range(dim):
-                alpha = tuple(1 if k == j else 0 for k in range(dim))
-                out[:, i, j] = comp.partial_derivative(alpha).sample(pts)
-        return out.reshape(lead + (dim, dim))
+        channels = [d.reshape(-1) for d in self._first_derivatives()]
+        out = _gather(channels, self.grid, pts, self.extrapolation)
+        return np.ascontiguousarray(out.T).reshape(lead + (dim, dim))
 
     def regrid(self, new_grid: Grid) -> "DisplacementField":
         if new_grid.dim != self.grid.dim:
             raise FieldError("regrid requires a grid of the same dimension")
-        pts = np.asarray(new_grid.nodes())
-        rows = [
-            _sample_values(self.values[i], self.grid, pts, self.extrapolation).reshape(new_grid.shape)
-            for i in range(self.grid.dim)
-        ]
-        return DisplacementField(new_grid, np.stack(rows), self.extrapolation)
+        out = _gather(list(self.values.reshape(self.grid.dim, -1)), self.grid,
+                      np.asarray(new_grid.nodes()), self.extrapolation)
+        return DisplacementField(new_grid, out.reshape((self.grid.dim,) + new_grid.shape),
+                                 self.extrapolation)
 
 
 def sample(descriptor, grid: Grid, extrapolation: str = "zero", time: float | None = None):

@@ -27,7 +27,6 @@ from .descriptors import VARIABLES, parse_vector
 from .errors import DescriptorError, FieldError, FlowBlowupError, FlowDomainError
 from .fields import DisplacementField, Grid, multi_indices_up_to, sobolev_seminorm
 from .group import DEFAULT_DET_THRESHOLD, Diffeo, invert
-from .util import map_node_chunks, max_threads
 
 BOUND_SLACK = 1.0e-8
 GRONWALL_REL_SLACK = 1.0e-6
@@ -288,13 +287,6 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
     bound = np.zeros(m)
     exit_limit = (1.0 + DOMAIN_OVERHANG_FRACTION) * grid.half_width
 
-    threads = max_threads()
-
-    def field_at(t, pts):
-        if threads > 1:
-            return map_node_chunks(lambda chunk: vf(t, chunk), pts, threads)
-        return vf(t, pts)
-
     times = np.linspace(0.0, t_final, n_steps + 1)
     sup_disp = np.zeros(n_steps + 1)
     bound_sup = np.zeros(n_steps + 1)
@@ -311,10 +303,10 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
 
     for k in range(1, n_steps + 1):
         t = times[k - 1]
-        k1 = field_at(t, y)
-        k2 = field_at(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = field_at(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = field_at(t + step, y + step * k3)
+        k1 = vf(t, y)
+        k2 = vf(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = vf(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = vf(t + step, y + step * k3)
         c1, c2, c3, c4 = (_pointwise_norm(v) for v in (k1, k2, k3, k4))
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         bound = bound + (step / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -382,13 +374,12 @@ def _cumulative_trapezoid(times: np.ndarray, rate: np.ndarray) -> np.ndarray:
     return out
 
 
-def displacement_sup_bound(result: FlowResult, source=None) -> tuple:
+def displacement_sup_bound(result: FlowResult) -> tuple:
     """Certify ``sup_x |f(t, x)| <= sup_x int_0^t |X(s, y(s, x))| ds``.
 
     Returns ``(bound_curve, measured_curve, holds)`` over the step
     boundaries. The bound was accumulated during integration with the same
-    RK4 stages as the trajectories (``source`` is accepted for symmetry with
-    the other verifiers but adds nothing). ``holds`` demands the stronger
+    RK4 stages as the trajectories. ``holds`` demands the stronger
     per-node comparison at every boundary, with a small absolute slack.
     """
     bound_curve = result.diagnostics["bound_sup"].copy()
@@ -397,7 +388,7 @@ def displacement_sup_bound(result: FlowResult, source=None) -> tuple:
     return bound_curve, measured_curve, holds
 
 
-def gronwall_bound(result: FlowResult, source=None) -> tuple:
+def gronwall_bound(result: FlowResult) -> tuple:
     """Bellman-Gronwall envelope for the growth of ``d_x f`` along the flow.
 
     From ``d/dt (d_x f) = d_x X(t, y) (I + d_x f)``, the sup norm of
@@ -422,7 +413,7 @@ def gronwall_bound(result: FlowResult, source=None) -> tuple:
     return predicted, measured, holds
 
 
-def sobolev_tracking(result: FlowResult, source=None, p_max: int = 2) -> dict:
+def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
     """Sobolev seminorms of the displacement along the flow, with box checks.
 
     Tracks every derivative through order ``p_max`` at each snapshot, then

@@ -99,9 +99,10 @@ def write_displacement(path: str, displacement: DisplacementField,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(stable_json_dumps(header))
         fh.write("\n")
-        flat = displacement.values.reshape(grid.dim, -1)
-        for row in flat:
-            fh.write(",".join(_format_float(v) for v in row))
+        # values are finite (the field constructor checks), so plain ".17g"
+        # writes the same bytes as _format_float
+        for row in displacement.values.reshape(grid.dim, -1):
+            fh.write(",".join([format(v, ".17g") for v in row.tolist()]))
             fh.write("\n")
 
 

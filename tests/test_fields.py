@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from diffeoflow import (
     sup_seminorm,
     weighted_seminorm,
 )
+from diffeoflow.fields import _interp_stencil
 
 GAUSS = "exp(-x^2)"
 
@@ -259,3 +261,101 @@ class TestDisplacementField:
         field = DisplacementField.zero(line_grid)
         with pytest.raises(FieldError):
             field.regrid(plane_grid)
+
+
+def _per_component_oracle(values, grid, points, extrapolation):
+    """The per-component cubic gather that the shared-stencil kernel replaced."""
+    half = grid.half_width
+    if extrapolation == "clamp":
+        coords = np.clip(points, -half, half)
+        inside = None
+    else:
+        inside = np.all(np.abs(points) <= half, axis=-1)
+        coords = np.clip(points, -half, half)
+    base, weights = _interp_stencil(grid, coords)
+    flat = values.reshape(-1)
+    strides = [grid.points_per_axis ** (grid.dim - 1 - j) for j in range(grid.dim)]
+    acc = np.zeros(points.shape[0])
+    for offsets in itertools.product(range(4), repeat=grid.dim):
+        idx = np.zeros(points.shape[0], dtype=np.int64)
+        w = np.ones(points.shape[0])
+        for j, k in enumerate(offsets):
+            idx += (base[:, j] + k) * strides[j]
+            w = w * weights[:, j, k]
+        acc += w * flat[idx]
+    if inside is not None:
+        acc = np.where(inside, acc, 0.0)
+    return acc
+
+
+def _query_points(grid, rng):
+    """Interior, on-node, on-face and outside points, shaped ``(3, 16, dim)``."""
+    dim, half = grid.dim, grid.half_width
+    interior = rng.uniform(-half, half, size=(12, dim))
+    nodes = np.asarray(grid.nodes())
+    on_nodes = np.concatenate([nodes[[0, -1]], nodes[rng.integers(0, grid.node_count, 10)]])
+    faces = rng.uniform(-half, half, size=(12, dim))
+    faces[np.arange(12), np.arange(12) % dim] = np.where(np.arange(12) % 2, half, -half)
+    outside = rng.uniform(-half, half, size=(12, dim))
+    outside[np.arange(12), np.arange(12) % dim] = np.where(
+        np.arange(12) % 2, 1.0, -1.0) * rng.uniform(half * 1.01, 2.0 * half, size=12)
+    return np.concatenate([interior, on_nodes, faces, outside]).reshape(3, 16, dim)
+
+
+GATHER_GRIDS = [Grid(1, 4.0, 33), Grid(2, 4.0, 17), Grid(3, 2.0, 17)]
+
+
+@pytest.mark.parametrize("extrapolation", ["zero", "clamp"])
+@pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])
+class TestSharedStencilGather:
+    """The shared-stencil gather is bit-identical to the per-component one."""
+
+    @pytest.fixture
+    def case(self, grid, extrapolation):
+        rng = np.random.default_rng(grid.dim)
+        values = rng.normal(size=(grid.dim,) + grid.shape)
+        field = DisplacementField(grid, values, extrapolation)
+        pts = _query_points(grid, rng)
+        return field, pts, pts.reshape(-1, grid.dim)
+
+    def test_scalar_sample(self, case):
+        field, pts, flat = case
+        scalar = ScalarField(field.grid, field.values[-1], field.extrapolation)
+        want = _per_component_oracle(scalar.values, field.grid, flat, field.extrapolation)
+        assert np.array_equal(scalar.sample(pts), want.reshape(pts.shape[:-1]))
+
+    def test_displacement_sample(self, case):
+        field, pts, flat = case
+        want = np.stack([_per_component_oracle(field.values[i], field.grid, flat,
+                                               field.extrapolation)
+                         for i in range(field.grid.dim)], axis=-1)
+        got = field.sample(pts)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want.reshape(pts.shape))
+
+    def test_jacobian_at(self, case):
+        field, pts, flat = case
+        dim = field.grid.dim
+        got = field.jacobian_at(pts)
+        assert got.flags.c_contiguous
+        assert got.shape == pts.shape[:-1] + (dim, dim)
+        for i in range(dim):
+            for j in range(dim):
+                alpha = tuple(int(k == j) for k in range(dim))
+                derivative = field.component(i).partial_derivative(alpha)
+                want = _per_component_oracle(derivative.values, field.grid, flat,
+                                             field.extrapolation)
+                assert np.array_equal(got[..., i, j], want.reshape(pts.shape[:-1]))
+                assert np.array_equal(got[..., i, j], derivative.sample(pts))
+
+    def test_regrid(self, case):
+        field, _, _ = case
+        grid = field.grid
+        wider = Grid(grid.dim, 1.25 * grid.half_width, 19)
+        nodes = np.asarray(wider.nodes())
+        want = np.stack([_per_component_oracle(field.values[i], grid, nodes,
+                                               field.extrapolation).reshape(wider.shape)
+                         for i in range(grid.dim)])
+        assert np.array_equal(field.regrid(wider).values, want)
+        scalar = field.component(0).regrid(wider)
+        assert np.array_equal(scalar.values, want[0])

@@ -20,6 +20,7 @@ from diffeoflow import (
     write_report,
     write_time_series_csv,
 )
+from diffeoflow.io import _format_float
 
 
 class TestStableJson:
@@ -78,6 +79,25 @@ class TestDisplacementFiles:
         assert hint is DecayClass.SCHWARTZ
         assert np.array_equal(loaded.values, disp.values)
         assert loaded.grid == coarse_grid
+
+    def test_rows_match_format_float_bytes(self, coarse_grid, tmp_path, rng):
+        values = rng.normal(size=coarse_grid.shape)
+        specials = [-0.0, 5e-324, 1e-300, 0.1, 1.7976931348623157e308, -5e-324,
+                    -1.7976931348623157e308, 1.0, 123456789.0]
+        values[: len(specials)] = specials
+        disp = DisplacementField(coarse_grid, values[None])
+        first = tmp_path / "d.dsp"
+        second = tmp_path / "d2.dsp"
+        write_displacement(str(first), disp)
+        rows = first.read_bytes().split(b"\n")[1:-1]
+        want = ",".join(_format_float(v) for v in disp.values.reshape(-1))
+        assert rows == [want.encode("utf-8")]
+        assert rows[0].startswith(b"-0,4.9406564584124654e-324,1e-300,"
+                                  b"0.10000000000000001,1.7976931348623157e+308,")
+        loaded, _ = read_displacement(str(first))
+        write_displacement(str(second), loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(np.signbit(loaded.values), np.signbit(disp.values))
 
     def test_header_contents(self, coarse_grid, tmp_path):
         path = tmp_path / "d.dsp"
