@@ -226,7 +226,7 @@ def sobolev_flow_case() -> FlowCase:
 
     The second-power Lorentzian decays like x^-4: every Sobolev norm is
     finite and the tail mass beyond the box is ~1e-7 of the norm, so the
-    norms are also box-stable, which the tracking check requires.
+    norms are also box-stable.
     """
     return flow_battery()[2]
 

@@ -212,21 +212,12 @@ def _fit_exponent(radii, sups) -> float:
     return float(-slope)
 
 
-def _abs_values(field) -> np.ndarray:
-    """Node-wise max of |components|, shaped like the grid."""
-    comps = field.components()
-    out = np.abs(comps[0].values)
-    for comp in comps[1:]:
-        out = np.maximum(out, np.abs(comp.values))
-    return out
-
-
 def _support_radius(field, radii) -> float | None:
     """Smallest dyadic radius outside of which every sample is exactly zero."""
     grid = field.grid
     nodes = np.asarray(grid.nodes())
     r = np.sqrt(np.sum(nodes ** 2, axis=1)).reshape(grid.shape)
-    abs_values = _abs_values(field)
+    abs_values = _alpha_values(field, (0,) * grid.dim)
     for radius in [radii[-1] / 4.0, radii[-1] / 2.0] + list(radii):
         outside = r > radius
         if np.any(outside) and float(np.max(abs_values[outside])) == 0.0:
@@ -279,7 +270,7 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
     nodes = np.asarray(grid.nodes())
     r = np.sqrt(np.sum(nodes ** 2, axis=1)).reshape(grid.shape)
     outer_mask = r >= radii[-1] / 2.0
-    abs_values = _abs_values(field)
+    abs_values = _alpha_values(field, (0,) * grid.dim)
     global_sup = float(np.max(abs_values))
     edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
     edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
@@ -334,9 +325,6 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
 
 
 def _alpha_values(field, alpha) -> np.ndarray:
-    """Node-wise max over components of ``|d^alpha f_i|``."""
-    comps = field.components()
-    out = np.abs(comps[0].partial_derivative(alpha).values)
-    for comp in comps[1:]:
-        out = np.maximum(out, np.abs(comp.partial_derivative(alpha).values))
-    return out
+    """Node-wise max over components of ``|d^alpha f_i|``, shaped like the grid."""
+    values = field.partial_derivative(alpha).values
+    return np.max(np.abs(values.reshape((-1,) + field.grid.shape)), axis=0)

@@ -266,14 +266,13 @@ class ScalarField:
         values = self.sample(np.asarray(new_grid.nodes())).reshape(new_grid.shape)
         return ScalarField(new_grid, values, self.extrapolation)
 
-    def components(self) -> list:
-        return [self]
-
 
 class DisplacementField:
     """A displacement ``g`` so that ``x + g(x)`` is a candidate diffeomorphism.
 
-    Values are stored per component with shape ``(dim,) + grid.shape``.
+    Values are stored channel-stacked with shape ``(dim,) + grid.shape``;
+    :meth:`from_nodes` and :meth:`node_values` convert to and from the
+    node-major ``(node_count, dim)`` layout of points and samples.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, extrapolation: str = "zero"):
@@ -288,7 +287,7 @@ class DisplacementField:
         self.grid = grid
         self.values = values
         self.extrapolation = extrapolation
-        self._components = [ScalarField(grid, values[i], extrapolation) for i in range(grid.dim)]
+        self._derivatives: dict = {}
 
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor, extrapolation: str = "zero",
@@ -307,19 +306,22 @@ class DisplacementField:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn, extrapolation: str = "zero") -> "DisplacementField":
-        out = np.asarray(fn(np.asarray(grid.nodes())), dtype=np.float64)
-        values = out.T.reshape((grid.dim,) + grid.shape)
-        return cls(grid, values, extrapolation)
+        return cls.from_nodes(grid, fn(np.asarray(grid.nodes())), extrapolation)
+
+    @classmethod
+    def from_nodes(cls, grid: Grid, node_values,
+                   extrapolation: str = "zero") -> "DisplacementField":
+        """Field from node-major samples of shape ``(node_count, dim)``."""
+        out = np.asarray(node_values, dtype=np.float64)
+        return cls(grid, out.T.reshape((grid.dim,) + grid.shape), extrapolation)
 
     @classmethod
     def zero(cls, grid: Grid, extrapolation: str = "zero") -> "DisplacementField":
         return cls(grid, np.zeros((grid.dim,) + grid.shape), extrapolation)
 
-    def component(self, i: int) -> ScalarField:
-        return self._components[i]
-
-    def components(self) -> list:
-        return list(self._components)
+    def node_values(self) -> np.ndarray:
+        """The samples node-major, shape ``(node_count, dim)`` (a view of ``values``)."""
+        return self.values.reshape(self.grid.dim, -1).T
 
     def sample(self, points) -> np.ndarray:
         pts, lead = _normalize_points(points, self.grid.dim)
@@ -331,26 +333,36 @@ class DisplacementField:
         alpha = _check_alpha(alpha, self.grid.dim)
         if sum(alpha) == 0:
             return self
-        rows = [self._components[i].partial_derivative(alpha).values for i in range(self.grid.dim)]
-        return DisplacementField(self.grid, np.stack(rows), self.extrapolation)
+        cached = self._derivatives.get(alpha)
+        if cached is None:
+            # one channel at a time keeps the stencil temporaries one channel wide
+            values = np.stack([_derive_values(channel, alpha, self.grid.spacing)
+                               for channel in self.values])
+            cached = DisplacementField(self.grid, values, self.extrapolation)
+            self._derivatives[alpha] = cached
+        return cached
 
     def _first_derivatives(self) -> list:
-        """Cached ``d_j g_i`` node arrays in row-major ``(i, j)`` order."""
+        """Cached ``d_j g`` stacks, one ``(dim,) + grid.shape`` array per axis ``j``."""
         dim = self.grid.dim
-        axes = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
-        return [self._components[i].partial_derivative(alpha).values
-                for i in range(dim) for alpha in axes]
+        return [self.partial_derivative(tuple(int(k == j) for k in range(dim))).values
+                for j in range(dim)]
 
     def jacobian_grid(self) -> np.ndarray:
         """Node-wise Jacobian of the displacement, shape ``(dim, dim) + grid.shape``."""
+        return np.stack(self._first_derivatives(), axis=1)
+
+    def node_jacobians(self) -> np.ndarray:
+        """Node-major Jacobian ``dg``, shape ``(node_count, dim, dim)``."""
         dim = self.grid.dim
-        return np.stack(self._first_derivatives()).reshape((dim, dim) + self.grid.shape)
+        return np.moveaxis(self.jacobian_grid().reshape(dim, dim, -1), 2, 0)
 
     def jacobian_at(self, points) -> np.ndarray:
         """Interpolated displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``."""
         pts, lead = _normalize_points(points, self.grid.dim)
         dim = self.grid.dim
-        channels = [d.reshape(-1) for d in self._first_derivatives()]
+        firsts = self._first_derivatives()
+        channels = [firsts[j][i].reshape(-1) for i in range(dim) for j in range(dim)]
         out = _gather(channels, self.grid, pts, self.extrapolation)
         return np.ascontiguousarray(out.T).reshape(lead + (dim, dim))
 

@@ -10,7 +10,7 @@ same RK4 stages; since ``|y(t) - x| <= b(t, x)`` holds pathwise, comparing
 the two certifies the displacement bound without a second quadrature error
 budget (for a one-signed scalar field the two integrals agree bitwise).
 Separate helpers check the Bellman-Gronwall envelope for the growth of
-``d_x f``, track Sobolev norms and box stability, recover the driving field
+``d_x f``, track Sobolev norms and edge decay, recover the driving field
 from the flow via the right logarithmic derivative, and probe smoothness of
 the parametrized flow map ``s -> flow(X_s)``.
 """
@@ -143,9 +143,8 @@ class TimeDependentVectorField:
         if extrapolation is None:
             extrapolation = ("zero" if self.decay_class is None
                              else extrapolation_for(self.decay_class))
-        values = self(t, np.asarray(grid.nodes()))
-        return DisplacementField(grid, values.T.reshape((grid.dim,) + grid.shape),
-                                 extrapolation)
+        return DisplacementField.from_nodes(grid, self(t, np.asarray(grid.nodes())),
+                                            extrapolation)
 
     def scaled(self, factor: float) -> "TimeDependentVectorField":
         factor = float(factor)
@@ -219,9 +218,7 @@ class FlowResult:
 
     def snapshot_values(self) -> np.ndarray:
         """Stacked snapshot displacements, shape ``(len(snapshots), nodes, dim)``."""
-        return np.stack([
-            disp.values.reshape(self.grid.dim, -1).T for _, disp in self.snapshots
-        ])
+        return np.stack([disp.node_values() for _, disp in self.snapshots])
 
 
 def _pointwise_norm(vectors: np.ndarray) -> np.ndarray:
@@ -241,11 +238,9 @@ def _spectral_sup(mats: np.ndarray) -> float:
 
 def _jacobian_stats(displacement: DisplacementField) -> tuple:
     """Stencil ``(sup |d_x f|, min det(I + d_x f))`` over the grid."""
-    grid = displacement.grid
-    jac = displacement.jacobian_grid().reshape(grid.dim, grid.dim, -1)
-    mats = np.moveaxis(jac, 2, 0)
+    mats = displacement.node_jacobians()
     sup = _spectral_sup(mats)
-    dets = np.linalg.det(mats + np.eye(grid.dim))
+    dets = np.linalg.det(mats + np.eye(displacement.grid.dim))
     return sup, float(np.min(dets))
 
 
@@ -296,7 +291,7 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
     beta = np.zeros(n_steps + 1)
 
     def snapshot(vals):
-        return DisplacementField(grid, (vals - nodes).T.reshape((grid.dim,) + grid.shape), extrap)
+        return DisplacementField.from_nodes(grid, vals - nodes, extrap)
 
     snapshots = [(0.0, snapshot(y))]
     beta[0] = _spectral_sup(vf.jacobian(0.0, y, grid))
@@ -414,14 +409,12 @@ def gronwall_bound(result: FlowResult) -> tuple:
 
 
 def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
-    """Sobolev seminorms of the displacement along the flow, with box checks.
+    """Sobolev seminorms of the displacement along the flow, with an edge check.
 
-    Tracks every derivative through order ``p_max`` at each snapshot, then
-    re-measures the final snapshot on a grid of doubled half-width and
-    unchanged spacing; for displacement that has decayed inside the original
-    box the two values agree closely. Also reports the sup of first
-    derivatives over the outermost eighth of the box, which should be tiny
-    for the decaying classes.
+    Tracks every derivative through order ``p_max`` at each snapshot; the
+    ``final`` entry repeats the last snapshot's values. Also reports the sup
+    of first derivatives over the outermost eighth of the box, which should
+    be tiny for the decaying classes.
     """
     grid = result.grid
     alphas = multi_indices_up_to(grid.dim, p_max)
@@ -433,17 +426,7 @@ def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
         ]
     snapshot_times = [float(t) for t, _ in result.snapshots]
 
-    wide_grid = Grid(grid.dim, 2.0 * grid.half_width, 2 * grid.points_per_axis - 1)
-    widened = result.final_displacement.regrid(wide_grid)
-    final_norms = {}
-    wide_norms = {}
-    stability_gap = 0.0
-    for alpha in alphas:
-        key = ",".join(str(a) for a in alpha)
-        final_norms[key] = history[key][-1]
-        wide_norms[key] = float(sobolev_seminorm(widened, alpha))
-        gap = abs(wide_norms[key] - final_norms[key])
-        stability_gap = max(stability_gap, gap / max(1.0, final_norms[key]))
+    final_norms = {key: values[-1] for key, values in history.items()}
 
     nodes = np.asarray(grid.nodes())
     edge_mask = np.max(np.abs(nodes), axis=1) >= EDGE_ANNULUS_FRACTION * grid.half_width
@@ -461,8 +444,6 @@ def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
         "times": snapshot_times,
         "history": history,
         "final": final_norms,
-        "box_doubled_final": wide_norms,
-        "stability_gap": float(stability_gap),
         "edge_annulus_fraction": EDGE_ANNULUS_FRACTION,
         "edge_jacobian_sup": float(edge_sup),
         "finite": bool(all_finite),
@@ -470,7 +451,7 @@ def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
         "holds": bool(all_finite and (not decaying or edge_sup < EDGE_DECAY_TOL)),
     }
     if not decaying:
-        report["notes"] = ["bounded-class displacement: box stability is not expected"]
+        report["notes"] = ["bounded-class displacement: edge decay is not expected"]
     return report
 
 
@@ -509,10 +490,10 @@ def right_log_derivative(result: FlowResult, times=None) -> list:
             continue
         dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * dt)
         extrap = snaps[k][1].extrapolation
-        dgdt_field = DisplacementField(grid, dgdt.T.reshape((grid.dim,) + grid.shape), extrap)
+        dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
         inverse = invert(Diffeo(snaps[k][1], result.decay_class, check=False))
         recovered = dgdt_field.sample(inverse.apply(nodes))
-        field = DisplacementField(grid, recovered.T.reshape((grid.dim,) + grid.shape), extrap)
+        field = DisplacementField.from_nodes(grid, recovered, extrap)
         out.append((t_k, field))
     if not out:
         raise FlowDomainError("no interior snapshot matched the requested times")

@@ -37,11 +37,12 @@ _FIXED_POINT_SEED_ITER = 8
 _NEWTON_MAX_ITER = 60
 
 
-def _node_jacobian_dets(displacement: DisplacementField) -> np.ndarray:
-    jac = displacement.jacobian_grid()
-    mats = np.moveaxis(jac.reshape(displacement.grid.dim, displacement.grid.dim, -1), 2, 0)
-    mats = mats + np.eye(displacement.grid.dim)
-    return np.linalg.det(mats)
+def _det_margin(displacement: DisplacementField) -> tuple:
+    """Node-wise minimum of ``det(I + dg)`` and the node where it is reached."""
+    dets = np.linalg.det(displacement.node_jacobians() + np.eye(displacement.grid.dim))
+    worst = int(np.argmin(dets))
+    location = [float(c) for c in np.asarray(displacement.grid.nodes())[worst]]
+    return float(dets[worst]), location
 
 
 def membership_check(displacement, decay_class: DecayClass | None = None,
@@ -59,10 +60,7 @@ def membership_check(displacement, decay_class: DecayClass | None = None,
         if decay_class is None:
             decay_class = displacement.decay_class
         displacement = displacement.displacement
-    dets = _node_jacobian_dets(displacement)
-    worst = int(np.argmin(dets))
-    epsilon = float(dets[worst])
-    location = [float(c) for c in np.asarray(displacement.grid.nodes())[worst]]
+    epsilon, location = _det_margin(displacement)
     report = {
         "epsilon": epsilon,
         "epsilon_location": location,
@@ -121,12 +119,7 @@ class Diffeo:
         self.displacement = displacement
         self.decay_class = decay_class
         self.det_threshold = float(det_threshold)
-        dets = _node_jacobian_dets(displacement)
-        worst = int(np.argmin(dets))
-        self.epsilon = float(dets[worst])
-        self.epsilon_location = [
-            float(c) for c in np.asarray(displacement.grid.nodes())[worst]
-        ]
+        self.epsilon, self.epsilon_location = _det_margin(displacement)
         if check and not self.epsilon >= det_threshold:
             raise NonDiffeoError(
                 f"det(I + dg) reaches {self.epsilon:.6g} at "
@@ -178,7 +171,7 @@ def compose(outer: Diffeo, inner: Diffeo,
     _require_same_grid(outer, inner)
     grid = inner.grid
     nodes = np.asarray(grid.nodes())
-    g_values = inner.displacement.values.reshape(grid.dim, -1).T
+    g_values = inner.displacement.node_values()
     images = nodes + g_values
     overhang = float(np.max(np.abs(images))) - grid.half_width
     if overhang > COMPOSE_OVERHANG_FRACTION * grid.half_width:
@@ -190,16 +183,16 @@ def compose(outer: Diffeo, inner: Diffeo,
             f"enlarge the box before composing"
         )
     f_at_images = outer.displacement.sample(images)
-    combined = (g_values + f_at_images).T.reshape((grid.dim,) + grid.shape)
     decay_class = widest(outer.decay_class, inner.decay_class)
-    disp = DisplacementField(grid, combined, extrapolation_for(decay_class))
+    disp = DisplacementField.from_nodes(grid, g_values + f_at_images,
+                                        extrapolation_for(decay_class))
     threshold = outer.det_threshold if det_threshold is None else det_threshold
     return Diffeo(disp, decay_class, threshold)
 
 
 def _invert_fixed_point(displacement: DisplacementField, nodes: np.ndarray,
                         tol: float, max_iter: int) -> np.ndarray:
-    y = nodes - displacement.values.reshape(displacement.grid.dim, -1).T
+    y = nodes - displacement.node_values()
     for _ in range(max_iter):
         y_next = nodes - displacement.sample(y)
         step = float(np.max(np.abs(y_next - y)))
@@ -271,8 +264,7 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
             f"inverse solve stalled at residual {residual:.3e} "
             f"(tolerance {tol:.3e}) near x = {[float(c) for c in worst]}"
         )
-    inverse_values = (y - nodes).T.reshape((grid.dim,) + grid.shape)
-    disp = DisplacementField(grid, inverse_values, displacement.extrapolation)
+    disp = DisplacementField.from_nodes(grid, y - nodes, displacement.extrapolation)
     return Diffeo(disp, diffeo.decay_class, diffeo.det_threshold)
 
 
@@ -311,7 +303,7 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     for t, w in zip(quad_nodes, quad_w):
         jac = u.jacobian_at(a + t * s)
         integral += w * np.einsum("nij,nj->ni", jac, s)
-    conj_disp = result.displacement.values.reshape(grid.dim, -1).T
+    conj_disp = result.displacement.node_values()
     info = {
         "expected_class": expected.value,
         "measured_class": measured.value,
@@ -352,5 +344,4 @@ def adjoint_action(diffeo: Diffeo, vector_field: DisplacementField) -> Displacem
     jac = diffeo.jacobian_at(z)
     x_at = vector_field.sample(z)
     pushed = np.einsum("nij,nj->ni", jac, x_at)
-    return DisplacementField(grid, pushed.T.reshape((grid.dim,) + grid.shape),
-                             vector_field.extrapolation)
+    return DisplacementField.from_nodes(grid, pushed, vector_field.extrapolation)

@@ -229,8 +229,9 @@ class Jet:
 def jet_from_displacement(displacement: DisplacementField, base_point, order: int) -> Jet:
     """Jet of ``x + g(x)`` read off the grid data of the displacement ``g``.
 
-    Derivatives come from the stencil fields of each component, sampled at
-    the base point, so the jet inherits fourth-order accuracy.
+    Each derivative comes from the stencil field ``d^alpha g``, all components
+    sampled at the base point at once, so the jet inherits fourth-order
+    accuracy.
     """
     if order < 1:
         raise JetError("jet order must be at least 1")
@@ -245,10 +246,10 @@ def jet_from_displacement(displacement: DisplacementField, base_point, order: in
             axes = []
             for axis, count in enumerate(alpha):
                 axes.extend([axis] * count)
+            dvals = displacement.partial_derivative(alpha).sample(x0)[0]
             for i in range(grid.dim):
-                dval = displacement.component(i).partial_derivative(alpha).sample(x0)[0]
                 for combo in set(itertools.permutations(axes)):
-                    dense[(i,) + combo] = dval / fact
+                    dense[(i,) + combo] = dvals[i] / fact
         if k == 1:
             dense = dense + np.eye(grid.dim)
         terms.append(dense)

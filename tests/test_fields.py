@@ -20,7 +20,7 @@ from diffeoflow import (
     sup_seminorm,
     weighted_seminorm,
 )
-from diffeoflow.fields import _interp_stencil
+from diffeoflow.fields import _interp_stencil, multi_indices_up_to
 
 GAUSS = "exp(-x^2)"
 
@@ -235,11 +235,6 @@ class TestResample:
 
 
 class TestDisplacementField:
-    def test_component_round_trip(self, plane_grid):
-        field = sample("0.1*exp(-(x^2+y^2)), 0.2*sin(x)*exp(-(x^2+y^2))", plane_grid)
-        assert np.array_equal(field.component(0).values, field.values[0])
-        assert len(field.components()) == 2
-
     def test_jacobian_against_analytic(self, fine_grid):
         field = DisplacementField.from_descriptor(fine_grid, "0.2*exp(-x^2)")
         pts = np.array([[0.5], [-1.25]])
@@ -342,7 +337,8 @@ class TestSharedStencilGather:
         for i in range(dim):
             for j in range(dim):
                 alpha = tuple(int(k == j) for k in range(dim))
-                derivative = field.component(i).partial_derivative(alpha)
+                derivative = ScalarField(field.grid, field.values[i],
+                                         field.extrapolation).partial_derivative(alpha)
                 want = _per_component_oracle(derivative.values, field.grid, flat,
                                              field.extrapolation)
                 assert np.array_equal(got[..., i, j], want.reshape(pts.shape[:-1]))
@@ -357,5 +353,49 @@ class TestSharedStencilGather:
                                                field.extrapolation).reshape(wider.shape)
                          for i in range(grid.dim)])
         assert np.array_equal(field.regrid(wider).values, want)
-        scalar = field.component(0).regrid(wider)
+        scalar = ScalarField(grid, field.values[0], field.extrapolation).regrid(wider)
         assert np.array_equal(scalar.values, want[0])
+
+
+@pytest.mark.parametrize("extrapolation", ["zero", "clamp"])
+@pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])
+class TestStackedDerivativeStore:
+    """Derivatives of the channel-stacked store match per-channel scalar fields."""
+
+    @pytest.fixture
+    def field(self, grid, extrapolation):
+        rng = np.random.default_rng(10 + grid.dim)
+        return DisplacementField(grid, rng.normal(size=(grid.dim,) + grid.shape), extrapolation)
+
+    def test_partial_derivatives_match_scalar_channels(self, field):
+        grid = field.grid
+        channels = [ScalarField(grid, field.values[i], field.extrapolation)
+                    for i in range(grid.dim)]
+        for alpha in multi_indices_up_to(grid.dim, 3):
+            derivative = field.partial_derivative(alpha)
+            assert derivative.values.shape == (grid.dim,) + grid.shape
+            assert derivative.extrapolation == field.extrapolation
+            for i, channel in enumerate(channels):
+                want = channel.partial_derivative(alpha).values
+                assert np.array_equal(derivative.values[i], want)
+            assert field.partial_derivative(alpha) is derivative
+
+    def test_node_jacobians_match_scalar_channels(self, field):
+        grid = field.grid
+        mats = field.node_jacobians()
+        assert mats.shape == (grid.node_count, grid.dim, grid.dim)
+        for i in range(grid.dim):
+            channel = ScalarField(grid, field.values[i], field.extrapolation)
+            for j in range(grid.dim):
+                alpha = tuple(int(k == j) for k in range(grid.dim))
+                want = channel.partial_derivative(alpha).values.reshape(-1)
+                assert np.array_equal(mats[:, i, j], want)
+
+    def test_node_layout_round_trip(self, field):
+        grid = field.grid
+        node_values = field.node_values()
+        assert node_values.shape == (grid.node_count, grid.dim)
+        assert np.array_equal(node_values[:, -1], field.values[-1].reshape(-1))
+        back = DisplacementField.from_nodes(grid, node_values, field.extrapolation)
+        assert np.array_equal(back.values, field.values)
+        assert back.extrapolation == field.extrapolation

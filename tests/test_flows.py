@@ -247,7 +247,6 @@ class TestSobolevTracking:
         assert report["holds"]
         assert report["finite"]
         assert report["edge_decayed"]
-        assert report["stability_gap"] <= 1e-6
         assert set(report["history"]) == {"0", "1", "2"}
         assert len(report["times"]) == len(result.snapshots)
 
