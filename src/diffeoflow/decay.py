@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, InsufficientAnnuliError
-from .fields import (
-    multi_indices_up_to,
-    sobolev_seminorm,
-    sup_seminorm,
-    weighted_seminorm,
-)
+from .fields import multi_indices_up_to, seminorm_table
 
 MIN_SHELLS = 4
 SOBOLEV_NORM_CAP = 1.0e3
@@ -249,23 +244,14 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
         fits.append(ShellFit(alpha, radii, sups, exponent))
         decay_rates[alpha] = exponent
 
-    entries = []
-    for alpha in alphas:
-        entries.append({
-            "kind": "sup", "alpha": alpha, "m": 0,
-            "value": sup_seminorm(field, alpha),
-        })
-    for alpha in alphas:
-        for m in range(1, max_weight + 1):
-            entries.append({
-                "kind": "weighted", "alpha": alpha, "m": m,
-                "value": weighted_seminorm(field, alpha, m),
-            })
-    sobolev_values = []
-    for alpha in alphas:
-        value = sobolev_seminorm(field, alpha)
-        sobolev_values.append(value)
-        entries.append({"kind": "sobolev", "alpha": alpha, "m": 0, "value": value})
+    sup_values, weighted, sobolev_values = seminorm_table(field, alphas, max_weight)
+    entries = [{"kind": "sup", "alpha": alpha, "m": 0, "value": value}
+               for alpha, value in zip(alphas, sup_values)]
+    for alpha, row in zip(alphas, weighted):
+        for m, value in enumerate(row, start=1):
+            entries.append({"kind": "weighted", "alpha": alpha, "m": m, "value": value})
+    entries += [{"kind": "sobolev", "alpha": alpha, "m": 0, "value": value}
+                for alpha, value in zip(alphas, sobolev_values)]
 
     nodes = np.asarray(grid.nodes())
     r = np.sqrt(np.sum(nodes ** 2, axis=1)).reshape(grid.shape)

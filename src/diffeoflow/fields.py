@@ -319,6 +319,19 @@ class DisplacementField:
     def zero(cls, grid: Grid, extrapolation: str = "zero") -> "DisplacementField":
         return cls(grid, np.zeros((grid.dim,) + grid.shape), extrapolation)
 
+    def with_extrapolation(self, extrapolation: str) -> "DisplacementField":
+        """The same node values read with another off-box continuation.
+
+        Stencil derivatives do not depend on the continuation, so the cached
+        first derivatives, which the Jacobian reads, carry over re-wrapped
+        with the new mode. Higher orders stay behind: carrying them would
+        keep them alive as long as the new field, not the old one.
+        """
+        out = DisplacementField(self.grid, self.values, extrapolation)
+        out._derivatives = {alpha: DisplacementField(self.grid, d.values, extrapolation)
+                            for alpha, d in self._derivatives.items() if sum(alpha) == 1}
+        return out
+
     def node_values(self) -> np.ndarray:
         """The samples node-major, shape ``(node_count, dim)`` (a view of ``values``)."""
         return self.values.reshape(self.grid.dim, -1).T
@@ -426,6 +439,25 @@ def weight_factor(grid: Grid, m: int) -> np.ndarray:
     return factor.reshape(grid.shape)
 
 
+def _trapezoid_weights(grid: Grid) -> np.ndarray:
+    w1 = np.ones(grid.points_per_axis)
+    w1[0] = w1[-1] = 0.5
+    w = w1
+    for _ in range(grid.dim - 1):
+        w = np.multiply.outer(w, w1)
+    return w * grid.spacing ** grid.dim
+
+
+# the seminorm formulas on a node magnitude ``|d^alpha f|``, shared with seminorm_table
+
+def _weighted_sup(magnitude: np.ndarray, weight: np.ndarray) -> float:
+    return float(np.max(weight * magnitude))
+
+
+def _l2_norm(magnitude: np.ndarray, quad: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(quad * magnitude * magnitude)))
+
+
 def sup_seminorm(field, alpha) -> float:
     """Largest node magnitude of the single derivative ``d^alpha f``."""
     alpha = _as_alpha(alpha, field.grid.dim)
@@ -437,16 +469,7 @@ def weighted_seminorm(field, alpha, m: int = 0) -> float:
     alpha = _as_alpha(alpha, field.grid.dim)
     if m == 0:
         return sup_seminorm(field, alpha)
-    return float(np.max(weight_factor(field.grid, int(m)) * _alpha_magnitude(field, alpha)))
-
-
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    w1 = np.ones(grid.points_per_axis)
-    w1[0] = w1[-1] = 0.5
-    w = w1
-    for _ in range(grid.dim - 1):
-        w = np.multiply.outer(w, w1)
-    return w * grid.spacing ** grid.dim
+    return _weighted_sup(_alpha_magnitude(field, alpha), weight_factor(field.grid, int(m)))
 
 
 def sobolev_seminorm(field, alpha) -> float:
@@ -456,6 +479,25 @@ def sobolev_seminorm(field, alpha) -> float:
     boundary this is accurate to well beyond the stencil order.
     """
     alpha = _as_alpha(alpha, field.grid.dim)
-    quad = _trapezoid_weights(field.grid)
-    mag = _alpha_magnitude(field, alpha)
-    return float(np.sqrt(np.sum(quad * mag * mag)))
+    return _l2_norm(_alpha_magnitude(field, alpha), _trapezoid_weights(field.grid))
+
+
+def seminorm_table(field, alphas, max_weight: int) -> tuple:
+    """Every seminorm of every ``d^alpha f``: ``(sups, weighted, sobolev)``.
+
+    ``sups[i]`` and ``sobolev[i]`` belong to ``alphas[i]``, and
+    ``weighted[i][m - 1]`` is its weighted sup for ``m = 1 .. max_weight``.
+    Each magnitude and each weight is built once; the values equal those of
+    :func:`sup_seminorm`, :func:`weighted_seminorm` and
+    :func:`sobolev_seminorm` bit for bit.
+    """
+    grid = field.grid
+    weights = [weight_factor(grid, m) for m in range(1, max_weight + 1)]
+    quad = _trapezoid_weights(grid)
+    sups, weighted, sobolev = [], [], []
+    for alpha in alphas:
+        magnitude = _alpha_magnitude(field, _as_alpha(alpha, grid.dim))
+        sups.append(float(np.max(magnitude)))
+        weighted.append([_weighted_sup(magnitude, w) for w in weights])
+        sobolev.append(_l2_norm(magnitude, quad))
+    return sups, weighted, sobolev

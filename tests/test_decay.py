@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diffeoflow.fields as fields_module
 from diffeoflow import (
     DecayClass,
     FieldError,
@@ -11,10 +12,14 @@ from diffeoflow import (
     dyadic_shells,
     extrapolation_for,
     sample,
+    sobolev_seminorm,
     stable_json_dumps,
+    sup_seminorm,
+    weighted_seminorm,
     widest,
 )
 from diffeoflow.battery import classification_battery
+from diffeoflow.fields import multi_indices_up_to
 
 NARROW_TO_WIDE = [
     DecayClass.COMPACT_SUPPORT,
@@ -149,3 +154,34 @@ class TestReport:
         assert isinstance(data["fits"], list)
         assert data["radii"] == [1.0, 2.0, 4.0, 8.0]
         assert isinstance(data["notes"], list)
+
+    @pytest.mark.parametrize("descriptor, grid", [
+        ("exp(-x^2)", Grid(1, 8.0, 257)),
+        ("0.2*tanh(x), 0.1*exp(-x^2-y^2)", Grid(2, 8.0, 65)),
+    ])
+    def test_entries_measure_each_magnitude_once(self, descriptor, grid, monkeypatch):
+        field = sample(descriptor, grid)
+        counts = {"magnitude": 0, "weight": 0}
+        magnitude, weight = fields_module._alpha_magnitude, fields_module.weight_factor
+
+        def counting_magnitude(f, alpha):
+            counts["magnitude"] += 1
+            return magnitude(f, alpha)
+
+        def counting_weight(g, m):
+            counts["weight"] += 1
+            return weight(g, m)
+
+        monkeypatch.setattr(fields_module, "_alpha_magnitude", counting_magnitude)
+        monkeypatch.setattr(fields_module, "weight_factor", counting_weight)
+        report = classify_decay(field, 2, 3)
+        alphas = multi_indices_up_to(grid.dim, 2)
+        assert counts == {"magnitude": len(alphas), "weight": 3}
+        monkeypatch.undo()
+        # same order and the same bits as the single seminorm functions
+        want = [("sup", a, 0, sup_seminorm(field, a)) for a in alphas]
+        want += [("weighted", a, m, weighted_seminorm(field, a, m))
+                 for a in alphas for m in (1, 2, 3)]
+        want += [("sobolev", a, 0, sobolev_seminorm(field, a)) for a in alphas]
+        got = [(e["kind"], e["alpha"], e["m"], e["value"]) for e in report.entries]
+        assert got == want

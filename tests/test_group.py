@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import diffeoflow.fields as fields_module
+import diffeoflow.group as group_module
 from diffeoflow import (
     DecayClass,
     Diffeo,
@@ -99,6 +101,32 @@ class TestDiffeoConstruction:
         assert member.decay_class is DecayClass.SCHWARTZ
         assert member.report is not None
 
+    def test_extrapolation_change_keeps_derivatives(self, plane_grid, monkeypatch):
+        derived = []
+        original = fields_module._derive_values
+
+        def counting(values, alpha, h):
+            derived.append(alpha)
+            return original(values, alpha, h)
+
+        monkeypatch.setattr(fields_module, "_derive_values", counting)
+        # classified on the zero continuation, then re-read with clamp
+        member = Diffeo.from_descriptor(plane_grid, "0.2*tanh(x/1.1), 0.15*tanh(y)")
+        assert member.decay_class is DecayClass.BOUNDED_ALL
+        assert member.displacement.extrapolation == "clamp"
+        # one derivation per channel: classify_decay's, reused by the margin
+        assert derived.count((1, 0)) == 2
+        assert derived.count((0, 1)) == 2
+        cached = member.displacement._derivatives
+        assert set(cached) == {(1, 0), (0, 1)}
+        assert all(d.extrapolation == "clamp" for d in cached.values())
+        fresh = DisplacementField(plane_grid, member.displacement.values, "clamp")
+        epsilon, location = group_module._det_margin(fresh)
+        assert np.float64(member.epsilon).tobytes() == np.float64(epsilon).tobytes()
+        assert member.epsilon_location == location
+        for alpha, d in cached.items():
+            assert np.array_equal(d.values, fresh.partial_derivative(alpha).values)
+
 
 class TestCompose:
     def test_matches_pointwise_composition_at_nodes(self, fine_grid):
@@ -164,6 +192,109 @@ class TestInvert:
         member = gaussian_diffeo(coarse_grid, 0.2)
         with pytest.raises(InversionError):
             invert(member, tol=1e-30)
+
+
+def _full_sweep_fixed_point(displacement, nodes, tol, max_iter):
+    """The solver before solved nodes dropped out: every node, every sweep."""
+    y = nodes - displacement.node_values()
+    for _ in range(max_iter):
+        y_next = nodes - displacement.sample(y)
+        step = float(np.max(np.abs(y_next - y)))
+        y = y_next
+        if step <= 0.25 * tol:
+            break
+    return y
+
+
+def _full_sweep_newton(displacement, nodes, seed, tol):
+    dim = displacement.grid.dim
+    y = seed.copy()
+    eye = np.eye(dim)
+    for _ in range(group_module._NEWTON_MAX_ITER):
+        residual = y + displacement.sample(y) - nodes
+        res_norm = np.max(np.abs(residual), axis=1)
+        if float(np.max(res_norm)) <= tol:
+            return y
+        jac = displacement.jacobian_at(y) + eye
+        step = np.linalg.solve(jac, residual[..., None])[..., 0]
+        scale = np.ones((y.shape[0], 1))
+        for _ in range(6):
+            trial = y - scale * step
+            trial_norm = np.max(np.abs(trial + displacement.sample(trial) - nodes), axis=1)
+            worse = trial_norm > res_norm
+            if not np.any(worse):
+                break
+            scale[worse] *= 0.5
+        y = y - scale * step
+    return y
+
+
+SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
+PARITY_CASES = [
+    (Grid(1, 8.0, 513), "0.2*exp(-(x-0.3)^2)", DecayClass.SCHWARTZ),
+    (Grid(1, 8.0, 513), "1.08*exp(-x^2)", DecayClass.SCHWARTZ),
+    (Grid(1, 8.0, 257), "0.3*tanh(x/1.3)", DecayClass.BOUNDED_ALL),
+    (Grid(2, 8.0, 65), "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", DecayClass.SCHWARTZ),
+    (Grid(2, 8.0, 65), "0.2*tanh(x/1.1), 0.15*tanh(y)", DecayClass.BOUNDED_ALL),
+    (Grid(2, 8.0, 65), SWIRL_2D, DecayClass.SCHWARTZ),
+    (Grid(2, 8.0, 65), SWIRL_2D + "+0.1*tanh(x)", DecayClass.BOUNDED_ALL),
+    (Grid(3, 8.0, 21), "0.3*exp(-(x^2+y^2+z^2)/4), 0.2*exp(-(x^2+y^2+z^2)/4), 0",
+     DecayClass.SCHWARTZ),
+    (Grid(3, 8.0, 21), "0.2*tanh(x/2), 0, 0.1*tanh(z/2)", DecayClass.BOUNDED_ALL),
+]
+
+
+class TestInvertSolvedNodesDropOut:
+    @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
+    def test_matches_full_sweep_solvers(self, grid, text, decay_class, monkeypatch):
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        assert member.displacement.extrapolation == (
+            "clamp" if decay_class is DecayClass.BOUNDED_ALL else "zero")
+        got = invert(member).displacement.values
+        monkeypatch.setattr(group_module, "_invert_fixed_point", _full_sweep_fixed_point)
+        monkeypatch.setattr(group_module, "_invert_newton", _full_sweep_newton)
+        want = invert(member).displacement.values
+        assert np.array_equal(got, want)
+
+    def test_swirl_takes_the_newton_branch(self):
+        grid = Grid(2, 8.0, 65)
+        jac = Diffeo.from_descriptor(grid, SWIRL_2D, DecayClass.SCHWARTZ).displacement
+        frob = np.sqrt(np.sum(jac.jacobian_grid() ** 2, axis=(0, 1)))
+        assert float(np.max(frob)) >= group_module._FIXED_POINT_CONTRACTION
+
+    def test_gathers_fewer_points_than_full_sweeps(self, monkeypatch):
+        grid = Grid(2, 8.0, 65)
+        member = Diffeo.from_descriptor(grid, "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)",
+                                        DecayClass.SCHWARTZ)
+        gathered = []
+        original = DisplacementField.sample
+
+        def counting(self, points):
+            gathered.append(np.size(points) // self.grid.dim)
+            return original(self, points)
+
+        monkeypatch.setattr(DisplacementField, "sample", counting)
+        invert(member)
+        sweeps = len(gathered)
+        assert sweeps >= 3
+        assert sum(gathered) < 0.75 * sweeps * grid.node_count
+
+    def test_singular_jacobian_at_solved_node_is_skipped(self):
+        # g = x^3 - x near the origin: the origin node is solved by its seed
+        # (g(0) = 0) and det(I + dg) = 3x^2 vanishes there and nowhere else
+        grid = Grid(1, 8.0, 65)
+        disp = DisplacementField.from_callable(
+            grid, lambda x: np.where(np.abs(x) <= 1.0, x ** 3 - x, 0.0))
+        nodes = np.asarray(grid.nodes())
+        origin = int(np.argmin(np.abs(nodes[:, 0])))
+        assert nodes[origin, 0] == 0.0
+        assert disp.jacobian_at(nodes[origin])[0, 0] == -1.0
+        seed = nodes - disp.node_values()
+        y = group_module._invert_newton(disp, nodes, seed, 1.0e-12)
+        assert y[origin, 0] == 0.0
+        assert np.max(np.abs(y + disp.sample(y) - nodes)) <= 1.0e-12
+        with pytest.raises(np.linalg.LinAlgError):
+            _full_sweep_newton(disp, nodes, seed, 1.0e-12)
 
 
 class TestConjugate:
