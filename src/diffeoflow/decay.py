@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, InsufficientAnnuliError
-from .fields import multi_indices_up_to, seminorm_table
+from .fields import multi_indices_up_to, row_norms, seminorm_table
 
 MIN_SHELLS = 4
 SOBOLEV_NORM_CAP = 1.0e3
@@ -183,7 +183,7 @@ def dyadic_shells(grid) -> tuple:
             f"need {MIN_SHELLS} (half_width of at least 8)"
         )
     nodes = np.asarray(grid.nodes())
-    r = np.sqrt(np.sum(nodes ** 2, axis=1)).reshape(grid.shape)
+    r = row_norms(nodes).reshape(grid.shape)
     radii = [float(2.0 ** k) for k in range(shells)]
     masks = []
     for k in range(shells):
@@ -211,7 +211,7 @@ def _support_radius(field, radii) -> float | None:
     """Smallest dyadic radius outside of which every sample is exactly zero."""
     grid = field.grid
     nodes = np.asarray(grid.nodes())
-    r = np.sqrt(np.sum(nodes ** 2, axis=1)).reshape(grid.shape)
+    r = row_norms(nodes).reshape(grid.shape)
     abs_values = _alpha_values(field, (0,) * grid.dim)
     for radius in [radii[-1] / 4.0, radii[-1] / 2.0] + list(radii):
         outside = r > radius
@@ -254,7 +254,7 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
                 for alpha, value in zip(alphas, sobolev_values)]
 
     nodes = np.asarray(grid.nodes())
-    r = np.sqrt(np.sum(nodes ** 2, axis=1)).reshape(grid.shape)
+    r = row_norms(nodes).reshape(grid.shape)
     outer_mask = r >= radii[-1] / 2.0
     abs_values = _alpha_values(field, (0,) * grid.dim)
     global_sup = float(np.max(abs_values))

@@ -180,8 +180,25 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) 
             np.multiply(w, term, out=term)
             acc[c] += term
     if extrapolation == "zero":
-        acc[:, ~np.all(np.abs(points) <= half, axis=-1)] = 0.0
+        # column by column: a reduction over the short trailing axis is ~15x slower
+        inside = np.abs(points[:, 0]) <= half
+        for j in range(1, dim):
+            inside &= np.abs(points[:, j]) <= half
+        acc[:, ~inside] = 0.0
     return acc
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an ``(m, dim)`` array.
+
+    The squares are summed one column at a time, left to right, which gives
+    the bits of ``np.sqrt(np.sum(vectors**2, axis=1))`` without its slow
+    per-row inner loop over the short trailing axis.
+    """
+    total = vectors[:, 0] * vectors[:, 0]
+    for j in range(1, vectors.shape[1]):
+        total += vectors[:, j] * vectors[:, j]
+    return np.sqrt(total, out=total)
 
 
 def _normalize_points(points, dim: int):
@@ -365,11 +382,6 @@ class DisplacementField:
         """Node-wise Jacobian of the displacement, shape ``(dim, dim) + grid.shape``."""
         return np.stack(self._first_derivatives(), axis=1)
 
-    def node_jacobians(self) -> np.ndarray:
-        """Node-major Jacobian ``dg``, shape ``(node_count, dim, dim)``."""
-        dim = self.grid.dim
-        return np.moveaxis(self.jacobian_grid().reshape(dim, dim, -1), 2, 0)
-
     def jacobian_at(self, points) -> np.ndarray:
         """Interpolated displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``."""
         pts, lead = _normalize_points(points, self.grid.dim)
@@ -386,6 +398,48 @@ class DisplacementField:
                       np.asarray(new_grid.nodes()), self.extrapolation)
         return DisplacementField(new_grid, out.reshape((self.grid.dim,) + new_grid.shape),
                                  self.extrapolation)
+
+
+def spectral_norms(jac: np.ndarray) -> np.ndarray:
+    """Spectral norm of every matrix in a ``(dim, dim, ...)`` Jacobian stack.
+
+    The layout is that of :meth:`DisplacementField.jacobian_grid`; the result
+    has shape ``jac.shape[2:]``. Dim 1 is ``|a|``. Dim 2 is the closed form
+
+        sigma_max = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2,
+
+    which stays within a few ulps of LAPACK for every matrix, rotations
+    included. The textbook ``sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2)`` cancels
+    to a negative radicand, and so to NaN, on near-rotations, where
+    ``F^2 = 2 |det|``. Dim 3 takes the largest singular value from LAPACK.
+    """
+    dim = jac.shape[0]
+    if dim == 1:
+        return np.abs(jac[0, 0])
+    if dim == 2:
+        a, b, c, d = jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1]
+        return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
+    return np.linalg.svd(np.moveaxis(jac, (0, 1), (-2, -1)), compute_uv=False)[..., 0]
+
+
+def det_plus_identity(jac: np.ndarray) -> np.ndarray:
+    """``det(I + J)`` of every matrix ``J`` in a ``(dim, dim, ...)`` Jacobian stack.
+
+    The layout is that of :meth:`DisplacementField.jacobian_grid`; the result
+    has shape ``jac.shape[2:]``. The determinant is expanded by cofactors
+    (``1 + a`` in dim 1, ``(1 + a)(1 + d) - bc`` in dim 2).
+    """
+    dim = jac.shape[0]
+    if dim == 1:
+        return 1.0 + jac[0, 0]
+    if dim == 2:
+        return (1.0 + jac[0, 0]) * (1.0 + jac[1, 1]) - jac[0, 1] * jac[1, 0]
+    m00, m11, m22 = 1.0 + jac[0, 0], 1.0 + jac[1, 1], 1.0 + jac[2, 2]
+    m01, m02, m10, m12, m20, m21 = (jac[0, 1], jac[0, 2], jac[1, 0],
+                                    jac[1, 2], jac[2, 0], jac[2, 1])
+    return (m00 * (m11 * m22 - m12 * m21)
+            - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
 
 
 def sample(descriptor, grid: Grid, extrapolation: str = "zero", time: float | None = None):

@@ -25,7 +25,8 @@ import numpy as np
 from .decay import DecayClass, class_from_name, classify_decay, extrapolation_for
 from .descriptors import VARIABLES, parse_vector
 from .errors import DescriptorError, FieldError, FlowBlowupError, FlowDomainError
-from .fields import DisplacementField, Grid, multi_indices_up_to, sobolev_seminorm
+from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
+                     row_norms, sobolev_seminorm, spectral_norms)
 from .group import DEFAULT_DET_THRESHOLD, Diffeo, invert
 
 BOUND_SLACK = 1.0e-8
@@ -226,22 +227,21 @@ def _pointwise_norm(vectors: np.ndarray) -> np.ndarray:
     # arithmetic exactly for one-signed fields
     if vectors.shape[1] == 1:
         return np.abs(vectors[:, 0])
-    return np.sqrt(np.sum(vectors * vectors, axis=1))
+    return row_norms(vectors)
 
 
 def _spectral_sup(mats: np.ndarray) -> float:
-    """Largest spectral norm in a batch of small matrices."""
-    if mats.shape[-1] == 1:
-        return float(np.max(np.abs(mats)))
-    return float(np.max(np.linalg.svd(mats, compute_uv=False)[..., 0]))
+    """Largest spectral norm in a node-major ``(m, dim, dim)`` batch of Jacobians.
+
+    Closed form up to dim 2 (see :func:`diffeoflow.fields.spectral_norms`).
+    """
+    return float(np.max(spectral_norms(np.moveaxis(mats, 0, -1))))
 
 
 def _jacobian_stats(displacement: DisplacementField) -> tuple:
     """Stencil ``(sup |d_x f|, min det(I + d_x f))`` over the grid."""
-    mats = displacement.node_jacobians()
-    sup = _spectral_sup(mats)
-    dets = np.linalg.det(mats + np.eye(displacement.grid.dim))
-    return sup, float(np.min(dets))
+    jac = displacement.jacobian_grid()
+    return float(np.max(spectral_norms(jac))), float(np.min(det_plus_identity(jac)))
 
 
 def evolve(source, t_final: float, dt: float, grid: Grid,
@@ -254,6 +254,11 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
     raise a domain error (the grid cannot resolve them), and non-finite
     values raise a blow-up error. The result's decay class comes from the
     field unless overridden; with neither, the final snapshot is classified.
+    Every step also records ``beta`` (sup of ``|d_x X|`` along the
+    trajectories) and the stencil sup of ``|d_x f|`` and minimum of
+    ``det(I + d_x f)``; up to dim 2 these are closed-form kernels
+    (:func:`~diffeoflow.fields.spectral_norms`,
+    :func:`~diffeoflow.fields.det_plus_identity`), not LAPACK calls.
     """
     vf = as_vector_field(source)
     if vf.dim != grid.dim:

@@ -20,7 +20,14 @@ from diffeoflow import (
     sup_seminorm,
     weighted_seminorm,
 )
-from diffeoflow.fields import _interp_stencil, multi_indices_up_to
+from diffeoflow.fields import (
+    _interp_stencil,
+    det_plus_identity,
+    multi_indices_up_to,
+    row_norms,
+    spectral_norms,
+)
+from diffeoflow.flows import _pointwise_norm
 
 GAUSS = "exp(-x^2)"
 
@@ -380,16 +387,17 @@ class TestStackedDerivativeStore:
                 assert np.array_equal(derivative.values[i], want)
             assert field.partial_derivative(alpha) is derivative
 
-    def test_node_jacobians_match_scalar_channels(self, field):
+    def test_jacobian_grid_matches_scalar_channels(self, field):
         grid = field.grid
-        mats = field.node_jacobians()
-        assert mats.shape == (grid.node_count, grid.dim, grid.dim)
+        jac = field.jacobian_grid()
+        assert jac.shape == (grid.dim, grid.dim) + grid.shape
         for i in range(grid.dim):
             channel = ScalarField(grid, field.values[i], field.extrapolation)
             for j in range(grid.dim):
                 alpha = tuple(int(k == j) for k in range(grid.dim))
-                want = channel.partial_derivative(alpha).values.reshape(-1)
-                assert np.array_equal(mats[:, i, j], want)
+                assert np.array_equal(jac[i, j], channel.partial_derivative(alpha).values)
+        assert spectral_norms(jac).shape == grid.shape
+        assert det_plus_identity(jac).shape == grid.shape
 
     def test_node_layout_round_trip(self, field):
         grid = field.grid
@@ -399,3 +407,111 @@ class TestStackedDerivativeStore:
         back = DisplacementField.from_nodes(grid, node_values, field.extrapolation)
         assert np.array_equal(back.values, field.values)
         assert back.extrapolation == field.extrapolation
+
+
+@pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])
+class TestShortAxisReductions:
+    """Column-by-column reductions give the bits of the reductions over ``axis=-1``."""
+
+    @pytest.fixture
+    def points(self, grid):
+        rng = np.random.default_rng(30 + grid.dim)
+        wide = rng.normal(size=(64, grid.dim)) * rng.uniform(1e-3, 1e3, size=(64, 1))
+        queries = _query_points(grid, rng).reshape(-1, grid.dim)
+        return np.concatenate([queries, np.asarray(grid.nodes()), wide])
+
+    def test_row_norms(self, points):
+        assert np.array_equal(row_norms(points), np.sqrt(np.sum(points ** 2, axis=1)))
+
+    def test_pointwise_norm(self, grid, points):
+        want = (np.abs(points[:, 0]) if grid.dim == 1
+                else np.sqrt(np.sum(points * points, axis=1)))
+        assert np.array_equal(_pointwise_norm(points), want)
+
+    def test_zero_mode_mask(self, grid, points):
+        # zero and clamp gather the same clipped stencil; only the mask differs
+        rng = np.random.default_rng(40 + grid.dim)
+        values = rng.normal(size=(grid.dim,) + grid.shape)
+        zero = DisplacementField(grid, values, "zero").sample(points)
+        clamp = DisplacementField(grid, values, "clamp").sample(points)
+        inside = np.all(np.abs(points) <= grid.half_width, axis=-1)
+        assert 0 < np.count_nonzero(inside) < inside.size
+        assert np.any(np.abs(points) == grid.half_width)
+        assert np.array_equal(zero, np.where(inside[:, None], clamp, 0.0))
+
+
+KERNEL_ULPS = 8
+
+
+def _kernel_layout(mats: np.ndarray) -> np.ndarray:
+    """Node-major ``(m, dim, dim)`` matrices in the ``(dim, dim, m)`` kernel layout."""
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+
+def _kernel_batch(dim: int, seed: int) -> np.ndarray:
+    """Seeded Jacobians ``J``: generic, diagonal, and ones with a singular ``I + J``."""
+    rng = np.random.default_rng(seed)
+    generic = rng.normal(size=(600, dim, dim)) * rng.uniform(1e-3, 3.0, size=(600, 1, 1))
+    diagonal = np.zeros((100, dim, dim))
+    diagonal[:, range(dim), range(dim)] = rng.normal(size=(100, dim))
+    rank_one = np.einsum("ki,kj->kij", rng.normal(size=(100, dim)), rng.normal(size=(100, dim)))
+    singular = rank_one if dim > 1 else np.zeros((100, 1, 1))
+    return np.concatenate([generic, diagonal, singular - np.eye(dim)])
+
+
+def _rotations(count: int = 4000, noise: float = 0.0, seed: int = 50) -> tuple:
+    """``theta * [[0, -1], [1, 0]]`` for theta across the flow-2d range and beyond."""
+    theta = np.concatenate([np.linspace(0.24, 0.36, count), np.geomspace(1e-6, 10.0, count)])
+    mats = np.zeros((theta.size, 2, 2))
+    mats[:, 0, 1], mats[:, 1, 0] = -theta, theta
+    mats += noise * np.random.default_rng(seed).normal(size=mats.shape)
+    return theta, mats
+
+
+def _assert_spectral_matches_lapack(mats: np.ndarray):
+    got = spectral_norms(_kernel_layout(mats))
+    want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    assert np.all(np.isfinite(got))
+    if mats.shape[-1] == 1:
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.abs(mats[:, 0, 0]))
+    else:
+        assert np.all(np.abs(got - want) <= KERNEL_ULPS * np.spacing(want))
+
+
+def _assert_det_matches_lapack(mats: np.ndarray):
+    dim = mats.shape[-1]
+    full = mats + np.eye(dim)
+    got = det_plus_identity(_kernel_layout(mats))
+    # Hadamard: |det| is at most the product of the row norms, which sets the rounding scale
+    scale = np.prod(np.sqrt(np.sum(full ** 2, axis=-1)), axis=-1)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - np.linalg.det(full)) <= KERNEL_ULPS * np.spacing(scale))
+    if dim == 1:
+        assert np.array_equal(got, 1.0 + mats[:, 0, 0])
+
+
+class TestJacobianKernels:
+    """Closed-form spectral norms and ``det(I + J)`` against LAPACK."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_spectral_norms_match_svd(self, dim, seed):
+        _assert_spectral_matches_lapack(_kernel_batch(dim, seed))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_det_plus_identity_matches_det(self, dim, seed):
+        _assert_det_matches_lapack(_kernel_batch(dim, seed))
+
+    def test_exact_rotations(self):
+        theta, mats = _rotations()
+        assert np.array_equal(spectral_norms(_kernel_layout(mats)), theta)
+        _assert_spectral_matches_lapack(mats)
+        _assert_det_matches_lapack(mats)
+
+    @pytest.mark.parametrize("seed", [50, 51])
+    def test_near_rotations(self, seed):
+        _, mats = _rotations(noise=1.0e-9, seed=seed)
+        _assert_spectral_matches_lapack(mats)
+        _assert_det_matches_lapack(mats)

@@ -17,6 +17,8 @@ from diffeoflow import (
     evol_smoothness_probe,
     evolve,
     gronwall_bound,
+    invert,
+    membership_check,
     right_log_derivative,
     sobolev_tracking,
 )
@@ -289,6 +291,26 @@ class TestRightLogDerivative:
         short = evolve(bump_field(), 0.2, 0.1, line_grid)
         with pytest.raises(FlowDomainError):
             right_log_derivative(short)
+
+
+def test_two_d_margins_need_no_lapack(monkeypatch, plane_grid):
+    """2-D spectral norms and determinants come from the closed-form kernels."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2-D Jacobian batch reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    field = TimeDependentVectorField.from_descriptor(
+        2, "-0.3*y*exp(-x^2-y^2), 0.3*x*exp(-x^2-y^2)", DecayClass.SCHWARTZ)
+    result = evolve(field, 0.5, 1.0 / 16.0, plane_grid)
+    assert np.all(result.diagnostics["beta"] > 0.0)
+    assert np.all(result.diagnostics["min_det"] > 0.0)
+    assert len(right_log_derivative(result)) == len(result.times) - 4
+    member = Diffeo(result.final_displacement, DecayClass.SCHWARTZ)
+    ok, epsilon, _ = membership_check(member)
+    assert ok and epsilon == member.epsilon
+    assert invert(member).epsilon > 0.0
 
 
 class TestSmoothnessProbe:
