@@ -340,19 +340,15 @@ def criterion_flow_correctness() -> CriterionResult:
     errors = []
     dts = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
     for dt in dts:
-        result = evolve(case.field, 1.0, dt, grid,
-                        decay_class=case.field.decay_class)
+        result = evolve(case.field, 1.0, dt, grid)
         final = nodes + result.final_displacement.node_values()
         errors.append(float(np.max(np.abs(final - reference))))
     orders = [float(np.log2(errors[k] / errors[k + 1]))
               for k in range(len(errors) - 1)]
 
-    first = evolve(case.field, 0.5, 1.0 / 32.0, grid,
-                   decay_class=case.field.decay_class).to_diffeo()
-    second = evolve(case.field.time_shifted(0.5), 0.5, 1.0 / 32.0, grid,
-                    decay_class=case.field.decay_class).to_diffeo()
-    direct = evolve(case.field, 1.0, 1.0 / 32.0, grid,
-                    decay_class=case.field.decay_class).to_diffeo()
+    first = evolve(case.field, 0.5, 1.0 / 32.0, grid).to_diffeo()
+    second = evolve(case.field.time_shifted(0.5), 0.5, 1.0 / 32.0, grid).to_diffeo()
+    direct = evolve(case.field, 1.0, 1.0 / 32.0, grid).to_diffeo()
     chained = compose(second, first)
     defect = float(np.max(np.abs(
         chained.displacement.values - direct.displacement.values)))
@@ -371,8 +367,7 @@ def criterion_inequality_verification() -> CriterionResult:
     snapshots = 0
     details = []
     for case in flow_battery():
-        result = evolve(case.field, case.t_final, case.dt, case.grid,
-                        decay_class=case.field.decay_class)
+        result = evolve(case.field, case.t_final, case.dt, case.grid)
         _, _, sup_holds = displacement_sup_bound(result)
         _, _, gronwall_holds = gronwall_bound(result)
         snapshots += len(result.times)
@@ -393,10 +388,8 @@ def criterion_class_preservation() -> CriterionResult:
     case = schwartz_flow_case()
     small = case.grid
     big = Grid(1, 2.0 * small.half_width, 2 * small.points_per_axis - 1)
-    result = evolve(case.field, case.t_final, case.dt, small,
-                    decay_class=case.field.decay_class)
-    doubled = evolve(case.field, case.t_final, case.dt, big,
-                     decay_class=case.field.decay_class)
+    result = evolve(case.field, case.t_final, case.dt, small)
+    doubled = evolve(case.field, case.t_final, case.dt, big)
 
     misclassified = 0
     weighted_gap = 0.0
@@ -416,8 +409,7 @@ def criterion_class_preservation() -> CriterionResult:
                    and weighted_gap <= 1.0e-6)
 
     hcase = sobolev_flow_case()
-    hresult = evolve(hcase.field, hcase.t_final, hcase.dt, hcase.grid,
-                     decay_class=hcase.field.decay_class)
+    hresult = evolve(hcase.field, hcase.t_final, hcase.dt, hcase.grid)
     tracking = sobolev_tracking(hresult)
     h_contained = all(
         DecayClass.SOBOLEV_INFINITY.contains(classify_decay(snap).inferred_class)
@@ -471,8 +463,7 @@ def criterion_right_log_derivative() -> CriterionResult:
     settings = [(1.0 / 8.0, 129), (1.0 / 16.0, 257), (1.0 / 32.0, 513)]
     for dt, points in settings:
         grid = Grid(1, 8.0, points)
-        result = evolve(case.field, case.t_final, dt, grid,
-                        decay_class=case.field.decay_class)
+        result = evolve(case.field, case.t_final, dt, grid)
         worst = 0.0
         for t, derived in right_log_derivative(result):
             exact = case.field.at_time(grid, t).values

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import acceptance
 from .battery import DEFAULT_SEED
 from .decay import DecayClass, class_from_name, classify_decay
-from .errors import (EngineError, FlowBlowupError, FlowDomainError,
+from .errors import (EngineError, FieldError, FlowBlowupError, FlowDomainError,
                      InsufficientAnnuliError, InversionError, NonDiffeoError,
                      UnderResolvedError)
 from .fields import DisplacementField, Grid, sample
@@ -43,39 +43,29 @@ COMMANDS = ("classify", "compose", "invert", "conjugate", "evolve", "verify")
 
 @dataclass
 class RunConfig:
-    """Validated CLI parameters shared by every command."""
+    """Validated CLI parameters, one field per flag; the defaults live in the parser."""
 
     command: str
-    dim: int = 1
-    half_width: float = 8.0
-    points: int = 257
-    decay_class: str | None = None
-    descriptors: list = dataclass_field(default_factory=list)
-    inputs: list = dataclass_field(default_factory=list)
-    t_final: float = 1.0
-    dt: float = 1.0 / 32.0
-    order_cap: int = 2
-    weight_cap: int = 2
-    tol: float = 1.0e-6
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    quiet: bool = False
+    dim: int
+    half_width: float
+    points: int
+    decay_class: str | None
+    descriptors: list
+    inputs: list
+    t_final: float
+    dt: float
+    tol: float
+    seed: int
+    out: str | None
+    quiet: bool
 
     def validate(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2 or 3")
-        if self.points < 16:
-            raise ValueError("points must be at least 16")
-        if self.half_width <= 0.0:
-            raise ValueError("half-width must be positive")
+        """Reject bad flags before any command runs, ``verify`` included."""
+        self.grid()
         if self.tol < 0.0:
             raise ValueError("tol must be non-negative")
         if self.t_final <= 0.0 or self.dt <= 0.0:
             raise ValueError("t-final and dt must be positive")
-        if self.order_cap < 0 or self.weight_cap < 0:
-            raise ValueError("order and weight caps must be non-negative")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.half_width, self.points)
@@ -97,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--points", type=int, default=257)
     parser.add_argument("--class", dest="decay_class", default=None,
                         help="claimed decay class of the input field(s)")
-    parser.add_argument("--descriptor", action="append", default=[],
+    parser.add_argument("--descriptor", dest="descriptors", metavar="DESCRIPTOR",
+                        action="append", default=[],
                         help="closed-form field text; repeatable")
-    parser.add_argument("--input", action="append", default=[],
+    parser.add_argument("--input", dest="inputs", metavar="INPUT",
+                        action="append", default=[],
                         help="dff-v1 file path; repeatable")
     parser.add_argument("--t-final", type=float, default=1.0)
     parser.add_argument("--dt", type=float, default=1.0 / 32.0)
-    parser.add_argument("--order-cap", type=int, default=2)
-    parser.add_argument("--weight-cap", type=int, default=2)
     parser.add_argument("--tol", type=float, default=1.0e-6)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", default=None,
@@ -115,14 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_argv(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command, dim=args.dim, half_width=args.half_width,
-        points=args.points, decay_class=args.decay_class,
-        descriptors=list(args.descriptor), inputs=list(args.input),
-        t_final=args.t_final, dt=args.dt, order_cap=args.order_cap,
-        weight_cap=args.weight_cap, tol=args.tol, seed=args.seed,
-        out=args.out, quiet=args.quiet)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     config.validate()
     return config
 
@@ -158,12 +141,13 @@ def _sources(config: RunConfig, needed: int) -> list:
     return out
 
 
-def _field_summary(diffeo: Diffeo, config: RunConfig) -> dict:
-    report = classify_decay(diffeo.displacement, config.order_cap,
-                            config.weight_cap)
+def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
+    """Claimed and measured class and margin; ``measured`` if already known."""
+    if measured is None:
+        measured = classify_decay(diffeo.displacement).inferred_class.value
     return {
         "decay_class": diffeo.decay_class.value,
-        "measured_class": report.inferred_class.value,
+        "measured_class": measured,
         "epsilon": diffeo.epsilon,
         "epsilon_location": diffeo.epsilon_location,
     }
@@ -177,7 +161,7 @@ def cmd_classify(config: RunConfig) -> int:
         target = sample(config.descriptors[0], config.grid())
     else:
         raise ValueError("classify needs --descriptor or --input")
-    report = classify_decay(target, config.order_cap, config.weight_cap)
+    report = classify_decay(target)
     claimed = config.claimed_class()
     class_ok = None
     if claimed is not None:
@@ -199,7 +183,7 @@ def cmd_compose(config: RunConfig) -> int:
     result = compose(outer, inner)
     payload = {
         "command": "compose",
-        "result": _field_summary(result, config),
+        "result": _field_summary(result),
     }
     if config.out:
         out_dir = Path(config.out)
@@ -222,7 +206,7 @@ def cmd_invert(config: RunConfig) -> int:
     holds = max(residuals.values()) <= config.tol
     payload = {
         "command": "invert",
-        "result": _field_summary(inverse, config),
+        "result": _field_summary(inverse),
         "residuals": residuals,
         "tol": config.tol,
         "holds": holds,
@@ -239,15 +223,13 @@ def cmd_invert(config: RunConfig) -> int:
 def cmd_conjugate(config: RunConfig) -> int:
     outer, inner = _sources(config, 2)
     result, diag = conjugate(outer, inner, diagnostics=True)
-    measured = class_from_name(diag["measured_class"])
-    class_ok = inner.decay_class.contains(measured)
     payload = {
         "command": "conjugate",
         "inner_class": inner.decay_class.value,
         "outer_class": outer.decay_class.value,
-        "result": _field_summary(result, config),
+        "result": _field_summary(result, diag["measured_class"]),
         "diagnostics": diag,
-        "class_ok": class_ok,
+        "class_ok": diag["agrees"],
     }
     if config.out:
         out_dir = Path(config.out)
@@ -255,7 +237,7 @@ def cmd_conjugate(config: RunConfig) -> int:
         write_diffeo(str(out_dir / "conjugate.dff"), result)
         payload["output"] = "conjugate.dff"
     _emit(config, payload, "conjugate_report.json")
-    return EXIT_OK if class_ok else EXIT_VERIFY
+    return EXIT_OK if diag["agrees"] else EXIT_VERIFY
 
 
 def cmd_evolve(config: RunConfig) -> int:
@@ -264,8 +246,7 @@ def cmd_evolve(config: RunConfig) -> int:
     field = TimeDependentVectorField.from_descriptor(
         config.dim, config.descriptors[0], config.claimed_class())
     grid = config.grid()
-    result = evolve(field, config.t_final, config.dt, grid,
-                    decay_class=field.decay_class)
+    result = evolve(field, config.t_final, config.dt, grid)
 
     bound, measured, sup_holds = displacement_sup_bound(result)
     predicted, observed, gronwall_holds = gronwall_bound(result)
@@ -343,7 +324,7 @@ def main(argv=None) -> int:
     except SystemExit as stop:
         # argparse exits 2 on bad flags; fold that into the input code
         return EXIT_INPUT if stop.code else EXIT_OK
-    except ValueError as exc:
+    except (ValueError, FieldError) as exc:
         print(stable_json_dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_INPUT

@@ -90,8 +90,8 @@ def widest(a: DecayClass, b: DecayClass) -> DecayClass:
     return a if a.rank <= b.rank else b
 
 
-def extrapolation_for(decay_class: DecayClass) -> str:
-    """Off-box continuation: decaying classes read zero, bounded clamps."""
+def extrapolation_for(decay_class: DecayClass | None) -> str:
+    """Off-box continuation: bounded clamps; decaying and unknown classes read zero."""
     return "clamp" if decay_class is DecayClass.BOUNDED_ALL else "zero"
 
 

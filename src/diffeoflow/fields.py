@@ -212,18 +212,13 @@ def _normalize_points(points, dim: int):
     return pts.reshape(-1, dim), lead
 
 
-def _descriptor_env(grid: Grid, time: float | None):
+def _descriptor_env(grid: Grid):
     nodes = grid.nodes()
-    env = {VARIABLES[j]: nodes[:, j] for j in range(grid.dim)}
-    if time is not None:
-        env["t"] = np.float64(time)
-    return env
+    return {VARIABLES[j]: nodes[:, j] for j in range(grid.dim)}
 
 
-def _check_descriptor_vars(expr: Expr, grid: Grid, time: float | None):
+def _check_descriptor_vars(expr: Expr, grid: Grid):
     allowed = set(VARIABLES[: grid.dim])
-    if time is not None:
-        allowed.add("t")
     extra = expr.free_vars() - allowed
     if extra:
         raise DescriptorError(
@@ -248,12 +243,11 @@ class ScalarField:
         self._derivatives: dict = {}
 
     @classmethod
-    def from_descriptor(cls, grid: Grid, descriptor, extrapolation: str = "zero",
-                        time: float | None = None) -> "ScalarField":
+    def from_descriptor(cls, grid: Grid, descriptor,
+                        extrapolation: str = "zero") -> "ScalarField":
         expr = parse_scalar(descriptor) if isinstance(descriptor, str) else descriptor
-        _check_descriptor_vars(expr, grid, time)
-        env = _descriptor_env(grid, time)
-        values = evaluate_on(expr, env).reshape(grid.shape)
+        _check_descriptor_vars(expr, grid)
+        values = evaluate_on(expr, _descriptor_env(grid)).reshape(grid.shape)
         return cls(grid, values, extrapolation)
 
     @classmethod
@@ -307,17 +301,17 @@ class DisplacementField:
         self._derivatives: dict = {}
 
     @classmethod
-    def from_descriptor(cls, grid: Grid, descriptor, extrapolation: str = "zero",
-                        time: float | None = None) -> "DisplacementField":
+    def from_descriptor(cls, grid: Grid, descriptor,
+                        extrapolation: str = "zero") -> "DisplacementField":
         exprs = parse_vector(descriptor) if isinstance(descriptor, str) else list(descriptor)
         if len(exprs) != grid.dim:
             raise DescriptorError(
                 f"descriptor has {len(exprs)} components but the grid dimension is {grid.dim}"
             )
-        env = _descriptor_env(grid, time)
+        env = _descriptor_env(grid)
         rows = []
         for expr in exprs:
-            _check_descriptor_vars(expr, grid, time)
+            _check_descriptor_vars(expr, grid)
             rows.append(evaluate_on(expr, env).reshape(grid.shape))
         return cls(grid, np.stack(rows), extrapolation)
 
@@ -442,7 +436,7 @@ def det_plus_identity(jac: np.ndarray) -> np.ndarray:
             + m02 * (m10 * m21 - m11 * m20))
 
 
-def sample(descriptor, grid: Grid, extrapolation: str = "zero", time: float | None = None):
+def sample(descriptor, grid: Grid, extrapolation: str = "zero"):
     """Evaluate a closed-form descriptor on the grid.
 
     A descriptor with one component yields a :class:`ScalarField`; one with
@@ -450,8 +444,8 @@ def sample(descriptor, grid: Grid, extrapolation: str = "zero", time: float | No
     """
     exprs = parse_vector(descriptor) if isinstance(descriptor, str) else list(descriptor)
     if len(exprs) == 1:
-        return ScalarField.from_descriptor(grid, exprs[0], extrapolation, time)
-    return DisplacementField.from_descriptor(grid, exprs, extrapolation, time)
+        return ScalarField.from_descriptor(grid, exprs[0], extrapolation)
+    return DisplacementField.from_descriptor(grid, exprs, extrapolation)
 
 
 def partial_derivative(field, alpha):

@@ -27,7 +27,7 @@ from .descriptors import VARIABLES, parse_vector
 from .errors import DescriptorError, FieldError, FlowBlowupError, FlowDomainError
 from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
                      row_norms, sobolev_seminorm, spectral_norms)
-from .group import DEFAULT_DET_THRESHOLD, Diffeo, invert
+from .group import Diffeo, invert
 
 BOUND_SLACK = 1.0e-8
 GRONWALL_REL_SLACK = 1.0e-6
@@ -35,6 +35,7 @@ GRONWALL_ABS_SLACK = 1.0e-8
 DOMAIN_OVERHANG_FRACTION = 0.1
 EDGE_ANNULUS_FRACTION = 0.875
 EDGE_DECAY_TOL = 1.0e-6
+SOBOLEV_TRACKING_ORDER = 2
 
 
 class TimeDependentVectorField:
@@ -135,17 +136,12 @@ class TimeDependentVectorField:
             raise FieldError(
                 "this vector field has no analytic Jacobian; pass a grid to difference on"
             )
-        extrap = "zero" if self.decay_class is None else extrapolation_for(self.decay_class)
-        return self.at_time(grid, t, extrap).jacobian_at(pts)
+        return self.at_time(grid, t).jacobian_at(pts)
 
-    def at_time(self, grid: Grid, t: float,
-                extrapolation: str | None = None) -> DisplacementField:
+    def at_time(self, grid: Grid, t: float) -> DisplacementField:
         """Snapshot of the field on grid nodes at one time."""
-        if extrapolation is None:
-            extrapolation = ("zero" if self.decay_class is None
-                             else extrapolation_for(self.decay_class))
         return DisplacementField.from_nodes(grid, self(t, np.asarray(grid.nodes())),
-                                            extrapolation)
+                                            extrapolation_for(self.decay_class))
 
     def scaled(self, factor: float) -> "TimeDependentVectorField":
         factor = float(factor)
@@ -200,7 +196,8 @@ class FlowResult:
     sup, the certified bound sup and its worst signed defect, the Jacobian
     sup and minimum determinant of ``I + d_x f``, and the Gronwall data
     ``beta`` (sup of ``|d_x X|`` along trajectories) with its cumulative
-    integral ``alpha``.
+    integral ``alpha``. ``final_bound`` is each node's certified bound at
+    ``t_final``.
     """
 
     grid: Grid
@@ -214,8 +211,8 @@ class FlowResult:
     final_bound: np.ndarray
     notes: list = dataclass_field(default_factory=list)
 
-    def to_diffeo(self, det_threshold: float = DEFAULT_DET_THRESHOLD) -> Diffeo:
-        return Diffeo(self.final_displacement, self.decay_class, det_threshold)
+    def to_diffeo(self) -> Diffeo:
+        return Diffeo(self.final_displacement, self.decay_class)
 
     def snapshot_values(self) -> np.ndarray:
         """Stacked snapshot displacements, shape ``(len(snapshots), nodes, dim)``."""
@@ -245,15 +242,14 @@ def _jacobian_stats(displacement: DisplacementField) -> tuple:
 
 
 def evolve(source, t_final: float, dt: float, grid: Grid,
-           decay_class: DecayClass | None = None,
            snapshot_stride: int = 1) -> FlowResult:
     """Flow the identity along ``X`` from time 0 to ``t_final``.
 
     ``dt`` is a target step; the actual step divides ``t_final`` exactly.
     Trajectories that leave the box by more than a tenth of the half-width
     raise a domain error (the grid cannot resolve them), and non-finite
-    values raise a blow-up error. The result's decay class comes from the
-    field unless overridden; with neither, the final snapshot is classified.
+    values raise a blow-up error. The result's decay class is the field's;
+    a field without one gets the class of the final snapshot.
     Every step also records ``beta`` (sup of ``|d_x X|`` along the
     trajectories) and the stencil sup of ``|d_x f|`` and minimum of
     ``det(I + d_x f)``; up to dim 2 these are closed-form kernels
@@ -273,14 +269,13 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
             raise FlowDomainError(
                 f"the field is declared on t in [{lo}, {hi}], cannot flow over [0, {t_final}]"
             )
-    if decay_class is None:
-        decay_class = vf.decay_class
+    decay_class = vf.decay_class
     n_steps = max(1, int(math.ceil(t_final / dt - 1.0e-12)))
     step = t_final / n_steps
     if snapshot_stride < 1:
         raise FlowDomainError(f"snapshot_stride must be positive, got {snapshot_stride}")
 
-    extrap = "zero" if decay_class is None else extrapolation_for(decay_class)
+    extrap = extrapolation_for(decay_class)
     nodes = np.asarray(grid.nodes())
     m = nodes.shape[0]
     y = nodes.copy()
@@ -413,16 +408,16 @@ def gronwall_bound(result: FlowResult) -> tuple:
     return predicted, measured, holds
 
 
-def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
+def sobolev_tracking(result: FlowResult) -> dict:
     """Sobolev seminorms of the displacement along the flow, with an edge check.
 
-    Tracks every derivative through order ``p_max`` at each snapshot; the
-    ``final`` entry repeats the last snapshot's values. Also reports the sup
-    of first derivatives over the outermost eighth of the box, which should
-    be tiny for the decaying classes.
+    Tracks every derivative through order ``SOBOLEV_TRACKING_ORDER`` at each
+    snapshot; the ``final`` entry repeats the last snapshot's values. Also
+    reports the sup of first derivatives over the outermost eighth of the
+    box, which should be tiny for the decaying classes.
     """
     grid = result.grid
-    alphas = multi_indices_up_to(grid.dim, p_max)
+    alphas = multi_indices_up_to(grid.dim, SOBOLEV_TRACKING_ORDER)
     history = {}
     for alpha in alphas:
         key = ",".join(str(a) for a in alpha)
@@ -445,7 +440,7 @@ def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
     all_finite = all(np.all(np.isfinite(vals)) for vals in history.values())
     decaying = result.decay_class is not None and result.decay_class is not DecayClass.BOUNDED_ALL
     report = {
-        "p_max": int(p_max),
+        "p_max": SOBOLEV_TRACKING_ORDER,
         "times": snapshot_times,
         "history": history,
         "final": final_norms,
@@ -460,14 +455,14 @@ def sobolev_tracking(result: FlowResult, p_max: int = 2) -> dict:
     return report
 
 
-def right_log_derivative(result: FlowResult, times=None) -> list:
+def right_log_derivative(result: FlowResult) -> list:
     """Recover the driving field from the flow: ``D(t) = (d_t f) o (Id+f)^-1``.
 
     The time derivative is a five-point stencil across consecutive
     snapshots, so the result lists only interior snapshot times (two steps
-    in from either end), optionally restricted to ``times``. Each entry is
-    ``(t, DisplacementField)``; for a flow of ``X`` the field approximates
-    ``X(t, .)`` to fourth order in both the step and the spacing.
+    in from either end). Each entry is ``(t, DisplacementField)``; for a
+    flow of ``X`` the field approximates ``X(t, .)`` to fourth order in both
+    the step and the spacing.
     """
     snaps = result.snapshots
     if len(snaps) != result.times.shape[0]:
@@ -483,16 +478,9 @@ def right_log_derivative(result: FlowResult, times=None) -> list:
     nodes = np.asarray(grid.nodes())
     dt = result.dt
     g = result.snapshot_values()
-    wanted = None
-    if times is not None:
-        wanted = [float(t) for t in times]
     out = []
     for k in range(2, len(snaps) - 2):
         t_k = float(result.times[k])
-        if wanted is not None and not any(
-            abs(t_k - t) <= 1.0e-9 * max(1.0, abs(t)) for t in wanted
-        ):
-            continue
         dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * dt)
         extrap = snaps[k][1].extrapolation
         dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
@@ -500,13 +488,11 @@ def right_log_derivative(result: FlowResult, times=None) -> list:
         recovered = dgdt_field.sample(inverse.apply(nodes))
         field = DisplacementField.from_nodes(grid, recovered, extrap)
         out.append((t_k, field))
-    if not out:
-        raise FlowDomainError("no interior snapshot matched the requested times")
     return out
 
 
 def evol_smoothness_probe(family, s_values, t_final: float, dt: float,
-                          grid: Grid, decay_class: DecayClass | None = None) -> dict:
+                          grid: Grid) -> dict:
     """Difference-quotient probe of the parametrized flow ``s -> flow(X_s)``.
 
     ``family`` maps a parameter to a vector field; ``s_values`` must list a
@@ -539,8 +525,7 @@ def evol_smoothness_probe(family, s_values, t_final: float, dt: float,
 
     finals = {}
     for s in s_sorted:
-        res = evolve(family(s), t_final, dt, grid, decay_class=decay_class,
-                     snapshot_stride=10 ** 9)
+        res = evolve(family(s), t_final, dt, grid, snapshot_stride=10 ** 9)
         finals[s] = res.final_displacement.values
 
     def sup(a):

@@ -52,16 +52,14 @@ def _det_margin(displacement: DisplacementField) -> tuple:
     return float(dets[worst]), location
 
 
-def membership_check(displacement, decay_class: DecayClass | None = None,
-                     det_threshold: float = DEFAULT_DET_THRESHOLD,
-                     max_order: int = 2, max_weight: int = 2) -> tuple:
+def membership_check(displacement, decay_class: DecayClass | None = None) -> tuple:
     """Verify that ``x + g(x)`` is a group member of the claimed class.
 
     Returns ``(ok, epsilon, report)`` where ``epsilon`` is the node-wise
     minimum of ``det(I + dg)``. ``ok`` needs that minimum to clear
-    ``det_threshold`` and, when a class is claimed, the measured class to sit
-    inside it. Verification failures land in the report, never in an
-    exception, so a failed check can always be inspected.
+    ``DEFAULT_DET_THRESHOLD`` and, when a class is claimed, the measured
+    class to sit inside it. Verification failures land in the report, never
+    in an exception, so a failed check can always be inspected.
     """
     if isinstance(displacement, Diffeo):
         if decay_class is None:
@@ -71,8 +69,8 @@ def membership_check(displacement, decay_class: DecayClass | None = None,
     report = {
         "epsilon": epsilon,
         "epsilon_location": location,
-        "det_threshold": float(det_threshold),
-        "det_ok": bool(epsilon >= det_threshold),
+        "det_threshold": DEFAULT_DET_THRESHOLD,
+        "det_ok": bool(epsilon >= DEFAULT_DET_THRESHOLD),
         "claimed_class": decay_class.value if decay_class is not None else None,
         "measured_class": None,
         "class_ok": None,
@@ -82,11 +80,11 @@ def membership_check(displacement, decay_class: DecayClass | None = None,
     if not ok:
         report["notes"].append(
             f"det(I + dg) reaches {epsilon:.6g} at {location}, "
-            f"below the margin {det_threshold:.6g}"
+            f"below the margin {DEFAULT_DET_THRESHOLD:.6g}"
         )
     if decay_class is not None:
         try:
-            classification = classify_decay(displacement, max_order, max_weight)
+            classification = classify_decay(displacement)
         except InsufficientAnnuliError as exc:
             report["notes"].append(f"decay class not verifiable: {exc}")
         else:
@@ -107,13 +105,12 @@ class Diffeo:
     """A grid-backed diffeomorphism ``x + g(x)`` with decay-class metadata.
 
     The constructor trusts a supplied decay class (verification is the job of
-    :func:`membership_check`) but always measures the Jacobian margin.
+    :func:`membership_check`) but always measures the Jacobian margin, and
+    unless ``check=False`` it refuses a margin below ``DEFAULT_DET_THRESHOLD``.
     """
 
     def __init__(self, displacement: DisplacementField,
-                 decay_class: DecayClass | None = None,
-                 det_threshold: float = DEFAULT_DET_THRESHOLD,
-                 check: bool = True):
+                 decay_class: DecayClass | None = None, check: bool = True):
         self.report = None
         if decay_class is None:
             self.report = classify_decay(displacement)
@@ -125,12 +122,11 @@ class Diffeo:
             displacement = displacement.with_extrapolation(wanted)
         self.displacement = displacement
         self.decay_class = decay_class
-        self.det_threshold = float(det_threshold)
         self.epsilon, self.epsilon_location = _det_margin(displacement)
-        if check and not self.epsilon >= det_threshold:
+        if check and not self.epsilon >= DEFAULT_DET_THRESHOLD:
             raise NonDiffeoError(
                 f"det(I + dg) reaches {self.epsilon:.6g} at "
-                f"{self.epsilon_location}, below the margin {det_threshold:.6g}"
+                f"{self.epsilon_location}, below the margin {DEFAULT_DET_THRESHOLD:.6g}"
             )
 
     @property
@@ -144,11 +140,10 @@ class Diffeo:
 
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor: str,
-                        decay_class: DecayClass | None = None,
-                        det_threshold: float = DEFAULT_DET_THRESHOLD) -> "Diffeo":
-        extrap = extrapolation_for(decay_class) if decay_class is not None else "zero"
-        disp = DisplacementField.from_descriptor(grid, descriptor, extrap)
-        return cls(disp, decay_class, det_threshold)
+                        decay_class: DecayClass | None = None) -> "Diffeo":
+        disp = DisplacementField.from_descriptor(grid, descriptor,
+                                                 extrapolation_for(decay_class))
+        return cls(disp, decay_class)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -167,8 +162,7 @@ def _require_same_grid(a: Diffeo, b: Diffeo):
         raise FieldError("group operations need both members on the same grid")
 
 
-def compose(outer: Diffeo, inner: Diffeo,
-            det_threshold: float | None = None) -> Diffeo:
+def compose(outer: Diffeo, inner: Diffeo) -> Diffeo:
     """The diffeomorphism ``outer o inner`` on the shared grid.
 
     If the inner map pushes nodes further than a tenth of the half-width
@@ -193,8 +187,7 @@ def compose(outer: Diffeo, inner: Diffeo,
     decay_class = widest(outer.decay_class, inner.decay_class)
     disp = DisplacementField.from_nodes(grid, g_values + f_at_images,
                                         extrapolation_for(decay_class))
-    threshold = outer.det_threshold if det_threshold is None else det_threshold
-    return Diffeo(disp, decay_class, threshold)
+    return Diffeo(disp, decay_class)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -313,7 +306,7 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
             f"(tolerance {tol:.3e}) near x = {[float(c) for c in worst]}"
         )
     disp = DisplacementField.from_nodes(grid, y - nodes, displacement.extrapolation)
-    return Diffeo(disp, diffeo.decay_class, diffeo.det_threshold)
+    return Diffeo(disp, diffeo.decay_class)
 
 
 def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
@@ -333,7 +326,7 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     outer_inverse = invert(outer)
     result = compose(outer_inverse, compose(inner, outer))
     expected = inner.decay_class
-    result = Diffeo(result.displacement, expected, result.det_threshold)
+    result = Diffeo(result.displacement, expected)
     if not diagnostics:
         return result
     classification = classify_decay(result.displacement)

@@ -156,8 +156,8 @@ def read_displacement(path: str) -> tuple:
             raise FileFormatError(f"{path}: bad sample in component {i}: {exc}")
     if not np.all(np.isfinite(data)):
         raise FileFormatError(f"{path}: displacement samples must be finite")
-    extrap = "zero" if class_hint is None else extrapolation_for(class_hint)
-    field = DisplacementField(grid, data.reshape((dim,) + grid.shape), extrap)
+    field = DisplacementField(grid, data.reshape((dim,) + grid.shape),
+                              extrapolation_for(class_hint))
     return field, class_hint
 
 
@@ -171,14 +171,15 @@ def write_diffeo(path: str, diffeo):
     write_report(path + SIDECAR_SUFFIX, sidecar)
 
 
-def read_diffeo(path: str, det_threshold: float | None = None):
+def read_diffeo(path: str):
     """Rebuild a diffeomorphism written by :func:`write_diffeo`.
 
     The sidecar is optional; without it the class hint from the header is
     trusted (or the displacement classified when there is none). The
-    Jacobian margin is always re-measured, never read.
+    Jacobian margin is always re-measured, never read, and a margin below
+    ``DEFAULT_DET_THRESHOLD`` raises :class:`NonDiffeoError`.
     """
-    from .group import DEFAULT_DET_THRESHOLD, Diffeo
+    from .group import Diffeo
 
     displacement, class_hint = read_displacement(path)
     decay_class = class_hint
@@ -194,8 +195,7 @@ def read_diffeo(path: str, det_threshold: float | None = None):
             decay_class = class_from_name(sidecar["decay_class"])
         except (KeyError, TypeError) as exc:
             raise FileFormatError(f"{path}{SIDECAR_SUFFIX}: incomplete sidecar: {exc}")
-    threshold = DEFAULT_DET_THRESHOLD if det_threshold is None else det_threshold
-    return Diffeo(displacement, decay_class, threshold)
+    return Diffeo(displacement, decay_class)
 
 
 def write_time_series_csv(path: str, result):

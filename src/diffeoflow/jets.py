@@ -56,17 +56,16 @@ def _check_degree(degree: int):
         )
 
 
-def _sym_dense(array: np.ndarray, skip_axes: int = 0) -> np.ndarray:
-    """Average ``array`` over all permutations of its trailing axes."""
+def _sym_dense(array: np.ndarray) -> np.ndarray:
+    """Average ``array`` over all permutations of its axes after the first."""
     array = np.asarray(array, dtype=np.float64)
-    degree = array.ndim - skip_axes
+    degree = array.ndim - 1
     if degree <= 1:
         return array.copy()
-    lead = tuple(range(skip_axes))
     total = np.zeros_like(array)
     count = 0
-    for perm in itertools.permutations(range(skip_axes, array.ndim)):
-        total += np.transpose(array, lead + perm)
+    for perm in itertools.permutations(range(1, array.ndim)):
+        total += np.transpose(array, (0,) + perm)
         count += 1
     return total / count
 
@@ -120,7 +119,7 @@ class SymmetricTensor:
                 raise JetError(f"argument axes must share one dimension, got {dense.shape}")
         else:
             dim = dense.shape[0]
-        dense = _sym_dense(dense, skip_axes=1)
+        dense = _sym_dense(dense)
         out = cls(dim, degree, codomain_dim=dense.shape[0])
         for combo, slot in _packed_index(out.dim, degree).items():
             out.packed[:, slot] = dense[(slice(None),) + combo]
@@ -301,28 +300,25 @@ def compose_jets(outer: Jet, inner: Jet) -> Jet:
             outer_term = outer.dense_term(j)
             for split in ordered_compositions(p, j):
                 total += _contract(outer_term, [inner_dense[a] for a in split])
-        terms.append(_sym_dense(total, skip_axes=1))
+        terms.append(_sym_dense(total))
     return Jet(inner.base_point, terms)
 
 
-def invert_jet(jet: Jet, order: int | None = None) -> Jet:
+def invert_jet(jet: Jet) -> Jet:
     """Jet of the inverse map at the image point, by triangular reversion.
 
     Writing ``H`` for the unknown inverse jet, the identity ``H o G = Id``
     determines ``H_p`` from lower orders because ``H_p`` enters only through
     ``H_p[G_1, ..., G_1]``; dividing out ``G_1`` slot by slot needs nothing
-    more than the inverse Jacobian. ``order`` defaults to the input order.
+    more than the inverse Jacobian. The inverse has the input's order.
     """
-    p_max = jet.order if order is None else int(order)
-    if not 1 <= p_max <= jet.order:
-        raise JetError(f"cannot invert an order-{jet.order} jet to order {p_max}")
     g1 = jet.dense_term(1)
     det = float(np.linalg.det(g1))
     if det == 0.0 or not np.isfinite(det):
         raise SingularJacobianError(f"jet Jacobian is singular (det = {det})")
     g1_inv = np.linalg.inv(g1)
     dense_terms = [jet.base_point, g1_inv]
-    for p in range(2, p_max + 1):
+    for p in range(2, jet.order + 1):
         remainder = np.zeros((jet.dim,) * (p + 1))
         for j in range(1, p):
             h_term = dense_terms[j]
@@ -332,7 +328,7 @@ def invert_jet(jet: Jet, order: int | None = None) -> Jet:
         for axis in range(1, p + 1):
             solved = np.tensordot(solved, g1_inv, axes=([axis], [0]))
             solved = np.moveaxis(solved, -1, axis)
-        dense_terms.append(_sym_dense(solved, skip_axes=1))
+        dense_terms.append(_sym_dense(solved))
     return Jet(jet.value, dense_terms)
 
 

@@ -45,6 +45,9 @@ class TestConfig:
         ["--command", "classify", "--points", "8", "--descriptor", "x"],
         ["--command", "classify", "--tol", "-1", "--descriptor", "x"],
         ["--command", "evolve", "--t-final", "0", "--descriptor", "x"],
+        ["--command", "verify", "--points", "18", "--tol", "0"],
+        ["--command", "classify", "--order-cap", "3", "--descriptor", "x"],
+        ["--command", "classify", "--weight-cap", "3", "--descriptor", "x"],
         ["--command", "nonsense"],
         ["--no-such-flag"],
         [],

@@ -23,7 +23,10 @@ from diffeoflow import (
     invert,
     membership_check,
     pullback,
+    read_diffeo,
+    write_diffeo,
 )
+from diffeoflow.group import DEFAULT_DET_THRESHOLD
 
 
 def gaussian_diffeo(grid, amplitude=0.2, center=0.0, width=1.0):
@@ -64,6 +67,25 @@ class TestMembership:
         ok, _, report = membership_check(member)
         assert ok
         assert report["claimed_class"] == "Schwartz"
+
+    def test_thin_margin_refused_at_every_entry(self, fine_grid, tmp_path):
+        # g = -a x exp(-x^2) has det(I + dg) = 1 - a at the origin; scale a so
+        # the measured margin is positive but below the fixed threshold
+        unit = DisplacementField.from_descriptor(fine_grid, "-x*exp(-x^2)")
+        slope = 1.0 - Diffeo(unit, DecayClass.SCHWARTZ, check=False).epsilon
+        disp = DisplacementField(fine_grid, unit.values * ((1.0 - 5.0e-7) / slope))
+        member = Diffeo(disp, DecayClass.SCHWARTZ, check=False)
+        assert 0.0 < member.epsilon < DEFAULT_DET_THRESHOLD
+        with pytest.raises(NonDiffeoError):
+            Diffeo(disp, DecayClass.SCHWARTZ)
+        ok, epsilon, report = membership_check(disp)
+        assert not ok and not report["det_ok"]
+        assert epsilon == member.epsilon
+        assert report["det_threshold"] == DEFAULT_DET_THRESHOLD
+        path = str(tmp_path / "thin.dff")
+        write_diffeo(path, member)
+        with pytest.raises(NonDiffeoError):
+            read_diffeo(path)
 
 
 class TestDiffeoConstruction:

@@ -213,12 +213,6 @@ class TestInvert:
         with pytest.raises(SingularJacobianError):
             invert_jet(jet)
 
-    def test_order_argument_validation(self):
-        jet = _jet_1d(0.0, [0.0, 1.0, 0.1])
-        assert invert_jet(jet, order=1).order == 1
-        with pytest.raises(JetError):
-            invert_jet(jet, order=3)
-
 
 class TestInverseNormBound:
     def test_identity(self):
