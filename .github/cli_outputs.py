@@ -1,0 +1,80 @@
+"""Run a fixed set of diffeoflow CLI commands and keep everything they print and write.
+
+    python3 .github/cli_outputs.py SRC_DIR OUT_DIR
+
+``SRC_DIR`` is the ``src`` directory of the tree to run. Each command gets
+its own directory ``OUT_DIR/<name>`` holding ``stdout``, ``stderr``,
+``exit_code`` and the files written under ``--out``. Commands run with
+``OUT_DIR`` as their working directory and relative paths only, so two trees
+run into two directories give byte-identical files exactly when their
+outputs agree; ``diff -r`` of the two directories lists the ones that do not.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GAUSS_1D = "0.2*exp(-(x-0.3)^2)"
+TANH_1D = "0.2*tanh((x-0.3)/1.1)"
+GAUSS_2D = "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"
+TANH_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
+# the Newton-size swirl of tests/test_group.py: max |dg|_F >= 0.9
+SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
+LINE = ["--points", "513"]
+PLANE = ["--dim", "2", "--points", "129"]
+
+COMMANDS = [
+    ("verify", ["--command", "verify", "--seed", "1789"]),
+    ("classify-descriptor", ["--command", "classify", "--descriptor", "1/(1+x^2)"]),
+    ("compose-1d", ["--command", "compose", "--descriptor", TANH_1D,
+                    "--descriptor", GAUSS_1D]),
+    ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",
+                   "--descriptor", GAUSS_1D]),
+    ("conjugate-1d", ["--command", "conjugate", "--descriptor", TANH_1D,
+                      "--descriptor", "0.1*exp(-x^2)"]),
+    ("compose-2d", ["--command", "compose", *PLANE, "--descriptor", GAUSS_2D,
+                    "--descriptor", TANH_2D]),
+    # the left identity check is interpolation-limited at 129^2
+    ("invert-2d", ["--command", "invert", *PLANE, "--tol", "1e-3", "--class", "Schwartz",
+                   "--descriptor", GAUSS_2D]),
+    ("invert-2d-swirl", ["--command", "invert", *PLANE, "--tol", "1e-3", "--class",
+                         "Schwartz", "--descriptor", SWIRL_2D]),
+    ("conjugate-2d", ["--command", "conjugate", *PLANE, "--descriptor", TANH_2D,
+                      "--descriptor", GAUSS_2D]),
+    ("classify-input", ["--command", "classify",
+                        "--input", "invert-2d-swirl/out/inverse.dff"]),
+    ("evolve-1d", ["--command", "evolve", "--class", "Schwartz",
+                   "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
+    # no --class: the result's class is inferred from the final snapshot
+    ("evolve-1d-inferred", ["--command", "evolve", "--descriptor", "0.12*cos(0.7*x-0.6*t)"]),
+    ("evolve-2d", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--class", "Schwartz",
+                   "--descriptor", "-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))"]),
+    ("evolve-3d", ["--command", "evolve", "--dim", "3", "--points", "25", "--dt", "0.125",
+                   "--class", "Schwartz", "--descriptor",
+                   "-0.3*y*exp(-(x^2+y^2+z^2)), 0.3*x*exp(-(x^2+y^2+z^2)), 0"]),
+]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name, args in COMMANDS:
+        run_dir = out / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "diffeoflow", *args, "--out", f"{name}/out"],
+                              cwd=out, env=env, capture_output=True)
+        (run_dir / "stdout").write_bytes(proc.stdout)
+        (run_dir / "stderr").write_bytes(proc.stderr)
+        (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

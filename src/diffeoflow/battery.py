@@ -11,10 +11,11 @@ the intended class for every draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .decay import DecayClass, classify_decay
+from .decay import DecayClass, classify_decay, extrapolation_for
 from .errors import FieldError
 from .fields import DisplacementField, Grid
 from .flows import TimeDependentVectorField
@@ -68,13 +69,39 @@ def tanh_descriptor(amplitude: float, width: float, center: float,
 
 def _validated(displacement: DisplacementField, decay_class: DecayClass,
                label: str) -> Diffeo:
-    report = classify_decay(displacement)
-    if not decay_class.contains(report.inferred_class):
-        raise FieldError(
-            f"battery member {label} measured {report.inferred_class.value}, "
-            f"outside the intended class {decay_class.value}"
-        )
+    # BoundedAll contains every class, so there is nothing to classify
+    if decay_class is not DecayClass.BOUNDED_ALL:
+        report = classify_decay(displacement)
+        if not decay_class.contains(report.inferred_class):
+            raise FieldError(
+                f"battery member {label} measured {report.inferred_class.value}, "
+                f"outside the intended class {decay_class.value}"
+            )
     return Diffeo(displacement, decay_class)
+
+
+def _seeded_members(grid: Grid, count: int, seed: int, ranges: tuple, describe,
+                    decay_class: DecayClass) -> list:
+    """``count`` validated members ``describe(amplitude, width, center)``.
+
+    Width, center, sign and amplitude are drawn in that order, from the
+    (width, center, amplitude) ``ranges``, by one generator seeded with ``seed``.
+    """
+    name = decay_class.value
+    if grid.dim != 1:
+        raise FieldError(f"the {name} battery is one-dimensional")
+    widths, centers, amplitudes = ranges
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        width = rng.uniform(*widths)
+        center = rng.uniform(*centers)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        amplitude = sign * rng.uniform(*amplitudes)
+        disp = DisplacementField.from_descriptor(grid, describe(amplitude, width, center),
+                                                 extrapolation_for(decay_class))
+        out.append(_validated(disp, decay_class, f"{name}[{k}]"))
+    return out
 
 
 def schwartz_diffeos(grid: Grid, count: int = 20,
@@ -85,19 +112,9 @@ def schwartz_diffeos(grid: Grid, count: int = 20,
     re-classified on construction and rejected if the measured class is not
     Schwartz or narrower.
     """
-    if grid.dim != 1:
-        raise FieldError("the Schwartz diffeo battery is one-dimensional")
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        width = rng.uniform(*SCHWARTZ_WIDTH)
-        center = rng.uniform(*SCHWARTZ_CENTER)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        amplitude = sign * rng.uniform(*SCHWARTZ_AMPLITUDE)
-        text = gaussian_descriptor(amplitude, width, center)
-        disp = DisplacementField.from_descriptor(grid, text)
-        out.append(_validated(disp, DecayClass.SCHWARTZ, f"schwartz[{k}]"))
-    return out
+    return _seeded_members(grid, count, seed,
+                           (SCHWARTZ_WIDTH, SCHWARTZ_CENTER, SCHWARTZ_AMPLITUDE),
+                           gaussian_descriptor, DecayClass.SCHWARTZ)
 
 
 def bounded_outer_diffeos(grid: Grid, count: int = 5,
@@ -108,19 +125,8 @@ def bounded_outer_diffeos(grid: Grid, count: int = 5,
     are bounded but nothing decays: the class is BoundedAll and samples
     outside the box clamp to the boundary value.
     """
-    if grid.dim != 1:
-        raise FieldError("the bounded outer battery is one-dimensional")
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        width = rng.uniform(0.9, 1.4)
-        center = rng.uniform(-0.8, 0.8)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        amplitude = sign * rng.uniform(0.12, 0.22)
-        text = tanh_descriptor(amplitude, width, center)
-        disp = DisplacementField.from_descriptor(grid, text, "clamp")
-        out.append(Diffeo(disp, DecayClass.BOUNDED_ALL))
-    return out
+    return _seeded_members(grid, count, seed, ((0.9, 1.4), (-0.8, 0.8), (0.12, 0.22)),
+                           tanh_descriptor, DecayClass.BOUNDED_ALL)
 
 
 def sobolev_inner_diffeos(grid: Grid, count: int = 10,
@@ -133,21 +139,9 @@ def sobolev_inner_diffeos(grid: Grid, count: int = 10,
     The wide gaussian damping makes the tail numerically negligible at the
     box edge without touching the mid-range rate.
     """
-    if grid.dim != 1:
-        raise FieldError("the Sobolev inner battery is one-dimensional")
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        width = rng.uniform(0.8, 1.2)
-        center = rng.uniform(-0.8, 0.8)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        amplitude = sign * rng.uniform(0.05, 0.1)
-        text = lorentzian_descriptor(amplitude, width, center, power=1,
-                                     damping=2.6)
-        disp = DisplacementField.from_descriptor(grid, text)
-        out.append(_validated(disp, DecayClass.SOBOLEV_INFINITY,
-                              f"sobolev[{k}]"))
-    return out
+    return _seeded_members(grid, count, seed, ((0.8, 1.2), (-0.8, 0.8), (0.05, 0.1)),
+                           partial(lorentzian_descriptor, power=1, damping=2.6),
+                           DecayClass.SOBOLEV_INFINITY)
 
 
 @dataclass(frozen=True)

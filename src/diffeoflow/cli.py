@@ -25,7 +25,7 @@ from .decay import DecayClass, class_from_name, classify_decay
 from .errors import (EngineError, FieldError, FlowBlowupError, FlowDomainError,
                      InsufficientAnnuliError, InversionError, NonDiffeoError,
                      UnderResolvedError)
-from .fields import DisplacementField, Grid, sample
+from .fields import Grid, sample
 from .flows import (TimeDependentVectorField, displacement_sup_bound, evolve,
                     gronwall_bound, right_log_derivative, sobolev_tracking)
 from .group import Diffeo, compose, conjugate, invert
@@ -110,14 +110,19 @@ def config_from_argv(argv) -> RunConfig:
     return config
 
 
+def _out_path(config: RunConfig, filename: str) -> str:
+    """Path of ``filename`` under ``--out``, creating the directory."""
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return str(out_dir / filename)
+
+
 def _emit(config: RunConfig, report: dict, filename: str) -> dict:
     text = stable_json_dumps(report)
     if not config.quiet:
         print(text)
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_report(str(out_dir / filename), report)
+        write_report(_out_path(config, filename), report)
     return report
 
 
@@ -134,8 +139,7 @@ def _sources(config: RunConfig, needed: int) -> list:
     out = []
     for kind, spec in sources:
         if kind == "descriptor":
-            displacement = DisplacementField.from_descriptor(grid, spec)
-            out.append(Diffeo(displacement, claimed))
+            out.append(Diffeo.from_descriptor(grid, spec, claimed))
         else:
             out.append(read_diffeo(spec))
     return out
@@ -186,9 +190,7 @@ def cmd_compose(config: RunConfig) -> int:
         "result": _field_summary(result),
     }
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_diffeo(str(out_dir / "composed.dff"), result)
+        write_diffeo(_out_path(config, "composed.dff"), result)
         payload["output"] = "composed.dff"
     _emit(config, payload, "compose_report.json")
     return EXIT_OK
@@ -212,9 +214,7 @@ def cmd_invert(config: RunConfig) -> int:
         "holds": holds,
     }
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_diffeo(str(out_dir / "inverse.dff"), inverse)
+        write_diffeo(_out_path(config, "inverse.dff"), inverse)
         payload["output"] = "inverse.dff"
     _emit(config, payload, "invert_report.json")
     return EXIT_OK if holds else EXIT_VERIFY
@@ -232,9 +232,7 @@ def cmd_conjugate(config: RunConfig) -> int:
         "class_ok": diag["agrees"],
     }
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_diffeo(str(out_dir / "conjugate.dff"), result)
+        write_diffeo(_out_path(config, "conjugate.dff"), result)
         payload["output"] = "conjugate.dff"
     _emit(config, payload, "conjugate_report.json")
     return EXIT_OK if diag["agrees"] else EXIT_VERIFY
@@ -270,10 +268,8 @@ def cmd_evolve(config: RunConfig) -> int:
         "final_class": classify_decay(result.final_displacement).inferred_class.value,
     }
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_time_series_csv(str(out_dir / "time_series.csv"), result)
-        write_diffeo(str(out_dir / "final.dff"), result.to_diffeo())
+        write_time_series_csv(_out_path(config, "time_series.csv"), result)
+        write_diffeo(_out_path(config, "final.dff"), result.to_diffeo())
         payload["outputs"] = ["time_series.csv", "final.dff"]
     _emit(config, payload, "evolve_report.json")
     verified = sup_holds and gronwall_holds and bool(tracking["holds"])

@@ -25,14 +25,14 @@ import numpy as np
 from .decay import DecayClass, class_from_name, classify_decay, extrapolation_for
 from .descriptors import VARIABLES, parse_vector
 from .errors import DescriptorError, FieldError, FlowBlowupError, FlowDomainError
-from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
-                     row_norms, sobolev_seminorm, spectral_norms)
-from .group import Diffeo, invert
+from .fields import (DisplacementField, Grid, _check_descriptor_vars, _descriptor_env,
+                     det_plus_identity, multi_indices_up_to, row_max, row_norms,
+                     sobolev_seminorm, spectral_norms)
+from .group import DOMAIN_OVERHANG_FRACTION, Diffeo, invert
 
 BOUND_SLACK = 1.0e-8
 GRONWALL_REL_SLACK = 1.0e-6
 GRONWALL_ABS_SLACK = 1.0e-8
-DOMAIN_OVERHANG_FRACTION = 0.1
 EDGE_ANNULUS_FRACTION = 0.875
 EDGE_DECAY_TOL = 1.0e-6
 SOBOLEV_TRACKING_ORDER = 2
@@ -70,35 +70,23 @@ class TimeDependentVectorField:
             raise DescriptorError(
                 f"descriptor has {len(exprs)} components but dim is {dim}"
             )
-        allowed = set(VARIABLES[:dim]) | {"t"}
         for expr in exprs:
-            extra = expr.free_vars() - allowed
-            if extra:
-                raise DescriptorError(
-                    f"descriptor uses {sorted(extra)} but only {sorted(allowed)} are available"
-                )
-        diffs = [[expr.diff(VARIABLES[j]) for j in range(dim)] for expr in exprs]
+            _check_descriptor_vars(expr, set(VARIABLES[:dim]) | {"t"})
+        diffs = [expr.diff(VARIABLES[j]) for expr in exprs for j in range(dim)]
 
-        def fn(t, points):
-            env = {VARIABLES[j]: points[:, j] for j in range(dim)}
-            env["t"] = np.float64(t)
-            out = np.empty_like(points)
-            for j, expr in enumerate(exprs):
-                value = np.asarray(expr.evaluate(env), dtype=np.float64)
-                out[:, j] = np.broadcast_to(value, (points.shape[0],))
-            return out
+        def evaluator(table: list, shape: tuple):
+            """``(t, points) -> table`` evaluated at the points, shape ``(m,) + shape``."""
+            def evaluate(t, points):
+                env = dict(_descriptor_env(points), t=np.float64(t))
+                out = np.empty((points.shape[0], len(table)))
+                for k, expr in enumerate(table):
+                    value = np.asarray(expr.evaluate(env), dtype=np.float64)
+                    out[:, k] = np.broadcast_to(value, (points.shape[0],))
+                return out.reshape(points.shape[:1] + shape)
+            return evaluate
 
-        def jac_fn(t, points):
-            env = {VARIABLES[j]: points[:, j] for j in range(dim)}
-            env["t"] = np.float64(t)
-            out = np.empty(points.shape[:1] + (dim, dim))
-            for i in range(dim):
-                for j in range(dim):
-                    value = np.asarray(diffs[i][j].evaluate(env), dtype=np.float64)
-                    out[:, i, j] = np.broadcast_to(value, (points.shape[0],))
-            return out
-
-        return cls(dim, fn, decay_class, t_domain, jac_fn, descriptor)
+        return cls(dim, evaluator(exprs, (dim,)), decay_class, t_domain,
+                   evaluator(diffs, (dim, dim)), descriptor)
 
     @classmethod
     def from_displacement(cls, displacement: DisplacementField,
@@ -197,7 +185,7 @@ class FlowResult:
     sup and minimum determinant of ``I + d_x f``, and the Gronwall data
     ``beta`` (sup of ``|d_x X|`` along trajectories) with its cumulative
     integral ``alpha``. ``final_bound`` is each node's certified bound at
-    ``t_final``.
+    ``t_final``, and ``final_displacement`` is the last snapshot's field.
     """
 
     grid: Grid
@@ -207,9 +195,12 @@ class FlowResult:
     times: np.ndarray
     snapshots: list
     diagnostics: dict
-    final_displacement: DisplacementField
     final_bound: np.ndarray
     notes: list = dataclass_field(default_factory=list)
+
+    @property
+    def final_displacement(self) -> DisplacementField:
+        return self.snapshots[-1][1]
 
     def to_diffeo(self) -> Diffeo:
         return Diffeo(self.final_displacement, self.decay_class)
@@ -327,16 +318,12 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
         if k % snapshot_stride == 0 or k == n_steps:
             snapshots.append((float(t), snap))
 
-    final_displacement = snapshots[-1][1]
     notes = []
     if decay_class is None:
-        report = classify_decay(final_displacement)
-        decay_class = report.inferred_class
+        t_last, final = snapshots[-1]
+        decay_class = classify_decay(final).inferred_class
         notes.append(f"decay class inferred from the final snapshot: {decay_class.value}")
-        final_displacement = DisplacementField(
-            grid, final_displacement.values, extrapolation_for(decay_class)
-        )
-        snapshots[-1] = (snapshots[-1][0], final_displacement)
+        snapshots[-1] = (t_last, final.with_extrapolation(extrapolation_for(decay_class)))
 
     alpha = _cumulative_trapezoid(times, beta)
     diagnostics = {
@@ -356,7 +343,6 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
         times=times,
         snapshots=snapshots,
         diagnostics=diagnostics,
-        final_displacement=final_displacement,
         final_bound=bound,
         notes=notes,
     )
@@ -429,7 +415,7 @@ def sobolev_tracking(result: FlowResult) -> dict:
     final_norms = {key: values[-1] for key, values in history.items()}
 
     nodes = np.asarray(grid.nodes())
-    edge_mask = np.max(np.abs(nodes), axis=1) >= EDGE_ANNULUS_FRACTION * grid.half_width
+    edge_mask = row_max(np.abs(nodes)) >= EDGE_ANNULUS_FRACTION * grid.half_width
     final = result.final_displacement
     edge_sup = 0.0
     for j in range(grid.dim):

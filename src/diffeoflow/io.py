@@ -22,7 +22,7 @@ import json
 import numpy as np
 
 from .decay import DecayClass, class_from_name, extrapolation_for
-from .errors import FileFormatError
+from .errors import FieldError, FileFormatError
 from .fields import DisplacementField, Grid
 
 HEADER_KEYS = ("dim", "half_width", "points_per_axis", "class_hint", "components")
@@ -130,7 +130,10 @@ def read_displacement(path: str) -> tuple:
         components = int(header["components"])
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: incomplete header: {exc}")
-    class_hint = None if class_name is None else class_from_name(class_name)
+    try:
+        class_hint = None if class_name is None else class_from_name(class_name)
+    except FieldError as exc:
+        raise FileFormatError(f"{path}: bad class_hint: {exc}") from None
     try:
         grid = Grid(dim, half_width, points)
     except Exception as exc:
@@ -195,6 +198,8 @@ def read_diffeo(path: str):
             decay_class = class_from_name(sidecar["decay_class"])
         except (KeyError, TypeError) as exc:
             raise FileFormatError(f"{path}{SIDECAR_SUFFIX}: incomplete sidecar: {exc}")
+        except FieldError as exc:
+            raise FileFormatError(f"{path}{SIDECAR_SUFFIX}: bad decay_class: {exc}") from None
     return Diffeo(displacement, decay_class)
 
 

@@ -375,23 +375,23 @@ def jet_from_dict(data: dict) -> Jet:
         dim = base_point.shape[0]
         order = int(data["order"])
         raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if len(raw_terms) != order + 1:
+            raise JetError(f"jet of order {order} must carry {order + 1} terms")
+        terms = []
+        for k, raw in enumerate(raw_terms):
+            if int(raw.get("degree", -1)) != k:
+                raise JetError(f"term {k} is labeled degree {raw.get('degree')}")
+            tensor = SymmetricTensor(dim, k, codomain_dim=dim)
+            index = _packed_index(dim, k)
+            coeffs = raw.get("coeffs", {})
+            if len(coeffs) != len(index):
+                raise JetError(f"term {k} has {len(coeffs)} slots, expected {len(index)}")
+            for key, values in coeffs.items():
+                combo = tuple(int(s) for s in key.split(",")) if key else ()
+                if combo not in index:
+                    raise JetError(f"term {k} has an invalid slot key {key!r}")
+                tensor.packed[:, index[combo]] = np.asarray(values, dtype=np.float64)
+            terms.append(tensor)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise JetError(f"malformed jet data: {exc}") from None
-    if len(raw_terms) != order + 1:
-        raise JetError(f"jet of order {order} must carry {order + 1} terms")
-    terms = []
-    for k, raw in enumerate(raw_terms):
-        if int(raw.get("degree", -1)) != k:
-            raise JetError(f"term {k} is labeled degree {raw.get('degree')}")
-        tensor = SymmetricTensor(dim, k, codomain_dim=dim)
-        index = _packed_index(dim, k)
-        coeffs = raw.get("coeffs", {})
-        if len(coeffs) != len(index):
-            raise JetError(f"term {k} has {len(coeffs)} slots, expected {len(index)}")
-        for key, values in coeffs.items():
-            combo = tuple(int(s) for s in key.split(",")) if key else ()
-            if combo not in index:
-                raise JetError(f"term {k} has an invalid slot key {key!r}")
-            tensor.packed[:, index[combo]] = np.asarray(values, dtype=np.float64)
-        terms.append(tensor)
     return Jet(base_point, terms)

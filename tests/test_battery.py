@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from diffeoflow import DecayClass, FieldError, Grid, classify_decay, membership_check
+import diffeoflow.battery as battery_module
+import diffeoflow.group as group_module
+from diffeoflow import (DecayClass, Diffeo, DisplacementField, FieldError, Grid,
+                        classify_decay, membership_check)
 from diffeoflow.battery import (
     DEFAULT_SEED,
+    SCHWARTZ_AMPLITUDE,
+    SCHWARTZ_CENTER,
+    SCHWARTZ_WIDTH,
     bounded_outer_diffeos,
     classification_battery,
     flow_battery,
@@ -96,6 +102,81 @@ class TestSeededFamilies:
             bounded_outer_diffeos(plane_grid)
         with pytest.raises(FieldError):
             sobolev_inner_diffeos(plane_grid)
+
+
+def _loop_schwartz(grid, count, seed):
+    """The Schwartz family as its own loop, before the families shared one."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        width = rng.uniform(*SCHWARTZ_WIDTH)
+        center = rng.uniform(*SCHWARTZ_CENTER)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        amplitude = sign * rng.uniform(*SCHWARTZ_AMPLITUDE)
+        disp = DisplacementField.from_descriptor(
+            grid, gaussian_descriptor(amplitude, width, center))
+        report = classify_decay(disp)
+        assert DecayClass.SCHWARTZ.contains(report.inferred_class)
+        out.append(Diffeo(disp, DecayClass.SCHWARTZ))
+    return out
+
+
+def _loop_bounded(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        width = rng.uniform(0.9, 1.4)
+        center = rng.uniform(-0.8, 0.8)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        amplitude = sign * rng.uniform(0.12, 0.22)
+        disp = DisplacementField.from_descriptor(
+            grid, tanh_descriptor(amplitude, width, center), "clamp")
+        out.append(Diffeo(disp, DecayClass.BOUNDED_ALL))
+    return out
+
+
+def _loop_sobolev(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        width = rng.uniform(0.8, 1.2)
+        center = rng.uniform(-0.8, 0.8)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        amplitude = sign * rng.uniform(0.05, 0.1)
+        text = lorentzian_descriptor(amplitude, width, center, power=1, damping=2.6)
+        disp = DisplacementField.from_descriptor(grid, text)
+        report = classify_decay(disp)
+        assert DecayClass.SOBOLEV_INFINITY.contains(report.inferred_class)
+        out.append(Diffeo(disp, DecayClass.SOBOLEV_INFINITY))
+    return out
+
+
+class TestSharedDrawLoop:
+    """Each family matches its own former loop bit for bit."""
+
+    @pytest.mark.parametrize("family, oracle, count", [
+        (schwartz_diffeos, _loop_schwartz, 6),
+        (bounded_outer_diffeos, _loop_bounded, 5),
+        (sobolev_inner_diffeos, _loop_sobolev, 6),
+    ])
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 20240817])
+    def test_matches_its_own_loop(self, fine_grid, family, oracle, count, seed):
+        got = family(fine_grid, count=count, seed=seed)
+        want = oracle(fine_grid, count, seed)
+        assert len(got) == len(want) == count
+        for a, b in zip(got, want):
+            assert np.array_equal(a.displacement.values, b.displacement.values)
+            assert a.displacement.extrapolation == b.displacement.extrapolation
+            assert a.decay_class is b.decay_class
+            assert a.epsilon == b.epsilon
+
+    def test_bounded_family_runs_no_classification(self, fine_grid, monkeypatch):
+        def refuse(displacement):
+            raise AssertionError("the BoundedAll family was classified")
+
+        monkeypatch.setattr(battery_module, "classify_decay", refuse)
+        monkeypatch.setattr(group_module, "classify_decay", refuse)
+        assert len(bounded_outer_diffeos(fine_grid)) == 5
 
 
 class TestFlowBattery:

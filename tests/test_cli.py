@@ -120,6 +120,16 @@ class TestClassify:
             "--input", str(tmp_path / "absent.dff"))
         assert code == 1
 
+    def test_unknown_class_in_file_exits_1(self, capsys, tmp_path):
+        grid = Grid(1, 8.0, 257)
+        member = Diffeo.from_descriptor(grid, "0.1*exp(-x^2)", DecayClass.SCHWARTZ)
+        path = tmp_path / "m.dff"
+        write_diffeo(str(path), member)
+        (tmp_path / "m.dff.meta.json").write_text('{"decay_class": "Foo"}')
+        code, _, err = run_cli(capsys, "--command", "classify", "--input", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "FileFormatError"
+
 
 class TestComposeInvert:
     def test_compose_writes_member(self, capsys, tmp_path):

@@ -24,8 +24,10 @@ from diffeoflow.fields import (
     _interp_stencil,
     det_plus_identity,
     multi_indices_up_to,
+    row_max,
     row_norms,
     spectral_norms,
+    weight_factor,
 )
 from diffeoflow.flows import _pointwise_norm
 
@@ -420,6 +422,16 @@ class TestShortAxisReductions:
 
     def test_row_norms(self, points):
         assert np.array_equal(row_norms(points), np.sqrt(np.sum(points ** 2, axis=1)))
+
+    def test_row_max(self, points):
+        for a in (points, np.abs(points)):
+            assert np.array_equal(row_max(a), np.max(a, axis=1))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_weight_factor(self, grid, m):
+        nodes = np.asarray(grid.nodes())
+        want = ((1.0 + np.sum(nodes ** 2, axis=1)) ** m).reshape(grid.shape)
+        assert np.array_equal(weight_factor(grid, m), want)
 
     def test_pointwise_norm(self, grid, points):
         want = (np.abs(points[:, 0]) if grid.dim == 1

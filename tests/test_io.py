@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,15 @@ class TestDisplacementFiles:
         with pytest.raises(FileFormatError):
             read_displacement(str(path))
 
+    def test_unknown_class_hint_is_a_file_error(self, coarse_grid, tmp_path):
+        path = tmp_path / "d.dsp"
+        write_displacement(str(path), DisplacementField.zero(coarse_grid))
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"class_hint": null', '"class_hint": "Foo"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            read_displacement(str(path))
+
     def test_infinite_samples_rejected(self, coarse_grid, tmp_path):
         path = tmp_path / "d.dsp"
         write_displacement(str(path), DisplacementField.zero(coarse_grid))
@@ -190,6 +200,15 @@ class TestDiffeoFiles:
             read_diffeo(str(path))
         (tmp_path / "m.dsp.meta.json").write_text('{"no_class": 1}')
         with pytest.raises(FileFormatError):
+            read_diffeo(str(path))
+
+    def test_unknown_sidecar_class_is_a_file_error(self, fine_grid, tmp_path):
+        member = Diffeo.from_descriptor(fine_grid, "0.1*exp(-x^2)",
+                                        DecayClass.SCHWARTZ)
+        path = tmp_path / "m.dsp"
+        write_diffeo(str(path), member)
+        (tmp_path / "m.dsp.meta.json").write_text('{"decay_class": "Foo", "epsilon": 1}')
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
             read_diffeo(str(path))
 
 

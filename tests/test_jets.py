@@ -274,6 +274,16 @@ class TestSerialization:
         with pytest.raises(JetError):
             jet_from_dict(bad_key)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda terms: terms[:1] + [[1, 2]] + terms[2:],                  # term not a dict
+        lambda terms: terms[:1] + [{"degree": 1, "coeffs": {"x": [1.0]}}] + terms[2:],
+        lambda terms: terms[:1] + [{"degree": 1, "coeffs": {"0": [1.0, 2.0]}}] + terms[2:],
+    ], ids=["term-not-dict", "slot-key-not-int", "coeffs-wrong-length"])
+    def test_junk_terms_raise_jet_error(self, mangle):
+        data = jet_to_dict(_jet_1d(0.0, [0.0, 1.0, 0.2]))
+        with pytest.raises(JetError):
+            jet_from_dict(dict(data, terms=mangle(data["terms"])))
+
 
 def test_jet_from_displacement_matches_analytic():
     grid = Grid(1, 8.0, 513)
