@@ -17,14 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .descriptors import (
-    VARIABLES,
-    Expr,
-    evaluate_on,
-    parse_scalar,
-    parse_vector,
-)
-from .errors import DescriptorError, FieldError, UnsupportedOrderError
+from .descriptors import bind, parse_vector
+from .errors import FieldError, UnsupportedOrderError
 
 MAX_DERIVATIVE_ORDER = 6
 EXTRAPOLATION_MODES = ("zero", "clamp")
@@ -229,19 +223,6 @@ def _normalize_points(points, dim: int):
     return pts.reshape(-1, dim), lead
 
 
-def _descriptor_env(points: np.ndarray) -> dict:
-    """Descriptor variables ``x, y, z`` bound to the columns of ``(m, dim)`` points."""
-    return {VARIABLES[j]: points[:, j] for j in range(points.shape[1])}
-
-
-def _check_descriptor_vars(expr: Expr, allowed: set):
-    extra = expr.free_vars() - allowed
-    if extra:
-        raise DescriptorError(
-            f"descriptor uses {sorted(extra)} but only {sorted(allowed)} are available here"
-        )
-
-
 class ScalarField:
     """A scalar function known on grid nodes, with interpolation off the grid."""
 
@@ -261,10 +242,8 @@ class ScalarField:
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor,
                         extrapolation: str = "zero") -> "ScalarField":
-        expr = parse_scalar(descriptor) if isinstance(descriptor, str) else descriptor
-        _check_descriptor_vars(expr, set(VARIABLES[: grid.dim]))
-        values = evaluate_on(expr, _descriptor_env(grid.nodes())).reshape(grid.shape)
-        return cls(grid, values, extrapolation)
+        _, evaluate = bind(descriptor, grid.dim)
+        return cls(grid, evaluate(None, grid.nodes()).reshape(grid.shape), extrapolation)
 
     @classmethod
     def from_callable(cls, grid: Grid, fn, extrapolation: str = "zero") -> "ScalarField":
@@ -319,17 +298,8 @@ class DisplacementField:
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor,
                         extrapolation: str = "zero") -> "DisplacementField":
-        exprs = parse_vector(descriptor) if isinstance(descriptor, str) else list(descriptor)
-        if len(exprs) != grid.dim:
-            raise DescriptorError(
-                f"descriptor has {len(exprs)} components but the grid dimension is {grid.dim}"
-            )
-        env = _descriptor_env(grid.nodes())
-        rows = []
-        for expr in exprs:
-            _check_descriptor_vars(expr, set(VARIABLES[: grid.dim]))
-            rows.append(evaluate_on(expr, env).reshape(grid.shape))
-        return cls(grid, np.stack(rows), extrapolation)
+        _, evaluate = bind(descriptor, grid.dim, (grid.dim,))
+        return cls.from_nodes(grid, evaluate(None, grid.nodes()), extrapolation)
 
     @classmethod
     def from_callable(cls, grid: Grid, fn, extrapolation: str = "zero") -> "DisplacementField":
@@ -459,9 +429,8 @@ def sample(descriptor, grid: Grid, extrapolation: str = "zero"):
     ``grid.dim`` comma-separated components yields a :class:`DisplacementField`.
     """
     exprs = parse_vector(descriptor) if isinstance(descriptor, str) else list(descriptor)
-    if len(exprs) == 1:
-        return ScalarField.from_descriptor(grid, exprs[0], extrapolation)
-    return DisplacementField.from_descriptor(grid, exprs, extrapolation)
+    field_type = ScalarField if len(exprs) == 1 else DisplacementField
+    return field_type.from_descriptor(grid, exprs, extrapolation)
 
 
 def partial_derivative(field, alpha):

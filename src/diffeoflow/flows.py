@@ -23,11 +23,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .decay import DecayClass, class_from_name, classify_decay, extrapolation_for
-from .descriptors import VARIABLES, parse_vector
-from .errors import DescriptorError, FieldError, FlowBlowupError, FlowDomainError
-from .fields import (DisplacementField, Grid, _check_descriptor_vars, _descriptor_env,
-                     det_plus_identity, multi_indices_up_to, row_max, row_norms,
-                     sobolev_seminorm, spectral_norms)
+from .descriptors import VARIABLES, bind
+from .errors import FieldError, FlowBlowupError, FlowDomainError
+from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
+                     row_max, row_norms, seminorm_table, spectral_norms)
 from .group import DOMAIN_OVERHANG_FRACTION, Diffeo, invert
 
 BOUND_SLACK = 1.0e-8
@@ -65,28 +64,10 @@ class TimeDependentVectorField:
     def from_descriptor(cls, dim: int, descriptor: str,
                         decay_class: DecayClass | None = None,
                         t_domain: tuple | None = None) -> "TimeDependentVectorField":
-        exprs = parse_vector(descriptor)
-        if len(exprs) != dim:
-            raise DescriptorError(
-                f"descriptor has {len(exprs)} components but dim is {dim}"
-            )
-        for expr in exprs:
-            _check_descriptor_vars(expr, set(VARIABLES[:dim]) | {"t"})
-        diffs = [expr.diff(VARIABLES[j]) for expr in exprs for j in range(dim)]
-
-        def evaluator(table: list, shape: tuple):
-            """``(t, points) -> table`` evaluated at the points, shape ``(m,) + shape``."""
-            def evaluate(t, points):
-                env = dict(_descriptor_env(points), t=np.float64(t))
-                out = np.empty((points.shape[0], len(table)))
-                for k, expr in enumerate(table):
-                    value = np.asarray(expr.evaluate(env), dtype=np.float64)
-                    out[:, k] = np.broadcast_to(value, (points.shape[0],))
-                return out.reshape(points.shape[:1] + shape)
-            return evaluate
-
-        return cls(dim, evaluator(exprs, (dim,)), decay_class, t_domain,
-                   evaluator(diffs, (dim, dim)), descriptor)
+        exprs, values = bind(descriptor, dim, (dim,), time=True)
+        _, jacobian = bind([expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
+                           dim, (dim, dim), time=True)
+        return cls(dim, values, decay_class, t_domain, jacobian, descriptor)
 
     @classmethod
     def from_displacement(cls, displacement: DisplacementField,
@@ -404,12 +385,9 @@ def sobolev_tracking(result: FlowResult) -> dict:
     """
     grid = result.grid
     alphas = multi_indices_up_to(grid.dim, SOBOLEV_TRACKING_ORDER)
-    history = {}
-    for alpha in alphas:
-        key = ",".join(str(a) for a in alpha)
-        history[key] = [
-            float(sobolev_seminorm(disp, alpha)) for _, disp in result.snapshots
-        ]
+    per_snapshot = [seminorm_table(disp, alphas, 0)[2] for _, disp in result.snapshots]
+    history = {",".join(str(a) for a in alpha): [norms[i] for norms in per_snapshot]
+               for i, alpha in enumerate(alphas)}
     snapshot_times = [float(t) for t, _ in result.snapshots]
 
     final_norms = {key: values[-1] for key, values in history.items()}

@@ -7,8 +7,7 @@ A displacement file is one JSON header line
 
 followed by one CSV line per component holding the row-major node samples.
 Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so write-read-write is byte identical. A diffeomorphism
-adds a JSON sidecar carrying its decay class and Jacobian margin.
+doubles exactly, so write-read-write is byte identical.
 
 Reports are serialized by a small recursive dumper instead of ``json.dumps``
 so that float formatting is pinned down: identical inputs produce identical
@@ -26,7 +25,6 @@ from .errors import FieldError, FileFormatError
 from .fields import DisplacementField, Grid
 
 HEADER_KEYS = ("dim", "half_width", "points_per_axis", "class_hint", "components")
-SIDECAR_SUFFIX = ".meta.json"
 
 
 def _format_float(x: float) -> str:
@@ -165,42 +163,22 @@ def read_displacement(path: str) -> tuple:
 
 
 def write_diffeo(path: str, diffeo):
-    """Displacement file plus a ``.meta.json`` sidecar with class and margin."""
+    """Displacement file whose ``class_hint`` is the member's decay class."""
     write_displacement(path, diffeo.displacement, diffeo.decay_class)
-    sidecar = {
-        "decay_class": diffeo.decay_class.value,
-        "epsilon": diffeo.epsilon,
-    }
-    write_report(path + SIDECAR_SUFFIX, sidecar)
 
 
 def read_diffeo(path: str):
     """Rebuild a diffeomorphism written by :func:`write_diffeo`.
 
-    The sidecar is optional; without it the class hint from the header is
-    trusted (or the displacement classified when there is none). The
-    Jacobian margin is always re-measured, never read, and a margin below
-    ``DEFAULT_DET_THRESHOLD`` raises :class:`NonDiffeoError`.
+    The class is the header's class hint, or the measured class of the
+    displacement when the hint is null. The Jacobian margin is always
+    re-measured, and a margin below ``DEFAULT_DET_THRESHOLD`` raises
+    :class:`NonDiffeoError`.
     """
     from .group import Diffeo
 
     displacement, class_hint = read_displacement(path)
-    decay_class = class_hint
-    try:
-        with open(path + SIDECAR_SUFFIX, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        sidecar = None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}{SIDECAR_SUFFIX}: bad sidecar: {exc}")
-    if sidecar is not None:
-        try:
-            decay_class = class_from_name(sidecar["decay_class"])
-        except (KeyError, TypeError) as exc:
-            raise FileFormatError(f"{path}{SIDECAR_SUFFIX}: incomplete sidecar: {exc}")
-        except FieldError as exc:
-            raise FileFormatError(f"{path}{SIDECAR_SUFFIX}: bad decay_class: {exc}") from None
-    return Diffeo(displacement, decay_class)
+    return Diffeo(displacement, class_hint)
 
 
 def write_time_series_csv(path: str, result):

@@ -125,7 +125,8 @@ class TestClassify:
         member = Diffeo.from_descriptor(grid, "0.1*exp(-x^2)", DecayClass.SCHWARTZ)
         path = tmp_path / "m.dff"
         write_diffeo(str(path), member)
-        (tmp_path / "m.dff.meta.json").write_text('{"decay_class": "Foo"}')
+        path.write_text(path.read_text().replace('"class_hint": "Schwartz"',
+                                                 '"class_hint": "Foo"', 1))
         code, _, err = run_cli(capsys, "--command", "classify", "--input", str(path))
         assert code == 1
         assert json.loads(err)["error"] == "FileFormatError"
@@ -206,7 +207,7 @@ class TestConjugate:
         grid = Grid(1, 8.0, 257)
         outer = Diffeo.from_descriptor(grid, "0.05*exp(-x^2)",
                                        DecayClass.SCHWARTZ)
-        # sidecar claims Schwartz for a displacement that only decays like x^-2
+        # the file claims Schwartz for a displacement that only decays like x^-2
         slow = DisplacementField.from_descriptor(grid, "0.05/(1+x^2)")
         inner = Diffeo(slow, DecayClass.SCHWARTZ)
         outer_path, inner_path = tmp_path / "o.dff", tmp_path / "i.dff"

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffeoflow import DescriptorError, parse_scalar, parse_vector
-from diffeoflow.descriptors import evaluate_on
+from diffeoflow import (DescriptorError, DisplacementField, Grid, ScalarField,
+                        TimeDependentVectorField, parse_scalar, parse_vector, sample)
+from diffeoflow.descriptors import VARIABLES, evaluate_on
 
 
 def ev(text, **env):
@@ -124,3 +126,114 @@ def test_product_rule_property(x0, a):
     got = float(expr.diff("x").evaluate({"x": np.float64(x0)}))
     want = a * math.sin(x0) + a * x0 * math.cos(x0)
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+# -- one binding of descriptor text to points -------------------------------
+#
+# The oracles below are the per-constructor bindings that descriptors.bind
+# replaced, kept verbatim in substance; every constructor must still give the
+# same bits.
+
+def _oracle_env(points):
+    return {VARIABLES[j]: points[:, j] for j in range(points.shape[1])}
+
+
+def _oracle_scalar(grid, text):
+    return evaluate_on(parse_scalar(text), _oracle_env(grid.nodes())).reshape(grid.shape)
+
+
+def _oracle_displacement(grid, text):
+    env = _oracle_env(grid.nodes())
+    return np.stack([evaluate_on(expr, env).reshape(grid.shape)
+                     for expr in parse_vector(text)])
+
+
+def _oracle_flow(dim, text):
+    exprs = parse_vector(text)
+    diffs = [expr.diff(VARIABLES[j]) for expr in exprs for j in range(dim)]
+
+    def evaluator(table, shape):
+        def evaluate(t, points):
+            env = dict(_oracle_env(points), t=np.float64(t))
+            out = np.empty((points.shape[0], len(table)))
+            for k, expr in enumerate(table):
+                value = np.asarray(expr.evaluate(env), dtype=np.float64)
+                out[:, k] = np.broadcast_to(value, (points.shape[0],))
+            return out.reshape(points.shape[:1] + shape)
+        return evaluate
+
+    return evaluator(exprs, (dim,)), evaluator(diffs, (dim, dim))
+
+
+# (grid, scalar descriptors, displacement descriptors, flow descriptors);
+# each list holds a constant, and the flow lists hold fields with and without t
+PARITY_CASES = [
+    (Grid(1, 8.0, 65),
+     ["0.1*exp(-x^2)", "0.25", "1/(1+x^2)^2"],
+     ["0.2*tanh((x-0.3)/1.1)", "-0.5", "0.1*bump(x/3)"],
+     ["0.2*exp(-x^2)*(0.6+0.4*cos(t))", "0.3", "0.12*cos(0.7*x-0.6*t)", "0.1*sin(x)",
+      "0.5*t"]),
+    (Grid(2, 4.0, 17),
+     ["exp(-x^2-y^2)", "2", "x*y*gauss(x, y/2)"],
+     ["0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", "0.2*tanh(x/1.1), 0.15",
+      "0, 0", "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*bump(x/3, y/3)"],
+     ["-0.3*y*exp(-(x^2+y^2))*(1+0.5*sin(t)), 0.3*x*exp(-(x^2+y^2))",
+      "0.1*cos(t), 0", "-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))"]),
+    (Grid(3, 4.0, 17),
+     ["exp(-x^2-y^2-z^2)", "-1.5", "x*y*z"],
+     ["-0.3*y*exp(-(x^2+y^2+z^2)), 0.3*x*exp(-(x^2+y^2+z^2)), 0",
+      "0.1*tanh(z), 0.1*tanh(x), 0.1*tanh(y)"],
+     ["-0.3*y*gauss(x, y, z), 0.3*x*gauss(x, y, z)*cos(t), 0.05*t",
+      "0, 0.2, 0", "0.1*bump(x/2, y/2, z/2), 0, -0.1*z*exp(-z^2)"]),
+]
+
+
+@pytest.mark.parametrize("grid, scalars, displacements, flows", PARITY_CASES,
+                         ids=["1d", "2d", "3d"])
+class TestBindingParity:
+    def test_scalar_fields(self, grid, scalars, displacements, flows):
+        for text in scalars:
+            want = _oracle_scalar(grid, text)
+            assert np.array_equal(ScalarField.from_descriptor(grid, text).values, want)
+            assert np.array_equal(sample(text, grid).values, want)
+
+    def test_displacement_fields(self, grid, scalars, displacements, flows):
+        for text in displacements:
+            want = _oracle_displacement(grid, text)
+            assert np.array_equal(DisplacementField.from_descriptor(grid, text).values, want)
+            got = sample(text, grid)
+            assert np.array_equal(got.values, want[0] if grid.dim == 1 else want)
+
+    def test_time_dependent_fields(self, grid, scalars, displacements, flows):
+        dim = grid.dim
+        points = np.random.default_rng(7).uniform(-5.0, 5.0, size=(40, dim))
+        for text in flows:
+            field = TimeDependentVectorField.from_descriptor(dim, text)
+            values, jacobian = _oracle_flow(dim, text)
+            for t in (0.0, 0.37):
+                assert np.array_equal(field(t, points), values(t, points))
+                assert np.array_equal(field.jacobian(t, points), jacobian(t, points))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: ScalarField.from_descriptor(Grid(1, 8.0, 33), "x, x"),
+     "descriptor has 2 components, expected 1"),
+    (lambda: DisplacementField.from_descriptor(Grid(2, 8.0, 17), "x"),
+     "descriptor has 1 components, expected 2"),
+    (lambda: sample("x, y, x", Grid(2, 8.0, 17)),
+     "descriptor has 3 components, expected 2"),
+    (lambda: TimeDependentVectorField.from_descriptor(2, "x"),
+     "descriptor has 1 components, expected 2"),
+    (lambda: ScalarField.from_descriptor(Grid(1, 8.0, 33), "y"),
+     re.escape("descriptor uses ['y'] but only ['x'] are available here")),
+    (lambda: DisplacementField.from_descriptor(Grid(1, 8.0, 33), "t"),
+     re.escape("descriptor uses ['t'] but only ['x'] are available here")),
+    (lambda: sample("x, z", Grid(2, 8.0, 17)),
+     re.escape("descriptor uses ['z'] but only ['x', 'y'] are available here")),
+    (lambda: TimeDependentVectorField.from_descriptor(1, "exp(-x^2-y^2)"),
+     re.escape("descriptor uses ['y'] but only ['t', 'x'] are available here")),
+], ids=[f"{kind}-{build}" for kind in ("count", "variable")
+        for build in ("scalar", "displacement", "sample", "flow")])
+def test_binding_errors_share_one_message(build, match):
+    with pytest.raises(DescriptorError, match=match):
+        build()

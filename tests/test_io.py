@@ -166,50 +166,37 @@ class TestDisplacementFiles:
 
 
 class TestDiffeoFiles:
-    def test_round_trip_with_sidecar(self, fine_grid, tmp_path):
+    def test_round_trip(self, fine_grid, tmp_path):
         member = Diffeo.from_descriptor(fine_grid, "0.1*exp(-x^2)",
                                         DecayClass.SCHWARTZ)
         path = tmp_path / "m.dsp"
         write_diffeo(str(path), member)
-        sidecar = json.loads((tmp_path / "m.dsp.meta.json").read_text())
-        assert sidecar["decay_class"] == "Schwartz"
-        assert sidecar["epsilon"] == pytest.approx(member.epsilon, rel=1e-15)
         clone = read_diffeo(str(path))
         assert clone.decay_class is DecayClass.SCHWARTZ
         assert np.array_equal(clone.displacement.values,
                               member.displacement.values)
-        # the margin is re-measured on load, not read from the sidecar
-        assert clone.epsilon == pytest.approx(member.epsilon, rel=1e-15)
+        # the margin is re-measured on load
+        assert clone.epsilon == member.epsilon
 
-    def test_sidecar_optional(self, fine_grid, tmp_path):
-        member = Diffeo.from_descriptor(fine_grid, "0.1*exp(-x^2)",
-                                        DecayClass.SCHWARTZ)
+    def test_one_file_per_member(self, fine_grid, tmp_path):
+        member = Diffeo.from_descriptor(fine_grid, "0.2*tanh(x)",
+                                        DecayClass.BOUNDED_ALL)
         path = tmp_path / "m.dsp"
         write_diffeo(str(path), member)
-        (tmp_path / "m.dsp.meta.json").unlink()
-        clone = read_diffeo(str(path))  # falls back to the header hint
-        assert clone.decay_class is DecayClass.SCHWARTZ
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.dsp"]
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["class_hint"] == "BoundedAll"
+        # a stale sidecar from an older writer disagrees with the header
+        (tmp_path / "m.dsp.meta.json").write_text('{"decay_class": "Schwartz", "epsilon": 1}')
+        clone = read_diffeo(str(path))
+        assert clone.decay_class is DecayClass.BOUNDED_ALL
+        assert clone.displacement.extrapolation == "clamp"
 
-    def test_bad_sidecar_rejected(self, fine_grid, tmp_path):
-        member = Diffeo.from_descriptor(fine_grid, "0.1*exp(-x^2)",
-                                        DecayClass.SCHWARTZ)
+    def test_null_class_hint_is_measured(self, fine_grid, tmp_path):
         path = tmp_path / "m.dsp"
-        write_diffeo(str(path), member)
-        (tmp_path / "m.dsp.meta.json").write_text("{broken")
-        with pytest.raises(FileFormatError):
-            read_diffeo(str(path))
-        (tmp_path / "m.dsp.meta.json").write_text('{"no_class": 1}')
-        with pytest.raises(FileFormatError):
-            read_diffeo(str(path))
-
-    def test_unknown_sidecar_class_is_a_file_error(self, fine_grid, tmp_path):
-        member = Diffeo.from_descriptor(fine_grid, "0.1*exp(-x^2)",
-                                        DecayClass.SCHWARTZ)
-        path = tmp_path / "m.dsp"
-        write_diffeo(str(path), member)
-        (tmp_path / "m.dsp.meta.json").write_text('{"decay_class": "Foo", "epsilon": 1}')
-        with pytest.raises(FileFormatError, match=re.escape(str(path))):
-            read_diffeo(str(path))
+        write_displacement(str(path),
+                           DisplacementField.from_descriptor(fine_grid, "0.1*exp(-x^2)"))
+        assert read_diffeo(str(path)).decay_class is DecayClass.SCHWARTZ
 
 
 class TestReportAndCsv:
