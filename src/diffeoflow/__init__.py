@@ -75,13 +75,10 @@ from .io import (
 )
 from .jets import (
     Jet,
-    SymmetricTensor,
     compose_jets,
     inverse_norm_bound,
     invert_jet,
-    jet_from_dict,
     jet_from_displacement,
-    jet_to_dict,
     ordered_compositions,
     symmetrize,
 )
@@ -106,8 +103,7 @@ __all__ = [
     "pullback", "adjoint_action",
     "read_diffeo", "read_displacement", "stable_json_dumps", "write_diffeo",
     "write_displacement", "write_report", "write_time_series_csv",
-    "Jet", "SymmetricTensor", "compose_jets", "invert_jet",
-    "inverse_norm_bound", "jet_from_dict", "jet_to_dict",
+    "Jet", "compose_jets", "invert_jet", "inverse_norm_bound",
     "jet_from_displacement", "ordered_compositions", "symmetrize",
     "__version__",
 ]

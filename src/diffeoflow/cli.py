@@ -62,10 +62,11 @@ class RunConfig:
     def validate(self):
         """Reject bad flags before any command runs, ``verify`` included."""
         self.grid()
-        if self.tol < 0.0:
-            raise ValueError("tol must be non-negative")
-        if self.t_final <= 0.0 or self.dt <= 0.0:
-            raise ValueError("t-final and dt must be positive")
+        if not (self.tol >= 0.0 and np.isfinite(self.tol)):
+            raise ValueError("tol must be non-negative and finite")
+        if not (self.t_final > 0.0 and self.dt > 0.0
+                and np.isfinite(self.t_final) and np.isfinite(self.dt)):
+            raise ValueError("t-final and dt must be positive and finite")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.half_width, self.points)

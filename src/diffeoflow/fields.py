@@ -35,8 +35,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise FieldError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.half_width > 0.0:
-            raise FieldError(f"half_width must be positive, got {self.half_width}")
+        if not (self.half_width > 0.0 and np.isfinite(self.half_width)):
+            raise FieldError(f"half_width must be positive and finite, got {self.half_width}")
         n = self.points_per_axis
         if n < 17 or n % 2 == 0:
             raise FieldError(f"points_per_axis must be odd and at least 17, got {n}")

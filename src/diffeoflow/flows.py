@@ -38,41 +38,32 @@ SOBOLEV_TRACKING_ORDER = 2
 
 
 class TimeDependentVectorField:
-    """A vector field ``X(t, x)`` with a decay class and a time interval.
+    """A vector field ``X(t, x)`` with a decay class.
 
     The class applies to every time slice; the constructor records the claim
     and :func:`diffeoflow.group.membership_check` on a slice verifies it.
     """
 
     def __init__(self, dim: int, fn, decay_class: DecayClass | None = None,
-                 t_domain: tuple | None = None, jacobian_fn=None,
-                 description: str = ""):
+                 jacobian_fn=None):
         if dim not in (1, 2, 3):
             raise FieldError(f"dim must be 1, 2 or 3, got {dim}")
         self.dim = dim
         self._fn = fn
         self._jac_fn = jacobian_fn
         self.decay_class = None if decay_class is None else class_from_name(decay_class)
-        if t_domain is not None:
-            t_domain = (float(t_domain[0]), float(t_domain[1]))
-            if not t_domain[0] <= t_domain[1]:
-                raise FieldError(f"empty time domain {t_domain}")
-        self.t_domain = t_domain
-        self.description = description
 
     @classmethod
     def from_descriptor(cls, dim: int, descriptor: str,
-                        decay_class: DecayClass | None = None,
-                        t_domain: tuple | None = None) -> "TimeDependentVectorField":
+                        decay_class: DecayClass | None = None) -> "TimeDependentVectorField":
         exprs, values = bind(descriptor, dim, (dim,), time=True)
         _, jacobian = bind([expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
                            dim, (dim, dim), time=True)
-        return cls(dim, values, decay_class, t_domain, jacobian, descriptor)
+        return cls(dim, values, decay_class, jacobian)
 
     @classmethod
     def from_displacement(cls, displacement: DisplacementField,
-                          decay_class: DecayClass | None = None,
-                          t_domain: tuple | None = None) -> "TimeDependentVectorField":
+                          decay_class: DecayClass | None = None) -> "TimeDependentVectorField":
         """Autonomous field backed by grid data (interpolated off the grid)."""
 
         def fn(t, points):
@@ -81,7 +72,7 @@ class TimeDependentVectorField:
         def jac_fn(t, points):
             return displacement.jacobian_at(points)
 
-        return cls(displacement.grid.dim, fn, decay_class, t_domain, jac_fn, "grid data")
+        return cls(displacement.grid.dim, fn, decay_class, jac_fn)
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -119,32 +110,17 @@ class TimeDependentVectorField:
             inner_jac = self._jac_fn
             jac = lambda t, pts: factor * inner_jac(t, pts)
         return TimeDependentVectorField(
-            self.dim,
-            lambda t, pts, f=self._fn: factor * f(t, pts),
-            self.decay_class,
-            self.t_domain,
-            jac,
-            f"{factor} * ({self.description})",
-        )
+            self.dim, lambda t, pts, f=self._fn: factor * f(t, pts), self.decay_class, jac)
 
     def time_shifted(self, t0: float) -> "TimeDependentVectorField":
-        """The field ``(t, x) -> X(t0 + t, x)`` with its domain shifted back."""
+        """The field ``(t, x) -> X(t0 + t, x)``."""
         t0 = float(t0)
         jac = None
         if self._jac_fn is not None:
             inner_jac = self._jac_fn
             jac = lambda t, pts: inner_jac(t0 + t, pts)
-        domain = None
-        if self.t_domain is not None:
-            domain = (self.t_domain[0] - t0, self.t_domain[1] - t0)
         return TimeDependentVectorField(
-            self.dim,
-            lambda t, pts, f=self._fn: f(t0 + t, pts),
-            self.decay_class,
-            domain,
-            jac,
-            f"({self.description}) shifted by {t0}",
-        )
+            self.dim, lambda t, pts, f=self._fn: f(t0 + t, pts), self.decay_class, jac)
 
 
 def as_vector_field(source) -> TimeDependentVectorField:
@@ -235,12 +211,6 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
         raise FlowDomainError(f"t_final must be positive and finite, got {t_final}")
     if not (dt > 0.0 and np.isfinite(dt)):
         raise FlowDomainError(f"dt must be positive and finite, got {dt}")
-    if vf.t_domain is not None:
-        lo, hi = vf.t_domain
-        if 0.0 < lo - 1.0e-12 or t_final > hi + 1.0e-12:
-            raise FlowDomainError(
-                f"the field is declared on t in [{lo}, {hi}], cannot flow over [0, {t_final}]"
-            )
     decay_class = vf.decay_class
     n_steps = max(1, int(math.ceil(t_final / dt - 1.0e-12)))
     step = t_final / n_steps

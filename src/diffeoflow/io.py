@@ -120,20 +120,20 @@ def read_displacement(path: str) -> tuple:
         raise FileFormatError(
             f"{path}: header keys {sorted(header)} do not match {sorted(HEADER_KEYS)}"
         )
-    try:
-        dim = int(header["dim"])
-        half_width = float(header["half_width"])
-        points = int(header["points_per_axis"])
-        class_name = header["class_hint"]
-        components = int(header["components"])
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: incomplete header: {exc}")
+    # bool is a subclass of int, so the count check compares types exactly
+    dim, points, components = (header[key] for key in ("dim", "points_per_axis", "components"))
+    half_width, class_name = header["half_width"], header["class_hint"]
+    if (any(type(count) is not int for count in (dim, points, components))
+            or type(half_width) not in (int, float)):
+        raise FileFormatError(
+            f"{path}: dim, points_per_axis and components must be JSON integers "
+            f"and half_width a JSON number")
     try:
         class_hint = None if class_name is None else class_from_name(class_name)
     except FieldError as exc:
         raise FileFormatError(f"{path}: bad class_hint: {exc}") from None
     try:
-        grid = Grid(dim, half_width, points)
+        grid = Grid(dim, float(half_width), points)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad grid parameters: {exc}")
     if components != dim:

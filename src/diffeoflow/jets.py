@@ -1,7 +1,9 @@
-"""Jet calculus for maps of R^n: symmetric tensors, composition, reversion.
+"""Jet calculus for maps of R^n: symmetric terms, composition, reversion.
 
 A jet of order ``p`` at a base point collects the image point together with
-the normalized derivative tensors ``d^k f / k!`` for ``k = 1..p``. Jets
+the normalized derivative tensors ``d^k f / k!`` for ``k = 1..p``. Each term
+is stored once, as a dense ``(n,) * (k + 1)`` array with the component axis
+first; it is exactly symmetric in its argument slots and read-only. Jets
 compose by summing, over all ordered splits of the derivative order, the
 outer tensors contracted with inner tensors, symmetrizing once at the end:
 
@@ -15,6 +17,7 @@ solved by contracting the lower-order remainder with the inverse Jacobian.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import string
@@ -30,12 +33,6 @@ _LETTERS = string.ascii_lowercase
 
 
 @lru_cache(maxsize=None)
-def _packed_index(dim: int, degree: int) -> dict:
-    combos = itertools.combinations_with_replacement(range(dim), degree)
-    return {combo: slot for slot, combo in enumerate(combos)}
-
-
-@lru_cache(maxsize=None)
 def ordered_compositions(total: int, parts: int) -> tuple:
     """Ordered tuples of positive integers of length ``parts`` summing to ``total``."""
     if parts == 1:
@@ -47,13 +44,14 @@ def ordered_compositions(total: int, parts: int) -> tuple:
     return tuple(out)
 
 
-def _check_degree(degree: int):
-    if degree < 0:
-        raise JetError(f"tensor degree must be nonnegative, got {degree}")
-    if degree > MAX_DEGREE:
-        raise UnsupportedOrderError(
-            f"tensor degree {degree} exceeds the supported cap {MAX_DEGREE}"
-        )
+@lru_cache(maxsize=None)
+def _sorted_slots(dim: int, degree: int) -> np.ndarray:
+    """Flat position of the sorted form of each index tuple in ``(dim,) * degree``."""
+    shape = (dim,) * degree
+    index = np.indices(shape).reshape(degree, -1)
+    slots = np.ravel_multi_index(np.sort(index, axis=0), shape)
+    slots.flags.writeable = False
+    return slots
 
 
 def _sym_dense(array: np.ndarray) -> np.ndarray:
@@ -70,150 +68,80 @@ def _sym_dense(array: np.ndarray) -> np.ndarray:
     return total / count
 
 
-class SymmetricTensor:
-    """A symmetric ``degree``-linear map R^dim -> R^codomain_dim, stored packed.
+def symmetrize(dense, vector_valued: bool = False) -> np.ndarray:
+    """Exactly symmetric, read-only copy of a dense coefficient array.
 
-    Only coefficients for non-decreasing index tuples are kept; any index
-    tuple reads and writes through its sorted form, so the tensor cannot
-    drift out of symmetry. Degree 0 is a plain vector of the codomain.
+    Every axis is an argument slot of a scalar-valued form unless
+    ``vector_valued`` makes the leading axis index output components. The
+    permutation average leaves one index orbit a few ulps apart, so every
+    index then reads the entry at its sorted form. Arrays with more than six
+    argument slots are rejected.
     """
-
-    def __init__(self, dim: int, degree: int, codomain_dim: int | None = None,
-                 packed: np.ndarray | None = None):
-        if dim < 1:
-            raise JetError(f"tensor domain dimension must be positive, got {dim}")
-        _check_degree(degree)
-        self.dim = dim
-        self.degree = degree
-        self.codomain_dim = dim if codomain_dim is None else int(codomain_dim)
-        if self.codomain_dim < 1:
-            raise JetError(f"codomain dimension must be positive, got {codomain_dim}")
-        slots = len(_packed_index(dim, degree))
-        if packed is None:
-            packed = np.zeros((self.codomain_dim, slots))
-        packed = np.asarray(packed, dtype=np.float64)
-        if packed.shape != (self.codomain_dim, slots):
-            raise JetError(
-                f"packed storage must have shape {(self.codomain_dim, slots)}, "
-                f"got {packed.shape}"
-            )
-        self.packed = packed
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, vector_valued: bool = True) -> "SymmetricTensor":
-        """Pack a dense coefficient array, symmetrizing the argument slots.
-
-        With ``vector_valued`` the leading axis indexes components; otherwise
-        the whole array is one scalar-valued form.
-        """
-        dense = np.asarray(dense, dtype=np.float64)
-        if not vector_valued:
-            dense = dense[None]
-        if dense.ndim == 0:
-            raise JetError("dense tensor data must have a component axis")
-        degree = dense.ndim - 1
-        _check_degree(degree)
-        if degree:
-            dim = dense.shape[1]
-            if dense.shape[1:] != (dim,) * degree:
-                raise JetError(f"argument axes must share one dimension, got {dense.shape}")
-        else:
-            dim = dense.shape[0]
-        dense = _sym_dense(dense)
-        out = cls(dim, degree, codomain_dim=dense.shape[0])
-        for combo, slot in _packed_index(out.dim, degree).items():
-            out.packed[:, slot] = dense[(slice(None),) + combo]
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Dense coefficients with the component axis first."""
-        out = np.empty((self.codomain_dim,) + (self.dim,) * self.degree)
-        index = _packed_index(self.dim, self.degree)
-        for combo in itertools.product(range(self.dim), repeat=self.degree):
-            out[(slice(None),) + combo] = self.packed[:, index[tuple(sorted(combo))]]
-        return out
-
-    def __getitem__(self, key) -> float:
-        component, combo = key[0], tuple(sorted(key[1:]))
-        return float(self.packed[component, _packed_index(self.dim, self.degree)[combo]])
-
-    def __setitem__(self, key, value: float):
-        component, combo = key[0], tuple(sorted(key[1:]))
-        self.packed[component, _packed_index(self.dim, self.degree)[combo]] = value
-
-    def apply(self, *vectors) -> np.ndarray:
-        """Contract the form with ``degree`` vectors; returns a codomain vector."""
-        if len(vectors) != self.degree:
-            raise JetError(f"need {self.degree} vectors, got {len(vectors)}")
-        value = self.dense()
-        for v in vectors:
-            value = np.tensordot(value, np.asarray(v, dtype=np.float64), axes=([1], [0]))
-        return value
-
-
-def symmetrize(dense, vector_valued: bool = False) -> SymmetricTensor:
-    """Symmetrize a dense coefficient array into a packed tensor.
-
-    By default every axis is an argument slot of a scalar-valued form; pass
-    ``vector_valued`` when the leading axis indexes output components.
-    Arrays with more than six argument slots are rejected.
-    """
-    return SymmetricTensor.from_dense(np.asarray(dense, dtype=np.float64),
-                                      vector_valued=vector_valued)
+    dense = np.asarray(dense, dtype=np.float64)
+    form = dense if vector_valued else dense[None]
+    if form.ndim == 0:
+        raise JetError("dense tensor data must have a component axis")
+    degree = form.ndim - 1
+    if degree > MAX_DEGREE:
+        raise UnsupportedOrderError(
+            f"tensor degree {degree} exceeds the supported cap {MAX_DEGREE}")
+    if len(set(form.shape[1:])) > 1:
+        raise JetError(f"argument axes must share one dimension, got {dense.shape}")
+    out = _sym_dense(form)
+    if degree > 1:
+        slots = _sorted_slots(form.shape[1], degree)
+        out = out.reshape(out.shape[0], -1)[:, slots].reshape(out.shape)
+    out.flags.writeable = False
+    return out if vector_valued else out[0]
 
 
 class Jet:
     """Normalized derivative data of a map of R^dim at one point.
 
-    ``terms[k]`` is the symmetric tensor ``d^k f(base_point) / k!`` with
-    values in R^dim; ``terms[0]`` is the image point itself.
+    ``terms[k]`` is the dense, exactly symmetric and read-only array
+    ``d^k f(base_point) / k!`` of shape ``(dim,) * (k + 1)``, component axis
+    first; ``terms[0]`` is the image point itself.
     """
 
     def __init__(self, base_point, terms):
         self.base_point = np.asarray(base_point, dtype=np.float64).reshape(-1)
         self.dim = self.base_point.shape[0]
+        if self.dim < 1:
+            raise JetError("a jet needs a base point in R^n with n >= 1")
         if len(terms) < 2:
             raise JetError("a jet needs at least the degree-0 and degree-1 terms")
         self.terms = []
         for k, term in enumerate(terms):
-            if not isinstance(term, SymmetricTensor):
-                dense = np.asarray(term, dtype=np.float64)
-                expected = (self.dim,) + (self.dim,) * k
-                if dense.shape != expected:
-                    raise JetError(
-                        f"degree-{k} term has shape {dense.shape}, expected {expected}"
-                    )
-                term = SymmetricTensor.from_dense(dense)
-            if term.degree != k:
-                raise JetError(f"term {k} has degree {term.degree}")
-            if term.dim != self.dim and term.degree > 0:
-                raise JetError(f"term {k} lives on R^{term.dim}, jet on R^{self.dim}")
-            if term.codomain_dim != self.dim:
-                raise JetError(f"term {k} has {term.codomain_dim} components, need {self.dim}")
-            self.terms.append(term)
+            dense = np.asarray(term, dtype=np.float64)
+            expected = (self.dim,) * (k + 1)
+            if dense.shape != expected:
+                raise JetError(
+                    f"degree-{k} term has shape {dense.shape}, expected {expected}")
+            self.terms.append(symmetrize(dense, vector_valued=True))
         self.order = len(self.terms) - 1
 
     @property
     def value(self) -> np.ndarray:
         """Image point of the map, i.e. the degree-0 term."""
-        return self.terms[0].packed[:, 0].copy()
+        return self.terms[0].copy()
 
-    def term(self, k: int) -> SymmetricTensor:
+    def dense_term(self, k: int) -> np.ndarray:
+        """Normalized tensor ``d^k f / k!`` with component axis first (read-only)."""
         if not 0 <= k <= self.order:
             raise JetError(f"jet has degrees 0..{self.order}, asked for {k}")
         return self.terms[k]
-
-    def dense_term(self, k: int) -> np.ndarray:
-        """Dense normalized tensor ``d^k f / k!`` with component axis first."""
-        return self.term(k).dense()
 
     def jacobian(self) -> np.ndarray:
         return self.dense_term(1)
 
     def truncate(self, order: int) -> "Jet":
+        """The leading terms of this jet; they are shared, not re-symmetrized."""
         if not 1 <= order <= self.order:
             raise JetError(f"cannot truncate an order-{self.order} jet to order {order}")
-        return Jet(self.base_point, self.terms[: order + 1])
+        cut = copy.copy(self)
+        cut.terms = self.terms[: order + 1]
+        cut.order = order
+        return cut
 
     @classmethod
     def identity(cls, dim: int, order: int, base_point=None) -> "Jet":
@@ -349,49 +277,3 @@ def inverse_norm_bound(matrix: np.ndarray) -> tuple:
     actual = float(np.linalg.norm(np.linalg.inv(a), 2))
     holds = bool(actual <= bound + 1.0e-12)
     return bound, holds
-
-
-def jet_to_dict(jet: Jet) -> dict:
-    """JSON-ready form of a jet; packed slots keyed by sorted index tuples."""
-    terms = []
-    for k in range(jet.order + 1):
-        tensor = jet.term(k)
-        coeffs = {}
-        for combo, slot in _packed_index(tensor.dim, tensor.degree).items():
-            key = ",".join(str(i) for i in combo)
-            coeffs[key] = [float(v) for v in tensor.packed[:, slot]]
-        terms.append({"degree": k, "coeffs": coeffs})
-    return {
-        "order": jet.order,
-        "base_point": [float(v) for v in jet.base_point],
-        "terms": terms,
-    }
-
-
-def jet_from_dict(data: dict) -> Jet:
-    """Rebuild a jet from :func:`jet_to_dict` output; raises JetError on junk."""
-    try:
-        base_point = np.asarray(data["base_point"], dtype=np.float64)
-        dim = base_point.shape[0]
-        order = int(data["order"])
-        raw_terms = data["terms"]
-        if len(raw_terms) != order + 1:
-            raise JetError(f"jet of order {order} must carry {order + 1} terms")
-        terms = []
-        for k, raw in enumerate(raw_terms):
-            if int(raw.get("degree", -1)) != k:
-                raise JetError(f"term {k} is labeled degree {raw.get('degree')}")
-            tensor = SymmetricTensor(dim, k, codomain_dim=dim)
-            index = _packed_index(dim, k)
-            coeffs = raw.get("coeffs", {})
-            if len(coeffs) != len(index):
-                raise JetError(f"term {k} has {len(coeffs)} slots, expected {len(index)}")
-            for key, values in coeffs.items():
-                combo = tuple(int(s) for s in key.split(",")) if key else ()
-                if combo not in index:
-                    raise JetError(f"term {k} has an invalid slot key {key!r}")
-                tensor.packed[:, index[combo]] = np.asarray(values, dtype=np.float64)
-            terms.append(tensor)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise JetError(f"malformed jet data: {exc}") from None
-    return Jet(base_point, terms)

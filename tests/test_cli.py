@@ -51,6 +51,11 @@ class TestConfig:
         ["--command", "nonsense"],
         ["--no-such-flag"],
         [],
+        ["--command", "classify", "--tol", "inf", "--descriptor", "x"],
+        ["--command", "invert", "--tol", "nan", "--descriptor", "x"],
+        ["--command", "evolve", "--t-final", "nan", "--descriptor", "x"],
+        ["--command", "evolve", "--dt", "inf", "--descriptor", "x"],
+        ["--command", "classify", "--half-width", "inf", "--descriptor", "x"],
     ])
     def test_bad_configuration_exits_1(self, capsys, argv):
         assert main(argv) == 1

@@ -52,7 +52,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("dim,half,n", [
         (4, 8.0, 257), (0, 8.0, 257), (1, 0.0, 257), (1, -1.0, 257),
-        (1, 8.0, 256), (1, 8.0, 15),
+        (1, 8.0, 256), (1, 8.0, 15), (1, float("inf"), 257), (1, float("nan"), 257),
     ])
     def test_rejects_bad_parameters(self, dim, half, n):
         with pytest.raises(FieldError):

@@ -57,8 +57,6 @@ class TestVectorField:
     def test_dim_and_domain_validation(self):
         with pytest.raises(FieldError):
             TimeDependentVectorField(4, lambda t, p: p)
-        with pytest.raises(FieldError):
-            TimeDependentVectorField(1, lambda t, p: p, t_domain=(1.0, 0.0))
 
     def test_at_time_snapshot(self, coarse_grid):
         field = TimeDependentVectorField.from_descriptor(
@@ -71,7 +69,7 @@ class TestVectorField:
 
     def test_scaled_and_shifted(self):
         field = TimeDependentVectorField.from_descriptor(
-            1, "0.1*exp(-x^2)*cos(t)", t_domain=(0.0, 2.0))
+            1, "0.1*exp(-x^2)*cos(t)")
         pts = np.array([[0.3]])
         doubled = field.scaled(2.0)
         assert doubled(0.0, pts)[0, 0] == pytest.approx(0.2 * math.exp(-0.09))
@@ -79,7 +77,6 @@ class TestVectorField:
                            2.0 * field.jacobian(0.0, pts))
         shifted = field.time_shifted(0.5)
         assert shifted(0.0, pts)[0, 0] == pytest.approx(field(0.5, pts)[0, 0])
-        assert shifted.t_domain == (-0.5, 1.5)
 
     def test_from_displacement_is_autonomous(self, coarse_grid):
         disp = DisplacementField.from_descriptor(coarse_grid, "0.1*exp(-x^2)")
@@ -142,12 +139,6 @@ class TestEvolve:
         assert result.times.shape[0] == 5  # 4 steps of 0.25
         assert result.dt == pytest.approx(0.25)
         assert result.times[-1] == 1.0
-
-    def test_time_domain_enforced(self, coarse_grid):
-        field = TimeDependentVectorField.from_descriptor(
-            1, "0.1*exp(-x^2)", DecayClass.SCHWARTZ, t_domain=(0.0, 0.5))
-        with pytest.raises(FlowDomainError):
-            evolve(field, 1.0, 0.1, coarse_grid)
 
     def test_parameter_validation(self, coarse_grid):
         field = bump_field()

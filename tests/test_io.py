@@ -107,6 +107,15 @@ class TestDisplacementFiles:
         assert header == {"dim": 1, "half_width": 8, "points_per_axis": 65,
                           "class_hint": None, "components": 1}
 
+    def test_float_half_width_loads(self, coarse_grid, tmp_path):
+        path = tmp_path / "d.dsp"
+        write_displacement(str(path), DisplacementField.zero(coarse_grid))
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"half_width": 8', '"half_width": 8.0')
+        path.write_text("\n".join(lines) + "\n")
+        loaded, _ = read_displacement(str(path))
+        assert loaded.grid == coarse_grid
+
     def test_class_hint_sets_extrapolation(self, coarse_grid, tmp_path):
         path = tmp_path / "d.dsp"
         disp = DisplacementField.from_descriptor(coarse_grid, "0.1*tanh(x)", "clamp")
@@ -137,6 +146,18 @@ class TestDisplacementFiles:
         lambda lines: lines[:1] + [lines[1] + ",0"],               # extra sample
         lambda lines: lines[:1] + [lines[1].replace(",", ",spam,", 1)],
         lambda lines: lines[:1] + [lines[1].replace(",", ",NaN,", 1)],
+        lambda lines: [lines[0].replace('"dim": 1', '"dim": 1.5')] + lines[1:],
+        lambda lines: [lines[0].replace('"dim": 1', '"dim": true')] + lines[1:],
+        lambda lines: [lines[0].replace('"points_per_axis": 65',
+                                        '"points_per_axis": 65.9')] + lines[1:],
+        lambda lines: [lines[0].replace('"points_per_axis": 65',
+                                        '"points_per_axis": "65"')] + lines[1:],
+        lambda lines: [lines[0].replace('"components": 1',
+                                        '"components": 1.0')] + lines[1:],
+        lambda lines: [lines[0].replace('"half_width": 8',
+                                        '"half_width": true')] + lines[1:],
+        lambda lines: [lines[0].replace('"half_width": 8',
+                                        '"half_width": "8"')] + lines[1:],
     ])
     def test_malformed_files_rejected(self, coarse_grid, tmp_path, mangle):
         path = tmp_path / "d.dsp"

@@ -13,37 +13,110 @@ from diffeoflow import (
     Jet,
     JetError,
     SingularJacobianError,
-    SymmetricTensor,
     UnsupportedOrderError,
     compose_jets,
     inverse_norm_bound,
     invert_jet,
-    jet_from_dict,
     jet_from_displacement,
-    jet_to_dict,
     symmetrize,
 )
 from diffeoflow.acceptance import _jet_1d, series_revert
+from diffeoflow.jets import MAX_DEGREE
+
+
+def _packed_oracle(dense: np.ndarray) -> np.ndarray:
+    """Symmetrize, keep one entry per sorted index tuple, unpack.
+
+    This is how jet terms were stored before the dense layout: the permutation
+    average of ``dense`` packed into the slots of sorted index tuples, then
+    every index tuple read back through its sorted form.
+    """
+    dense = np.asarray(dense, dtype=np.float64)
+    degree = dense.ndim - 1
+    dim = dense.shape[0]
+    averaged = dense.copy()
+    if degree > 1:
+        total = np.zeros_like(dense)
+        count = 0
+        for perm in itertools.permutations(range(1, dense.ndim)):
+            total += np.transpose(dense, (0,) + perm)
+            count += 1
+        averaged = total / count
+    combos = list(itertools.combinations_with_replacement(range(dim), degree))
+    packed = np.empty((dense.shape[0], len(combos)))
+    for slot, combo in enumerate(combos):
+        packed[:, slot] = averaged[(slice(None),) + combo]
+    index = {combo: slot for slot, combo in enumerate(combos)}
+    out = np.empty_like(dense)
+    for combo in itertools.product(range(dim), repeat=degree):
+        out[(slice(None),) + combo] = packed[:, index[tuple(sorted(combo))]]
+    return out
+
+
+def _random_jet(rng, dim: int, order: int) -> Jet:
+    terms = [rng.normal(size=dim)] + [rng.normal(size=(dim,) * (k + 1))
+                                      for k in range(1, order + 1)]
+    return Jet(rng.normal(size=dim), terms)
+
+
+class TestJetLayoutParity:
+    """Seeded order-6 jets, so every degree 0..6 is covered in each dim."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_terms_match_packed_layout_bitwise(self, rng, dim):
+        for _ in range(3):
+            terms = [rng.normal(size=(dim,) * (k + 1)) for k in range(MAX_DEGREE + 1)]
+            jet = Jet(rng.normal(size=dim), terms)
+            for k in range(MAX_DEGREE + 1):
+                want = _packed_oracle(terms[k])
+                got = jet.dense_term(k)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_truncate_shares_source_terms(self, rng, dim):
+        jet = _random_jet(rng, dim, MAX_DEGREE)
+        for cut_order in range(1, MAX_DEGREE + 1):
+            cut = jet.truncate(cut_order)
+            assert cut.order == cut_order
+            for k in range(cut_order + 1):
+                assert cut.dense_term(k) is jet.dense_term(k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_index_permutation_holds_same_bits(self, rng, dim):
+        jet = _random_jet(rng, dim, MAX_DEGREE)
+        for k in range(2, MAX_DEGREE + 1):
+            term = jet.dense_term(k)
+            for perm in itertools.permutations(range(1, k + 1)):
+                assert np.transpose(term, (0,) + perm).tobytes() == term.tobytes()
+
+    def test_terms_are_read_only(self, rng):
+        jet = _random_jet(rng, 2, 3)
+        for k in range(4):
+            with pytest.raises(ValueError):
+                jet.dense_term(k)[(0,) * (k + 1)] = 1.0
+        value = jet.value
+        value[0] = 7.0  # the image point is handed out as a copy
+        assert jet.dense_term(0)[0] != 7.0
 
 
 class TestSymmetrize:
     def test_symmetric_input_is_fixed(self):
         dense = np.array([[1.0, 2.0], [2.0, -0.5]])
-        tensor = symmetrize(dense)
-        assert np.array_equal(tensor.dense()[0], dense)
+        assert np.array_equal(symmetrize(dense), dense)
 
     def test_transposition_average(self):
         e1e2 = np.zeros((2, 2))
         e1e2[0, 1] = 1.0
-        tensor = symmetrize(e1e2)
-        assert tensor.dense()[0, 0, 1] == 0.5
-        assert tensor.dense()[0, 1, 0] == 0.5
-        assert tensor.dense()[0, 0, 0] == 0.0
+        sym = symmetrize(e1e2)
+        assert sym[0, 1] == 0.5
+        assert sym[1, 0] == 0.5
+        assert sym[0, 0] == 0.0
 
     def test_projection_property(self, rng):
         dense = rng.normal(size=(3, 3, 3))
-        once = symmetrize(dense).dense()[0]
-        twice = symmetrize(once).dense()[0]
+        once = symmetrize(dense)
+        twice = symmetrize(once)
         assert np.array_equal(once, twice)
 
     def test_degree_cap(self):
@@ -53,35 +126,19 @@ class TestSymmetrize:
     @given(arrays(np.float64, (2, 2, 2),
                   elements=st.floats(min_value=-2.0, max_value=2.0)))
     def test_evaluation_is_permutation_invariant(self, dense):
-        tensor = symmetrize(dense, vector_valued=False)
+        sym = symmetrize(dense, vector_valued=False)
         u, v, w = np.array([1.0, -0.5]), np.array([0.3, 2.0]), np.array([-1.1, 0.7])
-        brute = np.zeros(1)
+        applied = sym
+        for vec in (u, v, w):
+            applied = np.tensordot(applied, vec, axes=([0], [0]))
+        brute = 0.0
         for perm in itertools.permutations((u, v, w)):
             value = dense
             for vec in perm:
                 value = np.tensordot(value, vec, axes=([0], [0]))
             brute += value
         brute /= 6.0
-        assert np.allclose(tensor.apply(u, v, w), brute, atol=1e-12)
-
-
-class TestSymmetricTensor:
-    def test_index_access_sorts_keys(self):
-        tensor = SymmetricTensor(2, 2)
-        tensor[0, 1, 0] = 3.0
-        assert tensor[0, 0, 1] == 3.0
-        assert tensor.dense()[0, 1, 0] == 3.0
-
-    def test_apply_arity(self):
-        tensor = SymmetricTensor(2, 2)
-        with pytest.raises(JetError):
-            tensor.apply(np.ones(2))
-
-    def test_shape_validation(self):
-        with pytest.raises(JetError):
-            SymmetricTensor(2, 1, packed=np.zeros((2, 5)))
-        with pytest.raises(JetError):
-            SymmetricTensor(0, 1)
+        assert np.allclose(applied, brute, atol=1e-12)
 
 
 class TestJetBasics:
@@ -99,6 +156,10 @@ class TestJetBasics:
     def test_term_shape_validation(self):
         with pytest.raises(JetError):
             Jet([0.0, 0.0], [np.zeros(2), np.zeros((2, 3))])
+        with pytest.raises(JetError):
+            Jet([], [np.zeros(0), np.zeros((0, 0))])
+        with pytest.raises(UnsupportedOrderError):
+            Jet([0.0], [np.zeros((1,) * (k + 1)) for k in range(8)])
 
     def test_truncate(self):
         jet = _jet_1d(0.0, [0.0, 1.0, 0.5, -0.2])
@@ -107,6 +168,18 @@ class TestJetBasics:
         assert cut.dense_term(2)[0, 0, 0] == 0.5
         with pytest.raises(JetError):
             jet.truncate(5)
+
+
+class TestSymmetricTensor:
+    """The symmetric tensors a jet stores as its terms."""
+
+    def test_shape_validation(self):
+        # A degree-2 term in R^2 given in the old packed layout (one entry per
+        # sorted index pair) is not the dense (2, 2, 2) tensor and is refused.
+        with pytest.raises(JetError):
+            Jet([0.0, 0.0], [np.zeros(2), np.eye(2), np.zeros((2, 3))])
+        with pytest.raises(JetError):
+            Jet(np.zeros(0), [np.zeros(0), np.zeros((0, 0))])
 
 
 class TestCompose:
@@ -241,48 +314,6 @@ class TestInverseNormBound:
         bound, holds = inverse_norm_bound(matrix)
         assert holds
         assert np.linalg.norm(np.linalg.inv(matrix), 2) <= bound + 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        terms = [rng.normal(size=2), np.eye(2) + 0.2 * rng.normal(size=(2, 2)),
-                 0.1 * rng.normal(size=(2, 2, 2))]
-        jet = Jet([0.1, -0.4], terms)
-        clone = jet_from_dict(jet_to_dict(jet))
-        assert np.array_equal(clone.base_point, jet.base_point)
-        for k in range(3):
-            assert np.array_equal(clone.term(k).packed, jet.term(k).packed)
-
-    def test_corrupted_payloads_rejected(self):
-        data = jet_to_dict(_jet_1d(0.0, [0.0, 1.0, 0.2]))
-        missing = dict(data)
-        del missing["terms"]
-        with pytest.raises(JetError):
-            jet_from_dict(missing)
-
-        short = dict(data, terms=data["terms"][:-1])
-        with pytest.raises(JetError):
-            jet_from_dict(short)
-
-        relabeled = dict(data, terms=[dict(data["terms"][0], degree=5)]
-                         + data["terms"][1:])
-        with pytest.raises(JetError):
-            jet_from_dict(relabeled)
-
-        bad_key = dict(data, terms=data["terms"][:1] + [
-            {"degree": 1, "coeffs": {"7": [1.0]}}] + data["terms"][2:])
-        with pytest.raises(JetError):
-            jet_from_dict(bad_key)
-
-    @pytest.mark.parametrize("mangle", [
-        lambda terms: terms[:1] + [[1, 2]] + terms[2:],                  # term not a dict
-        lambda terms: terms[:1] + [{"degree": 1, "coeffs": {"x": [1.0]}}] + terms[2:],
-        lambda terms: terms[:1] + [{"degree": 1, "coeffs": {"0": [1.0, 2.0]}}] + terms[2:],
-    ], ids=["term-not-dict", "slot-key-not-int", "coeffs-wrong-length"])
-    def test_junk_terms_raise_jet_error(self, mangle):
-        data = jet_to_dict(_jet_1d(0.0, [0.0, 1.0, 0.2]))
-        with pytest.raises(JetError):
-            jet_from_dict(dict(data, terms=mangle(data["terms"])))
 
 
 def test_jet_from_displacement_matches_analytic():
