@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .decay import DecayClass, classify_decay, extrapolation_for
+from .decay import DecayClass, classify_decay
 from .errors import FieldError
 from .fields import DisplacementField, Grid
 from .flows import TimeDependentVectorField
@@ -98,8 +98,7 @@ def _seeded_members(grid: Grid, count: int, seed: int, ranges: tuple, describe,
         center = rng.uniform(*centers)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         amplitude = sign * rng.uniform(*amplitudes)
-        disp = DisplacementField.from_descriptor(grid, describe(amplitude, width, center),
-                                                 extrapolation_for(decay_class))
+        disp = DisplacementField.from_descriptor(grid, describe(amplitude, width, center))
         out.append(_validated(disp, decay_class, f"{name}[{k}]"))
     return out
 

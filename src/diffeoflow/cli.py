@@ -127,23 +127,23 @@ def _emit(config: RunConfig, report: dict, filename: str) -> dict:
     return report
 
 
-def _sources(config: RunConfig, needed: int) -> list:
-    """Diffeos from descriptors and/or files, in the order given."""
-    sources = ([("descriptor", d) for d in config.descriptors]
-               + [("input", p) for p in config.inputs])
+def _source_specs(config: RunConfig, needed: int) -> list:
+    """``(is_file, spec)`` for each descriptor, then each file; exactly ``needed``."""
+    sources = ([(False, d) for d in config.descriptors]
+               + [(True, p) for p in config.inputs])
     if len(sources) != needed:
         raise ValueError(
             f"{config.command} needs exactly {needed} field source(s) "
             f"(--descriptor/--input), got {len(sources)}")
+    return sources
+
+
+def _sources(config: RunConfig, needed: int) -> list:
+    """Diffeos from descriptors and/or files, in the order given."""
     claimed = config.claimed_class()
     grid = config.grid()
-    out = []
-    for kind, spec in sources:
-        if kind == "descriptor":
-            out.append(Diffeo.from_descriptor(grid, spec, claimed))
-        else:
-            out.append(read_diffeo(spec))
-    return out
+    return [read_diffeo(spec) if is_file else Diffeo.from_descriptor(grid, spec, claimed)
+            for is_file, spec in _source_specs(config, needed)]
 
 
 def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
@@ -159,13 +159,8 @@ def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
 
 
 def cmd_classify(config: RunConfig) -> int:
-    if config.inputs:
-        diffeo = read_diffeo(config.inputs[0])
-        target = diffeo.displacement
-    elif config.descriptors:
-        target = sample(config.descriptors[0], config.grid())
-    else:
-        raise ValueError("classify needs --descriptor or --input")
+    ((is_file, spec),) = _source_specs(config, 1)
+    target = read_diffeo(spec).displacement if is_file else sample(spec, config.grid())
     report = classify_decay(target)
     claimed = config.claimed_class()
     class_ok = None
@@ -240,8 +235,8 @@ def cmd_conjugate(config: RunConfig) -> int:
 
 
 def cmd_evolve(config: RunConfig) -> int:
-    if len(config.descriptors) != 1:
-        raise ValueError("evolve needs exactly one --descriptor for X(t,x)")
+    if len(config.descriptors) != 1 or config.inputs:
+        raise ValueError("evolve needs exactly one --descriptor for X(t,x) and no --input")
     field = TimeDependentVectorField.from_descriptor(
         config.dim, config.descriptors[0], config.claimed_class())
     grid = config.grid()

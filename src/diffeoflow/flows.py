@@ -197,7 +197,8 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
     Trajectories that leave the box by more than a tenth of the half-width
     raise a domain error (the grid cannot resolve them), and non-finite
     values raise a blow-up error. The result's decay class is the field's;
-    a field without one gets the class of the final snapshot.
+    a field without one gets the class of the final snapshot, and every
+    snapshot then reads that class's off-box continuation.
     Every step also records ``beta`` (sup of ``|d_x X|`` along the
     trajectories) and the stencil sup of ``|d_x f|`` and minimum of
     ``det(I + d_x f)``; up to dim 2 these are closed-form kernels
@@ -271,10 +272,10 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
 
     notes = []
     if decay_class is None:
-        t_last, final = snapshots[-1]
-        decay_class = classify_decay(final).inferred_class
+        decay_class = classify_decay(snapshots[-1][1]).inferred_class
         notes.append(f"decay class inferred from the final snapshot: {decay_class.value}")
-        snapshots[-1] = (t_last, final.with_extrapolation(extrapolation_for(decay_class)))
+        extrap = extrapolation_for(decay_class)
+        snapshots = [(t, snap.with_extrapolation(extrap)) for t, snap in snapshots]
 
     alpha = _cumulative_trapezoid(times, beta)
     diagnostics = {
@@ -334,12 +335,11 @@ def gronwall_bound(result: FlowResult) -> tuple:
     beta = result.diagnostics["beta"]
     alpha = result.diagnostics["alpha"]
     measured = result.diagnostics["sup_jacobian"].copy()
-    big_b = _cumulative_trapezoid(times, beta)
     steps = times.shape[0]
     predicted = np.empty(steps)
     predicted[0] = alpha[0]
     for k in range(1, steps):
-        integrand = alpha[: k + 1] * beta[: k + 1] * np.exp(big_b[k] - big_b[: k + 1])
+        integrand = alpha[: k + 1] * beta[: k + 1] * np.exp(alpha[k] - alpha[: k + 1])
         predicted[k] = alpha[k] + float(np.trapezoid(integrand, times[: k + 1]))
     holds = bool(np.all(measured <= predicted * (1.0 + GRONWALL_REL_SLACK) + GRONWALL_ABS_SLACK))
     return predicted, measured, holds
@@ -396,7 +396,8 @@ def right_log_derivative(result: FlowResult) -> list:
     snapshots, so the result lists only interior snapshot times (two steps
     in from either end). Each entry is ``(t, DisplacementField)``; for a
     flow of ``X`` the field approximates ``X(t, .)`` to fourth order in both
-    the step and the spacing.
+    the step and the spacing. A snapshot below the ``Diffeo`` margin has no
+    inverse and raises :class:`~diffeoflow.errors.NonDiffeoError`.
     """
     snaps = result.snapshots
     if len(snaps) != result.times.shape[0]:
@@ -418,7 +419,7 @@ def right_log_derivative(result: FlowResult) -> list:
         dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * dt)
         extrap = snaps[k][1].extrapolation
         dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
-        inverse = invert(Diffeo(snaps[k][1], result.decay_class, check=False))
+        inverse = invert(Diffeo(snaps[k][1], result.decay_class))
         recovered = dgdt_field.sample(inverse.apply(nodes))
         field = DisplacementField.from_nodes(grid, recovered, extrap)
         out.append((t_k, field))

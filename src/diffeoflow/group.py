@@ -45,7 +45,7 @@ def _det_margin(displacement: DisplacementField) -> tuple:
 
     The determinants come from the closed-form cofactor kernel on the stencil
     Jacobian: a few whole-grid array operations, cheap enough that every
-    member measures its margin, unchecked ones (``check=False``) included.
+    member and every :func:`membership_check` measures its margin.
     """
     dets = det_plus_identity(displacement.jacobian_grid()).reshape(-1)
     worst = int(np.argmin(dets))
@@ -108,12 +108,12 @@ class Diffeo:
     """A grid-backed diffeomorphism ``x + g(x)`` with decay-class metadata.
 
     The constructor trusts a supplied decay class (verification is the job of
-    :func:`membership_check`) but always measures the Jacobian margin, and
-    unless ``check=False`` it refuses a margin below ``DEFAULT_DET_THRESHOLD``.
+    :func:`membership_check`), gives the displacement that class's off-box
+    continuation, and refuses a Jacobian margin below ``DEFAULT_DET_THRESHOLD``.
     """
 
     def __init__(self, displacement: DisplacementField,
-                 decay_class: DecayClass | None = None, check: bool = True):
+                 decay_class: DecayClass | None = None):
         if decay_class is None:
             decay_class = classify_decay(displacement).inferred_class
         else:
@@ -124,7 +124,7 @@ class Diffeo:
         self.displacement = displacement
         self.decay_class = decay_class
         self.epsilon, self.epsilon_location = _det_margin(displacement)
-        if check and not self.epsilon >= DEFAULT_DET_THRESHOLD:
+        if not self.epsilon >= DEFAULT_DET_THRESHOLD:
             raise NonDiffeoError(_margin_note(self.epsilon, self.epsilon_location))
 
     @property
@@ -139,9 +139,7 @@ class Diffeo:
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor: str,
                         decay_class: DecayClass | None = None) -> "Diffeo":
-        disp = DisplacementField.from_descriptor(grid, descriptor,
-                                                 extrapolation_for(decay_class))
-        return cls(disp, decay_class)
+        return cls(DisplacementField.from_descriptor(grid, descriptor), decay_class)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -183,9 +181,7 @@ def compose(outer: Diffeo, inner: Diffeo) -> Diffeo:
         )
     f_at_images = outer.displacement.sample(images)
     decay_class = widest(outer.decay_class, inner.decay_class)
-    disp = DisplacementField.from_nodes(grid, g_values + f_at_images,
-                                        extrapolation_for(decay_class))
-    return Diffeo(disp, decay_class)
+    return Diffeo(DisplacementField.from_nodes(grid, g_values + f_at_images), decay_class)
 
 
 def _drop_settled(y: np.ndarray, active: np.ndarray, change: np.ndarray,

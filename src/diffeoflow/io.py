@@ -99,9 +99,7 @@ def write_displacement(path: str, displacement: DisplacementField,
         fh.write("\n")
         # values are finite (the field constructor checks), so plain ".17g"
         # writes the same bytes as _format_float
-        for row in displacement.values.reshape(grid.dim, -1):
-            fh.write(",".join([format(v, ".17g") for v in row.tolist()]))
-            fh.write("\n")
+        np.savetxt(fh, displacement.values.reshape(grid.dim, -1), fmt="%.17g", delimiter=",")
 
 
 def read_displacement(path: str) -> tuple:
@@ -144,15 +142,17 @@ def read_displacement(path: str) -> tuple:
     if len(rows) != components:
         raise FileFormatError(f"{path}: expected {components} component rows, found {len(rows)}")
     expected = grid.node_count
+    # count every row before allocating, so a header cannot demand a huge array
+    for i, row in enumerate(rows):
+        samples = row.count(",") + 1
+        if samples != expected:
+            raise FileFormatError(
+                f"{path}: component {i} has {samples} samples, expected {expected}"
+            )
     data = np.empty((dim, expected))
     for i, row in enumerate(rows):
-        tokens = row.split(",")
-        if len(tokens) != expected:
-            raise FileFormatError(
-                f"{path}: component {i} has {len(tokens)} samples, expected {expected}"
-            )
         try:
-            data[i] = [float(tok) for tok in tokens]
+            data[i] = [float(tok) for tok in row.split(",")]
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad sample in component {i}: {exc}")
     if not np.all(np.isfinite(data)):

@@ -61,6 +61,20 @@ class TestConfig:
         assert main(argv) == 1
         capsys.readouterr()
 
+    # every source given must be read: classify takes one, evolve one descriptor;
+    # FILE stands for a valid member file
+    @pytest.mark.parametrize("argv", [
+        ["--command", "classify", "--class", "Schwartz", "--descriptor", "exp(-x^2)",
+         "--descriptor", "1"],
+        ["--command", "classify", "--input", "FILE", "--descriptor", "0.1*exp(-x^2)"],
+        ["--command", "evolve", "--descriptor", "0.1*exp(-x^2)", "--input", "FILE"],
+    ])
+    def test_unread_source_exits_1(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "member.dff")
+        write_diffeo(path, Diffeo.from_descriptor(Grid(1, 8.0, 257), "0.1*exp(-x^2)"))
+        assert main([path if arg == "FILE" else arg for arg in argv]) == 1
+        capsys.readouterr()
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

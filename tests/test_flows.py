@@ -267,6 +267,17 @@ class TestRightLogDerivative:
             worst = max(worst, float(np.max(np.abs(got - exact))))
         assert worst <= 1e-4
 
+    def test_inferred_class_reaches_every_snapshot(self, line_grid):
+        text = "0.12*cos(0.7*x-0.6*t)"
+        runs = [evolve(TimeDependentVectorField.from_descriptor(1, text, claimed),
+                       1.0, 1.0 / 32.0, line_grid)
+                for claimed in (None, DecayClass.BOUNDED_ALL)]
+        inferred, claimed = runs
+        assert inferred.decay_class is DecayClass.BOUNDED_ALL
+        assert all(disp.extrapolation == "clamp" for _, disp in inferred.snapshots)
+        for (t, got), (s, want) in zip(*(right_log_derivative(run) for run in runs)):
+            assert t == s and np.array_equal(got.values, want.values)
+
     def test_needs_dense_snapshots(self, line_grid):
         sparse = evolve(bump_field(), 0.5, 1.0 / 16.0, line_grid,
                         snapshot_stride=2)

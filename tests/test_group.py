@@ -24,7 +24,7 @@ from diffeoflow import (
     membership_check,
     pullback,
     read_diffeo,
-    write_diffeo,
+    write_displacement,
 )
 from diffeoflow.group import DEFAULT_DET_THRESHOLD
 
@@ -72,18 +72,16 @@ class TestMembership:
         # g = -a x exp(-x^2) has det(I + dg) = 1 - a at the origin; scale a so
         # the measured margin is positive but below the fixed threshold
         unit = DisplacementField.from_descriptor(fine_grid, "-x*exp(-x^2)")
-        slope = 1.0 - Diffeo(unit, DecayClass.SCHWARTZ, check=False).epsilon
+        slope = 1.0 - membership_check(unit)[1]
         disp = DisplacementField(fine_grid, unit.values * ((1.0 - 5.0e-7) / slope))
-        member = Diffeo(disp, DecayClass.SCHWARTZ, check=False)
-        assert 0.0 < member.epsilon < DEFAULT_DET_THRESHOLD
+        ok, epsilon, report = membership_check(disp)
+        assert 0.0 < epsilon < DEFAULT_DET_THRESHOLD
+        assert not ok and not report["det_ok"]
+        assert report["det_threshold"] == DEFAULT_DET_THRESHOLD
         with pytest.raises(NonDiffeoError):
             Diffeo(disp, DecayClass.SCHWARTZ)
-        ok, epsilon, report = membership_check(disp)
-        assert not ok and not report["det_ok"]
-        assert epsilon == member.epsilon
-        assert report["det_threshold"] == DEFAULT_DET_THRESHOLD
         path = str(tmp_path / "thin.dff")
-        write_diffeo(path, member)
+        write_displacement(path, disp, DecayClass.SCHWARTZ)
         with pytest.raises(NonDiffeoError):
             read_diffeo(path)
 
@@ -93,11 +91,12 @@ class TestDiffeoConstruction:
         with pytest.raises(NonDiffeoError):
             Diffeo.from_descriptor(fine_grid, "-2*x*exp(-x^2)", DecayClass.SCHWARTZ)
 
-    def test_check_false_allows_inspection(self, fine_grid):
+    def test_non_member_inspected_by_membership_check(self, fine_grid):
         disp = DisplacementField.from_descriptor(fine_grid, "-2*x*exp(-x^2)")
-        member = Diffeo(disp, DecayClass.SCHWARTZ, check=False)
-        assert member.epsilon < 0.0
-        assert abs(member.epsilon_location[0]) < 0.1  # worst point near the origin
+        ok, epsilon, report = membership_check(disp, DecayClass.SCHWARTZ)
+        assert not ok
+        assert epsilon < 0.0
+        assert abs(report["epsilon_location"][0]) < 0.1  # worst point near the origin
 
     def test_class_alias_accepted(self, fine_grid):
         member = Diffeo.from_descriptor(fine_grid, "0.1*exp(-x^2)", "schwartz")
@@ -170,8 +169,9 @@ class TestCompose:
     def test_widest_class_wins(self, fine_grid):
         narrow = gaussian_diffeo(fine_grid, 0.1)
         wide = Diffeo.from_descriptor(fine_grid, "0.2*tanh(x)", DecayClass.BOUNDED_ALL)
-        assert compose(narrow, wide).decay_class is DecayClass.BOUNDED_ALL
-        assert compose(wide, narrow).decay_class is DecayClass.BOUNDED_ALL
+        for composite in (compose(narrow, wide), compose(wide, narrow)):
+            assert composite.decay_class is DecayClass.BOUNDED_ALL
+            assert composite.displacement.extrapolation == "clamp"
 
     def test_large_overhang_refused(self, coarse_grid):
         shift = Diffeo(

@@ -21,6 +21,7 @@ from diffeoflow import (
     write_report,
     write_time_series_csv,
 )
+from diffeoflow.cli import main
 from diffeoflow.io import _format_float
 
 
@@ -175,6 +176,17 @@ class TestDisplacementFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match=re.escape(str(path))):
             read_displacement(str(path))
+
+    def test_oversized_header_is_a_file_error(self, tmp_path, capsys):
+        # the header asks for 2 x 10000001^2 samples; each row holds two
+        path = tmp_path / "huge.dff"
+        header = {"dim": 2, "half_width": 8, "points_per_axis": 10000001,
+                  "class_hint": None, "components": 2}
+        path.write_text(stable_json_dumps(header) + "\n0,0\n0,0\n")
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            read_displacement(str(path))
+        assert main(["--command", "classify", "--input", str(path)]) == 1
+        capsys.readouterr()
 
     def test_infinite_samples_rejected(self, coarse_grid, tmp_path):
         path = tmp_path / "d.dsp"
