@@ -44,6 +44,9 @@ COMMANDS = [
                          "Schwartz", "--descriptor", SWIRL_2D]),
     ("conjugate-2d", ["--command", "conjugate", *PLANE, "--descriptor", TANH_2D,
                       "--descriptor", GAUSS_2D]),
+    # the group-2d shape: at 257^2 every gather spans several blocks
+    ("conjugate-2d-257", ["--command", "conjugate", "--dim", "2", "--points", "257",
+                          "--descriptor", TANH_2D, "--descriptor", GAUSS_2D]),
     ("classify-input", ["--command", "classify",
                         "--input", "invert-2d-swirl/out/inverse.dff"]),
     ("evolve-1d", ["--command", "evolve", "--class", "Schwartz",

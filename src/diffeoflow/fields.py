@@ -7,6 +7,14 @@ piecewise-cubic Lagrange interpolation, which reproduces cubics exactly and
 therefore matches the fourth-order accuracy of the stencils. Points outside
 the box either read as zero (fields that decay) or as the clamped boundary
 value (fields that merely stay bounded).
+
+Interpolation is the engine's inner loop: composition, inversion and
+conjugation all read a displacement at displaced points. ``_gather`` runs
+it over blocks of at most ``GATHER_BLOCK`` query points (a constant), from
+per-axis stencil weights laid out ``(dim, 4, m)`` so each weight row is
+contiguous. Blocking changes only memory traffic: every point's value is
+the same products added in the same offset order into an accumulator that
+starts at zero, so results are bit-identical to an unblocked pass.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from .errors import FieldError, UnsupportedOrderError
 
 MAX_DERIVATIVE_ORDER = 6
 EXTRAPOLATION_MODES = ("zero", "clamp")
+# query points per interpolation block: ~1 MB of per-block rows in 2-D
+GATHER_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -129,50 +139,86 @@ def _interp_stencil(grid: Grid, coords: np.ndarray):
     """Per-axis stencil bases and cubic Lagrange weights for query coordinates.
 
     ``coords`` has shape ``(m, dim)`` and must already lie inside the box.
-    Returns ``(bases, weights)`` with shapes ``(m, dim)`` and ``(m, dim, 4)``.
-    The four weights interpolate through nodes ``base .. base+3``; near a face
-    the stencil shifts inward, which keeps the interpolant cubic-exact.
+    Returns ``(bases, weights)`` with shapes ``(dim, m)`` and ``(dim, 4, m)``,
+    so that every ``weights[j, k]`` is one contiguous row. The four weights
+    interpolate through nodes ``base .. base+3``; near a face the stencil
+    shifts inward, which keeps the interpolant cubic-exact. Each weight is
+    the product ``(t - a)(t - b)(t - c) / 6`` or ``/ 2`` evaluated left to
+    right from shared ``t + 1``, ``t - 1`` and ``t - 2`` rows.
     """
     n = grid.points_per_axis
-    u = (coords + grid.half_width) / grid.spacing
+    u = np.empty(coords.shape[::-1])
+    np.add(coords.T, grid.half_width, out=u)
+    u /= grid.spacing
     base = np.clip(np.floor(u).astype(np.int64) - 1, 0, n - 4)
     t = u - (base + 1)
-    w = np.empty(t.shape + (4,))
-    w[..., 0] = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w[..., 1] = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w[..., 2] = -(t + 1.0) * t * (t - 2.0) / 2.0
-    w[..., 3] = (t + 1.0) * t * (t - 1.0) / 6.0
+    tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
+    w = np.empty((coords.shape[1], 4, coords.shape[0]))
+    w[:, 0] = -t * tm1 * tm2 / 6.0
+    w[:, 1] = tp1 * tm1 * tm2 / 2.0
+    w[:, 2] = -tp1 * t * tm2 / 2.0
+    w[:, 3] = tp1 * t * tm1 / 6.0
     return base, w
+
+
+def _stencil_terms(weights: np.ndarray, strides: list, rows: np.ndarray,
+                   axis: int = 0, offset: int = 0, prefix=None):
+    """Yield ``(flat offset, weight row)`` for each of the ``4^dim`` stencil offsets.
+
+    Offsets come in row-major order. The weight of offset ``(k_0, .., k_j)``
+    is ``w_0[k_0] * .. * w_j[k_j]`` multiplied left to right; the product up
+    to axis ``j >= 1`` is written once into ``rows[j - 1]`` and shared by the
+    ``4^(dim - 1 - j)`` offsets that extend it, so 3-D forms ``w_0 * w_1``
+    once per pair. A yielded row is valid until the next one is drawn.
+    """
+    last = axis + 1 == len(strides)
+    for k in range(4):
+        w = weights[axis, k]
+        if prefix is not None:
+            w = np.multiply(prefix, w, out=rows[axis - 1])
+        here = offset + k * strides[axis]
+        if last:
+            yield here, w
+        else:
+            yield from _stencil_terms(weights, strides, rows, axis + 1, here, w)
 
 
 def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) -> np.ndarray:
     """Interpolate flat node arrays ``channels`` at ``points`` of shape ``(m, dim)``.
 
-    All channels share one stencil: the base index and the weight of each of
-    the ``4^dim`` offsets are built once and applied to every channel.
+    All channels share one stencil: the node index and the weight of each of
+    the ``4^dim`` offsets are built once and applied to every channel. The
+    points run in ``ceil(m / GATHER_BLOCK)`` blocks whose sizes differ by at
+    most one (the block size is a constant, not a setting), so each block's
+    stencil rows stay in cache. Offset ``k`` of the flat index is read as ``channel[k:]`` at the
+    block's one origin index. The result is bit-identical to one pass over
+    all points that adds ``weight * value`` per offset: each point gets the
+    same products, added in the same offset order into an accumulator that
+    starts at zero (so terms that are all ``-0.0`` sum to ``0.0``, not
+    ``-0.0``).
     Returns shape ``(len(channels), m)``.
     """
     half = grid.half_width
-    base, weights = _interp_stencil(grid, np.clip(points, -half, half))
     dim = grid.dim
-    strides = [grid.points_per_axis ** (dim - 1 - j) for j in range(dim)]
-    origin = base[:, 0] * strides[0]
-    for j in range(1, dim):
-        origin += base[:, j] * strides[j]
     m = points.shape[0]
+    strides = [grid.points_per_axis ** (dim - 1 - j) for j in range(dim)]
     acc = np.zeros((len(channels), m))
-    idx = np.empty(m, dtype=np.int64)
-    w = np.empty(m)
-    term = np.empty(m)
-    for offsets in itertools.product(range(4), repeat=dim):
-        np.add(origin, sum(k * stride for k, stride in zip(offsets, strides)), out=idx)
-        w[:] = weights[:, 0, offsets[0]]
+    blocks = max(1, -(-m // GATHER_BLOCK))
+    width = -(-m // blocks)
+    term_buffer = np.empty(width)
+    row_buffer = np.empty((dim - 1, width))
+    for b in range(blocks):
+        lo, hi = b * m // blocks, (b + 1) * m // blocks
+        bases, weights = _interp_stencil(grid, np.clip(points[lo:hi], -half, half))
+        origin = bases[0] * strides[0]
         for j in range(1, dim):
-            np.multiply(w, weights[:, j, offsets[j]], out=w)
-        for c, channel in enumerate(channels):
-            np.take(channel, idx, out=term, mode="wrap")  # idx is in range; skips buffering
-            np.multiply(w, term, out=term)
-            acc[c] += term
+            origin += bases[j] * strides[j]
+        out, term, rows = acc[:, lo:hi], term_buffer[:hi - lo], row_buffer[:, :hi - lo]
+        for k, w in _stencil_terms(weights, strides, rows):
+            for c, channel in enumerate(channels):
+                np.take(channel[k:], origin, out=term, mode="wrap")  # in range; skips buffering
+                term *= w
+                out[c] += term
     if extrapolation == "zero":
         # column by column: a reduction over the short trailing axis is ~15x slower
         inside = np.abs(points[:, 0]) <= half
@@ -362,6 +408,16 @@ class DisplacementField:
         """Node-wise Jacobian of the displacement, shape ``(dim, dim) + grid.shape``."""
         return np.stack(self._first_derivatives(), axis=1)
 
+    def jacobian_entries(self) -> list:
+        """The entries of :meth:`jacobian_grid` without the copy.
+
+        ``entries[i][j]`` is ``d_j g_i``, a grid-shaped view of the cached
+        first derivatives; :func:`det_plus_identity` and
+        :func:`spectral_norms` read this nested list like the stacked array.
+        """
+        firsts = self._first_derivatives()
+        return [[d[i] for d in firsts] for i in range(self.grid.dim)]
+
     def jacobian_at(self, points) -> np.ndarray:
         """Interpolated displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``."""
         pts, lead = _normalize_points(points, self.grid.dim)
@@ -380,11 +436,13 @@ class DisplacementField:
                                  self.extrapolation)
 
 
-def spectral_norms(jac: np.ndarray) -> np.ndarray:
+def spectral_norms(jac) -> np.ndarray:
     """Spectral norm of every matrix in a ``(dim, dim, ...)`` Jacobian stack.
 
-    The layout is that of :meth:`DisplacementField.jacobian_grid`; the result
-    has shape ``jac.shape[2:]``. Dim 1 is ``|a|``. Dim 2 is the closed form
+    The layout is that of :meth:`DisplacementField.jacobian_grid`, either
+    stacked or as the nested :meth:`DisplacementField.jacobian_entries`
+    (entry ``jac[i][j]``); the result has the shape of one entry. Dim 1 is
+    ``|a|``. Dim 2 is the closed form
 
         sigma_max = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2,
 
@@ -393,30 +451,31 @@ def spectral_norms(jac: np.ndarray) -> np.ndarray:
     to a negative radicand, and so to NaN, on near-rotations, where
     ``F^2 = 2 |det|``. Dim 3 takes the largest singular value from LAPACK.
     """
-    dim = jac.shape[0]
+    dim = len(jac)
     if dim == 1:
-        return np.abs(jac[0, 0])
+        return np.abs(jac[0][0])
     if dim == 2:
-        a, b, c, d = jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1]
+        (a, b), (c, d) = jac
         return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
-    return np.linalg.svd(np.moveaxis(jac, (0, 1), (-2, -1)), compute_uv=False)[..., 0]
+    return np.linalg.svd(np.moveaxis(np.asarray(jac), (0, 1), (-2, -1)),
+                         compute_uv=False)[..., 0]
 
 
-def det_plus_identity(jac: np.ndarray) -> np.ndarray:
+def det_plus_identity(jac) -> np.ndarray:
     """``det(I + J)`` of every matrix ``J`` in a ``(dim, dim, ...)`` Jacobian stack.
 
-    The layout is that of :meth:`DisplacementField.jacobian_grid`; the result
-    has shape ``jac.shape[2:]``. The determinant is expanded by cofactors
-    (``1 + a`` in dim 1, ``(1 + a)(1 + d) - bc`` in dim 2).
+    The layout is that of :func:`spectral_norms`, stacked or nested; the
+    result has the shape of one entry. The determinant is expanded by
+    cofactors (``1 + a`` in dim 1, ``(1 + a)(1 + d) - bc`` in dim 2).
     """
-    dim = jac.shape[0]
+    dim = len(jac)
     if dim == 1:
-        return 1.0 + jac[0, 0]
+        return 1.0 + jac[0][0]
     if dim == 2:
-        return (1.0 + jac[0, 0]) * (1.0 + jac[1, 1]) - jac[0, 1] * jac[1, 0]
-    m00, m11, m22 = 1.0 + jac[0, 0], 1.0 + jac[1, 1], 1.0 + jac[2, 2]
-    m01, m02, m10, m12, m20, m21 = (jac[0, 1], jac[0, 2], jac[1, 0],
-                                    jac[1, 2], jac[2, 0], jac[2, 1])
+        (a, b), (c, d) = jac
+        return (1.0 + a) * (1.0 + d) - b * c
+    (a00, m01, m02), (m10, a11, m12), (m20, m21, a22) = jac
+    m00, m11, m22 = 1.0 + a00, 1.0 + a11, 1.0 + a22
     return (m00 * (m11 * m22 - m12 * m21)
             - m01 * (m10 * m22 - m12 * m20)
             + m02 * (m10 * m21 - m11 * m20))

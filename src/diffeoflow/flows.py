@@ -185,7 +185,7 @@ def _spectral_sup(mats: np.ndarray) -> float:
 
 def _jacobian_stats(displacement: DisplacementField) -> tuple:
     """Stencil ``(sup |d_x f|, min det(I + d_x f))`` over the grid."""
-    jac = displacement.jacobian_grid()
+    jac = displacement.jacobian_entries()
     return float(np.max(spectral_norms(jac))), float(np.min(det_plus_identity(jac)))
 
 

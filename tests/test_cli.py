@@ -13,6 +13,7 @@ from diffeoflow import (
     read_diffeo,
     write_diffeo,
 )
+from diffeoflow import group
 from diffeoflow.cli import config_from_argv, main
 
 
@@ -192,6 +193,22 @@ class TestComposeInvert:
             "--descriptor=-2*x*exp(-x^2)")
         assert code == 3
         assert "NonDiffeoError" in err
+
+    @pytest.mark.parametrize("argv,margins", [
+        # the source and its inverse; the identity residuals build no member
+        (["--command", "invert", "--class", "Schwartz", "--descriptor", "0.1*exp(-x^2)"], 2),
+        # two sources, the inverse of the outer, the inner o outer, the result
+        (["--command", "conjugate", "--descriptor", "0.2*tanh((x-0.3)/1.1)",
+          "--descriptor", "0.1*exp(-x^2)"], 5),
+    ], ids=["invert", "conjugate"])
+    def test_each_member_measures_one_margin(self, capsys, monkeypatch, argv, margins):
+        calls = []
+        measure = group._det_margin
+        monkeypatch.setattr(group, "_det_margin",
+                            lambda displacement: calls.append(1) or measure(displacement))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == margins
 
     def test_under_resolved_compose_exits_3(self, capsys):
         code, _, err = run_cli(

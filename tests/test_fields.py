@@ -21,7 +21,7 @@ from diffeoflow import (
     weighted_seminorm,
 )
 from diffeoflow.fields import (
-    _interp_stencil,
+    GATHER_BLOCK,
     det_plus_identity,
     multi_indices_up_to,
     row_max,
@@ -265,8 +265,23 @@ class TestDisplacementField:
             field.regrid(plane_grid)
 
 
+def _oracle_stencil(grid, coords):
+    """Cubic Lagrange bases ``(m, dim)`` and weights ``(m, dim, 4)``, written out
+    independently of the kernel under test."""
+    n = grid.points_per_axis
+    u = (coords + grid.half_width) / grid.spacing
+    base = np.clip(np.floor(u).astype(np.int64) - 1, 0, n - 4)
+    t = u - (base + 1)
+    w = np.empty(t.shape + (4,))
+    w[..., 0] = -t * (t - 1.0) * (t - 2.0) / 6.0
+    w[..., 1] = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+    w[..., 2] = -(t + 1.0) * t * (t - 2.0) / 2.0
+    w[..., 3] = (t + 1.0) * t * (t - 1.0) / 6.0
+    return base, w
+
+
 def _per_component_oracle(values, grid, points, extrapolation):
-    """The per-component cubic gather that the shared-stencil kernel replaced."""
+    """One component, one offset at a time, over all points in one pass."""
     half = grid.half_width
     if extrapolation == "clamp":
         coords = np.clip(points, -half, half)
@@ -274,7 +289,7 @@ def _per_component_oracle(values, grid, points, extrapolation):
     else:
         inside = np.all(np.abs(points) <= half, axis=-1)
         coords = np.clip(points, -half, half)
-    base, weights = _interp_stencil(grid, coords)
+    base, weights = _oracle_stencil(grid, coords)
     flat = values.reshape(-1)
     strides = [grid.points_per_axis ** (grid.dim - 1 - j) for j in range(grid.dim)]
     acc = np.zeros(points.shape[0])
@@ -288,6 +303,12 @@ def _per_component_oracle(values, grid, points, extrapolation):
     if inside is not None:
         acc = np.where(inside, acc, 0.0)
     return acc
+
+
+def _same_bytes(got, want):
+    """Bit-for-bit equality, which also tells ``-0.0`` from ``0.0``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _query_points(grid, rng):
@@ -305,26 +326,45 @@ def _query_points(grid, rng):
 
 
 GATHER_GRIDS = [Grid(1, 4.0, 33), Grid(2, 4.0, 17), Grid(3, 2.0, 17)]
+# h = 2/3: (x + L) / h is not an integer at every node
+NON_DYADIC = Grid(3, 8.0, 25)
+# jittered nodes of these span several gather blocks, the last one not full
+BLOCKED_GRIDS = [Grid(2, 4.0, 129), Grid(3, 2.0, 33)]
+
+
+def _jittered_nodes(grid, rng):
+    """Every node moved by up to half a spacing per axis, some across a face."""
+    h = grid.spacing
+    nodes = np.asarray(grid.nodes())
+    return nodes + rng.uniform(-0.5 * h, 0.5 * h, size=nodes.shape)
 
 
 @pytest.mark.parametrize("extrapolation", ["zero", "clamp"])
-@pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("grid,queries", [
+    *[(grid, "mixed") for grid in GATHER_GRIDS],
+    (NON_DYADIC, "mixed"),
+    *[(grid, "jittered") for grid in BLOCKED_GRIDS],
+], ids=["1d", "2d", "3d", "3d-nondyadic", "2d-blocked", "3d-blocked"])
 class TestSharedStencilGather:
-    """The shared-stencil gather is bit-identical to the per-component one."""
+    """The blocked shared-stencil gather is byte-identical to the per-component one."""
 
     @pytest.fixture
-    def case(self, grid, extrapolation):
+    def case(self, grid, queries, extrapolation):
         rng = np.random.default_rng(grid.dim)
         values = rng.normal(size=(grid.dim,) + grid.shape)
         field = DisplacementField(grid, values, extrapolation)
-        pts = _query_points(grid, rng)
+        if queries == "mixed":
+            pts = _query_points(grid, rng)
+        else:
+            pts = _jittered_nodes(grid, rng)
+            assert len(pts) > GATHER_BLOCK and len(pts) % GATHER_BLOCK != 0
         return field, pts, pts.reshape(-1, grid.dim)
 
     def test_scalar_sample(self, case):
         field, pts, flat = case
         scalar = ScalarField(field.grid, field.values[-1], field.extrapolation)
         want = _per_component_oracle(scalar.values, field.grid, flat, field.extrapolation)
-        assert np.array_equal(scalar.sample(pts), want.reshape(pts.shape[:-1]))
+        assert _same_bytes(scalar.sample(pts), want.reshape(pts.shape[:-1]))
 
     def test_displacement_sample(self, case):
         field, pts, flat = case
@@ -333,7 +373,7 @@ class TestSharedStencilGather:
                          for i in range(field.grid.dim)], axis=-1)
         got = field.sample(pts)
         assert got.flags.c_contiguous
-        assert np.array_equal(got, want.reshape(pts.shape))
+        assert _same_bytes(got, want.reshape(pts.shape))
 
     def test_jacobian_at(self, case):
         field, pts, flat = case
@@ -348,8 +388,8 @@ class TestSharedStencilGather:
                                          field.extrapolation).partial_derivative(alpha)
                 want = _per_component_oracle(derivative.values, field.grid, flat,
                                              field.extrapolation)
-                assert np.array_equal(got[..., i, j], want.reshape(pts.shape[:-1]))
-                assert np.array_equal(got[..., i, j], derivative.sample(pts))
+                assert _same_bytes(got[..., i, j], want.reshape(pts.shape[:-1]))
+                assert _same_bytes(got[..., i, j], derivative.sample(pts))
 
     def test_regrid(self, case):
         field, _, _ = case
@@ -359,9 +399,24 @@ class TestSharedStencilGather:
         want = np.stack([_per_component_oracle(field.values[i], grid, nodes,
                                                field.extrapolation).reshape(wider.shape)
                          for i in range(grid.dim)])
-        assert np.array_equal(field.regrid(wider).values, want)
+        assert _same_bytes(field.regrid(wider).values, want)
         scalar = ScalarField(grid, field.values[0], field.extrapolation).regrid(wider)
-        assert np.array_equal(scalar.values, want[0])
+        assert _same_bytes(scalar.values, want[0])
+
+
+@pytest.mark.parametrize("extrapolation", ["zero", "clamp"])
+def test_gather_adds_signed_zero_terms_to_positive_zero(extrapolation):
+    """For ``t`` in (0, 1) the cubic weights have signs (-, +, +, -), so zeros
+    signed (+, -, -, +) make every term ``-0.0``; an accumulator that starts
+    at ``0.0`` reads ``0.0``, while one seeded with its first term would
+    read ``-0.0``, which a dff file prints as ``-0``."""
+    grid = Grid(1, 4.0, 33)
+    signs = np.isin(np.arange(33) % 4, (1, 2))
+    field = ScalarField(grid, np.where(signs, -0.0, 0.0), extrapolation)
+    pts = (-grid.half_width + grid.spacing * (4 * np.arange(8) + 1.5))[:, None]
+    want = _per_component_oracle(field.values, grid, pts, extrapolation)
+    assert _same_bytes(want, np.zeros(8))
+    assert _same_bytes(field.sample(pts), want)
 
 
 @pytest.mark.parametrize("extrapolation", ["zero", "clamp"])
@@ -398,6 +453,18 @@ class TestStackedDerivativeStore:
                 assert np.array_equal(jac[i, j], channel.partial_derivative(alpha).values)
         assert spectral_norms(jac).shape == grid.shape
         assert det_plus_identity(jac).shape == grid.shape
+
+    def test_jacobian_entries_are_views_the_kernels_read_like_the_stack(self, field):
+        grid = field.grid
+        jac = field.jacobian_grid()
+        entries = field.jacobian_entries()
+        for i in range(grid.dim):
+            for j in range(grid.dim):
+                alpha = tuple(int(k == j) for k in range(grid.dim))
+                assert np.shares_memory(entries[i][j], field.partial_derivative(alpha).values)
+                assert np.array_equal(entries[i][j], jac[i, j])
+        assert spectral_norms(entries).tobytes() == spectral_norms(jac).tobytes()
+        assert det_plus_identity(entries).tobytes() == det_plus_identity(jac).tobytes()
 
     def test_node_layout_round_trip(self, field):
         grid = field.grid
