@@ -28,6 +28,8 @@ PLANE = ["--dim", "2", "--points", "129"]
 
 COMMANDS = [
     ("verify", ["--command", "verify", "--seed", "1789"]),
+    # a second rng stream for criterion 4's drawn matrices and criterion 2's derivatives
+    ("verify-101", ["--command", "verify", "--seed", "101"]),
     ("classify-descriptor", ["--command", "classify", "--descriptor", "1/(1+x^2)"]),
     ("compose-1d", ["--command", "compose", "--descriptor", TANH_1D,
                     "--descriptor", GAUSS_1D]),

@@ -2,19 +2,24 @@
 
 Fields live on a uniform tensor grid over ``[-L, L]^dim``. Derivatives are
 fourth-order finite differences (central stencils inside, one-sided stencils
-on the two rows nearest each face). Off-grid evaluation is separable
-piecewise-cubic Lagrange interpolation, which reproduces cubics exactly and
-therefore matches the fourth-order accuracy of the stencils. Points outside
-the box either read as zero (fields that decay) or as the clamped boundary
-value (fields that merely stay bounded).
+on the two rows nearest each face). A field caches every ``d^alpha`` it has
+derived and chains a new one from the cache: one first-derivative stencil
+along the last nonzero axis of ``alpha``, applied to the cached next-lower
+order, which is the from-scratch sequence of stencils bit for bit.
+Off-grid evaluation is separable piecewise-cubic Lagrange interpolation,
+which reproduces cubics exactly and therefore matches the fourth-order
+accuracy of the stencils. Points outside the box either read as zero
+(fields that decay) or as the clamped boundary value (fields that merely
+stay bounded).
 
 Interpolation is the engine's inner loop: composition, inversion and
 conjugation all read a displacement at displaced points. ``_gather`` runs
 it over blocks of at most ``GATHER_BLOCK`` query points (a constant), from
 per-axis stencil weights laid out ``(dim, 4, m)`` so each weight row is
-contiguous. Blocking changes only memory traffic: every point's value is
-the same products added in the same offset order into an accumulator that
-starts at zero, so results are bit-identical to an unblocked pass.
+contiguous, written into scratch rows allocated once per gather. Blocking
+changes only memory traffic: every point's value is the same products
+added in the same offset order into an accumulator that starts at zero, so
+results are bit-identical to an unblocked pass.
 """
 
 from __future__ import annotations
@@ -127,38 +132,88 @@ def _check_alpha(alpha, dim: int) -> tuple:
     return alpha
 
 
-def _derive_values(values: np.ndarray, alpha: tuple, h: float) -> np.ndarray:
-    out = values
-    for axis, count in enumerate(alpha):
-        for _ in range(count):
-            out = _d1(out, axis, h)
-    return out
+def _chained_derivative(field, alpha: tuple):
+    """``d^alpha`` of a scalar or displacement field, chained from its cache.
+
+    A missing ``alpha`` is one ``_d1`` per channel along its last nonzero
+    axis ``j``, applied to ``d^(alpha - e_j)``, which is cached or derived
+    the same way. Taking ``d^alpha`` from the values one axis at a time
+    (axis 0 ``alpha_0`` times, then axis 1, ...) runs exactly this sequence
+    of ``_d1`` calls, so the result has the same bits, and each index costs
+    one ``_d1`` per channel whatever order the indices are asked in.
+    """
+    if sum(alpha) == 0:
+        return field
+    cached = field._derivatives.get(alpha)
+    if cached is None:
+        axis = max(j for j, a in enumerate(alpha) if a)
+        lower = _chained_derivative(field, alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:])
+        h = field.grid.spacing
+        if isinstance(field, ScalarField):
+            values = _d1(lower.values, axis, h)
+        else:
+            # one channel at a time keeps the stencil temporaries one channel wide
+            values = np.stack([_d1(channel, axis, h) for channel in lower.values])
+        cached = type(field)(field.grid, values, field.extrapolation)
+        field._derivatives[alpha] = cached
+    return cached
 
 
-def _interp_stencil(grid: Grid, coords: np.ndarray):
-    """Per-axis stencil bases and cubic Lagrange weights for query coordinates.
+def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
+                    weights: np.ndarray, bases: np.ndarray):
+    """Flat stencil origins and cubic Lagrange weights at ``points``, in scratch.
 
-    ``coords`` has shape ``(m, dim)`` and must already lie inside the box.
-    Returns ``(bases, weights)`` with shapes ``(dim, m)`` and ``(dim, 4, m)``,
-    so that every ``weights[j, k]`` is one contiguous row. The four weights
-    interpolate through nodes ``base .. base+3``; near a face the stencil
-    shifts inward, which keeps the interpolant cubic-exact. Each weight is
-    the product ``(t - a)(t - b)(t - c) / 6`` or ``/ 2`` evaluated left to
-    right from shared ``t + 1``, ``t - 1`` and ``t - 2`` rows.
+    ``points`` has shape ``(m, dim)`` and is clipped to the box here. The
+    scratch comes from :func:`_gather`, which allocates it once per call:
+    ``rows`` is float ``(5, dim, width)``, ``weights`` is ``(dim, 4, width)``
+    and ``bases`` is int64 ``(dim, width)``, with ``width >= m``. Returns
+    views ``(origin, weights[:, :, :m])``: ``origin`` is the flat node index
+    of each point's stencil corner, and every weight row ``weights[j, k]``
+    is contiguous. The four weights of an axis interpolate through nodes
+    ``base .. base+3``; near a face the stencil shifts inward, which keeps
+    the interpolant cubic-exact. Each weight is the product
+    ``(t - a)(t - b)(t - c) / 6`` or ``/ 2`` multiplied left to right from
+    shared ``t + 1``, ``t - 1`` and ``t - 2`` rows; a leading minus sign
+    moves onto the divisor and ``(t + 1) t`` is formed once for two
+    weights, both exact, so the bits are those of the plain products.
     """
     n = grid.points_per_axis
-    u = np.empty(coords.shape[::-1])
-    np.add(coords.T, grid.half_width, out=u)
+    m = points.shape[0]
+    u, t, tp1, tm1, tm2 = rows[:, :, :m]
+    w = weights[:, :, :m]
+    base = bases[:, :m]
+    # maximum then minimum is np.clip for finite points, without its call overhead
+    np.maximum(points.T, -grid.half_width, out=u)
+    np.minimum(u, grid.half_width, out=u)
+    u += grid.half_width
     u /= grid.spacing
-    base = np.clip(np.floor(u).astype(np.int64) - 1, 0, n - 4)
-    t = u - (base + 1)
-    tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
-    w = np.empty((coords.shape[1], 4, coords.shape[0]))
-    w[:, 0] = -t * tm1 * tm2 / 6.0
-    w[:, 1] = tp1 * tm1 * tm2 / 2.0
-    w[:, 2] = -tp1 * t * tm2 / 2.0
-    w[:, 3] = tp1 * t * tm1 / 6.0
-    return base, w
+    # base + 1 = clip(floor(u), 1, n - 3): small integers, exact as floats
+    np.floor(u, out=t)
+    np.maximum(t, 1.0, out=t)
+    np.minimum(t, n - 3.0, out=t)
+    np.subtract(t, 1.0, out=base, casting="unsafe")
+    np.subtract(u, t, out=t)
+    np.add(t, 1.0, out=tp1)
+    np.subtract(t, 1.0, out=tm1)
+    np.subtract(t, 2.0, out=tm2)
+    w0, w1, w2, w3 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
+    np.multiply(t, tm1, out=w0)
+    w0 *= tm2
+    w0 /= -6.0
+    np.multiply(tp1, tm1, out=w1)
+    w1 *= tm2
+    w1 /= 2.0
+    np.multiply(tp1, t, out=w3)
+    np.multiply(w3, tm2, out=w2)
+    w2 /= -2.0
+    w3 *= tm1
+    w3 /= 6.0
+    # the last axis has stride 1, so its base row becomes the flat origin
+    origin = base[-1]
+    for j in range(grid.dim - 1):
+        base[j] *= n ** (grid.dim - 1 - j)
+        origin += base[j]
+    return origin, w
 
 
 def _stencil_terms(weights: np.ndarray, strides: list, rows: np.ndarray,
@@ -205,14 +260,13 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) 
     acc = np.zeros((len(channels), m))
     blocks = max(1, -(-m // GATHER_BLOCK))
     width = -(-m // blocks)
+    scratch = (np.empty((5, dim, width)), np.empty((dim, 4, width)),
+               np.empty((dim, width), dtype=np.int64))
     term_buffer = np.empty(width)
     row_buffer = np.empty((dim - 1, width))
     for b in range(blocks):
         lo, hi = b * m // blocks, (b + 1) * m // blocks
-        bases, weights = _interp_stencil(grid, np.clip(points[lo:hi], -half, half))
-        origin = bases[0] * strides[0]
-        for j in range(1, dim):
-            origin += bases[j] * strides[j]
+        origin, weights = _interp_stencil(grid, points[lo:hi], *scratch)
         out, term, rows = acc[:, lo:hi], term_buffer[:hi - lo], row_buffer[:, :hi - lo]
         for k, w in _stencil_terms(weights, strides, rows):
             for c, channel in enumerate(channels):
@@ -302,15 +356,8 @@ class ScalarField:
         return out[0].reshape(lead)
 
     def partial_derivative(self, alpha) -> "ScalarField":
-        alpha = _check_alpha(alpha, self.grid.dim)
-        if sum(alpha) == 0:
-            return self
-        cached = self._derivatives.get(alpha)
-        if cached is None:
-            values = _derive_values(self.values, alpha, self.grid.spacing)
-            cached = ScalarField(self.grid, values, self.extrapolation)
-            self._derivatives[alpha] = cached
-        return cached
+        """Stencil derivative ``d^alpha``, cached and chained from cached lower orders."""
+        return _chained_derivative(self, _check_alpha(alpha, self.grid.dim))
 
     def regrid(self, new_grid: Grid) -> "ScalarField":
         if new_grid.dim != self.grid.dim:
@@ -386,17 +433,8 @@ class DisplacementField:
         return np.ascontiguousarray(out.T).reshape(lead + (self.grid.dim,))
 
     def partial_derivative(self, alpha) -> "DisplacementField":
-        alpha = _check_alpha(alpha, self.grid.dim)
-        if sum(alpha) == 0:
-            return self
-        cached = self._derivatives.get(alpha)
-        if cached is None:
-            # one channel at a time keeps the stencil temporaries one channel wide
-            values = np.stack([_derive_values(channel, alpha, self.grid.spacing)
-                               for channel in self.values])
-            cached = DisplacementField(self.grid, values, self.extrapolation)
-            self._derivatives[alpha] = cached
-        return cached
+        """Channel-stacked ``d^alpha``, cached and chained from cached lower orders."""
+        return _chained_derivative(self, _check_alpha(alpha, self.grid.dim))
 
     def _first_derivatives(self) -> list:
         """Cached ``d_j g`` stacks, one ``(dim,) + grid.shape`` array per axis ``j``."""

@@ -265,15 +265,28 @@ def inverse_norm_bound(matrix: np.ndarray) -> tuple:
 
     Returns ``(bound, holds)`` where ``holds`` compares the actual inverse
     norm against the bound with a small absolute slack for roundoff.
+    ``matrix`` is one ``(n, n)`` matrix, which gives a Python ``float`` and
+    ``bool``, or a ``(k, n, n)`` stack, which gives two length-``k`` arrays
+    from one batched ``det``, ``svd`` and ``inv`` each. numpy's linalg
+    routines run the same LAPACK call on every matrix of a stack, so entry
+    ``i`` has the bits of a single call on ``matrix[i]``. A singular matrix
+    anywhere in the stack raises :class:`SingularJacobianError`.
     """
     a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise JetError(f"expected a square matrix, got shape {a.shape}")
-    det = float(np.linalg.det(a))
-    if det == 0.0 or not np.isfinite(det):
-        raise SingularJacobianError(f"matrix is singular (det = {det})")
-    n = a.shape[0]
-    bound = float(np.linalg.norm(a, 2)) ** (n - 1) / abs(det)
-    actual = float(np.linalg.norm(np.linalg.inv(a), 2))
-    holds = bool(actual <= bound + 1.0e-12)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise JetError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a.reshape((-1,) + a.shape[-2:])
+    det = np.linalg.det(stack)
+    singular = (det == 0.0) | ~np.isfinite(det)
+    if np.any(singular):
+        i = int(np.argmax(singular))
+        raise SingularJacobianError(f"matrix {i} is singular (det = {det[i]})")
+    n = a.shape[-1]
+    # Python's float power is libm pow, whose squares numpy's power does not always match
+    norms = [s ** (n - 1) for s in np.linalg.norm(stack, 2, axis=(1, 2)).tolist()]
+    bound = np.array(norms) / np.abs(det)
+    actual = np.linalg.norm(np.linalg.inv(stack), 2, axis=(1, 2))
+    holds = actual <= bound + 1.0e-12
+    if a.ndim == 2:
+        return float(bound[0]), bool(holds[0])
     return bound, holds

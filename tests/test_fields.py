@@ -20,8 +20,10 @@ from diffeoflow import (
     sup_seminorm,
     weighted_seminorm,
 )
+from diffeoflow import fields as fields_module
 from diffeoflow.fields import (
     GATHER_BLOCK,
+    MAX_DERIVATIVE_ORDER,
     det_plus_identity,
     multi_indices_up_to,
     row_max,
@@ -474,6 +476,94 @@ class TestStackedDerivativeStore:
         back = DisplacementField.from_nodes(grid, node_values, field.extrapolation)
         assert np.array_equal(back.values, field.values)
         assert back.extrapolation == field.extrapolation
+
+
+def _oracle_d1(values, axis, h):
+    """Fourth-order first derivative along ``axis``, written out independently:
+    central inside, one-sided on the two rows nearest each face."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
+    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
+    out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
+    out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _oracle_derivative(values, alpha, h):
+    """``d^alpha`` of one channel from scratch: axis 0 ``alpha_0`` times, then axis 1, ..."""
+    out = values
+    for axis, count in enumerate(alpha):
+        for _ in range(count):
+            out = _oracle_d1(out, axis, h)
+    return out
+
+
+def _lower_chain(alpha):
+    """``alpha`` and every index below it on the chain that drops one order
+    along the last nonzero axis, down to (but without) zero."""
+    chain = []
+    alpha = tuple(alpha)
+    while sum(alpha):
+        chain.append(alpha)
+        axis = max(j for j, a in enumerate(alpha) if a)
+        alpha = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
+    return chain
+
+
+# every index to the order cap in 1-D and 2-D; to order 3 in 3-D
+CHAIN_CASES = [(GATHER_GRIDS[0], MAX_DERIVATIVE_ORDER), (GATHER_GRIDS[1], MAX_DERIVATIVE_ORDER),
+               (GATHER_GRIDS[2], 3)]
+
+
+@pytest.mark.parametrize("extrapolation", ["zero", "clamp"])
+@pytest.mark.parametrize("kind", ["scalar", "displacement"])
+@pytest.mark.parametrize("grid,order", CHAIN_CASES, ids=["1d", "2d", "3d"])
+class TestChainedDerivatives:
+    """A derivative chained from the cache has the bits of one taken from scratch."""
+
+    @pytest.fixture
+    def field(self, grid, kind, extrapolation):
+        rng = np.random.default_rng(60 + grid.dim)
+        if kind == "scalar":
+            return ScalarField(grid, rng.normal(size=grid.shape), extrapolation)
+        return DisplacementField(grid, rng.normal(size=(grid.dim,) + grid.shape), extrapolation)
+
+    @staticmethod
+    def _shuffled(grid, order):
+        alphas = multi_indices_up_to(grid.dim, order)
+        order_of = np.random.default_rng(70 + grid.dim).permutation(len(alphas))
+        return [alphas[i] for i in order_of]
+
+    def test_matches_from_scratch_stencils(self, field, grid, order):
+        channels = field.values if isinstance(field, DisplacementField) else [field.values]
+        for alpha in self._shuffled(grid, order):
+            got = field.partial_derivative(alpha).values
+            want = np.stack([_oracle_derivative(c, alpha, grid.spacing) for c in channels])
+            assert _same_bytes(got, want.reshape(got.shape)), alpha
+
+    def test_one_d1_per_channel_per_new_index(self, field, grid, order, monkeypatch):
+        calls = []
+        original = fields_module._d1
+
+        def counting(values, axis, h):
+            calls.append(axis)
+            return original(values, axis, h)
+
+        monkeypatch.setattr(fields_module, "_d1", counting)
+        width = grid.dim if isinstance(field, DisplacementField) else 1
+        derived = set()
+        for alpha in self._shuffled(grid, order):
+            new = [a for a in _lower_chain(alpha) if a not in derived]
+            before = len(calls)
+            field.partial_derivative(alpha)
+            assert len(calls) - before == width * len(new), alpha
+            derived.update(new)
+        before = len(calls)
+        for alpha in self._shuffled(grid, order):
+            field.partial_derivative(alpha)
+        assert len(calls) == before
 
 
 @pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])

@@ -123,20 +123,25 @@ class TestDiffeoConstruction:
 
     def test_extrapolation_change_keeps_derivatives(self, plane_grid, monkeypatch):
         derived = []
-        original = fields_module._derive_values
+        original = fields_module._d1
 
-        def counting(values, alpha, h):
-            derived.append(alpha)
-            return original(values, alpha, h)
+        def counting(values, axis, h):
+            derived.append((axis, values))
+            return original(values, axis, h)
 
-        monkeypatch.setattr(fields_module, "_derive_values", counting)
+        # a derivative is one _d1 per channel on the cached next-lower order, so a
+        # first derivative is the one _d1 step applied to the member's own values
+        monkeypatch.setattr(fields_module, "_d1", counting)
         # classified on the zero continuation, then re-read with clamp
         member = Diffeo.from_descriptor(plane_grid, "0.2*tanh(x/1.1), 0.15*tanh(y)")
         assert member.decay_class is DecayClass.BOUNDED_ALL
         assert member.displacement.extrapolation == "clamp"
-        # one derivation per channel: classify_decay's, reused by the margin
-        assert derived.count((1, 0)) == 2
-        assert derived.count((0, 1)) == 2
+        # one derivation per channel per axis: classify_decay's, reused by the margin
+        firsts = [axis for axis, values in derived
+                  if np.shares_memory(values, member.displacement.values)]
+        assert firsts.count(0) == 2
+        assert firsts.count(1) == 2
+        assert len(firsts) == 4
         cached = member.displacement._derivatives
         assert set(cached) == {(1, 0), (0, 1)}
         assert all(d.extrapolation == "clamp" for d in cached.values())

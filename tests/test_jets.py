@@ -306,6 +306,40 @@ class TestInverseNormBound:
         with pytest.raises(JetError):
             inverse_norm_bound(np.zeros((2, 3)))
 
+    def test_single_matrix_returns_python_scalars(self):
+        bound, holds = inverse_norm_bound(np.array([[1.0, 2.0], [0.5, -1.0]]))
+        assert type(bound) is float
+        assert type(holds) is bool
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_is_bit_equal_to_single_calls(self, n):
+        stack = np.random.default_rng(82).uniform(-2.0, 2.0, size=(2000, n, n))
+        if n == 3:
+            # numpy's power rounds some of these squares unlike libm's pow
+            norms = np.linalg.norm(stack, 2, axis=(1, 2))
+            assert np.any(norms ** 2 != np.array([x ** 2 for x in norms.tolist()]))
+        bound, holds = inverse_norm_bound(stack)
+        assert bound.shape == holds.shape == (2000,)
+        assert bound.dtype == np.float64 and holds.dtype == np.bool_
+        singles = [inverse_norm_bound(matrix) for matrix in stack]
+        assert bound.tobytes() == np.array([b for b, _ in singles]).tobytes()
+        assert holds.tolist() == [h for _, h in singles]
+        # the per-matrix formula written out: Python's float power, as a scalar caller has it
+        spelled = [float(np.linalg.norm(m, 2)) ** (n - 1) / abs(float(np.linalg.det(m)))
+                   for m in stack]
+        assert bound.tobytes() == np.array(spelled).tobytes()
+
+    def test_stack_with_one_singular_matrix_rejected(self):
+        stack = np.random.default_rng(90).uniform(-2.0, 2.0, size=(5, 2, 2))
+        stack[3] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(SingularJacobianError):
+            inverse_norm_bound(stack)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (3,), (2, 2, 2, 2)])
+    def test_non_square_shapes_rejected(self, shape):
+        with pytest.raises(JetError):
+            inverse_norm_bound(np.ones(shape))
+
     @given(arrays(np.float64, (3, 3),
                   elements=st.floats(min_value=-3.0, max_value=3.0)))
     def test_bound_holds_on_random_matrices(self, matrix):
