@@ -39,7 +39,6 @@ from .fields import (
     Grid,
     ScalarField,
     partial_derivative,
-    resample,
     sample,
     sobolev_seminorm,
     sup_seminorm,
@@ -57,12 +56,10 @@ from .flows import (
 )
 from .group import (
     Diffeo,
-    adjoint_action,
     compose,
     conjugate,
     invert,
     membership_check,
-    pullback,
 )
 from .io import (
     read_diffeo,
@@ -94,13 +91,11 @@ __all__ = [
     "NonDiffeoError", "UnderResolvedError", "InversionError",
     "FlowDomainError", "FlowBlowupError", "FileFormatError",
     "Grid", "ScalarField", "DisplacementField", "sample",
-    "partial_derivative", "resample", "sup_seminorm", "weighted_seminorm",
-    "sobolev_seminorm",
+    "partial_derivative", "sup_seminorm", "weighted_seminorm", "sobolev_seminorm",
     "FlowResult", "TimeDependentVectorField", "evolve",
     "displacement_sup_bound", "gronwall_bound", "sobolev_tracking",
     "right_log_derivative", "evol_smoothness_probe",
     "Diffeo", "membership_check", "compose", "invert", "conjugate",
-    "pullback", "adjoint_action",
     "read_diffeo", "read_displacement", "stable_json_dumps", "write_diffeo",
     "write_displacement", "write_report", "write_time_series_csv",
     "Jet", "compose_jets", "invert_jet", "inverse_norm_bound",

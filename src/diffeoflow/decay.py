@@ -127,8 +127,6 @@ class SeminormReport:
     """
 
     inferred_class: DecayClass
-    max_order: int
-    max_weight: int
     entries: list
     decay_rates: dict
     radii: list
@@ -137,19 +135,11 @@ class SeminormReport:
     support_radius: float | None = None
     notes: list = field(default_factory=list)
 
-    def value(self, kind: str, alpha, m: int = 0) -> float:
-        alpha = tuple(int(a) for a in alpha)
-        for entry in self.entries:
-            if (entry["kind"] == kind and tuple(entry["alpha"]) == alpha
-                    and entry["m"] == m):
-                return entry["value"]
-        raise KeyError((kind, alpha, m))
-
     def to_dict(self) -> dict:
         return {
             "inferred_class": self.inferred_class.value,
-            "max_order": self.max_order,
-            "max_weight": self.max_weight,
+            "max_order": DEFAULT_MAX_ORDER,
+            "max_weight": DEFAULT_MAX_WEIGHT,
             "entries": [
                 {
                     "kind": e["kind"],
@@ -207,32 +197,30 @@ def _fit_exponent(radii, sups) -> float:
     return float(-slope)
 
 
-def _support_radius(field, radii) -> float | None:
-    """Smallest dyadic radius outside of which every sample is exactly zero."""
-    grid = field.grid
-    nodes = np.asarray(grid.nodes())
-    r = row_norms(nodes).reshape(grid.shape)
-    abs_values = _alpha_values(field, (0,) * grid.dim)
-    for radius in [radii[-1] / 4.0, radii[-1] / 2.0] + list(radii):
+def _support_radius(r: np.ndarray, abs_values: np.ndarray, radii) -> float | None:
+    """Smallest dyadic radius outside of which every sample is exactly zero.
+
+    ``r`` holds the node radii and ``abs_values`` the node magnitudes.
+    """
+    for radius in radii:
         outside = r > radius
         if np.any(outside) and float(np.max(abs_values[outside])) == 0.0:
             return float(radius)
     return None
 
 
-def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
-                   max_weight: int = DEFAULT_MAX_WEIGHT) -> SeminormReport:
+def classify_decay(field) -> SeminormReport:
     """Estimate the narrowest decay class a scalar or displacement field fits.
 
-    ``max_order`` caps the derivative orders examined; ``max_weight`` caps the
-    polynomial weights measured, and the Schwartz test asks every fitted
-    exponent to clear ``max_weight + 1``.
+    Derivatives through order ``DEFAULT_MAX_ORDER`` and polynomial weights
+    through ``DEFAULT_MAX_WEIGHT`` are measured, and the Schwartz test asks
+    every fitted exponent to clear ``DEFAULT_MAX_WEIGHT + 1``.
     """
     grid = field.grid
     radii, masks = dyadic_shells(grid)
     notes = []
 
-    alphas = multi_indices_up_to(grid.dim, max_order)
+    alphas = multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER)
     fits = []
     decay_rates = {}
     for alpha in alphas:
@@ -244,7 +232,7 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
         fits.append(ShellFit(alpha, radii, sups, exponent))
         decay_rates[alpha] = exponent
 
-    sup_values, weighted, sobolev_values = seminorm_table(field, alphas, max_weight)
+    sup_values, weighted, sobolev_values = seminorm_table(field, alphas, DEFAULT_MAX_WEIGHT)
     entries = [{"kind": "sup", "alpha": alpha, "m": 0, "value": value}
                for alpha, value in zip(alphas, sup_values)]
     for alpha, row in zip(alphas, weighted):
@@ -261,7 +249,7 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
     edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
     edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
 
-    support_radius = _support_radius(field, radii)
+    support_radius = _support_radius(r, abs_values, radii)
     exponents = list(decay_rates.values())
 
     if global_sup == 0.0 or support_radius is not None:
@@ -269,11 +257,10 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
         if global_sup == 0.0:
             support_radius = 0.0
         notes.append(f"values vanish identically for |x| > {support_radius}")
-    elif all(e >= max_weight + 1 for e in exponents):
+    elif all(e >= DEFAULT_MAX_WEIGHT + 1 for e in exponents):
         inferred = DecayClass.SCHWARTZ
-        notes.append(
-            f"every fitted exponent through order {max_order} is at least {max_weight + 1}"
-        )
+        notes.append(f"every fitted exponent through order {DEFAULT_MAX_ORDER} "
+                     f"is at least {DEFAULT_MAX_WEIGHT + 1}")
     elif (
         all(v <= SOBOLEV_NORM_CAP for v in sobolev_values)
         and all(e >= SOBOLEV_MIN_EXPONENT for e in exponents)
@@ -281,7 +268,7 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
     ):
         inferred = DecayClass.SOBOLEV_INFINITY
         notes.append(
-            f"Sobolev norms through order {max_order} stay under {SOBOLEV_NORM_CAP} "
+            f"Sobolev norms through order {DEFAULT_MAX_ORDER} stay under {SOBOLEV_NORM_CAP} "
             f"and the field has died down near the box edge"
         )
     else:
@@ -298,8 +285,6 @@ def classify_decay(field, max_order: int = DEFAULT_MAX_ORDER,
 
     return SeminormReport(
         inferred_class=inferred,
-        max_order=max_order,
-        max_weight=max_weight,
         entries=entries,
         decay_rates=decay_rates,
         radii=radii,

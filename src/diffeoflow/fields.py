@@ -75,10 +75,6 @@ class Grid:
         """All grid nodes as a read-only ``(node_count, dim)`` array, row-major."""
         return _grid_nodes(self)
 
-    def doubled(self) -> "Grid":
-        """Same box with halved spacing (new nodes at old nodes and midpoints)."""
-        return Grid(self.dim, self.half_width, 2 * self.points_per_axis - 1)
-
 
 @lru_cache(maxsize=32)
 def _grid_nodes(grid: Grid) -> np.ndarray:
@@ -345,11 +341,6 @@ class ScalarField:
         _, evaluate = bind(descriptor, grid.dim)
         return cls(grid, evaluate(None, grid.nodes()).reshape(grid.shape), extrapolation)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn, extrapolation: str = "zero") -> "ScalarField":
-        values = np.asarray(fn(np.asarray(grid.nodes())), dtype=np.float64).reshape(grid.shape)
-        return cls(grid, values, extrapolation)
-
     def sample(self, points) -> np.ndarray:
         pts, lead = _normalize_points(points, self.grid.dim)
         out = _gather([self.values.reshape(-1)], self.grid, pts, self.extrapolation)
@@ -535,13 +526,6 @@ def partial_derivative(field, alpha):
     if not isinstance(field, (ScalarField, DisplacementField)):
         raise FieldError(f"expected a field, got {type(field).__name__}")
     return field.partial_derivative(_as_alpha(alpha, field.grid.dim))
-
-
-def resample(field, points) -> np.ndarray:
-    """Interpolate a field at arbitrary points (cubic Lagrange, per axis)."""
-    if not isinstance(field, (ScalarField, DisplacementField)):
-        raise FieldError(f"expected a field, got {type(field).__name__}")
-    return field.sample(points)
 
 
 def _as_alpha(alpha, dim: int) -> tuple:

@@ -35,17 +35,22 @@ GRONWALL_ABS_SLACK = 1.0e-8
 EDGE_ANNULUS_FRACTION = 0.875
 EDGE_DECAY_TOL = 1.0e-6
 SOBOLEV_TRACKING_ORDER = 2
+# bytes of snapshots and their first derivatives one evolve may keep; a 3-D
+# 49^3 run at dt = 1/32 keeps about 0.37 GB
+SNAPSHOT_BUDGET_BYTES = 4 * 2 ** 30
 
 
 class TimeDependentVectorField:
-    """A vector field ``X(t, x)`` with a decay class.
+    """A vector field ``X(t, x)`` with its spatial Jacobian and a decay class.
 
-    The class applies to every time slice; the constructor records the claim
-    and :func:`diffeoflow.group.membership_check` on a slice verifies it.
+    ``fn(t, points)`` returns the field and ``jacobian_fn(t, points)`` its
+    Jacobian ``d_x X`` at ``(m, dim)`` points; :meth:`from_descriptor`
+    builds both from one closed form. The class applies to every time
+    slice; the constructor records the claim and
+    :func:`diffeoflow.group.membership_check` on a slice verifies it.
     """
 
-    def __init__(self, dim: int, fn, decay_class: DecayClass | None = None,
-                 jacobian_fn=None):
+    def __init__(self, dim: int, fn, jacobian_fn, decay_class: DecayClass | None = None):
         if dim not in (1, 2, 3):
             raise FieldError(f"dim must be 1, 2 or 3, got {dim}")
         self.dim = dim
@@ -59,20 +64,7 @@ class TimeDependentVectorField:
         exprs, values = bind(descriptor, dim, (dim,), time=True)
         _, jacobian = bind([expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
                            dim, (dim, dim), time=True)
-        return cls(dim, values, decay_class, jacobian)
-
-    @classmethod
-    def from_displacement(cls, displacement: DisplacementField,
-                          decay_class: DecayClass | None = None) -> "TimeDependentVectorField":
-        """Autonomous field backed by grid data (interpolated off the grid)."""
-
-        def fn(t, points):
-            return displacement.sample(points)
-
-        def jac_fn(t, points):
-            return displacement.jacobian_at(points)
-
-        return cls(displacement.grid.dim, fn, decay_class, jac_fn)
+        return cls(dim, values, jacobian, decay_class)
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -81,54 +73,22 @@ class TimeDependentVectorField:
             raise FieldError(f"vector field returned shape {out.shape} for {pts.shape}")
         return out
 
-    def jacobian(self, t: float, points: np.ndarray,
-                 grid: Grid | None = None) -> np.ndarray:
-        """Spatial Jacobian ``d_x X(t, .)`` at the given points.
-
-        Descriptor- and grid-backed fields differentiate exactly or by
-        stencil respectively; a bare closure needs ``grid`` so a slice can
-        be sampled and differenced.
-        """
+    def jacobian(self, t: float, points: np.ndarray) -> np.ndarray:
+        """Spatial Jacobian ``d_x X(t, .)`` at the given points, shape ``(m, dim, dim)``."""
         pts = np.asarray(points, dtype=np.float64)
-        if self._jac_fn is not None:
-            return np.asarray(self._jac_fn(float(t), pts), dtype=np.float64)
-        if grid is None:
-            raise FieldError(
-                "this vector field has no analytic Jacobian; pass a grid to difference on"
-            )
-        return self.at_time(grid, t).jacobian_at(pts)
+        return np.asarray(self._jac_fn(float(t), pts), dtype=np.float64)
 
     def at_time(self, grid: Grid, t: float) -> DisplacementField:
         """Snapshot of the field on grid nodes at one time."""
         return DisplacementField.from_nodes(grid, self(t, np.asarray(grid.nodes())),
                                             extrapolation_for(self.decay_class))
 
-    def scaled(self, factor: float) -> "TimeDependentVectorField":
-        factor = float(factor)
-        jac = None
-        if self._jac_fn is not None:
-            inner_jac = self._jac_fn
-            jac = lambda t, pts: factor * inner_jac(t, pts)
-        return TimeDependentVectorField(
-            self.dim, lambda t, pts, f=self._fn: factor * f(t, pts), self.decay_class, jac)
-
     def time_shifted(self, t0: float) -> "TimeDependentVectorField":
         """The field ``(t, x) -> X(t0 + t, x)``."""
         t0 = float(t0)
-        jac = None
-        if self._jac_fn is not None:
-            inner_jac = self._jac_fn
-            jac = lambda t, pts: inner_jac(t0 + t, pts)
         return TimeDependentVectorField(
-            self.dim, lambda t, pts, f=self._fn: f(t0 + t, pts), self.decay_class, jac)
-
-
-def as_vector_field(source) -> TimeDependentVectorField:
-    if isinstance(source, TimeDependentVectorField):
-        return source
-    if isinstance(source, DisplacementField):
-        return TimeDependentVectorField.from_displacement(source)
-    raise FieldError(f"cannot treat {type(source).__name__} as a vector field")
+            self.dim, lambda t, pts, f=self._fn: f(t0 + t, pts),
+            lambda t, pts, jac=self._jac_fn: jac(t0 + t, pts), self.decay_class)
 
 
 @dataclass
@@ -136,13 +96,13 @@ class FlowResult:
     """Everything one evolution run produced.
 
     ``times`` has one entry per RK4 step boundary and ``snapshots`` one
-    ``(time, DisplacementField)`` pair per recorded boundary (every step by
-    default). ``diagnostics`` holds per-boundary curves: the displacement
-    sup, the certified bound sup and its worst signed defect, the Jacobian
-    sup and minimum determinant of ``I + d_x f``, and the Gronwall data
-    ``beta`` (sup of ``|d_x X|`` along trajectories) with its cumulative
-    integral ``alpha``. ``final_bound`` is each node's certified bound at
-    ``t_final``, and ``final_displacement`` is the last snapshot's field.
+    ``(time, DisplacementField)`` pair per boundary. ``diagnostics`` holds
+    per-boundary curves: the displacement sup, the certified bound sup and
+    its worst signed defect, the Jacobian sup and minimum determinant of
+    ``I + d_x f``, and the Gronwall data ``beta`` (sup of ``|d_x X|`` along
+    trajectories) with its cumulative integral ``alpha``. ``final_bound`` is
+    each node's certified bound at ``t_final``, and ``final_displacement`` is
+    the last snapshot's field.
     """
 
     grid: Grid
@@ -189,11 +149,16 @@ def _jacobian_stats(displacement: DisplacementField) -> tuple:
     return float(np.max(spectral_norms(jac))), float(np.min(det_plus_identity(jac)))
 
 
-def evolve(source, t_final: float, dt: float, grid: Grid,
-           snapshot_stride: int = 1) -> FlowResult:
+def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
+           grid: Grid) -> FlowResult:
     """Flow the identity along ``X`` from time 0 to ``t_final``.
 
     ``dt`` is a target step; the actual step divides ``t_final`` exactly.
+    Every step boundary is kept as a snapshot with its cached first
+    derivatives; a run whose estimate of those bytes exceeds
+    ``SNAPSHOT_BUDGET_BYTES`` is refused with a ``FieldError`` before
+    anything is allocated. Any ``field`` other than a
+    :class:`TimeDependentVectorField` is refused with a ``FieldError`` too.
     Trajectories that leave the box by more than a tenth of the half-width
     raise a domain error (the grid cannot resolve them), and non-finite
     values raise a blow-up error. The result's decay class is the field's;
@@ -205,18 +170,25 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
     (:func:`~diffeoflow.fields.spectral_norms`,
     :func:`~diffeoflow.fields.det_plus_identity`), not LAPACK calls.
     """
-    vf = as_vector_field(source)
-    if vf.dim != grid.dim:
-        raise FieldError(f"vector field dim {vf.dim} does not match grid dim {grid.dim}")
+    if not isinstance(field, TimeDependentVectorField):
+        raise FieldError(f"evolve needs a TimeDependentVectorField, got {type(field).__name__}")
+    if field.dim != grid.dim:
+        raise FieldError(f"vector field dim {field.dim} does not match grid dim {grid.dim}")
     if not (t_final > 0.0 and np.isfinite(t_final)):
         raise FlowDomainError(f"t_final must be positive and finite, got {t_final}")
     if not (dt > 0.0 and np.isfinite(dt)):
         raise FlowDomainError(f"dt must be positive and finite, got {dt}")
-    decay_class = vf.decay_class
+    decay_class = field.decay_class
     n_steps = max(1, int(math.ceil(t_final / dt - 1.0e-12)))
     step = t_final / n_steps
-    if snapshot_stride < 1:
-        raise FlowDomainError(f"snapshot_stride must be positive, got {snapshot_stride}")
+    # each snapshot keeps dim value channels and dim * dim first derivatives
+    stored = (n_steps + 1) * grid.node_count * grid.dim * (1 + grid.dim) * 8
+    if stored > SNAPSHOT_BUDGET_BYTES:
+        raise FieldError(
+            f"{n_steps} steps on {grid.node_count} nodes would keep about "
+            f"{stored / 2.0 ** 30:.3g} GiB of snapshots, over the budget of "
+            f"{SNAPSHOT_BUDGET_BYTES / 2.0 ** 30:.3g} GiB; raise dt or coarsen the grid"
+        )
 
     extrap = extrapolation_for(decay_class)
     nodes = np.asarray(grid.nodes())
@@ -237,14 +209,14 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
         return DisplacementField.from_nodes(grid, vals - nodes, extrap)
 
     snapshots = [(0.0, snapshot(y))]
-    beta[0] = _spectral_sup(vf.jacobian(0.0, y, grid))
+    beta[0] = _spectral_sup(field.jacobian(0.0, y))
 
     for k in range(1, n_steps + 1):
         t = times[k - 1]
-        k1 = vf(t, y)
-        k2 = vf(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = vf(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = vf(t + step, y + step * k3)
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = field(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = field(t + step, y + step * k3)
         c1, c2, c3, c4 = (_pointwise_norm(v) for v in (k1, k2, k3, k4))
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         bound = bound + (step / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -263,12 +235,11 @@ def evolve(source, t_final: float, dt: float, grid: Grid,
         sup_disp[k] = float(np.max(disp_norm))
         bound_sup[k] = float(np.max(bound))
         bound_defect[k] = float(np.max(disp_norm - bound))
-        beta[k] = _spectral_sup(vf.jacobian(t, y, grid))
+        beta[k] = _spectral_sup(field.jacobian(t, y))
 
         snap = snapshot(y)
         sup_jac[k], min_det[k] = _jacobian_stats(snap)
-        if k % snapshot_stride == 0 or k == n_steps:
-            snapshots.append((float(t), snap))
+        snapshots.append((float(t), snap))
 
     notes = []
     if decay_class is None:
@@ -400,11 +371,6 @@ def right_log_derivative(result: FlowResult) -> list:
     inverse and raises :class:`~diffeoflow.errors.NonDiffeoError`.
     """
     snaps = result.snapshots
-    if len(snaps) != result.times.shape[0]:
-        raise FlowDomainError(
-            "right_log_derivative needs snapshots at every step "
-            "(re-run evolve with snapshot_stride=1)"
-        )
     if len(snaps) < 5:
         raise FlowDomainError(
             f"need at least 5 snapshots for the time stencil, have {len(snaps)}"
@@ -460,7 +426,7 @@ def evol_smoothness_probe(family, s_values, t_final: float, dt: float,
 
     finals = {}
     for s in s_sorted:
-        res = evolve(family(s), t_final, dt, grid, snapshot_stride=10 ** 9)
+        res = evolve(family(s), t_final, dt, grid)
         finals[s] = res.final_displacement.values
 
     def sup(a):

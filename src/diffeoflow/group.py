@@ -29,8 +29,7 @@ from .errors import (
     NonDiffeoError,
     UnderResolvedError,
 )
-from .fields import DisplacementField, Grid, ScalarField, det_plus_identity, row_max
-from .jets import Jet, jet_from_displacement
+from .fields import DisplacementField, Grid, det_plus_identity, row_max
 
 DEFAULT_DET_THRESHOLD = 1.0e-6
 DOMAIN_OVERHANG_FRACTION = 0.1
@@ -144,13 +143,6 @@ class Diffeo:
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return pts + self.displacement.sample(pts)
-
-    def jacobian_at(self, points) -> np.ndarray:
-        jac = self.displacement.jacobian_at(points)
-        return jac + np.eye(self.grid.dim)
-
-    def jet_at(self, base_point, order: int) -> Jet:
-        return jet_from_displacement(self.displacement, base_point, order)
 
 
 def _require_same_grid(a: Diffeo, b: Diffeo):
@@ -341,34 +333,3 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     }
     return result, info
 
-
-def pullback(diffeo: Diffeo, field: ScalarField) -> ScalarField:
-    """Pullback of a scalar observable: ``u o (Id + g)`` on the grid."""
-    grid = diffeo.grid
-    if not isinstance(field, ScalarField):
-        raise FieldError(
-            f"pullback transports scalar observables, got {type(field).__name__}; "
-            f"vector fields transform under adjoint_action"
-        )
-    if field.grid != grid:
-        raise FieldError("pullback needs the field on the diffeomorphism's grid")
-    nodes = np.asarray(grid.nodes())
-    images = diffeo.apply(nodes)
-    values = field.sample(images).reshape(grid.shape)
-    return ScalarField(grid, values, field.extrapolation)
-
-
-def adjoint_action(diffeo: Diffeo, vector_field: DisplacementField) -> DisplacementField:
-    """Push a vector field through the map: ``(d phi)(phi^-1(y)) X(phi^-1(y))``."""
-    grid = diffeo.grid
-    if not isinstance(vector_field, DisplacementField):
-        raise FieldError(f"adjoint action needs a vector field, got {type(vector_field).__name__}")
-    if vector_field.grid != grid:
-        raise FieldError("adjoint action needs the field on the diffeomorphism's grid")
-    inverse = invert(diffeo)
-    nodes = np.asarray(grid.nodes())
-    z = inverse.apply(nodes)
-    jac = diffeo.jacobian_at(z)
-    x_at = vector_field.sample(z)
-    pushed = np.einsum("nij,nj->ni", jac, x_at)
-    return DisplacementField.from_nodes(grid, pushed, vector_field.extrapolation)

@@ -17,7 +17,6 @@ solved by contracting the lower-order remainder with the inverse Jacobian.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import string
@@ -68,31 +67,30 @@ def _sym_dense(array: np.ndarray) -> np.ndarray:
     return total / count
 
 
-def symmetrize(dense, vector_valued: bool = False) -> np.ndarray:
+def symmetrize(dense) -> np.ndarray:
     """Exactly symmetric, read-only copy of a dense coefficient array.
 
-    Every axis is an argument slot of a scalar-valued form unless
-    ``vector_valued`` makes the leading axis index output components. The
-    permutation average leaves one index orbit a few ulps apart, so every
-    index then reads the entry at its sorted form. Arrays with more than six
-    argument slots are rejected.
+    The leading axis indexes output components and every later axis is an
+    argument slot, the layout of a :class:`Jet` term. The permutation
+    average leaves one index orbit a few ulps apart, so every index then
+    reads the entry at its sorted form. Arrays with more than six argument
+    slots are rejected.
     """
     dense = np.asarray(dense, dtype=np.float64)
-    form = dense if vector_valued else dense[None]
-    if form.ndim == 0:
+    if dense.ndim == 0:
         raise JetError("dense tensor data must have a component axis")
-    degree = form.ndim - 1
+    degree = dense.ndim - 1
     if degree > MAX_DEGREE:
         raise UnsupportedOrderError(
             f"tensor degree {degree} exceeds the supported cap {MAX_DEGREE}")
-    if len(set(form.shape[1:])) > 1:
+    if len(set(dense.shape[1:])) > 1:
         raise JetError(f"argument axes must share one dimension, got {dense.shape}")
-    out = _sym_dense(form)
+    out = _sym_dense(dense)
     if degree > 1:
-        slots = _sorted_slots(form.shape[1], degree)
+        slots = _sorted_slots(dense.shape[1], degree)
         out = out.reshape(out.shape[0], -1)[:, slots].reshape(out.shape)
     out.flags.writeable = False
-    return out if vector_valued else out[0]
+    return out
 
 
 class Jet:
@@ -117,7 +115,7 @@ class Jet:
             if dense.shape != expected:
                 raise JetError(
                     f"degree-{k} term has shape {dense.shape}, expected {expected}")
-            self.terms.append(symmetrize(dense, vector_valued=True))
+            self.terms.append(symmetrize(dense))
         self.order = len(self.terms) - 1
 
     @property
@@ -133,15 +131,6 @@ class Jet:
 
     def jacobian(self) -> np.ndarray:
         return self.dense_term(1)
-
-    def truncate(self, order: int) -> "Jet":
-        """The leading terms of this jet; they are shared, not re-symmetrized."""
-        if not 1 <= order <= self.order:
-            raise JetError(f"cannot truncate an order-{self.order} jet to order {order}")
-        cut = copy.copy(self)
-        cut.terms = self.terms[: order + 1]
-        cut.order = order
-        return cut
 
     @classmethod
     def identity(cls, dim: int, order: int, base_point=None) -> "Jet":

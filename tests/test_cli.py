@@ -281,6 +281,13 @@ class TestEvolve:
         assert code == 4
         assert "FlowDomainError" in err
 
+    def test_oversized_run_exits_1(self, capsys):
+        code, payload, err = run_cli(
+            capsys, "--command", "evolve", "--descriptor", "0.1*exp(-x^2)",
+            "--dt", "1e-13")
+        assert code == 1 and payload is None
+        assert json.loads(err)["error"] == "FieldError"
+
     def test_evolve_needs_one_descriptor(self, capsys):
         code, _, _ = run_cli(
             capsys, "--command", "evolve",

@@ -19,7 +19,17 @@ from diffeoflow import (
     widest,
 )
 from diffeoflow.battery import classification_battery
+from diffeoflow.decay import DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT
 from diffeoflow.fields import multi_indices_up_to
+
+def entry_value(report, kind, alpha, m):
+    """The one measured seminorm of ``report.entries`` with this kind, index and weight."""
+    found = [e["value"] for e in report.entries
+             if (e["kind"], tuple(e["alpha"]), e["m"]) == (kind, alpha, m)]
+    if len(found) != 1:
+        raise KeyError((kind, alpha, m))
+    return found[0]
+
 
 NARROW_TO_WIDE = [
     DecayClass.COMPACT_SUPPORT,
@@ -107,21 +117,21 @@ class TestClassification:
         report = classify_decay(sample("bump(x)", fine_grid))
         assert report.inferred_class is DecayClass.COMPACT_SUPPORT
         assert report.support_radius is not None
-        assert report.support_radius <= 2.0
+        assert report.support_radius == 1.0
         for entry in report.entries:
             assert np.isfinite(entry["value"])
             assert entry["value"] >= 0.0
 
     def test_schwartz_exponents_beat_weight_threshold(self, fine_grid):
-        report = classify_decay(sample("exp(-x^2)", fine_grid), 2, 2)
+        report = classify_decay(sample("exp(-x^2)", fine_grid))
         for fit in report.fits:
-            assert fit.exponent >= 3.0  # max_weight + 1
+            assert fit.exponent >= DEFAULT_MAX_WEIGHT + 1
 
     def test_constant_keeps_growing_weighted_norms(self, fine_grid):
         field = sample("1", fine_grid, extrapolation="clamp")
         report = classify_decay(field)
         assert report.inferred_class is DecayClass.BOUNDED_ALL
-        assert report.value("weighted", (0,), 1) == 65.0
+        assert entry_value(report, "weighted", (0,), 1) == 65.0
 
     def test_vector_field_classification(self):
         field = sample("-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))",
@@ -130,21 +140,29 @@ class TestClassification:
         assert DecayClass.SCHWARTZ.contains(report.inferred_class)
 
     def test_caps_are_respected(self, fine_grid):
-        report = classify_decay(sample("exp(-x^2)", fine_grid), 1, 3)
-        assert report.max_order == 1
-        assert report.max_weight == 3
+        report = classify_decay(sample("exp(-x^2)", fine_grid))
+        data = report.to_dict()
+        assert (data["max_order"], data["max_weight"]) == (DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT)
         orders = {sum(entry["alpha"]) for entry in report.entries}
-        assert max(orders) == 1
+        assert max(orders) == DEFAULT_MAX_ORDER
         weights = {entry["m"] for entry in report.entries if entry["kind"] == "weighted"}
-        assert max(weights) == 3
+        assert max(weights) == DEFAULT_MAX_WEIGHT
+
+    def test_support_radius_is_the_smallest_dyadic_radius(self, fine_grid):
+        # supported in |x| < 0.5: radius 1 already clears it, so 2 is not the answer
+        report = classify_decay(sample("0.5*bump(x/0.5)", fine_grid))
+        assert report.inferred_class is DecayClass.COMPACT_SUPPORT
+        assert report.support_radius == 1.0
+        wider = classify_decay(sample("0.5*bump(x/3)", fine_grid))
+        assert wider.support_radius == 4.0
 
 
 class TestReport:
     def test_value_lookup(self, fine_grid):
         report = classify_decay(sample("exp(-x^2)", fine_grid))
-        assert report.value("sup", (0,), 0) == pytest.approx(1.0, abs=1e-12)
+        assert entry_value(report, "sup", (0,), 0) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(KeyError):
-            report.value("sup", (5,), 0)
+            entry_value(report, "sup", (5,), 0)
 
     def test_to_dict_is_serializable(self, fine_grid):
         report = classify_decay(sample("exp(-x^2)", fine_grid))
@@ -174,14 +192,14 @@ class TestReport:
 
         monkeypatch.setattr(fields_module, "_alpha_magnitude", counting_magnitude)
         monkeypatch.setattr(fields_module, "weight_factor", counting_weight)
-        report = classify_decay(field, 2, 3)
-        alphas = multi_indices_up_to(grid.dim, 2)
-        assert counts == {"magnitude": len(alphas), "weight": 3}
+        report = classify_decay(field)
+        alphas = multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER)
+        assert counts == {"magnitude": len(alphas), "weight": DEFAULT_MAX_WEIGHT}
         monkeypatch.undo()
         # same order and the same bits as the single seminorm functions
         want = [("sup", a, 0, sup_seminorm(field, a)) for a in alphas]
         want += [("weighted", a, m, weighted_seminorm(field, a, m))
-                 for a in alphas for m in (1, 2, 3)]
+                 for a in alphas for m in range(1, DEFAULT_MAX_WEIGHT + 1)]
         want += [("sobolev", a, 0, sobolev_seminorm(field, a)) for a in alphas]
         got = [(e["kind"], e["alpha"], e["m"], e["value"]) for e in report.entries]
         assert got == want

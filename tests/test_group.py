@@ -15,14 +15,11 @@ from diffeoflow import (
     Grid,
     InversionError,
     NonDiffeoError,
-    ScalarField,
     UnderResolvedError,
-    adjoint_action,
     compose,
     conjugate,
     invert,
     membership_check,
-    pullback,
     read_diffeo,
     write_displacement,
 )
@@ -384,42 +381,6 @@ class TestConjugate:
         nodes = np.asarray(fine_grid.nodes())
         direct = invert(outer).apply(inner.apply(outer.apply(nodes)))
         assert np.max(np.abs(result.apply(nodes) - direct)) <= 1e-8
-
-
-class TestPullbackAdjoint:
-    def test_pullback_matches_direct_evaluation(self, fine_grid):
-        member = gaussian_diffeo(fine_grid, 0.2)
-        observable = ScalarField.from_descriptor(fine_grid, "exp(-(x-1)^2)")
-        pulled = pullback(member, observable)
-        nodes = np.asarray(fine_grid.nodes())
-        exact = np.exp(-(member.apply(nodes)[:, 0] - 1.0) ** 2)
-        assert np.max(np.abs(pulled.values.reshape(-1) - exact)) <= 1e-5
-
-    def test_pullback_rejects_vector_fields(self, fine_grid):
-        member = gaussian_diffeo(fine_grid, 0.1)
-        with pytest.raises(FieldError):
-            pullback(member, member.displacement)
-
-    def test_adjoint_of_identity_is_identity_action(self, coarse_grid):
-        field = DisplacementField.from_descriptor(coarse_grid, "exp(-x^2)")
-        pushed = adjoint_action(Diffeo.identity(coarse_grid), field)
-        assert np.allclose(pushed.values, field.values, atol=1e-12)
-
-    def test_adjoint_defining_property(self, fine_grid, rng):
-        member = gaussian_diffeo(fine_grid, 0.15)
-        field = DisplacementField.from_descriptor(fine_grid, "exp(-(x+0.5)^2)")
-        pushed = adjoint_action(member, field)
-        pts = rng.uniform(-3.0, 3.0, size=(200, 1))
-        lhs = pushed.sample(member.apply(pts))
-        jac = member.jacobian_at(pts)
-        rhs = np.einsum("nij,nj->ni", jac, field.sample(pts))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-4
-
-    def test_adjoint_rejects_scalars(self, fine_grid):
-        member = gaussian_diffeo(fine_grid, 0.1)
-        scalar = ScalarField(fine_grid, np.zeros(fine_grid.shape))
-        with pytest.raises(FieldError):
-            adjoint_action(member, scalar)
 
 
 @given(amplitude=st.floats(min_value=0.02, max_value=0.08),
