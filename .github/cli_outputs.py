@@ -55,6 +55,10 @@ COMMANDS = [
                    "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
     # no --class: the result's class is inferred from the final snapshot
     ("evolve-1d-inferred", ["--command", "evolve", "--descriptor", "0.12*cos(0.7*x-0.6*t)"]),
+    # no --class, measured BoundedAll: both channels read the clamp continuation set
+    # after the run; exits 2 because the Gronwall envelope fails at this spacing
+    ("evolve-2d-inferred", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--descriptor",
+                            "0.12*cos(0.7*x-0.6*t), 0.1*cos(0.6*y-0.5*t)"]),
     ("evolve-2d", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--class", "Schwartz",
                    "--descriptor", "-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))"]),
     ("evolve-3d", ["--command", "evolve", "--dim", "3", "--points", "25", "--dt", "0.125",

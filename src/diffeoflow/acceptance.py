@@ -215,7 +215,7 @@ def _fd_jet_gap(outer_desc: str, inner_desc: str, grid: Grid, point,
         outer_disp = np.stack([e.evaluate(env2) for e in outer_exprs])
         return (inner_disp + outer_disp).T
 
-    sampled = DisplacementField.from_callable(grid, composed)
+    sampled = DisplacementField.from_nodes(grid, composed(np.asarray(grid.nodes())))
     inner_jet = _descriptor_jet(inner_desc, point, order)
     outer_jet = _descriptor_jet(outer_desc, inner_jet.value, order)
     jet = compose_jets(outer_jet, inner_jet)
@@ -343,7 +343,7 @@ def criterion_flow_correctness() -> CriterionResult:
     dts = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
     for dt in dts:
         result = evolve(case.field, 1.0, dt, grid)
-        final = nodes + result.final_displacement.node_values()
+        final = nodes + result.displacements[-1]
         errors.append(float(np.max(np.abs(final - reference))))
     orders = [float(np.log2(errors[k] / errors[k + 1]))
               for k in range(len(errors) - 1)]
@@ -397,7 +397,8 @@ def criterion_class_preservation() -> CriterionResult:
     misclassified = 0
     weighted_gap = 0.0
     weighted_max = 0.0
-    for (t, snap), (_, snap2) in zip(result.snapshots, doubled.snapshots):
+    for k, t in enumerate(result.times):
+        snap, snap2 = result.snapshot(k), doubled.snapshot(k)
         # the t=0 snapshot is identically zero, which honestly measures
         # CompactSupport; the evolved snapshots must measure Schwartz
         if t > 0.0 and classify_decay(snap).inferred_class is not DecayClass.SCHWARTZ:
@@ -416,14 +417,14 @@ def criterion_class_preservation() -> CriterionResult:
     hresult = evolve(hcase.field, hcase.t_final, hcase.dt, hcase.grid)
     tracking = sobolev_tracking(hresult)
     h_contained = all(
-        DecayClass.SOBOLEV_INFINITY.contains(classify_decay(snap).inferred_class)
-        for _, snap in hresult.snapshots)
+        DecayClass.SOBOLEV_INFINITY.contains(classify_decay(hresult.snapshot(k)).inferred_class)
+        for k in range(len(hresult.times)))
     h_ok = bool(tracking["holds"]) and h_contained
 
     passed = schwartz_ok and h_ok
     return CriterionResult(
         7, "decay class preserved along the flow", passed,
-        f"Schwartz: {len(result.snapshots)} snapshots, {misclassified} "
+        f"Schwartz: {len(result.times)} snapshots, {misclassified} "
         f"misclassified, weighted m<=4 gap {weighted_gap:.3e} (<= 1e-6); "
         f"H-infinity: tracking holds={bool(tracking['holds'])}, "
         f"class contained={h_contained}",

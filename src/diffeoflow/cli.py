@@ -271,6 +271,7 @@ def cmd_evolve(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    _source_specs(config, 0)
     if config.tol == 0.0:
         payload = {
             "command": "verify",

@@ -386,10 +386,6 @@ class DisplacementField:
         return cls.from_nodes(grid, evaluate(None, grid.nodes()), extrapolation)
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn, extrapolation: str = "zero") -> "DisplacementField":
-        return cls.from_nodes(grid, fn(np.asarray(grid.nodes())), extrapolation)
-
-    @classmethod
     def from_nodes(cls, grid: Grid, node_values,
                    extrapolation: str = "zero") -> "DisplacementField":
         """Field from node-major samples of shape ``(node_count, dim)``."""

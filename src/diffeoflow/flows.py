@@ -35,8 +35,8 @@ GRONWALL_ABS_SLACK = 1.0e-8
 EDGE_ANNULUS_FRACTION = 0.875
 EDGE_DECAY_TOL = 1.0e-6
 SOBOLEV_TRACKING_ORDER = 2
-# bytes of snapshots and their first derivatives one evolve may keep; a 3-D
-# 49^3 run at dt = 1/32 keeps about 0.37 GB
+# bytes of the snapshot array one evolve may keep; a 3-D 49^3 run at
+# dt = 1/32 keeps about 0.09 GB
 SNAPSHOT_BUDGET_BYTES = 4 * 2 ** 30
 
 
@@ -95,36 +95,39 @@ class TimeDependentVectorField:
 class FlowResult:
     """Everything one evolution run produced.
 
-    ``times`` has one entry per RK4 step boundary and ``snapshots`` one
-    ``(time, DisplacementField)`` pair per boundary. ``diagnostics`` holds
-    per-boundary curves: the displacement sup, the certified bound sup and
-    its worst signed defect, the Jacobian sup and minimum determinant of
-    ``I + d_x f``, and the Gronwall data ``beta`` (sup of ``|d_x X|`` along
-    trajectories) with its cumulative integral ``alpha``. ``final_bound`` is
-    each node's certified bound at ``t_final``, and ``final_displacement`` is
-    the last snapshot's field.
+    ``times`` has one entry per RK4 step boundary, and ``displacements``
+    holds the displacement at each boundary node-major, shape
+    ``(len(times), node_count, dim)``; :meth:`snapshot` builds the field of
+    one boundary with the continuation of the result's class, so no field
+    outlives its reader. ``diagnostics`` holds per-boundary curves: the
+    displacement sup, the certified bound sup and its worst signed defect,
+    the Jacobian sup and minimum determinant of ``I + d_x f``, and the
+    Gronwall data ``beta`` (sup of ``|d_x X|`` along trajectories) with its
+    cumulative integral ``alpha``. ``final_bound`` is each node's certified
+    bound at ``t_final``.
     """
 
     grid: Grid
-    decay_class: DecayClass | None
+    decay_class: DecayClass
     t_final: float
     dt: float
     times: np.ndarray
-    snapshots: list
+    displacements: np.ndarray
     diagnostics: dict
     final_bound: np.ndarray
     notes: list = dataclass_field(default_factory=list)
 
+    def snapshot(self, k: int) -> DisplacementField:
+        """The displacement at step boundary ``k``, read with the class's continuation."""
+        return DisplacementField.from_nodes(self.grid, self.displacements[k],
+                                            extrapolation_for(self.decay_class))
+
     @property
     def final_displacement(self) -> DisplacementField:
-        return self.snapshots[-1][1]
+        return self.snapshot(-1)
 
     def to_diffeo(self) -> Diffeo:
         return Diffeo(self.final_displacement, self.decay_class)
-
-    def snapshot_values(self) -> np.ndarray:
-        """Stacked snapshot displacements, shape ``(len(snapshots), nodes, dim)``."""
-        return np.stack([disp.node_values() for _, disp in self.snapshots])
 
 
 def _pointwise_norm(vectors: np.ndarray) -> np.ndarray:
@@ -154,16 +157,17 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
     """Flow the identity along ``X`` from time 0 to ``t_final``.
 
     ``dt`` is a target step; the actual step divides ``t_final`` exactly.
-    Every step boundary is kept as a snapshot with its cached first
-    derivatives; a run whose estimate of those bytes exceeds
+    Every step boundary's displacement is written into the one array
+    ``FlowResult.displacements``; a run whose array would exceed
     ``SNAPSHOT_BUDGET_BYTES`` is refused with a ``FieldError`` before
     anything is allocated. Any ``field`` other than a
     :class:`TimeDependentVectorField` is refused with a ``FieldError`` too.
     Trajectories that leave the box by more than a tenth of the half-width
     raise a domain error (the grid cannot resolve them), and non-finite
     values raise a blow-up error. The result's decay class is the field's;
-    a field without one gets the class of the final snapshot, and every
-    snapshot then reads that class's off-box continuation.
+    a field without one gets the class of the final snapshot, and
+    :meth:`FlowResult.snapshot` reads every snapshot with that class's
+    off-box continuation.
     Every step also records ``beta`` (sup of ``|d_x X|`` along the
     trajectories) and the stencil sup of ``|d_x f|`` and minimum of
     ``det(I + d_x f)``; up to dim 2 these are closed-form kernels
@@ -181,8 +185,7 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
     decay_class = field.decay_class
     n_steps = max(1, int(math.ceil(t_final / dt - 1.0e-12)))
     step = t_final / n_steps
-    # each snapshot keeps dim value channels and dim * dim first derivatives
-    stored = (n_steps + 1) * grid.node_count * grid.dim * (1 + grid.dim) * 8
+    stored = (n_steps + 1) * grid.node_count * grid.dim * 8
     if stored > SNAPSHOT_BUDGET_BYTES:
         raise FieldError(
             f"{n_steps} steps on {grid.node_count} nodes would keep about "
@@ -190,7 +193,6 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
             f"{SNAPSHOT_BUDGET_BYTES / 2.0 ** 30:.3g} GiB; raise dt or coarsen the grid"
         )
 
-    extrap = extrapolation_for(decay_class)
     nodes = np.asarray(grid.nodes())
     m = nodes.shape[0]
     y = nodes.copy()
@@ -204,11 +206,8 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
     sup_jac = np.zeros(n_steps + 1)
     min_det = np.ones(n_steps + 1)
     beta = np.zeros(n_steps + 1)
-
-    def snapshot(vals):
-        return DisplacementField.from_nodes(grid, vals - nodes, extrap)
-
-    snapshots = [(0.0, snapshot(y))]
+    displacements = np.empty((n_steps + 1, m, grid.dim))
+    displacements[0] = 0.0
     beta[0] = _spectral_sup(field.jacobian(0.0, y))
 
     for k in range(1, n_steps + 1):
@@ -231,22 +230,20 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
                 f"enlarged box {exit_limit:.6g}; the grid does not resolve this flow"
             )
 
-        disp_norm = _pointwise_norm(y - nodes)
+        disp = np.subtract(y, nodes, out=displacements[k])
+        disp_norm = _pointwise_norm(disp)
         sup_disp[k] = float(np.max(disp_norm))
         bound_sup[k] = float(np.max(bound))
         bound_defect[k] = float(np.max(disp_norm - bound))
         beta[k] = _spectral_sup(field.jacobian(t, y))
-
-        snap = snapshot(y)
-        sup_jac[k], min_det[k] = _jacobian_stats(snap)
-        snapshots.append((float(t), snap))
+        # stencils never read off the box, so the continuation is immaterial
+        sup_jac[k], min_det[k] = _jacobian_stats(DisplacementField.from_nodes(grid, disp))
 
     notes = []
     if decay_class is None:
-        decay_class = classify_decay(snapshots[-1][1]).inferred_class
+        final = DisplacementField.from_nodes(grid, displacements[-1])
+        decay_class = classify_decay(final).inferred_class
         notes.append(f"decay class inferred from the final snapshot: {decay_class.value}")
-        extrap = extrapolation_for(decay_class)
-        snapshots = [(t, snap.with_extrapolation(extrap)) for t, snap in snapshots]
 
     alpha = _cumulative_trapezoid(times, beta)
     diagnostics = {
@@ -264,7 +261,7 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
         t_final=float(t_final),
         dt=step,
         times=times,
-        snapshots=snapshots,
+        displacements=displacements,
         diagnostics=diagnostics,
         final_bound=bound,
         notes=notes,
@@ -326,10 +323,12 @@ def sobolev_tracking(result: FlowResult) -> dict:
     """
     grid = result.grid
     alphas = multi_indices_up_to(grid.dim, SOBOLEV_TRACKING_ORDER)
-    per_snapshot = [seminorm_table(disp, alphas, 0)[2] for _, disp in result.snapshots]
+    # each snapshot's derivative cache dies with its field
+    per_snapshot = [seminorm_table(result.snapshot(k), alphas, 0)[2]
+                    for k in range(len(result.times))]
     history = {",".join(str(a) for a in alpha): [norms[i] for norms in per_snapshot]
                for i, alpha in enumerate(alphas)}
-    snapshot_times = [float(t) for t, _ in result.snapshots]
+    snapshot_times = [float(t) for t in result.times]
 
     final_norms = {key: values[-1] for key, values in history.items()}
 
@@ -343,7 +342,7 @@ def sobolev_tracking(result: FlowResult) -> dict:
         edge_sup = max(edge_sup, float(np.max(np.abs(dv[:, edge_mask]))))
 
     all_finite = all(np.all(np.isfinite(vals)) for vals in history.values())
-    decaying = result.decay_class is not None and result.decay_class is not DecayClass.BOUNDED_ALL
+    decaying = result.decay_class is not DecayClass.BOUNDED_ALL
     report = {
         "p_max": SOBOLEV_TRACKING_ORDER,
         "times": snapshot_times,
@@ -367,25 +366,28 @@ def right_log_derivative(result: FlowResult) -> list:
     snapshots, so the result lists only interior snapshot times (two steps
     in from either end). Each entry is ``(t, DisplacementField)``; for a
     flow of ``X`` the field approximates ``X(t, .)`` to fourth order in both
-    the step and the spacing. A snapshot below the ``Diffeo`` margin has no
-    inverse and raises :class:`~diffeoflow.errors.NonDiffeoError`.
+    the step and the spacing. The stencil reads ``result.displacements``,
+    and each inverse is taken of :meth:`FlowResult.snapshot`, whose
+    continuation the time derivative and the recovered field share. A
+    snapshot below the ``Diffeo`` margin has no inverse and raises
+    :class:`~diffeoflow.errors.NonDiffeoError`.
     """
-    snaps = result.snapshots
-    if len(snaps) < 5:
+    g = result.displacements
+    if len(g) < 5:
         raise FlowDomainError(
-            f"need at least 5 snapshots for the time stencil, have {len(snaps)}"
+            f"need at least 5 snapshots for the time stencil, have {len(g)}"
         )
     grid = result.grid
     nodes = np.asarray(grid.nodes())
     dt = result.dt
-    g = result.snapshot_values()
     out = []
-    for k in range(2, len(snaps) - 2):
+    for k in range(2, len(g) - 2):
         t_k = float(result.times[k])
         dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * dt)
-        extrap = snaps[k][1].extrapolation
+        snap = result.snapshot(k)
+        extrap = snap.extrapolation
         dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
-        inverse = invert(Diffeo(snaps[k][1], result.decay_class))
+        inverse = invert(Diffeo(snap, result.decay_class))
         recovered = dgdt_field.sample(inverse.apply(nodes))
         field = DisplacementField.from_nodes(grid, recovered, extrap)
         out.append((t_k, field))

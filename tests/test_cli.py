@@ -62,13 +62,15 @@ class TestConfig:
         assert main(argv) == 1
         capsys.readouterr()
 
-    # every source given must be read: classify takes one, evolve one descriptor;
-    # FILE stands for a valid member file
+    # every source given must be read: classify takes one, evolve one descriptor,
+    # verify none; FILE stands for a valid member file
     @pytest.mark.parametrize("argv", [
         ["--command", "classify", "--class", "Schwartz", "--descriptor", "exp(-x^2)",
          "--descriptor", "1"],
         ["--command", "classify", "--input", "FILE", "--descriptor", "0.1*exp(-x^2)"],
         ["--command", "evolve", "--descriptor", "0.1*exp(-x^2)", "--input", "FILE"],
+        ["--command", "verify", "--descriptor", "not a descriptor", "--input", "/nonexistent",
+         "--quiet"],
     ])
     def test_unread_source_exits_1(self, capsys, tmp_path, argv):
         path = str(tmp_path / "member.dff")

@@ -254,12 +254,6 @@ class TestDisplacementField:
         field = DisplacementField.zero(line_grid)
         assert np.all(field.values == 0.0)
 
-    def test_from_callable_matches_descriptor(self, line_grid):
-        by_text = DisplacementField.from_descriptor(line_grid, "0.1*sin(x)*exp(-x^2)")
-        by_fn = DisplacementField.from_callable(
-            line_grid, lambda pts: 0.1 * np.sin(pts) * np.exp(-pts ** 2))
-        assert np.max(np.abs(by_text.values - by_fn.values)) <= 1e-15
-
     def test_regrid_requires_same_dimension(self, line_grid, plane_grid):
         field = DisplacementField.zero(line_grid)
         with pytest.raises(FieldError):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diffeoflow import flows
 from diffeoflow import (
     DecayClass,
     DescriptorError,
@@ -132,9 +134,18 @@ class TestEvolve:
                 evolve(source, 1.0, 0.1, coarse_grid)
 
     def test_snapshot_budget_refused_before_allocating(self, coarse_grid):
-        # 1e13 steps would keep about 1e16 bytes; np.linspace alone would ask for 80 TB
+        # 1e13 steps would keep about 5e15 bytes; np.linspace alone would ask for 80 TB
         with pytest.raises(FieldError, match="budget"):
             evolve(bump_field(), 1.0, 1.0e-13, coarse_grid)
+
+    def test_snapshot_budget_is_the_array_size(self, monkeypatch, coarse_grid):
+        nbytes = evolve(bump_field(), 0.5, 0.125, coarse_grid).displacements.nbytes
+        assert nbytes == 5 * coarse_grid.node_count * 8
+        monkeypatch.setattr(flows, "SNAPSHOT_BUDGET_BYTES", nbytes)
+        evolve(bump_field(), 0.5, 0.125, coarse_grid)
+        monkeypatch.setattr(flows, "SNAPSHOT_BUDGET_BYTES", nbytes - 1)
+        with pytest.raises(FieldError, match="budget"):
+            evolve(bump_field(), 0.5, 0.125, coarse_grid)
 
     def test_exiting_trajectory_refused(self, coarse_grid):
         field = TimeDependentVectorField.from_descriptor(
@@ -151,7 +162,10 @@ class TestEvolve:
 
     def test_every_step_is_recorded(self, coarse_grid):
         result = evolve(bump_field(), 1.0, 0.125, coarse_grid)
-        assert [t for t, _ in result.snapshots] == result.times.tolist()
+        assert result.times.tolist() == [k / 8.0 for k in range(9)]
+        assert result.displacements.shape == (9, coarse_grid.node_count, 1)
+        for k in range(9):
+            assert np.array_equal(result.snapshot(k).node_values(), result.displacements[k])
 
     def test_class_inferred_from_final_snapshot(self, line_grid):
         field = TimeDependentVectorField.from_descriptor(1, "0.08*exp(-x^2)")
@@ -159,14 +173,14 @@ class TestEvolve:
         assert result.decay_class is DecayClass.SCHWARTZ
         assert any("inferred" in note for note in result.notes)
 
-    def test_to_diffeo_and_snapshot_values(self, coarse_grid):
+    def test_to_diffeo_and_displacements(self, coarse_grid):
         result = evolve(bump_field(), 0.5, 0.125, coarse_grid)
         member = result.to_diffeo()
         assert isinstance(member, Diffeo)
         assert member.decay_class is DecayClass.SCHWARTZ
-        stacked = result.snapshot_values()
-        assert stacked.shape == (5, coarse_grid.node_count, 1)
-        assert np.all(stacked[0] == 0.0)
+        assert np.array_equal(member.displacement.node_values(), result.displacements[-1])
+        assert result.displacements.shape == (5, coarse_grid.node_count, 1)
+        assert np.all(result.displacements[0] == 0.0)
 
     def test_scaled_field_reparametrizes_time(self, line_grid):
         slow = evolve(bump_field(0.05), 0.5, 1.0 / 32.0, line_grid)
@@ -221,7 +235,8 @@ class TestSobolevTracking:
         assert report["finite"]
         assert report["edge_decayed"]
         assert set(report["history"]) == {"0", "1", "2"}
-        assert len(report["times"]) == len(result.snapshots)
+        assert report["times"] == result.times.tolist()
+        assert len(report["history"]["2"]) == len(result.displacements)
 
     def test_bounded_class_skips_edge_demand(self, line_grid):
         field = TimeDependentVectorField.from_descriptor(
@@ -254,9 +269,27 @@ class TestRightLogDerivative:
                 for claimed in (None, DecayClass.BOUNDED_ALL)]
         inferred, claimed = runs
         assert inferred.decay_class is DecayClass.BOUNDED_ALL
-        assert all(disp.extrapolation == "clamp" for _, disp in inferred.snapshots)
+        assert all(inferred.snapshot(k).extrapolation == "clamp"
+                   for k in range(len(inferred.times)))
         for (t, got), (s, want) in zip(*(right_log_derivative(run) for run in runs)):
             assert t == s and np.array_equal(got.values, want.values)
+
+    def test_verifiers_keep_no_snapshot_fields(self):
+        # 129^2 keeps the interpreter's own small-object growth near 2 % of the array
+        grid = Grid(2, 8.0, 129)
+        field = TimeDependentVectorField.from_descriptor(
+            2, "-0.3*y*exp(-x^2-y^2), 0.3*x*exp(-x^2-y^2)", DecayClass.SCHWARTZ)
+        tracemalloc.start()
+        try:
+            result = evolve(field, 0.5, 1.0 / 16.0, grid)
+            level = tracemalloc.get_traced_memory()[0]
+            sobolev_tracking(result)
+            right_log_derivative(result)
+            grown = tracemalloc.get_traced_memory()[0] - level
+        finally:
+            tracemalloc.stop()
+        # a derivative cache kept on every snapshot would hold several times the values
+        assert abs(grown) <= 0.1 * result.displacements.nbytes
 
     def test_needs_dense_snapshots(self, line_grid):
         short = evolve(bump_field(), 0.2, 0.1, line_grid)

@@ -177,7 +177,7 @@ class TestCompose:
 
     def test_large_overhang_refused(self, coarse_grid):
         shift = Diffeo(
-            DisplacementField.from_callable(coarse_grid, np.ones_like, "clamp"),
+            DisplacementField.from_nodes(coarse_grid, np.ones_like(coarse_grid.nodes()), "clamp"),
             DecayClass.BOUNDED_ALL,
         )
         with pytest.raises(UnderResolvedError):
@@ -345,9 +345,9 @@ class TestInvertSolvedNodesDropOut:
         # g = x^3 - x near the origin: the origin node is solved by its seed
         # (g(0) = 0) and det(I + dg) = 3x^2 vanishes there and nowhere else
         grid = Grid(1, 8.0, 65)
-        disp = DisplacementField.from_callable(
-            grid, lambda x: np.where(np.abs(x) <= 1.0, x ** 3 - x, 0.0))
         nodes = np.asarray(grid.nodes())
+        disp = DisplacementField.from_nodes(
+            grid, np.where(np.abs(nodes) <= 1.0, nodes ** 3 - nodes, 0.0))
         origin = int(np.argmin(np.abs(nodes[:, 0])))
         assert nodes[origin, 0] == 0.0
         assert disp.jacobian_at(nodes[origin])[0, 0] == -1.0
