@@ -368,8 +368,10 @@ def right_log_derivative(result: FlowResult) -> list:
     flow of ``X`` the field approximates ``X(t, .)`` to fourth order in both
     the step and the spacing. The stencil reads ``result.displacements``,
     and each inverse is taken of :meth:`FlowResult.snapshot`, whose
-    continuation the time derivative and the recovered field share. A
-    snapshot below the ``Diffeo`` margin has no inverse and raises
+    continuation the time derivative and the recovered field share. The
+    inverse is read at the nodes from its node values, ``nodes + u``, which
+    are exact on every spacing; no gather at the nodes is made. A snapshot
+    below the ``Diffeo`` margin has no inverse and raises
     :class:`~diffeoflow.errors.NonDiffeoError`.
     """
     g = result.displacements
@@ -388,7 +390,7 @@ def right_log_derivative(result: FlowResult) -> list:
         extrap = snap.extrapolation
         dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
         inverse = invert(Diffeo(snap, result.decay_class))
-        recovered = dgdt_field.sample(inverse.apply(nodes))
+        recovered = dgdt_field.sample(nodes + inverse.displacement.node_values())
         field = DisplacementField.from_nodes(grid, recovered, extrap)
         out.append((t_k, field))
     return out

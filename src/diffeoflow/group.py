@@ -13,7 +13,11 @@ which makes the inverse exact for the engine's own notion of ``g`` rather
 than for the unknowable continuum field: a fixed-point stage, then a damped
 Newton stage only for a residual it leaves above the target. A node drops
 out of either stage once its iterate stops moving exactly, so later sweeps
-gather only the nodes that still move, bit-identical to sweeping every node.
+gather only the nodes that still move, bit-identical to sweeping every node;
+a retired node keeps the displacement its last sweep sampled, from which the
+fixed-point residual is built without a second gather. Conjugation reads the
+outer displacement at the nodes and gathers the inner one there once, for
+the composite and for its diagnostics alike.
 """
 
 from __future__ import annotations
@@ -168,9 +172,15 @@ def compose_nodes(outer: Diffeo, inner: Diffeo) -> np.ndarray:
     its extrapolation zone and the result is refused as under-resolved.
     """
     _require_same_grid(outer, inner)
-    grid = inner.grid
+    g_values, images = _node_images(inner)
+    return g_values + outer.displacement.sample(images)
+
+
+def _node_images(member: Diffeo) -> tuple:
+    """``(g, nodes + g)`` at the nodes, refused when the images overhang the box."""
+    grid = member.grid
     nodes = np.asarray(grid.nodes())
-    g_values = inner.displacement.node_values()
+    g_values = member.displacement.node_values()
     images = nodes + g_values
     overhang = float(np.max(np.abs(images))) - grid.half_width
     if overhang > DOMAIN_OVERHANG_FRACTION * grid.half_width:
@@ -181,41 +191,55 @@ def compose_nodes(outer: Diffeo, inner: Diffeo) -> np.ndarray:
             f"{DOMAIN_OVERHANG_FRACTION * grid.half_width:.3g}); "
             f"enlarge the box before composing"
         )
-    return g_values + outer.displacement.sample(images)
+    return g_values, images
 
 
-def _drop_settled(y: np.ndarray, active: np.ndarray, change: np.ndarray,
-                  y_act: np.ndarray, *rest) -> tuple:
+def _drop_settled(store: tuple, active: np.ndarray, change: np.ndarray, *rows) -> tuple:
     """Retire the active nodes whose ``change`` is exactly 0.0.
 
     Both solvers iterate each node on its own, and interpolation reads a
     node's own iterate only, so a node whose step (fixed point) or residual
     (Newton) is exactly 0.0 would recompute the same bits on every later
-    sweep. Its iterate is written to ``y``; the returned ``(active, y_act,
-    *rest)`` keep only the other rows. A NaN ``change`` keeps its node.
-    Integer ``take`` compacts; a boolean mask is several times slower.
+    sweep. Its rows of the leading ``rows`` are written to the whole-node
+    arrays of ``store``, one each; the returned ``(active, *rows)`` keep
+    only the other rows. A NaN ``change`` keeps its node. Integer ``take``
+    compacts; a boolean mask is several times slower.
     """
     keep = np.flatnonzero(change)
     if len(keep) == len(change):
-        return (active, y_act) + rest
+        return (active,) + rows
     done = np.flatnonzero(change == 0.0)
-    y[active.take(done)] = y_act.take(done, axis=0)
-    return tuple(a.take(keep, axis=0) for a in (active, y_act) + rest)
+    retired = active.take(done)
+    for whole, part in zip(store, rows):
+        whole[retired] = part.take(done, axis=0)
+    return tuple(a.take(keep, axis=0) for a in (active,) + rows)
 
 
 def _invert_fixed_point(displacement: DisplacementField, nodes: np.ndarray,
-                        tol: float, max_iter: int) -> np.ndarray:
+                        tol: float, max_iter: int) -> tuple:
+    """Fixed-point sweeps ``y <- x - g(y)``; returns ``(y, g(y))`` at every node.
+
+    A node retires with the displacement its last sweep sampled: its step
+    was exactly 0.0, so that sample is ``g`` at its final iterate. Only the
+    nodes still moving when the sweeps stop are gathered once more.
+    """
     y = nodes - displacement.node_values()
+    sampled = np.empty_like(y)
     active, target, y_act = np.arange(len(y)), nodes, y
     for _ in range(max_iter):
-        y_next = target - displacement.sample(y_act)
+        g_act = displacement.sample(y_act)
+        y_next = target - g_act
         moved = row_max(np.abs(y_next - y_act))
         y_act = y_next
-        if float(np.max(moved, initial=0.0)) <= 0.25 * tol:
+        stop = float(np.max(moved, initial=0.0)) <= 0.25 * tol
+        active, y_act, g_act, target = _drop_settled(
+            (y, sampled), active, moved, y_act, g_act, target)
+        if stop:
             break
-        active, y_act, target = _drop_settled(y, active, moved, y_act, target)
     y[active] = y_act
-    return y
+    if len(active):
+        sampled[active] = displacement.sample(y_act)
+    return y, sampled
 
 
 def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
@@ -230,7 +254,7 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
         if float(np.max(res_norm, initial=0.0)) <= tol:
             break
         active, y_act, target, residual, res_norm = _drop_settled(
-            y, active, res_norm, y_act, target, residual, res_norm)
+            (y,), active, res_norm, y_act, target, residual, res_norm)
         jac = displacement.jacobian_at(y_act) + eye
         try:
             step = np.linalg.solve(jac, residual[..., None])[..., 0]
@@ -259,7 +283,10 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     it raises with the worst node named. Solved nodes drop out: a fixed-point
     node whose step is exactly zero, or a Newton node whose residual is
     exactly zero, is no longer sampled, differentiated or solved, so a
-    singular Jacobian there is never met.
+    singular Jacobian there is never met. The fixed-point residual is built
+    from the displacement each node's last sweep sampled, so only the nodes
+    still moving when the sweeps stop are gathered again; after a Newton
+    stage every node is.
     """
     grid = diffeo.grid
     displacement = diffeo.displacement
@@ -272,8 +299,8 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     frob_sq = sum(e ** 2 for row in displacement.jacobian_entries() for e in row)
     sweeps = (_FIXED_POINT_MAX_ITER if float(np.sqrt(np.max(frob_sq))) < _FIXED_POINT_CONTRACTION
               else _FIXED_POINT_SEED_ITER)
-    y = _invert_fixed_point(displacement, nodes, target, sweeps)
-    residuals = row_max(np.abs(y + displacement.sample(y) - nodes))
+    y, sampled = _invert_fixed_point(displacement, nodes, target, sweeps)
+    residuals = row_max(np.abs(y + sampled - nodes))
     if float(np.max(residuals)) > target:
         y = _invert_newton(displacement, nodes, y, target)
         residuals = row_max(np.abs(y + displacement.sample(y) - nodes))
@@ -300,21 +327,27 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     ``s(y)`` is the inner displacement read at ``a(y)``. The bracket is
     compared against its integral form ``int_0^1 du(a + t s) s dt``, which is
     the identity that transports decay from ``inner`` to the conjugation.
+    ``a`` is ``nodes + g`` from the outer node values and ``s`` is gathered
+    once: the composite ``inner o outer`` is built from the same two arrays
+    (with :func:`compose_nodes`'s overhang refusal), so the diagnostics
+    gather neither again.
     """
     _require_same_grid(outer, inner)
     grid = outer.grid
     outer_inverse = invert(outer)
     expected = inner.decay_class
-    conj_disp = compose_nodes(outer_inverse, compose(inner, outer))
+    g_outer, a = _node_images(outer)
+    s = inner.displacement.sample(a)
+    # left unnamed so the composite and its derivative caches die with this call
+    conj_disp = compose_nodes(outer_inverse, Diffeo(
+        DisplacementField.from_nodes(grid, g_outer + s),
+        widest(inner.decay_class, outer.decay_class)))
     result = Diffeo(DisplacementField.from_nodes(grid, conj_disp), expected)
     if not diagnostics:
         return result
     classification = classify_decay(result.displacement)
     measured = classification.inferred_class
 
-    nodes = np.asarray(grid.nodes())
-    a = outer.apply(nodes)
-    s = inner.displacement.sample(a)
     u = outer_inverse.displacement
     bracket = u.sample(a + s) - u.sample(a)
     quad_nodes = np.linspace(0.0, 1.0, 9)

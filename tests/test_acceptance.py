@@ -4,6 +4,7 @@ The whole battery runs once per session; each criterion then reports as its
 own test so a regression points at the exact claim it broke.
 """
 
+import numpy as np
 import pytest
 
 from diffeoflow import acceptance
@@ -39,3 +40,24 @@ def test_criterion(results, index, capsys):
     with capsys.disabled():
         print(f"[{state}] criterion {item.index}: {item.name} -- {item.detail}")
     assert item.passed, f"criterion {index} ({item.name}): {item.detail}"
+
+
+def _one_at_a_time(rng, n):
+    """Criterion 4's draws as a rejection loop of single matrices."""
+    drawn = []
+    while len(drawn) < 1000:
+        matrix = rng.uniform(-2.0, 2.0, size=(n, n))
+        if abs(np.linalg.det(matrix)) >= 0.1:
+            drawn.append(matrix)
+    return np.array(drawn)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 7, 101, 1789, 1621709875])
+def test_block_draws_match_one_at_a_time(seed):
+    blocks, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (2, 3):
+        got = acceptance._draw_invertible(blocks, n)
+        want = _one_at_a_time(single, n)
+        assert got.shape == (1000, n, n)
+        assert got.tobytes() == want.tobytes()
+    assert np.float64(blocks.random()).tobytes() == np.float64(single.random()).tobytes()

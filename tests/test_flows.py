@@ -24,7 +24,7 @@ from diffeoflow import (
     right_log_derivative,
     sobolev_tracking,
 )
-from diffeoflow.battery import schwartz_flow_case
+from diffeoflow.battery import flow_battery, schwartz_flow_case
 
 
 def bump_field(amplitude=0.08):
@@ -295,6 +295,52 @@ class TestRightLogDerivative:
         short = evolve(bump_field(), 0.2, 0.1, line_grid)
         with pytest.raises(FlowDomainError):
             right_log_derivative(short)
+
+
+def _apply_at_nodes_right_log_derivative(result):
+    """The verifier as it once read each inverse: ``inverse.apply(nodes)``, a gather."""
+    g = result.displacements
+    nodes = np.asarray(result.grid.nodes())
+    out = []
+    for k in range(2, len(g) - 2):
+        dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * result.dt)
+        snap = result.snapshot(k)
+        dgdt_field = DisplacementField.from_nodes(result.grid, dgdt, snap.extrapolation)
+        inverse = invert(Diffeo(snap, result.decay_class))
+        out.append((float(result.times[k]), dgdt_field.sample(inverse.apply(nodes))))
+    return out
+
+
+@pytest.fixture(scope="module")
+def battery_flows():
+    return {case.name: evolve(case.field, case.t_final, case.dt, case.grid)
+            for case in flow_battery()}
+
+
+class TestRightLogDerivativeReadsNodeValues:
+    def test_matches_gather_at_nodes(self, battery_flows):
+        for name, result in battery_flows.items():
+            got = right_log_derivative(result)
+            want = _apply_at_nodes_right_log_derivative(result)
+            assert len(got) == len(want), name
+            for (t, field), (s, values) in zip(got, want):
+                assert t == s
+                assert field.node_values().tobytes() == values.tobytes(), name
+
+    def test_never_samples_at_the_nodes(self, battery_flows, monkeypatch):
+        result = battery_flows["schwartz-rotation-2d"]
+        assert result.grid.shape == (129, 129)
+        nodes = np.asarray(result.grid.nodes())
+        at_nodes = []
+        original = DisplacementField.sample
+
+        def watching(self, points):
+            at_nodes.append(np.shape(points) == nodes.shape and np.array_equal(points, nodes))
+            return original(self, points)
+
+        monkeypatch.setattr(DisplacementField, "sample", watching)
+        right_log_derivative(result)
+        assert at_nodes and not any(at_nodes)
 
 
 def test_two_d_margins_need_no_lapack(monkeypatch, plane_grid):

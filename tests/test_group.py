@@ -218,7 +218,10 @@ class TestInvert:
 
 
 def _full_sweep_fixed_point(displacement, nodes, tol, max_iter):
-    """The solver before solved nodes dropped out: every node, every sweep."""
+    """The solver before solved nodes dropped out: every node, every sweep.
+
+    Its displacement at the final iterate is a fresh gather of every node.
+    """
     y = nodes - displacement.node_values()
     for _ in range(max_iter):
         y_next = nodes - displacement.sample(y)
@@ -226,7 +229,7 @@ def _full_sweep_fixed_point(displacement, nodes, tol, max_iter):
         y = y_next
         if step <= 0.25 * tol:
             break
-    return y
+    return y, displacement.sample(y)
 
 
 def _full_sweep_newton(displacement, nodes, seed, tol):
@@ -268,10 +271,10 @@ def _two_newton_call_invert(diffeo, tol=None):
     contraction = float(np.max(np.sqrt(np.sum(jac ** 2, axis=(0, 1)))))
     if contraction < group_module._FIXED_POINT_CONTRACTION:
         y = group_module._invert_fixed_point(displacement, nodes, target,
-                                             group_module._FIXED_POINT_MAX_ITER)
+                                             group_module._FIXED_POINT_MAX_ITER)[0]
     else:
         seed = group_module._invert_fixed_point(displacement, nodes, target,
-                                                group_module._FIXED_POINT_SEED_ITER)
+                                                group_module._FIXED_POINT_SEED_ITER)[0]
         y = group_module._invert_newton(displacement, nodes, seed, target)
     residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > target:
@@ -281,6 +284,15 @@ def _two_newton_call_invert(diffeo, tol=None):
         raise InversionError(f"inverse solve stalled at residual {residual:.3e}")
     disp = DisplacementField.from_nodes(grid, y - nodes, displacement.extrapolation)
     return Diffeo(disp, diffeo.decay_class)
+
+
+_FIXED_POINT = group_module._invert_fixed_point
+
+
+def _regathering_fixed_point(displacement, nodes, tol, max_iter):
+    """The fixed-point stage as the driver once read it: every node gathered again."""
+    y, _ = _FIXED_POINT(displacement, nodes, tol, max_iter)
+    return y, displacement.sample(y)
 
 
 SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
@@ -317,6 +329,37 @@ class TestInvertSolvedNodesDropOut:
         assert np.array_equal(got.displacement.values, want.displacement.values)
         assert got.displacement.extrapolation == want.displacement.extrapolation
         assert got.decay_class is want.decay_class
+
+    @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
+    @pytest.mark.parametrize("sweeps", [group_module._FIXED_POINT_SEED_ITER,
+                                        group_module._FIXED_POINT_MAX_ITER])
+    def test_kept_samples_are_a_fresh_gather(self, grid, text, decay_class, sweeps):
+        displacement = Diffeo.from_descriptor(grid, text, decay_class).displacement
+        nodes = np.asarray(grid.nodes())
+        y, sampled = group_module._invert_fixed_point(displacement, nodes, 1.0e-13, sweeps)
+        assert sampled.tobytes() == displacement.sample(y).tobytes()
+
+    @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
+    def test_matches_full_residual_gather(self, grid, text, decay_class, monkeypatch):
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        got = invert(member).displacement.values
+        monkeypatch.setattr(group_module, "_invert_fixed_point", _regathering_fixed_point)
+        want = invert(member).displacement.values
+        assert got.tobytes() == want.tobytes()
+
+    def test_residual_gathers_only_moving_nodes(self, monkeypatch):
+        grid, text, decay_class = PARITY_CASES[3]
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        gathered = []
+        original = DisplacementField.sample
+
+        def counting(self, points):
+            gathered.append(np.size(points) // self.grid.dim)
+            return original(self, points)
+
+        monkeypatch.setattr(DisplacementField, "sample", counting)
+        invert(member)
+        assert 0 < gathered[-1] < grid.node_count
 
     def test_swirl_takes_the_newton_branch(self):
         grid = Grid(2, 8.0, 65)
@@ -381,6 +424,90 @@ class TestConjugate:
         nodes = np.asarray(fine_grid.nodes())
         direct = invert(outer).apply(inner.apply(outer.apply(nodes)))
         assert np.max(np.abs(result.apply(nodes) - direct)) <= 1e-8
+
+
+def _regathering_conjugate(outer, inner):
+    """Conjugation as it once ran: ``compose`` builds the composite; ``a``, ``s`` re-gathered."""
+    grid = outer.grid
+    outer_inverse = invert(outer)
+    expected = inner.decay_class
+    conj_disp = group_module.compose_nodes(outer_inverse, compose(inner, outer))
+    result = Diffeo(DisplacementField.from_nodes(grid, conj_disp), expected)
+    classification = group_module.classify_decay(result.displacement)
+    measured = classification.inferred_class
+    nodes = np.asarray(grid.nodes())
+    a = outer.apply(nodes)
+    s = inner.displacement.sample(a)
+    u = outer_inverse.displacement
+    bracket = u.sample(a + s) - u.sample(a)
+    quad_w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
+    integral = np.zeros_like(bracket)
+    for t, w in zip(np.linspace(0.0, 1.0, 9), quad_w):
+        integral += w * np.einsum("nij,nj->ni", u.jacobian_at(a + t * s), s)
+    info = {
+        "expected_class": expected.value,
+        "measured_class": measured.value,
+        "agrees": bool(expected.contains(measured)),
+        "bracket_gap": float(np.max(np.abs(bracket - integral))),
+        "decomposition_residual": float(np.max(np.abs(conj_disp - (s + bracket)))),
+        "report": classification.to_dict(),
+    }
+    return result, info
+
+
+CONJUGATE_CASES = [
+    (Grid(1, 8.0, 513), "0.2*tanh((x-0.3)/1.1)", "0.1*exp(-x^2)"),
+    (Grid(2, 8.0, 129), "0.2*tanh(x/1.1), 0.15*tanh(y)",
+     "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"),
+    (Grid(2, 8.0, 257), "0.2*tanh(x/1.1), 0.15*tanh(y)",
+     "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"),
+]
+
+
+class TestConjugateSharesGathers:
+    @pytest.mark.parametrize("grid, outer_text, inner_text", CONJUGATE_CASES)
+    def test_matches_regathering_conjugate(self, grid, outer_text, inner_text,
+                                           monkeypatch):
+        outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
+        inner = Diffeo.from_descriptor(grid, inner_text, DecayClass.SCHWARTZ)
+        calls = []
+        original = DisplacementField.sample
+
+        def counting(self, points):
+            calls.append(np.size(points))
+            return original(self, points)
+
+        monkeypatch.setattr(DisplacementField, "sample", counting)
+        got, got_info = conjugate(outer, inner, diagnostics=True)
+        got_calls = len(calls)
+        want, want_info = _regathering_conjugate(outer, inner)
+        want_calls = len(calls) - got_calls
+        assert got_calls == want_calls - 2
+        assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
+        assert got.decay_class is want.decay_class
+        assert got_info == want_info
+
+    def test_overhang_still_refused(self, coarse_grid):
+        shift = Diffeo(
+            DisplacementField.from_nodes(coarse_grid, np.ones_like(coarse_grid.nodes()), "clamp"),
+            DecayClass.BOUNDED_ALL,
+        )
+        with pytest.raises(UnderResolvedError):
+            conjugate(shift, Diffeo.identity(coarse_grid))
+
+
+@pytest.mark.parametrize("dim, points", [(1, 257), (1, 513), (2, 65), (2, 129),
+                                         (2, 257), (3, 33)])
+@pytest.mark.parametrize("decay_class", [DecayClass.SCHWARTZ, DecayClass.BOUNDED_ALL])
+def test_node_reads_are_exact_on_dyadic_spacing(dim, points, decay_class):
+    """Sampling at the nodes returns the node values bit for bit when h is a power of two."""
+    grid = Grid(dim, 8.0, points)
+    values = np.random.default_rng(points + dim).uniform(-1.0e-3, 1.0e-3,
+                                                         (dim,) + grid.shape)
+    member = Diffeo(DisplacementField(grid, values), decay_class)
+    nodes = np.asarray(grid.nodes())
+    got = member.apply(nodes)
+    assert got.tobytes() == (nodes + member.displacement.node_values()).tobytes()
 
 
 @given(amplitude=st.floats(min_value=0.02, max_value=0.08),
