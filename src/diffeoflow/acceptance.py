@@ -298,16 +298,16 @@ def criterion_jet_inversion() -> CriterionResult:
         {"reversion_gap": revert_gap, "identity_gap": identity_gap})
 
 
-def _draw_invertible(rng, n: int, count: int = 1000) -> np.ndarray:
-    """``count`` uniform ``n x n`` matrices on [-2, 2] with ``|det| >= 0.1``.
+def _draw_invertible(rng, n: int) -> np.ndarray:
+    """1000 uniform ``n x n`` matrices on [-2, 2] with ``|det| >= 0.1``.
 
     Candidates come in blocks of the number still missing, so a block never
     draws past the candidate a one-at-a-time rejection loop would stop at:
     the stack and the generator's next state are that loop's.
     """
     drawn, have = [], 0
-    while have < count:
-        block = rng.uniform(-2.0, 2.0, size=(count - have, n, n))
+    while have < 1000:
+        block = rng.uniform(-2.0, 2.0, size=(1000 - have, n, n))
         block = block[np.abs(np.linalg.det(block)) >= 0.1]
         drawn.append(block)
         have += len(block)

@@ -159,7 +159,12 @@ def compose(outer: Diffeo, inner: Diffeo) -> Diffeo:
 
     Its displacement is :func:`compose_nodes`; its class is the wider one.
     """
-    displacement = DisplacementField.from_nodes(inner.grid, compose_nodes(outer, inner))
+    return _composite(outer, inner, compose_nodes(outer, inner))
+
+
+def _composite(outer: Diffeo, inner: Diffeo, node_displacement: np.ndarray) -> Diffeo:
+    """The member ``outer o inner`` from its node-major displacement."""
+    displacement = DisplacementField.from_nodes(inner.grid, node_displacement)
     return Diffeo(displacement, widest(outer.decay_class, inner.decay_class))
 
 
@@ -328,9 +333,9 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     compared against its integral form ``int_0^1 du(a + t s) s dt``, which is
     the identity that transports decay from ``inner`` to the conjugation.
     ``a`` is ``nodes + g`` from the outer node values and ``s`` is gathered
-    once: the composite ``inner o outer`` is built from the same two arrays
-    (with :func:`compose_nodes`'s overhang refusal), so the diagnostics
-    gather neither again.
+    once: the composite ``inner o outer`` is built from the same two arrays,
+    as :func:`compose` builds it (with :func:`compose_nodes`'s overhang
+    refusal), so the diagnostics gather neither again.
     """
     _require_same_grid(outer, inner)
     grid = outer.grid
@@ -339,9 +344,7 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     g_outer, a = _node_images(outer)
     s = inner.displacement.sample(a)
     # left unnamed so the composite and its derivative caches die with this call
-    conj_disp = compose_nodes(outer_inverse, Diffeo(
-        DisplacementField.from_nodes(grid, g_outer + s),
-        widest(inner.decay_class, outer.decay_class)))
+    conj_disp = compose_nodes(outer_inverse, _composite(inner, outer, g_outer + s))
     result = Diffeo(DisplacementField.from_nodes(grid, conj_disp), expected)
     if not diagnostics:
         return result

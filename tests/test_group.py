@@ -286,15 +286,6 @@ def _two_newton_call_invert(diffeo, tol=None):
     return Diffeo(disp, diffeo.decay_class)
 
 
-_FIXED_POINT = group_module._invert_fixed_point
-
-
-def _regathering_fixed_point(displacement, nodes, tol, max_iter):
-    """The fixed-point stage as the driver once read it: every node gathered again."""
-    y, _ = _FIXED_POINT(displacement, nodes, tol, max_iter)
-    return y, displacement.sample(y)
-
-
 SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
 PARITY_CASES = [
     (Grid(1, 8.0, 513), "0.2*exp(-(x-0.3)^2)", DecayClass.SCHWARTZ),
@@ -338,14 +329,6 @@ class TestInvertSolvedNodesDropOut:
         nodes = np.asarray(grid.nodes())
         y, sampled = group_module._invert_fixed_point(displacement, nodes, 1.0e-13, sweeps)
         assert sampled.tobytes() == displacement.sample(y).tobytes()
-
-    @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
-    def test_matches_full_residual_gather(self, grid, text, decay_class, monkeypatch):
-        member = Diffeo.from_descriptor(grid, text, decay_class)
-        got = invert(member).displacement.values
-        monkeypatch.setattr(group_module, "_invert_fixed_point", _regathering_fixed_point)
-        want = invert(member).displacement.values
-        assert got.tobytes() == want.tobytes()
 
     def test_residual_gathers_only_moving_nodes(self, monkeypatch):
         grid, text, decay_class = PARITY_CASES[3]
