@@ -35,6 +35,9 @@ COMMANDS = [
                     "--descriptor", GAUSS_1D]),
     ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",
                    "--descriptor", GAUSS_1D]),
+    # |g| reaches 1.5, so composed.dff holds samples the row kernel leaves to _format_float
+    ("compose-1d-wide", ["--command", "compose", "--descriptor", "1.5*tanh(x/4)",
+                         "--descriptor", GAUSS_1D]),
     ("conjugate-1d", ["--command", "conjugate", "--descriptor", TANH_1D,
                       "--descriptor", "0.1*exp(-x^2)"]),
     ("compose-2d", ["--command", "compose", *PLANE, "--descriptor", GAUSS_2D,

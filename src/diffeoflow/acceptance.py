@@ -504,10 +504,10 @@ def criterion_determinism(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     captures = []
     for _ in range(2):
-        out_dir = tempfile.mkdtemp(prefix="diffeoflow-verify-")
-        code = cli.main(["--command", "verify", "--seed", str(seed),
-                         "--out", out_dir, "--quiet"])
-        report = (Path(out_dir) / "verify_report.json").read_bytes()
+        with tempfile.TemporaryDirectory(prefix="diffeoflow-verify-") as out_dir:
+            code = cli.main(["--command", "verify", "--seed", str(seed),
+                             "--out", out_dir, "--quiet"])
+            report = (Path(out_dir) / "verify_report.json").read_bytes()
         captures.append((code, report))
     identical = captures[0][1] == captures[1][1]
     clean = captures[0][0] == 0 and captures[1][0] == 0

@@ -4,10 +4,13 @@ The whole battery runs once per session; each criterion then reports as its
 own test so a regression points at the exact claim it broke.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from diffeoflow import acceptance
+from diffeoflow import acceptance, cli
 from diffeoflow.battery import DEFAULT_SEED
 
 CRITERIA = {
@@ -61,3 +64,20 @@ def test_block_draws_match_one_at_a_time(seed):
         assert got.shape == (1000, n, n)
         assert got.tobytes() == want.tobytes()
     assert np.float64(blocks.random()).tobytes() == np.float64(single.random()).tobytes()
+
+
+def test_determinism_removes_its_report_dirs(tmp_path, monkeypatch):
+    made = []
+
+    def fake_verify(argv):
+        out_dir = Path(argv[argv.index("--out") + 1])
+        made.append(out_dir)
+        (out_dir / "verify_report.json").write_bytes(b'{"seed": 1}\n')
+        return 0
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(cli, "main", fake_verify)
+    result = acceptance.criterion_determinism(DEFAULT_SEED)
+    assert result.passed
+    assert len(made) == 2 and all(path.parent == tmp_path for path in made)
+    assert list(tmp_path.iterdir()) == []

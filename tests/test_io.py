@@ -1,9 +1,12 @@
 import json
 import math
 import re
+from io import BytesIO
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diffeoflow import (
     DecayClass,
@@ -21,8 +24,25 @@ from diffeoflow import (
     write_report,
     write_time_series_csv,
 )
+from diffeoflow import io as dff_io
 from diffeoflow.cli import main
-from diffeoflow.io import _format_float
+from diffeoflow.io import _BLOCK, _format_float, _write_rows
+
+
+def _kernel_text(rows) -> bytes:
+    fh = BytesIO()
+    _write_rows(fh, np.asarray(rows, dtype=float))
+    return fh.getvalue()
+
+
+def _expected_text(rows) -> bytes:
+    return b"".join((",".join(_format_float(x) for x in row) + "\n").encode("ascii")
+                    for row in np.asarray(rows, dtype=float).tolist())
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
 
 
 class TestStableJson:
@@ -188,6 +208,16 @@ class TestDisplacementFiles:
         assert main(["--command", "classify", "--input", str(path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sample", [b"\xff", "\u0661".encode("utf-8"), b"1_0", b"0_0"],
+                             ids=["non-utf8", "arabic-indic-one", "underscore", "zero-underscore"])
+    def test_non_writer_samples_are_file_errors(self, coarse_grid, tmp_path, sample):
+        path = tmp_path / "d.dsp"
+        write_displacement(str(path), DisplacementField.zero(coarse_grid))
+        head, row = path.read_bytes().split(b"\n")[:2]
+        path.write_bytes(head + b"\n" + row.replace(b"0,", sample + b",", 1) + b"\n")
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            read_displacement(str(path))
+
     def test_infinite_samples_rejected(self, coarse_grid, tmp_path):
         path = tmp_path / "d.dsp"
         write_displacement(str(path), DisplacementField.zero(coarse_grid))
@@ -196,6 +226,83 @@ class TestDisplacementFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError):
             read_displacement(str(path))
+
+
+class TestRowKernel:
+    """Rows are the bytes of ``_format_float`` per sample, fast path or guard."""
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-1.0, 1.0)), min_size=1, max_size=64))
+    def test_any_finite_doubles(self, values):
+        assert _kernel_text([values]) == _expected_text([values])
+
+    def test_random_bit_patterns(self, rng):
+        bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert _kernel_text([values]) == _expected_text([values])
+
+    def test_random_fast_path_values(self, rng):
+        values = rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.integers(-255, 1, 50_000)
+        assert _kernel_text([values]) == _expected_text([values])
+
+    def test_edges(self):
+        values = _signed([0.0, 5e-324, 2.2250738585072014e-308,
+                          np.nextafter(1e-250, 0.0), 1e-250, np.nextafter(1e-250, 1.0),
+                          np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                          1e-4, 9.9999999999999991e-05, 1e-5, 0.5, 0.1, 1.5])
+        assert _kernel_text([values]) == _expected_text([values])
+        assert _kernel_text([[0.0, -0.0]]) == b"0,-0\n"
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = []
+        for k in range(0, 324):
+            x = float(f"1e-{k}")
+            below, above = np.nextafter(x, 0.0), np.nextafter(x, 2.0)
+            values += [np.nextafter(below, 0.0), below, x, above, np.nextafter(above, 2.0)]
+        values = _signed(values)
+        assert _kernel_text([values]) == _expected_text([values])
+
+    def test_exact_ties_round_half_to_even(self):
+        # 2^-25 = 2.98023223876953125e-08 and 3 * 2^-25 = 8.94069671630859375e-08
+        # exactly: each 17th digit is a tie, settled down to 2 and up to 8
+        assert _kernel_text([[2.0 ** -25, -3 * 2.0 ** -25]]) == (
+            b"2.9802322387695312e-08,-8.9406967163085938e-08\n")
+
+    @pytest.mark.parametrize("size", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_row_lengths_across_blocks(self, rng, size):
+        rows = rng.normal(scale=0.2, size=(2, size))
+        rows[0, -1] = 3.0                      # the row's last sample takes the guard
+        rows[1, -1] = 0.0
+        text = _kernel_text(rows)
+        assert text == _expected_text(rows)
+        assert text.count(b"\n") == 2 and text.count(b",") == 2 * (size - 1)
+
+    @pytest.mark.parametrize("grid", [Grid(2, 8.0, 65), Grid(3, 8.0, 21)],
+                             ids=["2d", "3d"])
+    def test_newlines_in_multi_component_files(self, grid, rng, tmp_path):
+        values = rng.normal(scale=0.1, size=(grid.dim,) + grid.shape)
+        values[0].flat[::7] = 0.0
+        path = tmp_path / "d.dff"
+        write_displacement(str(path), DisplacementField(grid, values))
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == grid.dim + 2 and lines[-1] == b""
+        assert b"\n".join(lines[1:]) == _expected_text(values.reshape(grid.dim, -1))
+        assert all(line.count(b",") == grid.node_count - 1 for line in lines[1:-1])
+
+    def test_gaussian_member_takes_the_fast_path(self, monkeypatch):
+        grid = Grid(2, 8.0, 257)
+        member = Diffeo.from_descriptor(
+            grid, "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", DecayClass.SCHWARTZ)
+        rows = member.displacement.values.reshape(2, -1)
+        assert np.count_nonzero(rows) == rows.size
+        want = _expected_text(rows)
+
+        def refuse(x):
+            raise AssertionError(f"{x!r} left the fast path")
+
+        monkeypatch.setattr(dff_io, "_format_float", refuse)
+        assert _kernel_text(rows) == want
 
 
 class TestDiffeoFiles:
