@@ -22,7 +22,7 @@ from .battery import (DEFAULT_SEED, bounded_outer_diffeos, flow_battery,
                       sobolev_flow_case, sobolev_inner_diffeos)
 from .decay import DecayClass, classify_decay
 from .descriptors import parse_vector
-from .fields import DisplacementField, Grid, seminorm_table
+from .fields import Grid, multi_indices_up_to, point_derivatives, seminorm_table
 from .flows import (displacement_sup_bound, evolve, gronwall_bound,
                     right_log_derivative, sobolev_tracking)
 from .group import compose, invert
@@ -127,32 +127,33 @@ def rk4_reference(velocity, nodes: np.ndarray, t_final: float,
 
 
 def _descriptor_jet(descriptor: str, point, order: int) -> Jet:
-    """Exact jet of Id + descriptor displacement via repeated symbolic diff."""
+    """Exact jet of Id + descriptor displacement via repeated symbolic diff.
+
+    ``d^alpha`` is one ``diff`` of the cached ``d^(alpha - e_j)``, ``j`` its
+    last nonzero axis: the from-scratch ``diff`` sequence, so the same floats.
+    """
     exprs = parse_vector(descriptor)
     dim = len(exprs)
     point = np.asarray(point, dtype=np.float64).reshape(dim)
     names = ("x", "y", "z")[:dim]
     env = dict(zip(names, point))
-    cache = {}
+    cache = {(i, (0,) * dim): expr for i, expr in enumerate(exprs)}
 
-    def deriv(i: int, alpha: tuple) -> float:
-        key = (i, alpha)
-        if key not in cache:
-            node = exprs[i]
-            for axis, count in enumerate(alpha):
-                for _ in range(count):
-                    node = node.diff(names[axis])
-            cache[key] = float(node.evaluate(env))
-        return cache[key]
+    def expression(i: int, alpha: tuple):
+        if (i, alpha) not in cache:
+            axis = max(j for j, a in enumerate(alpha) if a)
+            lower = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
+            cache[i, alpha] = expression(i, lower).diff(names[axis])
+        return cache[i, alpha]
 
-    terms = [point + np.array([deriv(i, (0,) * dim) for i in range(dim)])]
+    terms = [point + np.array([float(expr.evaluate(env)) for expr in exprs])]
     for p in range(1, order + 1):
         dense = np.zeros((dim,) + (dim,) * p)
         fact = math.factorial(p)
         for combo in combinations_with_replacement(range(dim), p):
             alpha = tuple(combo.count(axis) for axis in range(dim))
             for i in range(dim):
-                value = deriv(i, alpha) / fact
+                value = float(expression(i, alpha).evaluate(env)) / fact
                 if p == 1 and i == combo[0]:
                     value += 1.0 / fact
                 for perm_slot in set(permutations(combo)):
@@ -215,27 +216,27 @@ def _fd_jet_gap(outer_desc: str, inner_desc: str, grid: Grid, point,
         outer_disp = np.stack([e.evaluate(env2) for e in outer_exprs])
         return (inner_disp + outer_disp).T
 
-    sampled = DisplacementField.from_nodes(grid, composed(np.asarray(grid.nodes())))
     inner_jet = _descriptor_jet(inner_desc, point, order)
     outer_jet = _descriptor_jet(outer_desc, inner_jet.value, order)
     jet = compose_jets(outer_jet, inner_jet)
+    alphas = multi_indices_up_to(dim, order)[1:]
+    # stencil derivatives of the sampled composite, read on the nodes they need
+    fds = point_derivatives(grid, composed, alphas, point)
 
     worst = 0.0
-    for p in range(1, order + 1):
+    for alpha, fd in zip(alphas, fds):
+        combo = tuple(axis for axis, count in enumerate(alpha) for _ in range(count))
+        p = len(combo)
         fact = math.factorial(p)
         dense = jet.dense_term(p)
         scale = max(float(np.max(np.abs(dense))) * fact, 1.0e-9)
-        for combo in combinations_with_replacement(range(dim), p):
-            alpha = [combo.count(axis) for axis in range(dim)]
-            fd = sampled.partial_derivative(alpha).sample(
-                np.asarray(point, dtype=np.float64).reshape(1, dim))[0]
-            for i in range(dim):
-                # the sampled field is the composed displacement, so its
-                # Jacobian misses the identity the jet term carries
-                exact = dense[(i,) + combo] * fact
-                if p == 1 and i == combo[0]:
-                    exact -= 1.0
-                worst = max(worst, abs(fd[i] - exact) / scale)
+        for i in range(dim):
+            # the sampled field is the composed displacement, so its
+            # Jacobian misses the identity the jet term carries
+            exact = dense[(i,) + combo] * fact
+            if p == 1 and i == combo[0]:
+                exact -= 1.0
+            worst = max(worst, abs(fd[i] - exact) / scale)
     return worst
 
 

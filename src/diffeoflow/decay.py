@@ -165,6 +165,11 @@ def dyadic_shells(grid) -> tuple:
     dyadic level that fits inside the half-width. Classification needs at
     least ``MIN_SHELLS`` shells, which requires a half-width of at least 8.
     """
+    return _shells(grid)[:2]
+
+
+def _shells(grid) -> tuple:
+    """:func:`dyadic_shells` plus the node radii it measured, shaped like the grid."""
     levels = int(np.floor(np.log2(grid.half_width) + 1.0e-12))
     shells = levels + 1
     if shells < MIN_SHELLS:
@@ -179,7 +184,7 @@ def dyadic_shells(grid) -> tuple:
     for k in range(shells):
         lo, hi = 2.0 ** (k - 1), 2.0 ** k
         masks.append((r >= lo) & (r <= hi))
-    return radii, masks
+    return radii, masks, r
 
 
 def _fit_exponent(radii, sups) -> float:
@@ -195,6 +200,12 @@ def _fit_exponent(radii, sups) -> float:
         return float("inf")
     slope = np.polyfit(np.log(r[keep]), np.log(s[keep]), 1)[0]
     return float(-slope)
+
+
+def _shell_fit(alpha, values: np.ndarray, radii, masks) -> ShellFit:
+    """Decay fit of one derivative's node magnitudes ``values`` over the shells."""
+    sups = [float(np.max(values[mask])) if np.any(mask) else 0.0 for mask in masks]
+    return ShellFit(alpha, radii, sups, _fit_exponent(radii, sups))
 
 
 def _support_radius(r: np.ndarray, abs_values: np.ndarray, radii) -> float | None:
@@ -217,20 +228,21 @@ def classify_decay(field) -> SeminormReport:
     every fitted exponent to clear ``DEFAULT_MAX_WEIGHT + 1``.
     """
     grid = field.grid
-    radii, masks = dyadic_shells(grid)
+    radii, masks, r = _shells(grid)
     notes = []
 
     alphas = multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER)
-    fits = []
-    decay_rates = {}
-    for alpha in alphas:
-        dv = _alpha_values(field, alpha)
-        sups = []
-        for mask in masks:
-            sups.append(float(np.max(dv[mask])) if np.any(mask) else 0.0)
-        exponent = _fit_exponent(radii, sups)
-        fits.append(ShellFit(alpha, radii, sups, exponent))
-        decay_rates[alpha] = exponent
+    abs_values = _alpha_values(field, alphas[0])
+    fits = [_shell_fit(alphas[0], abs_values, radii, masks)]
+    outer_mask = r >= radii[-1] / 2.0
+    global_sup = float(np.max(abs_values))
+    edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
+    edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
+    support_radius = _support_radius(r, abs_values, radii)
+    # dropped before the higher orders are derived, so they add nothing to the peak
+    del r, abs_values
+    fits += [_shell_fit(alpha, _alpha_values(field, alpha), radii, masks) for alpha in alphas[1:]]
+    decay_rates = {fit.alpha: fit.exponent for fit in fits}
 
     sup_values, weighted, sobolev_values = seminorm_table(field, alphas, DEFAULT_MAX_WEIGHT)
     entries = [{"kind": "sup", "alpha": alpha, "m": 0, "value": value}
@@ -240,16 +252,6 @@ def classify_decay(field) -> SeminormReport:
             entries.append({"kind": "weighted", "alpha": alpha, "m": m, "value": value})
     entries += [{"kind": "sobolev", "alpha": alpha, "m": 0, "value": value}
                 for alpha, value in zip(alphas, sobolev_values)]
-
-    nodes = np.asarray(grid.nodes())
-    r = row_norms(nodes).reshape(grid.shape)
-    outer_mask = r >= radii[-1] / 2.0
-    abs_values = _alpha_values(field, (0,) * grid.dim)
-    global_sup = float(np.max(abs_values))
-    edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
-    edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
-
-    support_radius = _support_radius(r, abs_values, radii)
     exponents = list(decay_rates.values())
 
     if global_sup == 0.0 or support_radius is not None:

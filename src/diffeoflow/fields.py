@@ -128,46 +128,48 @@ def _check_alpha(alpha, dim: int) -> tuple:
     return alpha
 
 
-def _chained_derivative(field, alpha: tuple):
-    """``d^alpha`` of a scalar or displacement field, chained from its cache.
+def _d1_stack(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``_d1`` of a ``(C,) + shape`` stack one channel at a time (temporaries one channel wide)."""
+    return np.stack([_d1(channel, axis, h) for channel in values])
 
-    A missing ``alpha`` is one ``_d1`` per channel along its last nonzero
-    axis ``j``, applied to ``d^(alpha - e_j)``, which is cached or derived
-    the same way. Taking ``d^alpha`` from the values one axis at a time
-    (axis 0 ``alpha_0`` times, then axis 1, ...) runs exactly this sequence
-    of ``_d1`` calls, so the result has the same bits, and each index costs
-    one ``_d1`` per channel whatever order the indices are asked in.
+
+def _chain(cache: dict, alpha: tuple, base, step):
+    """``d^alpha`` of ``base`` from ``cache``: a missing one is ``step(d^(alpha - e_j), j)``.
+
+    ``j`` is the last nonzero axis and the lower order is cached or derived
+    the same way, which is the from-scratch sequence of steps (axis 0
+    ``alpha_0`` times, then axis 1, ...), so the bits are the same.
     """
     if sum(alpha) == 0:
-        return field
-    cached = field._derivatives.get(alpha)
-    if cached is None:
+        return base
+    if alpha not in cache:
         axis = max(j for j, a in enumerate(alpha) if a)
-        lower = _chained_derivative(field, alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:])
-        h = field.grid.spacing
-        if isinstance(field, ScalarField):
-            values = _d1(lower.values, axis, h)
-        else:
-            # one channel at a time keeps the stencil temporaries one channel wide
-            values = np.stack([_d1(channel, axis, h) for channel in lower.values])
-        cached = type(field)(field.grid, values, field.extrapolation)
-        field._derivatives[alpha] = cached
-    return cached
+        lower = _chain(cache, alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:], base, step)
+        cache[alpha] = step(lower, axis)
+    return cache[alpha]
+
+
+def _chained_derivative(field, alpha: tuple):
+    """``d^alpha`` of a scalar or displacement field, chained from its cache by ``_d1``."""
+    d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
+    return _chain(field._derivatives, alpha, field, lambda lower, axis: type(field)(
+        field.grid, d1(lower.values, axis, field.grid.spacing), field.extrapolation))
 
 
 def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
-                    weights: np.ndarray, bases: np.ndarray):
+                    weights: np.ndarray, bases: np.ndarray, strides: list, start=0.0):
     """Flat stencil origins and cubic Lagrange weights at ``points``, in scratch.
 
     ``points`` has shape ``(m, dim)`` and is clipped to the box here. The
     scratch comes from :func:`_gather`, which allocates it once per call:
     ``rows`` is float ``(5, dim, width)``, ``weights`` is ``(dim, 4, width)``
     and ``bases`` is int64 ``(dim, width)``, with ``width >= m``. Returns
-    views ``(origin, weights[:, :, :m])``: ``origin`` is the flat node index
-    of each point's stencil corner, and every weight row ``weights[j, k]``
-    is contiguous. The four weights of an axis interpolate through nodes
-    ``base .. base+3``; near a face the stencil shifts inward, which keeps
-    the interpolant cubic-exact. Each weight is the product
+    views ``(origin, weights[:, :, :m])``: ``origin`` is the flat index, under
+    ``strides`` and from node ``start`` (0, or a window's first nodes as a
+    column), of each point's stencil corner, and every weight row
+    ``weights[j, k]`` is contiguous. The four weights of an axis interpolate
+    through nodes ``base .. base+3``; near a face the stencil shifts inward,
+    which keeps the interpolant cubic-exact. Each weight is the product
     ``(t - a)(t - b)(t - c) / 6`` or ``/ 2`` multiplied left to right from
     shared ``t + 1``, ``t - 1`` and ``t - 2`` rows; a leading minus sign
     moves onto the divisor and ``(t + 1) t`` is formed once for two
@@ -187,7 +189,7 @@ def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
     np.floor(u, out=t)
     np.maximum(t, 1.0, out=t)
     np.minimum(t, n - 3.0, out=t)
-    np.subtract(t, 1.0, out=base, casting="unsafe")
+    np.subtract(t, 1.0 + start, out=base, casting="unsafe")
     np.subtract(u, t, out=t)
     np.add(t, 1.0, out=tp1)
     np.subtract(t, 1.0, out=tm1)
@@ -207,7 +209,7 @@ def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
     # the last axis has stride 1, so its base row becomes the flat origin
     origin = base[-1]
     for j in range(grid.dim - 1):
-        base[j] *= n ** (grid.dim - 1 - j)
+        base[j] *= strides[j]
         origin += base[j]
     return origin, w
 
@@ -234,7 +236,8 @@ def _stencil_terms(weights: np.ndarray, strides: list, rows: np.ndarray,
             yield from _stencil_terms(weights, strides, rows, axis + 1, here, w)
 
 
-def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) -> np.ndarray:
+def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str,
+            window=None) -> np.ndarray:
     """Interpolate flat node arrays ``channels`` at ``points`` of shape ``(m, dim)``.
 
     All channels share one stencil: the node index and the weight of each of
@@ -246,13 +249,15 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) 
     all points that adds ``weight * value`` per offset: each point gets the
     same products, added in the same offset order into an accumulator that
     starts at zero (so terms that are all ``-0.0`` sum to ``0.0``, not
-    ``-0.0``).
+    ``-0.0``). With ``window = (start, shape)`` (:func:`point_derivatives`) the
+    channels hold only nodes ``start .. start + shape - 1`` of each axis.
     Returns shape ``(len(channels), m)``.
     """
     half = grid.half_width
     dim = grid.dim
     m = points.shape[0]
-    strides = [grid.points_per_axis ** (dim - 1 - j) for j in range(dim)]
+    start, shape = window or (0.0, grid.shape)
+    strides = [int(np.prod(shape[j + 1:])) for j in range(dim)]
     acc = np.zeros((len(channels), m))
     blocks = max(1, -(-m // GATHER_BLOCK))
     width = -(-m // blocks)
@@ -262,7 +267,7 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) 
     row_buffer = np.empty((dim - 1, width))
     for b in range(blocks):
         lo, hi = b * m // blocks, (b + 1) * m // blocks
-        origin, weights = _interp_stencil(grid, points[lo:hi], *scratch)
+        origin, weights = _interp_stencil(grid, points[lo:hi], *scratch, strides, start)
         out, term, rows = acc[:, lo:hi], term_buffer[:hi - lo], row_buffer[:, :hi - lo]
         for k, w in _stencil_terms(weights, strides, rows):
             for c, channel in enumerate(channels):
@@ -276,6 +281,35 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str) 
             inside &= np.abs(points[:, j]) <= half
         acc[:, ~inside] = 0.0
     return acc
+
+
+def point_derivatives(grid: Grid, evaluate, alphas, point) -> list:
+    """``d^alpha`` at ``point``, shape ``(C,)``, of the field with node values ``evaluate``.
+
+    ``evaluate`` maps ``(m, dim)`` nodes to ``(m, C)`` values. Entry ``i`` is
+    bit for bit ``DisplacementField.from_nodes(grid, evaluate(grid.nodes()))
+    .partial_derivative(alphas[i]).sample(point)``, but ``evaluate`` sees
+    only the window the read depends on: per axis the four interpolation
+    nodes, widened by the two rows each ``_d1`` along that axis spoils at a
+    window edge, and clipped at the faces, whose one-sided rows are the grid's.
+    """
+    alphas = [_check_alpha(alpha, grid.dim) for alpha in alphas]
+    point = np.asarray(point, dtype=np.float64).reshape(1, grid.dim)
+    half, n = grid.half_width, grid.points_per_axis
+    # each axis's first stencil node, by the clip and floor of _interp_stencil
+    u = (np.minimum(np.maximum(point[0], -half), half) + half) / grid.spacing
+    first = np.minimum(np.maximum(np.floor(u), 1.0), n - 3.0).astype(int) - 1
+    reach = 2 * np.max(alphas, axis=0)
+    start, stop = np.maximum(first - reach, 0), np.minimum(first + 4 + reach, n)
+    axes = [grid.axis_coordinates()[lo:hi] for lo, hi in zip(start, stop)]
+    nodes = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    values = np.asarray(evaluate(nodes), dtype=np.float64).T.reshape((-1,) + tuple(stop - start))
+    window = (start[:, None] + 0.0, values.shape[1:])
+    cache = {}
+    derived = [_chain(cache, alpha, values, lambda lower, axis: _d1_stack(lower, axis, grid.spacing))
+               for alpha in alphas]
+    return [_gather(list(d.reshape(len(d), -1)), grid, point, "zero", window)[:, 0]
+            for d in derived]
 
 
 def _row_square_sums(vectors: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from diffeoflow.fields import (
     MAX_DERIVATIVE_ORDER,
     det_plus_identity,
     multi_indices_up_to,
+    point_derivatives,
     row_max,
     row_norms,
     spectral_norms,
@@ -675,3 +676,73 @@ class TestJacobianKernels:
         _, mats = _rotations(noise=1.0e-9, seed=seed)
         _assert_spectral_matches_lapack(mats)
         _assert_det_matches_lapack(mats)
+
+
+# the criterion-2 grids, one more of each dimension, and h = 1/6 (not dyadic)
+WINDOW_GRIDS = [(Grid(1, 8.0, 1025), 6), (Grid(1, 8.0, 257), 6), (Grid(2, 4.0, 513), 4),
+                (Grid(2, 4.0, 129), 4), (Grid(2, 8.0, 97), 4), (Grid(3, 2.0, 33), 4)]
+
+
+def _smooth_values(points):
+    """An ``(m, dim)`` displacement, every channel smooth and nonzero on the box."""
+    r2 = points[:, 0] * points[:, 0]
+    for j in range(1, points.shape[1]):
+        r2 = r2 + points[:, j] * points[:, j]
+    return np.stack([np.exp(-r2 / (4.0 + c)) * np.cos(0.7 * points[:, c] + 0.2 * c)
+                     for c in range(points.shape[1])], axis=1)
+
+
+def _window_points(grid):
+    """Criterion 2's point, a node, near and on the faces, and off the box."""
+    dim, half, h = grid.dim, grid.half_width, grid.spacing
+    coords = grid.axis_coordinates()
+    signs = np.where(np.arange(dim) % 2, -1.0, 1.0)
+    return [np.array([0.25] if dim == 1 else [0.2, -0.4, 0.1][:dim]),
+            coords[[grid.points_per_axis // 3, grid.points_per_axis // 2 + 3, 5][:dim]],
+            signs * (half - 0.4 * h),
+            np.array([1.5 * h - half, 0.3, -0.1][:dim]),
+            signs * half,
+            np.array([half + 0.5 * h, 0.1, -0.2][:dim])]
+
+
+@pytest.mark.parametrize("grid,order", WINDOW_GRIDS,
+                         ids=[f"{g.dim}d-{g.points_per_axis}" for g, _ in WINDOW_GRIDS])
+def test_point_derivatives_match_whole_grid(grid, order):
+    """The window read equals the whole-grid stencil derivative, bit for bit."""
+    field = DisplacementField.from_nodes(grid, _smooth_values(np.asarray(grid.nodes())))
+    alphas = multi_indices_up_to(grid.dim, order)
+    for point in _window_points(grid):
+        want = [field.partial_derivative(alpha).sample(point.reshape(1, -1))[0]
+                for alpha in alphas]
+        # every index at once, so the window is the widest, and each alone, the tightest
+        together = point_derivatives(grid, _smooth_values, alphas, point)
+        assert all(_same_bytes(g, w) for g, w in zip(together, want)), point
+        for alpha, w in zip(alphas, want):
+            (alone,) = point_derivatives(grid, _smooth_values, [alpha], point)
+            assert _same_bytes(alone, w), (point, alpha)
+        if np.max(np.abs(point)) > grid.half_width:
+            assert not np.any(np.concatenate(together))
+
+
+@pytest.mark.parametrize("grid,order", [WINDOW_GRIDS[0], WINDOW_GRIDS[2], WINDOW_GRIDS[5]],
+                         ids=["1d-1025", "2d-513", "3d-33"])
+def test_point_derivatives_window_holds_whole_grid_values(grid, order):
+    """The read evaluates only a window of nodes, each the grid's own node and value."""
+    seen = []
+
+    def recording(points):
+        seen.append(points)
+        return _smooth_values(points)
+
+    full_nodes = np.asarray(grid.nodes())
+    full_values = _smooth_values(full_nodes)
+    for point in _window_points(grid):
+        seen.clear()
+        point_derivatives(grid, recording, multi_indices_up_to(grid.dim, order), point)
+        (nodes,) = seen
+        index = np.rint((nodes + grid.half_width) / grid.spacing).astype(int)
+        flat = np.ravel_multi_index(tuple(index.T), grid.shape)
+        assert _same_bytes(nodes, full_nodes[flat])
+        assert _same_bytes(_smooth_values(nodes), full_values[flat])
+        # at most the 4 stencil nodes plus 2 rows per derivative on each side, per axis
+        assert len(nodes) <= (4 + 4 * order) ** grid.dim < grid.node_count
