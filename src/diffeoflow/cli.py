@@ -160,8 +160,14 @@ def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
 
 def cmd_classify(config: RunConfig) -> int:
     ((is_file, spec),) = _source_specs(config, 1)
-    target = read_diffeo(spec).displacement if is_file else sample(spec, config.grid())
-    report = classify_decay(target)
+    if is_file:
+        member = read_diffeo(spec)
+        # a file without a class hint was classified as it was read
+        target, report = member.displacement, member.classification
+    else:
+        target, report = sample(spec, config.grid()), None
+    if report is None:
+        report = classify_decay(target)
     claimed = config.claimed_class()
     class_ok = None
     if claimed is not None:

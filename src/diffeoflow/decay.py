@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, InsufficientAnnuliError
-from .fields import multi_indices_up_to, row_norms, seminorm_table
+from .fields import multi_indices_up_to, row_norms, seminorm_measure, stream_derivatives
 
 MIN_SHELLS = 4
 SOBOLEV_NORM_CAP = 1.0e3
@@ -232,19 +232,28 @@ def classify_decay(field) -> SeminormReport:
     notes = []
 
     alphas = multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER)
-    abs_values = _alpha_values(field, alphas[0])
-    fits = [_shell_fit(alphas[0], abs_values, radii, masks)]
-    outer_mask = r >= radii[-1] / 2.0
-    global_sup = float(np.max(abs_values))
-    edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
-    edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
-    support_radius = _support_radius(r, abs_values, radii)
-    # dropped before the higher orders are derived, so they add nothing to the peak
-    del r, abs_values
-    fits += [_shell_fit(alpha, _alpha_values(field, alpha), radii, masks) for alpha in alphas[1:]]
+    measure = seminorm_measure(field, DEFAULT_MAX_WEIGHT)
+    fits, rows = [], []
+    # one pass: each derivative gives its shell fit and its seminorms, then
+    # is dropped before the next is chained (the field keeps first orders only)
+    derivatives = stream_derivatives(field, alphas)
+    for alpha in alphas:
+        derivative = next(derivatives)
+        abs_values = _component_max(derivative, grid)
+        fits.append(_shell_fit(alpha, abs_values, radii, masks))
+        rows.append(measure(derivative))
+        if not any(alpha):
+            outer_mask = r >= radii[-1] / 2.0
+            global_sup = float(np.max(abs_values))
+            edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
+            edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
+            support_radius = _support_radius(r, abs_values, radii)
+            # dropped before the higher orders are derived, so they add nothing to the peak
+            del r, outer_mask
+        del derivative, abs_values
     decay_rates = {fit.alpha: fit.exponent for fit in fits}
 
-    sup_values, weighted, sobolev_values = seminorm_table(field, alphas, DEFAULT_MAX_WEIGHT)
+    sup_values, weighted, sobolev_values = zip(*rows)
     entries = [{"kind": "sup", "alpha": alpha, "m": 0, "value": value}
                for alpha, value in zip(alphas, sup_values)]
     for alpha, row in zip(alphas, weighted):
@@ -297,7 +306,6 @@ def classify_decay(field) -> SeminormReport:
     )
 
 
-def _alpha_values(field, alpha) -> np.ndarray:
+def _component_max(derivative: np.ndarray, grid) -> np.ndarray:
     """Node-wise max over components of ``|d^alpha f_i|``, shaped like the grid."""
-    values = field.partial_derivative(alpha).values
-    return np.max(np.abs(values.reshape((-1,) + field.grid.shape)), axis=0)
+    return np.max(np.abs(derivative.reshape((-1,) + grid.shape)), axis=0)

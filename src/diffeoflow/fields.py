@@ -2,10 +2,14 @@
 
 Fields live on a uniform tensor grid over ``[-L, L]^dim``. Derivatives are
 fourth-order finite differences (central stencils inside, one-sided stencils
-on the two rows nearest each face). A field caches every ``d^alpha`` it has
-derived and chains a new one from the cache: one first-derivative stencil
-along the last nonzero axis of ``alpha``, applied to the cached next-lower
-order, which is the from-scratch sequence of stencils bit for bit.
+on the two rows nearest each face). ``partial_derivative`` caches every
+``d^alpha`` it derives on the field and chains a new one from the cache: one
+first-derivative stencil along the last nonzero axis of ``alpha``, applied to
+the cached next-lower order, which is the from-scratch sequence of stencils
+bit for bit. Readers that reduce derivatives to numbers (the seminorm table
+and the decay classifier) go through :func:`stream_derivatives` instead: the
+field keeps only its first derivatives, which are its Jacobian, and each
+order >= 2 lives only until it has been read.
 Off-grid evaluation is separable piecewise-cubic Lagrange interpolation,
 which reproduces cubics exactly and therefore matches the fourth-order
 accuracy of the stencils. Points outside the box either read as zero
@@ -25,8 +29,8 @@ results are bit-identical to an unblocked pass.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +41,10 @@ MAX_DERIVATIVE_ORDER = 6
 EXTRAPOLATION_MODES = ("zero", "clamp")
 # query points per interpolation block: ~1 MB of per-block rows in 2-D
 GATHER_BLOCK = 16384
+# bytes of node arrays that Grid.nodes keeps (least recently read evicted
+# first): room for 513^2 (4.2 MB), 49^3 (2.8 MB) and a few 257^2 (1.1 MB);
+# a larger array, such as 129^3 (51 MB), is built on every call
+NODE_CACHE_BYTES = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -76,12 +84,23 @@ class Grid:
         return _grid_nodes(self)
 
 
-@lru_cache(maxsize=32)
+_node_cache: OrderedDict = OrderedDict()
+
+
 def _grid_nodes(grid: Grid) -> np.ndarray:
+    """The read-only node array of ``grid``, cached within ``NODE_CACHE_BYTES``."""
+    nodes = _node_cache.get(grid)
+    if nodes is not None:
+        _node_cache.move_to_end(grid)
+        return nodes
     axes = [grid.axis_coordinates() for _ in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     nodes.flags.writeable = False
+    if nodes.nbytes <= NODE_CACHE_BYTES:
+        _node_cache[grid] = nodes
+        while sum(a.nbytes for a in _node_cache.values()) > NODE_CACHE_BYTES:
+            _node_cache.popitem(last=False)
     return nodes
 
 
@@ -133,6 +152,12 @@ def _d1_stack(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.stack([_d1(channel, axis, h) for channel in values])
 
 
+def _lower(alpha: tuple) -> tuple:
+    """``(alpha - e_j, j)`` for the last nonzero axis ``j`` of ``alpha``."""
+    axis = max(j for j, a in enumerate(alpha) if a)
+    return alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:], axis
+
+
 def _chain(cache: dict, alpha: tuple, base, step):
     """``d^alpha`` of ``base`` from ``cache``: a missing one is ``step(d^(alpha - e_j), j)``.
 
@@ -143,10 +168,18 @@ def _chain(cache: dict, alpha: tuple, base, step):
     if sum(alpha) == 0:
         return base
     if alpha not in cache:
-        axis = max(j for j, a in enumerate(alpha) if a)
-        lower = _chain(cache, alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:], base, step)
-        cache[alpha] = step(lower, axis)
+        lower, axis = _lower(alpha)
+        cache[alpha] = step(_chain(cache, lower, base, step), axis)
     return cache[alpha]
+
+
+def _chain_indices(alpha: tuple) -> list:
+    """The indices :func:`_chain` visits for ``alpha``, from order 1 up to ``alpha``."""
+    out = []
+    while sum(alpha):
+        out.append(alpha)
+        alpha = _lower(alpha)[0]
+    return out[::-1]
 
 
 def _chained_derivative(field, alpha: tuple):
@@ -154,6 +187,34 @@ def _chained_derivative(field, alpha: tuple):
     d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
     return _chain(field._derivatives, alpha, field, lambda lower, axis: type(field)(
         field.grid, d1(lower.values, axis, field.grid.spacing), field.extrapolation))
+
+
+def stream_derivatives(field, alphas):
+    """Yield the values of ``d^alpha`` of ``field`` for each of ``alphas``, in order.
+
+    Each is bit for bit ``field.partial_derivative(alpha).values``, derived
+    once. First derivatives go through the field's cache and stay there:
+    they are its Jacobian, which margins, ``jacobian_at`` and ``invert`` read
+    again. An order >= 2 is chained in a dict local to this call, from any
+    entry the field already caches, and is dropped once no later alpha's
+    chain passes through it; so a reader that reduces each derivative before
+    drawing the next holds one such stack at a time, not the whole table.
+    """
+    d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
+    h = field.grid.spacing
+    chains = [_chain_indices(alpha) for alpha in alphas]
+    uses = Counter(beta for chain in chains for beta in chain)
+    local = {beta: d.values for beta, d in field._derivatives.items() if beta in uses}
+    for alpha, chain in zip(alphas, chains):
+        if chain and chain[0] not in local:
+            local[chain[0]] = field.partial_derivative(chain[0]).values
+        # contiguous, as the field constructors store a derivative
+        yield _chain(local, alpha, field.values,
+                     lambda lower, axis: np.ascontiguousarray(d1(lower, axis, h)))
+        for beta in chain:
+            uses[beta] -= 1
+            if not uses[beta]:
+                del local[beta]
 
 
 def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
@@ -566,14 +627,23 @@ def _as_alpha(alpha, dim: int) -> tuple:
     return _check_alpha(alpha, dim)
 
 
-def _alpha_magnitude(field, alpha: tuple) -> np.ndarray:
-    """Node-wise Euclidean magnitude of ``d^alpha f`` (plain ``|.|`` for scalars)."""
+def _alpha_magnitude(field, derivative: np.ndarray) -> np.ndarray:
+    """Node-wise Euclidean magnitude of the values of a derivative of ``field``.
+
+    Plain ``|.|`` for a scalar field; for a displacement the channel axis
+    comes first and is summed over.
+    """
     if isinstance(field, ScalarField):
-        return np.abs(field.partial_derivative(alpha).values)
+        return np.abs(derivative)
     if isinstance(field, DisplacementField):
-        dv = field.partial_derivative(alpha).values
-        return np.sqrt(np.sum(dv * dv, axis=0))
+        return np.sqrt(np.sum(derivative * derivative, axis=0))
     raise FieldError(f"expected a field, got {type(field).__name__}")
+
+
+def _single_magnitude(field, alpha) -> np.ndarray:
+    """:func:`_alpha_magnitude` of ``d^alpha f``, cached on the field."""
+    alpha = _as_alpha(alpha, field.grid.dim)
+    return _alpha_magnitude(field, field.partial_derivative(alpha).values)
 
 
 def weight_factor(grid: Grid, m: int) -> np.ndarray:
@@ -603,16 +673,14 @@ def _l2_norm(magnitude: np.ndarray, quad: np.ndarray) -> float:
 
 def sup_seminorm(field, alpha) -> float:
     """Largest node magnitude of the single derivative ``d^alpha f``."""
-    alpha = _as_alpha(alpha, field.grid.dim)
-    return float(np.max(_alpha_magnitude(field, alpha)))
+    return float(np.max(_single_magnitude(field, alpha)))
 
 
 def weighted_seminorm(field, alpha, m: int = 0) -> float:
     """Sup of ``(1 + |x|^2)^m |d^alpha f(x)|`` over grid nodes."""
-    alpha = _as_alpha(alpha, field.grid.dim)
     if m == 0:
         return sup_seminorm(field, alpha)
-    return _weighted_sup(_alpha_magnitude(field, alpha), weight_factor(field.grid, int(m)))
+    return _weighted_sup(_single_magnitude(field, alpha), weight_factor(field.grid, int(m)))
 
 
 def sobolev_seminorm(field, alpha) -> float:
@@ -621,8 +689,25 @@ def sobolev_seminorm(field, alpha) -> float:
     Trapezoid quadrature on the grid; for fields that decay before the
     boundary this is accurate to well beyond the stencil order.
     """
-    alpha = _as_alpha(alpha, field.grid.dim)
-    return _l2_norm(_alpha_magnitude(field, alpha), _trapezoid_weights(field.grid))
+    return _l2_norm(_single_magnitude(field, alpha), _trapezoid_weights(field.grid))
+
+
+def seminorm_measure(field, max_weight: int):
+    """The function from the values of one ``d^alpha f`` to its seminorms.
+
+    It returns ``(sup, weighted, sobolev)``, with ``weighted[m - 1]`` the
+    weighted sup for ``m = 1 .. max_weight``, and builds one magnitude per
+    call; the weights are built once, here.
+    """
+    weights = [weight_factor(field.grid, m) for m in range(1, max_weight + 1)]
+    quad = _trapezoid_weights(field.grid)
+
+    def measure(derivative):
+        magnitude = _alpha_magnitude(field, derivative)
+        return (float(np.max(magnitude)), [_weighted_sup(magnitude, w) for w in weights],
+                _l2_norm(magnitude, quad))
+
+    return measure
 
 
 def seminorm_table(field, alphas, max_weight: int) -> tuple:
@@ -630,17 +715,14 @@ def seminorm_table(field, alphas, max_weight: int) -> tuple:
 
     ``sups[i]`` and ``sobolev[i]`` belong to ``alphas[i]``, and
     ``weighted[i][m - 1]`` is its weighted sup for ``m = 1 .. max_weight``.
-    Each magnitude and each weight is built once; the values equal those of
+    Each magnitude and each weight is built once, and the derivatives come
+    from :func:`stream_derivatives`: the field keeps its first derivatives,
+    and each order >= 2 is dropped once measured. The values equal those of
     :func:`sup_seminorm`, :func:`weighted_seminorm` and
     :func:`sobolev_seminorm` bit for bit.
     """
-    grid = field.grid
-    weights = [weight_factor(grid, m) for m in range(1, max_weight + 1)]
-    quad = _trapezoid_weights(grid)
-    sups, weighted, sobolev = [], [], []
-    for alpha in alphas:
-        magnitude = _alpha_magnitude(field, _as_alpha(alpha, grid.dim))
-        sups.append(float(np.max(magnitude)))
-        weighted.append([_weighted_sup(magnitude, w) for w in weights])
-        sobolev.append(_l2_norm(magnitude, quad))
-    return sups, weighted, sobolev
+    measure = seminorm_measure(field, max_weight)
+    alphas = [_as_alpha(alpha, field.grid.dim) for alpha in alphas]
+    # map holds no derivative while the next one is chained
+    rows = list(map(measure, stream_derivatives(field, alphas)))
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]

@@ -10,9 +10,12 @@ from diffeoflow import (
     Diffeo,
     DisplacementField,
     Grid,
+    classify_decay,
     read_diffeo,
     write_diffeo,
+    write_displacement,
 )
+from diffeoflow import cli as cli_module
 from diffeoflow import group
 from diffeoflow.cli import config_from_argv, main
 
@@ -135,6 +138,31 @@ class TestClassify:
             capsys, "--command", "classify", "--input", str(path))
         assert code == 0
         assert payload["report"]["inferred_class"] == "Schwartz"
+
+    @pytest.mark.parametrize("descriptor, code", [
+        ("0.1*exp(-x^2)", 0),
+        # det(I + dg) = 1 - 0.9 * 1.5 < 0 at x = 0: refused as read_diffeo refuses it
+        ("-1.5*tanh(0.9*x)", 3),
+    ])
+    def test_file_without_class_hint_is_classified_once(self, capsys, tmp_path,
+                                                         monkeypatch, descriptor, code):
+        path = tmp_path / "m.dff"
+        field = DisplacementField.from_descriptor(Grid(1, 8.0, 257), descriptor)
+        write_displacement(str(path), field, None)
+        want = classify_decay(field).to_dict()
+        calls = []
+
+        def counting(target):
+            calls.append(target)
+            return classify_decay(target)
+
+        monkeypatch.setattr(cli_module, "classify_decay", counting)
+        monkeypatch.setattr(group, "classify_decay", counting)
+        got, payload, _ = run_cli(capsys, "--command", "classify", "--input", str(path))
+        assert got == code
+        assert len(calls) == 1
+        if code == 0:
+            assert payload["report"] == json.loads(json.dumps(want))
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import diffeoflow.fields as fields_module
 from diffeoflow import (
     DecayClass,
+    Diffeo,
+    DisplacementField,
     FieldError,
     Grid,
     InsufficientAnnuliError,
@@ -20,7 +24,7 @@ from diffeoflow import (
 )
 from diffeoflow.battery import classification_battery
 from diffeoflow.decay import DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT
-from diffeoflow.fields import multi_indices_up_to
+from diffeoflow.fields import multi_indices, multi_indices_up_to
 
 def entry_value(report, kind, alpha, m):
     """The one measured seminorm of ``report.entries`` with this kind, index and weight."""
@@ -157,6 +161,50 @@ class TestClassification:
         assert wider.support_radius == 4.0
 
 
+WORKING_SET_CASES = [
+    ("0.1*exp(-x^2)", Grid(1, 8.0, 257)),
+    ("0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", Grid(2, 8.0, 65)),
+    ("0.2*tanh(x/1.1), 0.15*tanh(y)", Grid(2, 8.0, 65)),
+    ("0.1*exp(-x^2-y^2-z^2), 0.05*exp(-(x-1)^2-y^2-z^2), 0", Grid(3, 8.0, 17)),
+]
+
+
+class TestClassifyWorkingSet:
+    """Classification streams derivatives of order >= 2: the field keeps its Jacobian only."""
+
+    @pytest.mark.parametrize("descriptor, grid", WORKING_SET_CASES)
+    def test_field_keeps_first_derivatives_only(self, descriptor, grid):
+        field = sample(descriptor, grid)
+        classify_decay(field)
+        assert set(field._derivatives) == set(multi_indices(grid.dim, 1))
+
+    @pytest.mark.parametrize("descriptor, grid", WORKING_SET_CASES)
+    def test_inferred_member_keeps_first_derivatives_only(self, descriptor, grid):
+        field = DisplacementField.from_descriptor(grid, descriptor)
+        member = Diffeo(field, None)
+        firsts = set(multi_indices(grid.dim, 1))
+        assert set(field._derivatives) == firsts
+        assert set(member.displacement._derivatives) == firsts
+
+    def test_traced_peak_of_a_3d_classification(self):
+        # 5.6 MB traced when order >= 2 streams; 9.8 MB when each stayed cached
+        grid = Grid(3, 8.0, 33)
+        field = sample("0.1*exp(-x^2-y^2-z^2), 0.05*exp(-(x-1)^2-y^2-z^2), 0", grid)
+        grid.nodes()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            classify_decay(field)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 7.5 * 2 ** 20
+
+
 class TestReport:
     def test_value_lookup(self, fine_grid):
         report = classify_decay(sample("exp(-x^2)", fine_grid))
@@ -182,9 +230,9 @@ class TestReport:
         counts = {"magnitude": 0, "weight": 0}
         magnitude, weight = fields_module._alpha_magnitude, fields_module.weight_factor
 
-        def counting_magnitude(f, alpha):
+        def counting_magnitude(f, derivative):
             counts["magnitude"] += 1
-            return magnitude(f, alpha)
+            return magnitude(f, derivative)
 
         def counting_weight(g, m):
             counts["weight"] += 1

@@ -52,6 +52,26 @@ class TestGrid:
         assert grid.spacing == pytest.approx(0.125, abs=0.0)
         assert np.array_equal(grid.axis_coordinates()[::2], coarse.axis_coordinates())
 
+    def test_node_cache_is_bounded_by_bytes(self, monkeypatch):
+        small, mid, big, other = (Grid(1, 8.0, n) for n in (17, 33, 129, 19))
+        # room for the 17- and 33-node arrays (136 + 264 bytes), not the 129-node one
+        monkeypatch.setattr(fields_module, "NODE_CACHE_BYTES", 8 * (17 + 33))
+        monkeypatch.setattr(fields_module, "_node_cache", type(fields_module._node_cache)())
+        a, b = small.nodes(), mid.nodes()
+        assert small.nodes() is a and mid.nodes() is b
+        # larger than the whole budget: built on every call, nothing evicted
+        c = big.nodes()
+        assert big.nodes() is not c and np.array_equal(big.nodes(), c)
+        assert small.nodes() is a
+        # the least recently read array goes first: mid, since small was just read
+        d = other.nodes()
+        assert list(fields_module._node_cache) == [small, other]
+        assert small.nodes() is a and other.nodes() is d
+        # rebuilt: with its 264 bytes, small and then other are evicted
+        assert mid.nodes() is not b and np.array_equal(mid.nodes(), b)
+        assert list(fields_module._node_cache) == [mid]
+        assert not any(g.nodes().flags.writeable for g in (small, mid, big, other))
+
     @pytest.mark.parametrize("dim,half,n", [
         (4, 8.0, 257), (0, 8.0, 257), (1, 0.0, 257), (1, -1.0, 257),
         (1, 8.0, 256), (1, 8.0, 15), (1, float("inf"), 257), (1, float("nan"), 257),
@@ -558,6 +578,36 @@ class TestChainedDerivatives:
         for alpha in self._shuffled(grid, order):
             field.partial_derivative(alpha)
         assert len(calls) == before
+
+
+    def test_stream_matches_cached_derivatives(self, field, grid, order):
+        alphas = self._shuffled(grid, order)
+        twin = type(field)(grid, field.values, field.extrapolation)
+        for alpha, got in zip(alphas, fields_module.stream_derivatives(field, alphas)):
+            assert _same_bytes(got, twin.partial_derivative(alpha).values), alpha
+        # the field keeps its first derivatives, and no higher order
+        firsts = {a for a in alphas if sum(a) == 1}
+        assert set(field._derivatives) == firsts
+
+    def test_stream_derives_each_index_once(self, field, grid, order, monkeypatch):
+        alphas = self._shuffled(grid, order)
+        # an order >= 2 the field already caches is reused, not derived again
+        held = (order,) + (0,) * (grid.dim - 1)
+        held_values = field.partial_derivative(held).values
+        calls = []
+        original = fields_module._d1
+
+        def counting(values, axis, h):
+            calls.append(axis)
+            return original(values, axis, h)
+
+        monkeypatch.setattr(fields_module, "_d1", counting)
+        width = grid.dim if isinstance(field, DisplacementField) else 1
+        needed = {b for a in alphas for b in _lower_chain(a)} - set(_lower_chain(held))
+        for alpha, got in zip(alphas, fields_module.stream_derivatives(field, alphas)):
+            if alpha == held:
+                assert got is held_values
+        assert len(calls) == width * len(needed)
 
 
 @pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])

@@ -23,6 +23,7 @@ from diffeoflow import (
     read_diffeo,
     write_displacement,
 )
+from diffeoflow.fields import GATHER_BLOCK
 from diffeoflow.group import DEFAULT_DET_THRESHOLD
 
 
@@ -462,10 +463,11 @@ class TestConjugateSharesGathers:
 
         monkeypatch.setattr(DisplacementField, "sample", counting)
         got, got_info = conjugate(outer, inner, diagnostics=True)
-        got_calls = len(calls)
+        got_points = sum(calls)
         want, want_info = _regathering_conjugate(outer, inner)
-        want_calls = len(calls) - got_calls
-        assert got_calls == want_calls - 2
+        want_points = sum(calls) - got_points
+        # two whole-node gathers fewer: the composite's and the diagnostics' s
+        assert got_points == want_points - 2 * grid.node_count * grid.dim
         assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
         assert got.decay_class is want.decay_class
         assert got_info == want_info
@@ -477,6 +479,39 @@ class TestConjugateSharesGathers:
         )
         with pytest.raises(UnderResolvedError):
             conjugate(shift, Diffeo.identity(coarse_grid))
+
+
+def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
+    """The blocked bracket, quadrature and residual equal a whole-array oracle bit for bit."""
+    grid, outer_text, inner_text = CONJUGATE_CASES[2]
+    outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
+    inner = Diffeo.from_descriptor(grid, inner_text, DecayClass.SCHWARTZ)
+    sizes = []
+    original = DisplacementField.jacobian_at
+
+    def recording(self, points):
+        sizes.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(DisplacementField, "jacobian_at", recording)
+    result, info = conjugate(outer, inner, diagnostics=True)
+    monkeypatch.undo()
+    # 66,049 rows: four full blocks and a last one of 513, each read at 9 quadrature nodes
+    assert grid.node_count == 4 * GATHER_BLOCK + 513
+    assert sizes == [n for n in [GATHER_BLOCK] * 4 + [513] for _ in range(9)]
+
+    u = invert(outer).displacement
+    a = np.asarray(grid.nodes()) + outer.displacement.node_values()
+    s = inner.displacement.sample(a)
+    bracket = u.sample(a + s) - u.sample(a)
+    quad_w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
+    integral = np.zeros_like(bracket)
+    for t, w in zip(np.linspace(0.0, 1.0, 9), quad_w):
+        integral += w * np.einsum("nij,nj->ni", u.jacobian_at(a + t * s), s)
+    gap = float(np.max(np.abs(bracket - integral)))
+    residual = float(np.max(np.abs(result.displacement.node_values() - (s + bracket))))
+    assert info["bracket_gap"].hex() == gap.hex()
+    assert info["decomposition_residual"].hex() == residual.hex()
 
 
 @pytest.mark.parametrize("dim, points", [(1, 257), (1, 513), (2, 65), (2, 129),
