@@ -41,6 +41,8 @@ MAX_DERIVATIVE_ORDER = 6
 EXTRAPOLATION_MODES = ("zero", "clamp")
 # query points per interpolation block: ~1 MB of per-block rows in 2-D
 GATHER_BLOCK = 16384
+# nodes per axis that a gather at a node can read on either side of it
+STENCIL_REACH = 3
 # bytes of node arrays that Grid.nodes keeps (least recently read evicted
 # first): room for 513^2 (4.2 MB), 49^3 (2.8 MB) and a few 257^2 (1.1 MB);
 # a larger array, such as 129^3 (51 MB), is built on every call
@@ -371,6 +373,29 @@ def point_derivatives(grid: Grid, evaluate, alphas, point) -> list:
                for alpha in alphas]
     return [_gather(list(d.reshape(len(d), -1)), grid, point, "zero", window)[:, 0]
             for d in derived]
+
+
+def reads_only_zeros(field) -> np.ndarray:
+    """Flat mask of the nodes whose interpolation stencil reads only exact zeros.
+
+    A node is marked when every channel of ``field`` is exactly 0.0 on the
+    nodes within ``STENCIL_REACH`` of it along each axis. A gather at the
+    node itself reads the four nodes of :func:`_interp_stencil`, which lie
+    within two of it inside and within three at the faces, on any spacing;
+    each term is then ``+-0.0`` and the sum starts at zero, so the gather
+    returns ``+0.0`` without being made.
+    """
+    nonzero = np.any(field.values != 0.0, axis=0)
+    if nonzero.all():
+        return np.zeros(field.grid.node_count, dtype=bool)
+    for axis in range(field.grid.dim):
+        along = np.moveaxis(nonzero, axis, 0)
+        near = along.copy()
+        for s in range(1, STENCIL_REACH + 1):
+            near[s:] |= along[:-s]
+            near[:-s] |= along[s:]
+        nonzero = np.moveaxis(near, 0, axis)
+    return ~nonzero.reshape(-1)
 
 
 def _row_square_sums(vectors: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .decay import DecayClass, class_from_name, classify_decay, extrapolation_fo
 from .descriptors import VARIABLES, bind
 from .errors import FieldError, FlowBlowupError, FlowDomainError
 from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
-                     row_max, row_norms, seminorm_table, spectral_norms)
+                     reads_only_zeros, row_max, row_norms, seminorm_table, spectral_norms)
 from .group import DOMAIN_OVERHANG_FRACTION, Diffeo, invert
 
 BOUND_SLACK = 1.0e-8
@@ -370,8 +370,12 @@ def right_log_derivative(result: FlowResult) -> list:
     and each inverse is taken of :meth:`FlowResult.snapshot`, whose
     continuation the time derivative and the recovered field share. The
     inverse is read at the nodes from its node values, ``nodes + u``, which
-    are exact on every spacing; no gather at the nodes is made. A snapshot
-    below the ``Diffeo`` margin has no inverse and raises
+    are exact on every spacing; no gather at the nodes is made. The time
+    derivative is then gathered at ``nodes + u``, except where ``u`` is
+    exactly zero and its stencil reads only exact zeros
+    (:func:`~diffeoflow.fields.reads_only_zeros`): that gather would return
+    ``+0.0``, which is written instead. A snapshot below the ``Diffeo``
+    margin has no inverse and raises
     :class:`~diffeoflow.errors.NonDiffeoError`.
     """
     g = result.displacements
@@ -389,8 +393,10 @@ def right_log_derivative(result: FlowResult) -> list:
         snap = result.snapshot(k)
         extrap = snap.extrapolation
         dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
-        inverse = invert(Diffeo(snap, result.decay_class))
-        recovered = dgdt_field.sample(nodes + inverse.displacement.node_values())
+        u = invert(Diffeo(snap, result.decay_class)).displacement.node_values()
+        read = np.flatnonzero(~(reads_only_zeros(dgdt_field) & (row_max(np.abs(u)) == 0.0)))
+        recovered = np.zeros_like(u)
+        recovered[read] = dgdt_field.sample(nodes.take(read, axis=0) + u.take(read, axis=0))
         field = DisplacementField.from_nodes(grid, recovered, extrap)
         out.append((t_k, field))
     return out

@@ -10,14 +10,17 @@ it only samples,
 so the class bookkeeping follows the wider of the two operands. Inversion
 solves ``y + g(y) = x`` node by node against the interpolated displacement,
 which makes the inverse exact for the engine's own notion of ``g`` rather
-than for the unknowable continuum field: a fixed-point stage, then a damped
-Newton stage only for a residual it leaves above the target. A node drops
-out of either stage once its iterate stops moving exactly, so later sweeps
-gather only the nodes that still move, bit-identical to sweeping every node;
-a retired node keeps the displacement its last sweep sampled, from which the
-fixed-point residual is built without a second gather. Conjugation reads the
-outer displacement at the nodes and gathers the inner one there once, for
-the composite and for its diagnostics alike.
+than for the unknowable continuum field. A contracting member takes chord
+sweeps on the node Jacobian ``I + dg(x)``, which its margin has already
+derived; any other takes a few fixed-point sweeps and then damped Newton,
+which also polishes a residual the chord leaves above the target. A node
+whose stencil reads only exact zeros is solved by its seed and never
+gathered, and a node drops out of any stage once its iterate stops moving
+exactly, so later sweeps gather only the nodes that still move,
+bit-identical to sweeping every node; a retired node keeps the displacement
+its last sweep sampled, from which the residual is built without a second
+gather. Conjugation reads the outer displacement at the nodes and gathers
+the inner one there once, for the composite and for its diagnostics alike.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from .errors import (
     NonDiffeoError,
     UnderResolvedError,
 )
-from .fields import GATHER_BLOCK, DisplacementField, Grid, det_plus_identity, row_max
+from .fields import (GATHER_BLOCK, DisplacementField, Grid, det_plus_identity, reads_only_zeros,
+                     row_max)
 
 DEFAULT_DET_THRESHOLD = 1.0e-6
 DOMAIN_OVERHANG_FRACTION = 0.1
 _FIXED_POINT_CONTRACTION = 0.9
-_FIXED_POINT_MAX_ITER = 200
+_CHORD_MAX_ITER = 200
 _FIXED_POINT_SEED_ITER = 8
 _NEWTON_MAX_ITER = 60
 
@@ -203,67 +207,141 @@ def _node_images(member: Diffeo) -> tuple:
     return g_values, images
 
 
-def _drop_settled(store: tuple, active: np.ndarray, change: np.ndarray, *rows) -> tuple:
-    """Retire the active nodes whose ``change`` is exactly 0.0.
+def _drop_settled(store: tuple, active: np.ndarray, change: np.ndarray, rows: list) -> np.ndarray:
+    """Retire the active nodes whose ``change`` is exactly 0.0; returns the new ``active``.
 
-    Both solvers iterate each node on its own, and interpolation reads a
-    node's own iterate only, so a node whose step (fixed point) or residual
-    (Newton) is exactly 0.0 would recompute the same bits on every later
-    sweep. Its rows of the leading ``rows`` are written to the whole-node
-    arrays of ``store``, one each; the returned ``(active, *rows)`` keep
-    only the other rows. A NaN ``change`` keeps its node. Integer ``take``
-    compacts; a boolean mask is several times slower.
+    Each node iterates on its own: interpolation reads a node's own iterate
+    only, and a chord sweep applies the node's own matrix. So a node whose
+    step (sweeps) or residual (Newton) is exactly 0.0 would recompute the
+    same bits on every later sweep. Each ``(whole, part)`` pair of ``store``
+    writes the retired rows of ``part`` into the whole-node array ``whole``.
+    The active-node arrays in the list ``rows`` are then compacted in place,
+    one at a time and last first, so an array that only ``rows`` holds is
+    freed as its copy is made; the sweeps put their chord matrix rows last,
+    so they are copied before any row that ``store`` still holds. A NaN
+    ``change`` keeps its node. Integer ``take`` compacts; a boolean mask is
+    several times slower.
     """
     keep = np.flatnonzero(change)
     if len(keep) == len(change):
-        return (active,) + rows
+        return active
     done = np.flatnonzero(change == 0.0)
     retired = active.take(done)
-    for whole, part in zip(store, rows):
+    for whole, part in store:
         whole[retired] = part.take(done, axis=0)
-    return tuple(a.take(keep, axis=0) for a in (active,) + rows)
+    for k in reversed(range(len(rows))):
+        rows[k] = rows[k].take(keep, axis=0)
+    return active.take(keep)
 
 
-def _invert_fixed_point(displacement: DisplacementField, nodes: np.ndarray,
-                        tol: float, max_iter: int) -> tuple:
-    """Fixed-point sweeps ``y <- x - g(y)``; returns ``(y, g(y))`` at every node.
+def _chord_matrix(entries: list, rows: np.ndarray) -> list:
+    """``(I + dg)^-1`` at the nodes ``rows``: its ``dim`` matrix rows, each ``(len(rows), dim)``.
 
-    A node retires with the displacement its last sweep sampled: its step
-    was exactly 0.0, so that sample is ``g`` at its final iterate. Only the
-    nodes still moving when the sweeps stop are gathered once more.
+    ``entries`` is :meth:`~diffeoflow.fields.DisplacementField.jacobian_entries`,
+    read only at ``rows``. The inverse is the adjugate of ``I + dg`` by
+    cofactors over :func:`~diffeoflow.fields.det_plus_identity`. Each
+    matrix row is the size of the iterates, so no array of the sweeps
+    outgrows them.
     """
-    y = nodes - displacement.node_values()
-    sampled = np.empty_like(y)
-    active, target, y_act = np.arange(len(y)), nodes, y
+    dim = len(entries)
+    m = [[e.reshape(-1).take(rows) for e in row] for row in entries]
+    det = det_plus_identity(m)
+    for i in range(dim):
+        m[i][i] += 1.0
+    out = [np.empty((len(rows), dim)) for _ in range(dim)]
+    if dim == 1:
+        out[0][:, 0] = 1.0
+    elif dim == 2:
+        (a, b), (c, d) = m
+        out[0][:, 0], out[0][:, 1], out[1][:, 0], out[1][:, 1] = d, -b, -c, a
+    else:
+        for i in range(3):
+            for j in range(3):
+                p, q, r, s = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+                np.multiply(m[p][r], m[q][s], out=out[i][:, j])
+                out[i][:, j] -= m[p][s] * m[q][r]
+    for row in out:
+        row /= det[:, None]
+    return out
+
+
+def _times(matrix: list, vectors: np.ndarray) -> np.ndarray:
+    """Node-wise matrix times vector, for the matrix rows of :func:`_chord_matrix`."""
+    out = np.empty_like(vectors)
+    for i, row in enumerate(matrix):
+        np.multiply(row[:, 0], vectors[:, 0], out=out[:, i])
+        for j in range(1, len(matrix)):
+            out[:, i] += row[:, j] * vectors[:, j]
+    return out
+
+
+def _sweep(rows: list, g: np.ndarray) -> np.ndarray:
+    """One sweep's new iterates from ``rows = [y, x, *M]`` and ``g = g(y)``."""
+    y, x, *matrix = rows
+    if not matrix:
+        return x - g
+    step = y + g
+    step -= x
+    step = _times(matrix, step)
+    return np.subtract(y, step, out=step)
+
+
+def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray, active: np.ndarray,
+                   tol: float, max_iter: int, entries=None) -> tuple:
+    """Sweeps on ``y + g(y) = x`` at the nodes ``active``; ``(y, g(y))`` at every node.
+
+    With ``entries = None`` these are fixed-point sweeps ``y <- x - g(y)``
+    from ``y = x - g(x)``. With the Jacobian ``entries`` they are chord
+    sweeps ``y <- y - M (y + g(y) - x)`` with ``M = (I + dg(x))^-1`` from
+    :func:`_chord_matrix`, from the Newton step ``y = x - M g(x)``; ``g(x)``
+    is the node value in both. A node outside ``active`` is its own seed
+    ``y = x`` with ``g(y) = +0.0``. The sweeps stop once no node moves more
+    than ``tol / 4``. A node retires with the displacement its last sweep
+    sampled: its step was exactly 0.0, so that sample is ``g`` at its final
+    iterate. Only the nodes still moving when the sweeps stop are gathered
+    once more.
+    """
+    # the active nodes' iterates, targets and chord matrix rows, compacted by _drop_settled
+    rows = [None, nodes if len(active) == len(nodes) else nodes.take(active, axis=0)]
+    if entries is not None:
+        rows += _chord_matrix(entries, active)
+    g_seed = displacement.node_values().take(active, axis=0)
+    rows[0] = rows[1] - (g_seed if entries is None else _times(rows[2:], g_seed))
+    del g_seed
+    y = nodes.copy()
+    sampled = np.zeros_like(y)
     for _ in range(max_iter):
-        g_act = displacement.sample(y_act)
-        y_next = target - g_act
-        moved = row_max(np.abs(y_next - y_act))
-        y_act = y_next
+        g_act = displacement.sample(rows[0])
+        y_next = _sweep(rows, g_act)
+        moved = row_max(np.abs(y_next - rows[0]))
+        rows[0] = y_next
         stop = float(np.max(moved, initial=0.0)) <= 0.25 * tol
-        active, y_act, g_act, target = _drop_settled(
-            (y, sampled), active, moved, y_act, g_act, target)
+        active = _drop_settled(((y, y_next), (sampled, g_act)), active, moved, rows)
+        # no sweep's arrays are held across the next gather
+        del y_next, g_act, moved
         if stop:
             break
-    y[active] = y_act
+    y[active] = rows[0]
     if len(active):
-        sampled[active] = displacement.sample(y_act)
+        sampled[active] = displacement.sample(rows[0])
     return y, sampled
 
 
 def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
-                   seed: np.ndarray, tol: float) -> np.ndarray:
+                   seed: np.ndarray, tol: float, moving: np.ndarray) -> np.ndarray:
+    """Damped Newton from ``seed`` at the nodes ``moving``; the others keep their seed."""
     dim = displacement.grid.dim
     y = seed.copy()
-    active, target, y_act = np.arange(len(y)), nodes, y
+    active, target, y_act = moving, nodes.take(moving, axis=0), seed.take(moving, axis=0)
     eye = np.eye(dim)
     for _ in range(_NEWTON_MAX_ITER):
         residual = y_act + displacement.sample(y_act) - target
         res_norm = row_max(np.abs(residual))
         if float(np.max(res_norm, initial=0.0)) <= tol:
             break
-        active, y_act, target, residual, res_norm = _drop_settled(
-            (y,), active, res_norm, y_act, target, residual, res_norm)
+        rows = [y_act, target, residual, res_norm]
+        active = _drop_settled(((y, y_act),), active, res_norm, rows)
+        y_act, target, residual, res_norm = rows
         jac = displacement.jacobian_at(y_act) + eye
         try:
             step = np.linalg.solve(jac, residual[..., None])[..., 0]
@@ -285,17 +363,28 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
 def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     """Inverse member, solved node-wise against the interpolated displacement.
 
-    Fixed-point iteration seeded at ``-g`` runs 200 sweeps when the Jacobian
-    norm stays under 0.9, else 8; a damped Newton solve follows only if its
-    residual is above the target ``min(tol, 1e-13 * (1 + half_width))``. The
-    default promise ``tol`` is ``1e-8 * (1 + half_width)``; a residual above
-    it raises with the worst node named. Solved nodes drop out: a fixed-point
-    node whose step is exactly zero, or a Newton node whose residual is
-    exactly zero, is no longer sampled, differentiated or solved, so a
-    singular Jacobian there is never met. The fixed-point residual is built
+    The residual target is ``min(tol, 1e-13 * (1 + half_width))``; the
+    default promise ``tol`` is ``1e-8 * (1 + half_width)``, and a residual
+    above it raises with the worst node named. Two branches, chosen by the
+    node-wise Frobenius norm of ``dg``:
+
+    - below 0.9, up to 200 chord sweeps ``y <- y - (I + dg(x))^-1 (y + g(y) - x)``,
+      seeded by the Newton step from ``y = x``; the matrices come from the
+      first derivatives the member's margin cached, so ``jacobian_at`` is
+      not called;
+    - otherwise 8 fixed-point sweeps ``y <- x - g(y)`` from ``y = x - g(x)``
+      seed a damped Newton solve.
+
+    The sweeps stop once no node moves more than a quarter of the target.
+    Newton runs after either branch whose residual is still above the
+    target. Solved nodes drop out: a node whose sweep step, or whose Newton
+    residual, is exactly zero is no longer sampled, differentiated or
+    solved, so a singular Jacobian there is never met. A node whose
+    interpolation stencil reads only exact zeros (:func:`reads_only_zeros`)
+    is solved by its seed ``y = x`` and never gathered. The residual is built
     from the displacement each node's last sweep sampled, so only the nodes
     still moving when the sweeps stop are gathered again; after a Newton
-    stage every node is.
+    stage every gathered node is.
     """
     grid = diffeo.grid
     displacement = diffeo.displacement
@@ -303,16 +392,21 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     if tol is None:
         tol = 1.0e-8 * (1.0 + grid.half_width)
     target = min(tol, 1.0e-13 * (1.0 + grid.half_width))
+    idle = reads_only_zeros(displacement)
+    entries = displacement.jacobian_entries()
     # squares added row-major, the order of np.sum over the stacked Jacobian's
     # two leading axes, so the switch sees the same bits
-    frob_sq = sum(e ** 2 for row in displacement.jacobian_entries() for e in row)
-    sweeps = (_FIXED_POINT_MAX_ITER if float(np.sqrt(np.max(frob_sq))) < _FIXED_POINT_CONTRACTION
-              else _FIXED_POINT_SEED_ITER)
-    y, sampled = _invert_fixed_point(displacement, nodes, target, sweeps)
+    frob = float(np.sqrt(np.max(sum(e ** 2 for row in entries for e in row))))
+    chord = frob < _FIXED_POINT_CONTRACTION
+    y, sampled = _invert_sweeps(displacement, nodes, np.flatnonzero(~idle), target,
+                                _CHORD_MAX_ITER if chord else _FIXED_POINT_SEED_ITER,
+                                entries if chord else None)
     residuals = row_max(np.abs(y + sampled - nodes))
     if float(np.max(residuals)) > target:
-        y = _invert_newton(displacement, nodes, y, target)
-        residuals = row_max(np.abs(y + displacement.sample(y) - nodes))
+        moving = np.flatnonzero(~idle)
+        y = _invert_newton(displacement, nodes, y, target, moving)
+        sampled[moving] = displacement.sample(y.take(moving, axis=0))
+        residuals = row_max(np.abs(y + sampled - nodes))
     residual = float(np.max(residuals))
     if residual > tol:
         worst = nodes[int(np.argmax(residuals))]

@@ -26,6 +26,7 @@ from diffeoflow.fields import (
     det_plus_identity,
     multi_indices_up_to,
     point_derivatives,
+    reads_only_zeros,
     row_max,
     row_norms,
     spectral_norms,
@@ -433,6 +434,31 @@ def test_gather_adds_signed_zero_terms_to_positive_zero(extrapolation):
     want = _per_component_oracle(field.values, grid, pts, extrapolation)
     assert _same_bytes(want, np.zeros(8))
     assert _same_bytes(field.sample(pts), want)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 8.0, 97), Grid(1, 8.0, 129), Grid(1, 7.3, 33),
+                                  Grid(1, 1.0e-3, 17)])
+def test_node_gathers_read_within_the_stencil_reach(grid):
+    # spacings 1/6, 1/8 and two that are no short binary fraction; each node's
+    # gather reads a node j only within STENCIL_REACH of it, and
+    # reads_only_zeros marks exactly the nodes out of reach of every nonzero
+    n = grid.points_per_axis
+    nodes = np.asarray(grid.nodes())
+    index = np.arange(n)
+    for j in range(n):
+        unit = np.zeros((1, n))
+        unit[0, j] = 1.0
+        field = DisplacementField(grid, unit)
+        read = field.sample(nodes)[:, 0] != 0.0
+        assert np.all(np.abs(index[read] - j) <= fields_module.STENCIL_REACH)
+        marked = reads_only_zeros(field)
+        assert np.array_equal(marked, np.abs(index - j) > fields_module.STENCIL_REACH)
+    plane = DisplacementField.zero(Grid(2, 8.0, 17))
+    plane.values[1, 3, 16] = -0.0
+    plane.values[0, 8, 2] = 1.0e-300
+    rows, cols = np.divmod(np.arange(17 ** 2), 17)
+    far = (np.abs(rows - 8) > 3) | (np.abs(cols - 2) > 3)
+    assert np.array_equal(reads_only_zeros(plane), far)
 
 
 @pytest.mark.parametrize("extrapolation", ["zero", "clamp"])

@@ -342,6 +342,32 @@ class TestRightLogDerivativeReadsNodeValues:
         right_log_derivative(result)
         assert at_nodes and not any(at_nodes)
 
+    def test_read_back_skips_nodes_reading_only_zeros(self, battery_flows, monkeypatch):
+        # the rotation's snapshots are exactly zero in their tails; the skipped
+        # reads are +0.0, which test_matches_gather_at_nodes checks byte for byte
+        result = battery_flows["schwartz-rotation-2d"]
+        inside, read_back = [False], []
+        original_invert, original_sample = flows.invert, DisplacementField.sample
+
+        def inverting(member):
+            inside[0] = True
+            try:
+                return original_invert(member)
+            finally:
+                inside[0] = False
+
+        def sampling(self, points):
+            if not inside[0]:
+                read_back.append(np.size(points) // self.grid.dim)
+            return original_sample(self, points)
+
+        monkeypatch.setattr(flows, "invert", inverting)
+        monkeypatch.setattr(DisplacementField, "sample", sampling)
+        right_log_derivative(result)
+        assert len(read_back) == len(result.times) - 4
+        # each read-back skips about half of the 129^2 nodes
+        assert all(0 < n < 0.55 * result.grid.node_count for n in read_back)
+
 
 def test_two_d_margins_need_no_lapack(monkeypatch, plane_grid):
     """2-D spectral norms and determinants come from the closed-form kernels."""

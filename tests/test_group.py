@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +16,17 @@ from diffeoflow import (
     Grid,
     InversionError,
     NonDiffeoError,
+    TimeDependentVectorField,
     UnderResolvedError,
     compose,
     conjugate,
+    evolve,
     invert,
     membership_check,
     read_diffeo,
     write_displacement,
 )
-from diffeoflow.fields import GATHER_BLOCK
+from diffeoflow.fields import GATHER_BLOCK, reads_only_zeros
 from diffeoflow.group import DEFAULT_DET_THRESHOLD
 
 
@@ -218,14 +221,29 @@ class TestInvert:
             invert(member, tol=1e-30)
 
 
-def _full_sweep_fixed_point(displacement, nodes, tol, max_iter):
-    """The solver before solved nodes dropped out: every node, every sweep.
+def _full_sweep_sweeps(displacement, nodes, active, tol, max_iter, entries=None):
+    """The sweeps before solved nodes dropped out: every node, every sweep.
 
-    Its displacement at the final iterate is a fresh gather of every node.
+    ``active`` is ignored, so no node is skipped for reading only zeros,
+    and the chord matrices are formed at every node. The displacement at
+    the final iterate is a fresh gather of every node.
     """
-    y = nodes - displacement.node_values()
+    matrix = None
+    if entries is not None:
+        matrix = group_module._chord_matrix(entries, np.arange(len(nodes)))
+
+    def times(vectors):
+        columns = [row[:, 0] * vectors[:, 0] for row in matrix]
+        for row, column in zip(matrix, columns):
+            for j in range(1, vectors.shape[1]):
+                column += row[:, j] * vectors[:, j]
+        return np.stack(columns, axis=1)
+
+    g = displacement.node_values()
+    y = nodes - (g if matrix is None else times(g))
     for _ in range(max_iter):
-        y_next = nodes - displacement.sample(y)
+        g = displacement.sample(y)
+        y_next = nodes - g if matrix is None else y - times(y + g - nodes)
         step = float(np.max(np.abs(y_next - y)))
         y = y_next
         if step <= 0.25 * tol:
@@ -233,7 +251,7 @@ def _full_sweep_fixed_point(displacement, nodes, tol, max_iter):
     return y, displacement.sample(y)
 
 
-def _full_sweep_newton(displacement, nodes, seed, tol):
+def _full_sweep_newton(displacement, nodes, seed, tol, moving=None):
     dim = displacement.grid.dim
     y = seed.copy()
     eye = np.eye(dim)
@@ -265,26 +283,69 @@ def _two_newton_call_invert(diffeo, tol=None):
     grid = diffeo.grid
     displacement = diffeo.displacement
     nodes = np.asarray(grid.nodes())
+    every = np.arange(grid.node_count)
     if tol is None:
         tol = 1.0e-8 * (1.0 + grid.half_width)
     target = min(tol, 1.0e-13 * (1.0 + grid.half_width))
     jac = displacement.jacobian_grid().reshape(grid.dim, grid.dim, -1)
     contraction = float(np.max(np.sqrt(np.sum(jac ** 2, axis=(0, 1)))))
     if contraction < group_module._FIXED_POINT_CONTRACTION:
-        y = group_module._invert_fixed_point(displacement, nodes, target,
-                                             group_module._FIXED_POINT_MAX_ITER)[0]
+        y = group_module._invert_sweeps(displacement, nodes, every, target,
+                                        group_module._CHORD_MAX_ITER,
+                                        displacement.jacobian_entries())[0]
     else:
-        seed = group_module._invert_fixed_point(displacement, nodes, target,
-                                                group_module._FIXED_POINT_SEED_ITER)[0]
-        y = group_module._invert_newton(displacement, nodes, seed, target)
+        seed = group_module._invert_sweeps(displacement, nodes, every, target,
+                                           group_module._FIXED_POINT_SEED_ITER)[0]
+        y = group_module._invert_newton(displacement, nodes, seed, target, every)
     residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > target:
-        y = group_module._invert_newton(displacement, nodes, y, target)
+        y = group_module._invert_newton(displacement, nodes, y, target, every)
         residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > tol:
         raise InversionError(f"inverse solve stalled at residual {residual:.3e}")
     disp = DisplacementField.from_nodes(grid, y - nodes, displacement.extrapolation)
     return Diffeo(disp, diffeo.decay_class)
+
+
+def _plain_fixed_point(displacement, nodes, active, tol, max_iter, entries=None):
+    """The contracting branch before the chord: fixed-point sweeps ``y <- x - g(y)``
+    from ``y = x - g(x)`` at every node, compacted as solved nodes drop out.
+
+    ``active`` and ``entries`` are ignored.
+    """
+    y = nodes - displacement.node_values()
+    sampled = np.empty_like(y)
+    active, target, y_act = np.arange(len(y)), nodes, y
+    for _ in range(max_iter):
+        g_act = displacement.sample(y_act)
+        y_next = target - g_act
+        moved = np.max(np.abs(y_next - y_act), axis=1)
+        y_act = y_next
+        stop = float(np.max(moved, initial=0.0)) <= 0.25 * tol
+        keep = np.flatnonzero(moved)
+        if len(keep) < len(moved):
+            done = np.flatnonzero(moved == 0.0)
+            y[active[done]], sampled[active[done]] = y_act[done], g_act[done]
+            active, y_act, target = active[keep], y_act[keep], target[keep]
+        if stop:
+            break
+    y[active] = y_act
+    if len(active):
+        sampled[active] = displacement.sample(y_act)
+    return y, sampled
+
+
+def _counting_sample(monkeypatch):
+    """Record the number of points of every ``DisplacementField.sample`` call."""
+    gathered = []
+    original = DisplacementField.sample
+
+    def counting(self, points):
+        gathered.append(np.size(points) // self.grid.dim)
+        return original(self, points)
+
+    monkeypatch.setattr(DisplacementField, "sample", counting)
+    return gathered
 
 
 SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
@@ -299,7 +360,13 @@ PARITY_CASES = [
     (Grid(3, 8.0, 21), "0.3*exp(-(x^2+y^2+z^2)/4), 0.2*exp(-(x^2+y^2+z^2)/4), 0",
      DecayClass.SCHWARTZ),
     (Grid(3, 8.0, 21), "0.2*tanh(x/2), 0, 0.1*tanh(z/2)", DecayClass.BOUNDED_ALL),
+    # exactly zero outside a disc or ball, on spacings 1/6 and 2/3, which are
+    # not powers of two: the nodes whose stencil reads only zeros are skipped
+    (Grid(2, 8.0, 97), "0.6*bump(x/4,y/4), 0.4*bump((x-1)/4,y/4)", DecayClass.COMPACT_SUPPORT),
+    (Grid(3, 8.0, 25), "0.5*bump(x/5,y/5,z/5), 0, -0.4*bump(x/5,(y-1)/5,z/5)",
+     DecayClass.COMPACT_SUPPORT),
 ]
+ZERO_TAIL_CASES = PARITY_CASES[-2:]
 
 
 class TestInvertSolvedNodesDropOut:
@@ -309,7 +376,7 @@ class TestInvertSolvedNodesDropOut:
         assert member.displacement.extrapolation == (
             "clamp" if decay_class is DecayClass.BOUNDED_ALL else "zero")
         got = invert(member).displacement.values
-        monkeypatch.setattr(group_module, "_invert_fixed_point", _full_sweep_fixed_point)
+        monkeypatch.setattr(group_module, "_invert_sweeps", _full_sweep_sweeps)
         monkeypatch.setattr(group_module, "_invert_newton", _full_sweep_newton)
         want = invert(member).displacement.values
         assert np.array_equal(got, want)
@@ -324,24 +391,22 @@ class TestInvertSolvedNodesDropOut:
 
     @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
     @pytest.mark.parametrize("sweeps", [group_module._FIXED_POINT_SEED_ITER,
-                                        group_module._FIXED_POINT_MAX_ITER])
+                                        group_module._CHORD_MAX_ITER])
     def test_kept_samples_are_a_fresh_gather(self, grid, text, decay_class, sweeps):
+        # the seed sweeps of the Newton branch, and the chord branch's sweeps
         displacement = Diffeo.from_descriptor(grid, text, decay_class).displacement
         nodes = np.asarray(grid.nodes())
-        y, sampled = group_module._invert_fixed_point(displacement, nodes, 1.0e-13, sweeps)
+        active = np.flatnonzero(~reads_only_zeros(displacement))
+        entries = (displacement.jacobian_entries() if sweeps == group_module._CHORD_MAX_ITER
+                   else None)
+        y, sampled = group_module._invert_sweeps(displacement, nodes, active, 1.0e-13,
+                                                 sweeps, entries)
         assert sampled.tobytes() == displacement.sample(y).tobytes()
 
     def test_residual_gathers_only_moving_nodes(self, monkeypatch):
         grid, text, decay_class = PARITY_CASES[3]
         member = Diffeo.from_descriptor(grid, text, decay_class)
-        gathered = []
-        original = DisplacementField.sample
-
-        def counting(self, points):
-            gathered.append(np.size(points) // self.grid.dim)
-            return original(self, points)
-
-        monkeypatch.setattr(DisplacementField, "sample", counting)
+        gathered = _counting_sample(monkeypatch)
         invert(member)
         assert 0 < gathered[-1] < grid.node_count
 
@@ -355,18 +420,26 @@ class TestInvertSolvedNodesDropOut:
         grid = Grid(2, 8.0, 65)
         member = Diffeo.from_descriptor(grid, "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)",
                                         DecayClass.SCHWARTZ)
-        gathered = []
-        original = DisplacementField.sample
-
-        def counting(self, points):
-            gathered.append(np.size(points) // self.grid.dim)
-            return original(self, points)
-
-        monkeypatch.setattr(DisplacementField, "sample", counting)
+        gathered = _counting_sample(monkeypatch)
         invert(member)
         sweeps = len(gathered)
         assert sweeps >= 3
         assert sum(gathered) < 0.75 * sweeps * grid.node_count
+
+    @pytest.mark.parametrize("grid, text, decay_class", ZERO_TAIL_CASES)
+    def test_nodes_reading_only_zeros_are_never_gathered(self, grid, text, decay_class,
+                                                         monkeypatch):
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        idle = reads_only_zeros(member.displacement)
+        assert 0 < np.count_nonzero(idle) < grid.node_count
+        nodes = np.asarray(grid.nodes())
+        # the skipped gathers read +0.0, sign bit included
+        assert np.zeros(grid.dim).tobytes() * int(np.count_nonzero(idle)) == (
+            member.displacement.sample(nodes[idle]).tobytes())
+        gathered = _counting_sample(monkeypatch)
+        invert(member)
+        assert gathered[0] == grid.node_count - np.count_nonzero(idle)
+        assert max(gathered) == gathered[0]
 
     def test_singular_jacobian_at_solved_node_is_skipped(self):
         # g = x^3 - x near the origin: the origin node is solved by its seed
@@ -379,11 +452,56 @@ class TestInvertSolvedNodesDropOut:
         assert nodes[origin, 0] == 0.0
         assert disp.jacobian_at(nodes[origin])[0, 0] == -1.0
         seed = nodes - disp.node_values()
-        y = group_module._invert_newton(disp, nodes, seed, 1.0e-12)
+        y = group_module._invert_newton(disp, nodes, seed, 1.0e-12, np.arange(len(nodes)))
         assert y[origin, 0] == 0.0
         assert np.max(np.abs(y + disp.sample(y) - nodes)) <= 1.0e-12
         with pytest.raises(np.linalg.LinAlgError):
             _full_sweep_newton(disp, nodes, seed, 1.0e-12)
+
+
+class TestChordInvert:
+    def test_final_rotation_snapshot_in_few_gathers(self, monkeypatch):
+        # the flow-2d member at its largest speed and narrowest width
+        envelope = "0.36*exp(-(x/0.9)^2)*exp(-(y/0.9)^2)"
+        field = TimeDependentVectorField.from_descriptor(
+            2, f"-y*{envelope}, x*{envelope}", DecayClass.SCHWARTZ)
+        grid = Grid(2, 8.0, 129)
+        flow = evolve(field, 1.0, 0.0625, grid)
+        member = Diffeo(flow.snapshot(len(flow.times) - 1), DecayClass.SCHWARTZ)
+        gathered = _counting_sample(monkeypatch)
+        inverse = invert(member)
+        assert len(gathered) <= 12
+        monkeypatch.undo()
+        nodes = np.asarray(grid.nodes())
+        y = nodes + inverse.displacement.node_values()
+        target = 1.0e-13 * (1.0 + grid.half_width)
+        assert float(np.max(np.abs(y + member.displacement.sample(y) - nodes))) <= target
+
+    def test_memory_stays_near_fixed_point_sweeps(self, monkeypatch):
+        grid = Grid(2, 8.0, 257)
+        member = Diffeo.from_descriptor(grid, "0.2*tanh(x/1.1), 0.15*tanh(y)",
+                                        DecayClass.BOUNDED_ALL)
+
+        def peak():
+            invert(member)  # derivative and node caches filled outside the trace
+            tracemalloc.start()
+            try:
+                invert(member)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chord = peak()
+        monkeypatch.setattr(group_module, "_invert_sweeps", _plain_fixed_point)
+        assert chord <= peak() + 0.5 * 2 ** 20
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_chord_matrix_inverts_identity_plus_jacobian(self, dim, rng):
+        jac = rng.uniform(-0.3, 0.3, size=(dim, dim, 5))
+        rows = np.array([4, 0, 2])
+        got = np.stack(group_module._chord_matrix([list(row) for row in jac], rows), axis=1)
+        want = np.linalg.inv(np.moveaxis(jac, -1, 0)[rows] + np.eye(dim))
+        assert np.allclose(got, want, rtol=0.0, atol=1.0e-14)
 
 
 class TestConjugate:
