@@ -12,15 +12,17 @@ solves ``y + g(y) = x`` node by node against the interpolated displacement,
 which makes the inverse exact for the engine's own notion of ``g`` rather
 than for the unknowable continuum field. A contracting member takes chord
 sweeps on the node Jacobian ``I + dg(x)``, which its margin has already
-derived; any other takes a few fixed-point sweeps and then damped Newton,
-which also polishes a residual the chord leaves above the target. A node
-whose stencil reads only exact zeros is solved by its seed and never
-gathered, and a node drops out of any stage once its iterate stops moving
-exactly, so later sweeps gather only the nodes that still move,
-bit-identical to sweeping every node; a retired node keeps the displacement
-its last sweep sampled, from which the residual is built without a second
-gather. Conjugation reads the outer displacement at the nodes and gathers
-the inner one there once, for the composite and for its diagnostics alike.
+derived, and a node where the chord step does not shrink falls back to
+fixed-point sweeps; any other takes a few fixed-point sweeps and then
+damped Newton, which also polishes a residual the chord leaves above the
+target. A node whose stencil reads only exact zeros is solved by its seed
+and never gathered by the sweeps, and a node drops out of any stage once
+its iterate stops moving exactly, so later sweeps gather only the nodes
+that still move, bit-identical to sweeping every node; a retired node
+keeps the displacement its last sweep sampled, from which the residual is
+built without a second gather. Conjugation reads the outer displacement at
+the nodes and gathers the inner one there once, for the composite and for
+its diagnostics alike.
 """
 
 from __future__ import annotations
@@ -42,8 +44,12 @@ from .fields import (GATHER_BLOCK, DisplacementField, Grid, det_plus_identity, r
 DEFAULT_DET_THRESHOLD = 1.0e-6
 DOMAIN_OVERHANG_FRACTION = 0.1
 _FIXED_POINT_CONTRACTION = 0.9
+# sweep cap of the contracting branch: a node handed back to the fixed point
+# may need all of them
 _CHORD_MAX_ITER = 200
 _FIXED_POINT_SEED_ITER = 8
+# a chord step that shrinks less than this hands its node back to the fixed point
+_CHORD_SHRINK = 0.25
 _NEWTON_MAX_ITER = 60
 
 
@@ -275,9 +281,8 @@ def _times(matrix: list, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep(rows: list, g: np.ndarray) -> np.ndarray:
-    """One sweep's new iterates from ``rows = [y, x, *M]`` and ``g = g(y)``."""
-    y, x, *matrix = rows
+def _sweep(y: np.ndarray, x: np.ndarray, matrix: list, g: np.ndarray) -> np.ndarray:
+    """One sweep's new iterates from ``y``, the targets ``x`` and ``g = g(y)``."""
     if not matrix:
         return x - g
     step = y + g
@@ -286,34 +291,71 @@ def _sweep(rows: list, g: np.ndarray) -> np.ndarray:
     return np.subtract(y, step, out=step)
 
 
-def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray, active: np.ndarray,
+def _slow_to_fixed_point(rows: list, y_next: np.ndarray, g: np.ndarray, moved: np.ndarray,
+                         floor: float):
+    """Hand the chord nodes whose step did not shrink back to the fixed point.
+
+    ``rows = [y, x, limit, *M]``. A node whose step ``moved`` is above
+    ``floor`` and at least its ``limit``, ``_CHORD_SHRINK`` times its
+    previous step (the seed step first), takes the fixed-point step
+    ``x - g(y)`` from this sweep's gather instead, and the identity becomes
+    its matrix, so its later sweeps are fixed point too. The chord contracts
+    at a node at the rate ``|dg(x) - dg(y*)| / |I + dg(x)|``, which can
+    exceed 1 where the fixed point's ``|dg(y*)| < 0.9`` holds (at x = 0.7
+    for ``0.8*exp(-x^2)``). A handed-back node keeps an infinite ``limit``,
+    so it is never handed back twice; every other limit becomes
+    ``_CHORD_SHRINK`` times this step.
+    """
+    y, x, limit, *matrix = rows
+    slow = np.flatnonzero((moved >= limit) & (moved > floor))
+    np.multiply(moved, _CHORD_SHRINK, out=limit, where=limit < np.inf)
+    if not len(slow):
+        return
+    y_next[slow] = x.take(slow, axis=0) - g.take(slow, axis=0)
+    moved[slow] = row_max(np.abs(y_next.take(slow, axis=0) - y.take(slow, axis=0)))
+    limit[slow] = np.inf
+    for i, row in enumerate(matrix):
+        row[slow] = np.eye(len(matrix))[i]
+
+
+def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray,
                    tol: float, max_iter: int, entries=None) -> tuple:
-    """Sweeps on ``y + g(y) = x`` at the nodes ``active``; ``(y, g(y))`` at every node.
+    """Sweeps on ``y + g(y) = x`` at every node; returns ``(y, g(y))``.
 
     With ``entries = None`` these are fixed-point sweeps ``y <- x - g(y)``
     from ``y = x - g(x)``. With the Jacobian ``entries`` they are chord
     sweeps ``y <- y - M (y + g(y) - x)`` with ``M = (I + dg(x))^-1`` from
     :func:`_chord_matrix`, from the Newton step ``y = x - M g(x)``; ``g(x)``
-    is the node value in both. A node outside ``active`` is its own seed
-    ``y = x`` with ``g(y) = +0.0``. The sweeps stop once no node moves more
-    than ``tol / 4``. A node retires with the displacement its last sweep
-    sampled: its step was exactly 0.0, so that sample is ``g`` at its final
-    iterate. Only the nodes still moving when the sweeps stop are gathered
-    once more.
+    is the node value in both. A node whose stencil reads only exact zeros
+    (:func:`~diffeoflow.fields.reads_only_zeros`) is solved by its seed
+    ``y = x``, ``g(y) = +0.0``, the bits a sweep would give, and is never
+    gathered. The sweeps stop once no node moves more than ``tol / 4``. A
+    node retires with the displacement its last sweep sampled: its step was
+    exactly 0.0, so that sample is ``g`` at its final iterate. Only the
+    nodes still moving when the sweeps stop are gathered once more.
     """
-    # the active nodes' iterates, targets and chord matrix rows, compacted by _drop_settled
+    # the active nodes' iterates, targets, step limits and chord matrix rows,
+    # compacted by _drop_settled
+    active = np.flatnonzero(~reads_only_zeros(displacement))
     rows = [None, nodes if len(active) == len(nodes) else nodes.take(active, axis=0)]
-    if entries is not None:
-        rows += _chord_matrix(entries, active)
     g_seed = displacement.node_values().take(active, axis=0)
-    rows[0] = rows[1] - (g_seed if entries is None else _times(rows[2:], g_seed))
+    if entries is None:
+        rows[0] = rows[1] - g_seed
+    else:
+        rows += [None] + _chord_matrix(entries, active)
+        step = _times(rows[3:], g_seed)
+        rows[2] = _CHORD_SHRINK * row_max(np.abs(step))
+        rows[0] = rows[1] - step
+        del step
     del g_seed
     y = nodes.copy()
     sampled = np.zeros_like(y)
     for _ in range(max_iter):
         g_act = displacement.sample(rows[0])
-        y_next = _sweep(rows, g_act)
+        y_next = _sweep(rows[0], rows[1], rows[3:], g_act)
         moved = row_max(np.abs(y_next - rows[0]))
+        if entries is not None:
+            _slow_to_fixed_point(rows, y_next, g_act, moved, 0.25 * tol)
         rows[0] = y_next
         stop = float(np.max(moved, initial=0.0)) <= 0.25 * tol
         active = _drop_settled(((y, y_next), (sampled, g_act)), active, moved, rows)
@@ -328,11 +370,11 @@ def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray, active: n
 
 
 def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
-                   seed: np.ndarray, tol: float, moving: np.ndarray) -> np.ndarray:
-    """Damped Newton from ``seed`` at the nodes ``moving``; the others keep their seed."""
+                   seed: np.ndarray, tol: float) -> np.ndarray:
+    """Damped Newton from ``seed`` at every node."""
     dim = displacement.grid.dim
     y = seed.copy()
-    active, target, y_act = moving, nodes.take(moving, axis=0), seed.take(moving, axis=0)
+    active, target, y_act = np.arange(len(y)), nodes, y
     eye = np.eye(dim)
     for _ in range(_NEWTON_MAX_ITER):
         residual = y_act + displacement.sample(y_act) - target
@@ -371,7 +413,10 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     - below 0.9, up to 200 chord sweeps ``y <- y - (I + dg(x))^-1 (y + g(y) - x)``,
       seeded by the Newton step from ``y = x``; the matrices come from the
       first derivatives the member's margin cached, so ``jacobian_at`` is
-      not called;
+      not called. A node whose step does not shrink fourfold is handed back
+      to the fixed point ``y <- x - g(y)``, which contracts wherever
+      ``|dg| < 0.9`` (:func:`_slow_to_fixed_point`), so the cap stays the
+      200 sweeps that fixed point may need;
     - otherwise 8 fixed-point sweeps ``y <- x - g(y)`` from ``y = x - g(x)``
       seed a damped Newton solve.
 
@@ -380,11 +425,11 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     target. Solved nodes drop out: a node whose sweep step, or whose Newton
     residual, is exactly zero is no longer sampled, differentiated or
     solved, so a singular Jacobian there is never met. A node whose
-    interpolation stencil reads only exact zeros (:func:`reads_only_zeros`)
-    is solved by its seed ``y = x`` and never gathered. The residual is built
+    interpolation stencil reads only exact zeros is solved by its seed
+    ``y = x`` and never gathered by the sweeps. The residual is built
     from the displacement each node's last sweep sampled, so only the nodes
     still moving when the sweeps stop are gathered again; after a Newton
-    stage every gathered node is.
+    stage every node is.
     """
     grid = diffeo.grid
     displacement = diffeo.displacement
@@ -392,21 +437,18 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     if tol is None:
         tol = 1.0e-8 * (1.0 + grid.half_width)
     target = min(tol, 1.0e-13 * (1.0 + grid.half_width))
-    idle = reads_only_zeros(displacement)
     entries = displacement.jacobian_entries()
     # squares added row-major, the order of np.sum over the stacked Jacobian's
     # two leading axes, so the switch sees the same bits
     frob = float(np.sqrt(np.max(sum(e ** 2 for row in entries for e in row))))
     chord = frob < _FIXED_POINT_CONTRACTION
-    y, sampled = _invert_sweeps(displacement, nodes, np.flatnonzero(~idle), target,
+    y, sampled = _invert_sweeps(displacement, nodes, target,
                                 _CHORD_MAX_ITER if chord else _FIXED_POINT_SEED_ITER,
                                 entries if chord else None)
     residuals = row_max(np.abs(y + sampled - nodes))
     if float(np.max(residuals)) > target:
-        moving = np.flatnonzero(~idle)
-        y = _invert_newton(displacement, nodes, y, target, moving)
-        sampled[moving] = displacement.sample(y.take(moving, axis=0))
-        residuals = row_max(np.abs(y + sampled - nodes))
+        y = _invert_newton(displacement, nodes, y, target)
+        residuals = row_max(np.abs(y + displacement.sample(y) - nodes))
     residual = float(np.max(residuals))
     if residual > tol:
         worst = nodes[int(np.argmax(residuals))]

@@ -221,12 +221,14 @@ class TestInvert:
             invert(member, tol=1e-30)
 
 
-def _full_sweep_sweeps(displacement, nodes, active, tol, max_iter, entries=None):
+def _full_sweep_sweeps(displacement, nodes, tol, max_iter, entries=None):
     """The sweeps before solved nodes dropped out: every node, every sweep.
 
-    ``active`` is ignored, so no node is skipped for reading only zeros,
-    and the chord matrices are formed at every node. The displacement at
-    the final iterate is a fresh gather of every node.
+    No node is skipped for reading only zeros, and the chord matrices are
+    formed at every node. A chord node whose step is above ``tol / 4`` and
+    not below ``_CHORD_SHRINK`` times its previous one (the seed step first)
+    takes ``x - g(y)`` instead, and the identity as its matrix from then on.
+    The displacement at the final iterate is a fresh gather of every node.
     """
     matrix = None
     if entries is not None:
@@ -240,18 +242,30 @@ def _full_sweep_sweeps(displacement, nodes, active, tol, max_iter, entries=None)
         return np.stack(columns, axis=1)
 
     g = displacement.node_values()
-    y = nodes - (g if matrix is None else times(g))
+    step = g if matrix is None else times(g)
+    y = nodes - step
+    previous = np.max(np.abs(step), axis=1)
+    handed_back = np.zeros(len(nodes), dtype=bool)
     for _ in range(max_iter):
         g = displacement.sample(y)
         y_next = nodes - g if matrix is None else y - times(y + g - nodes)
-        step = float(np.max(np.abs(y_next - y)))
+        moved = np.max(np.abs(y_next - y), axis=1)
+        if matrix is not None:
+            slow = (~handed_back & (moved > 0.25 * tol)
+                    & (moved >= group_module._CHORD_SHRINK * previous))
+            y_next[slow] = nodes[slow] - g[slow]
+            moved[slow] = np.max(np.abs(y_next[slow] - y[slow]), axis=1)
+            handed_back |= slow
+            for i, row in enumerate(matrix):
+                row[slow] = np.eye(len(matrix))[i]
+            previous = moved
         y = y_next
-        if step <= 0.25 * tol:
+        if float(np.max(moved)) <= 0.25 * tol:
             break
     return y, displacement.sample(y)
 
 
-def _full_sweep_newton(displacement, nodes, seed, tol, moving=None):
+def _full_sweep_newton(displacement, nodes, seed, tol):
     dim = displacement.grid.dim
     y = seed.copy()
     eye = np.eye(dim)
@@ -283,23 +297,22 @@ def _two_newton_call_invert(diffeo, tol=None):
     grid = diffeo.grid
     displacement = diffeo.displacement
     nodes = np.asarray(grid.nodes())
-    every = np.arange(grid.node_count)
     if tol is None:
         tol = 1.0e-8 * (1.0 + grid.half_width)
     target = min(tol, 1.0e-13 * (1.0 + grid.half_width))
     jac = displacement.jacobian_grid().reshape(grid.dim, grid.dim, -1)
     contraction = float(np.max(np.sqrt(np.sum(jac ** 2, axis=(0, 1)))))
     if contraction < group_module._FIXED_POINT_CONTRACTION:
-        y = group_module._invert_sweeps(displacement, nodes, every, target,
+        y = group_module._invert_sweeps(displacement, nodes, target,
                                         group_module._CHORD_MAX_ITER,
                                         displacement.jacobian_entries())[0]
     else:
-        seed = group_module._invert_sweeps(displacement, nodes, every, target,
+        seed = group_module._invert_sweeps(displacement, nodes, target,
                                            group_module._FIXED_POINT_SEED_ITER)[0]
-        y = group_module._invert_newton(displacement, nodes, seed, target, every)
+        y = group_module._invert_newton(displacement, nodes, seed, target)
     residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > target:
-        y = group_module._invert_newton(displacement, nodes, y, target, every)
+        y = group_module._invert_newton(displacement, nodes, y, target)
         residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > tol:
         raise InversionError(f"inverse solve stalled at residual {residual:.3e}")
@@ -307,11 +320,11 @@ def _two_newton_call_invert(diffeo, tol=None):
     return Diffeo(disp, diffeo.decay_class)
 
 
-def _plain_fixed_point(displacement, nodes, active, tol, max_iter, entries=None):
+def _plain_fixed_point(displacement, nodes, tol, max_iter, entries=None):
     """The contracting branch before the chord: fixed-point sweeps ``y <- x - g(y)``
     from ``y = x - g(x)`` at every node, compacted as solved nodes drop out.
 
-    ``active`` and ``entries`` are ignored.
+    ``entries`` is ignored.
     """
     y = nodes - displacement.node_values()
     sampled = np.empty_like(y)
@@ -365,8 +378,11 @@ PARITY_CASES = [
     (Grid(2, 8.0, 97), "0.6*bump(x/4,y/4), 0.4*bump((x-1)/4,y/4)", DecayClass.COMPACT_SUPPORT),
     (Grid(3, 8.0, 25), "0.5*bump(x/5,y/5,z/5), 0, -0.4*bump(x/5,(y-1)/5,z/5)",
      DecayClass.COMPACT_SUPPORT),
+    # contracting, but the chord repels the iterates near x = 0.7
+    (Grid(1, 8.0, 513), "0.8*exp(-x^2)", DecayClass.SCHWARTZ),
 ]
-ZERO_TAIL_CASES = PARITY_CASES[-2:]
+ZERO_TAIL_CASES = PARITY_CASES[-3:-1]
+REPELLING_CHORD_CASE = PARITY_CASES[-1]
 
 
 class TestInvertSolvedNodesDropOut:
@@ -396,11 +412,9 @@ class TestInvertSolvedNodesDropOut:
         # the seed sweeps of the Newton branch, and the chord branch's sweeps
         displacement = Diffeo.from_descriptor(grid, text, decay_class).displacement
         nodes = np.asarray(grid.nodes())
-        active = np.flatnonzero(~reads_only_zeros(displacement))
         entries = (displacement.jacobian_entries() if sweeps == group_module._CHORD_MAX_ITER
                    else None)
-        y, sampled = group_module._invert_sweeps(displacement, nodes, active, 1.0e-13,
-                                                 sweeps, entries)
+        y, sampled = group_module._invert_sweeps(displacement, nodes, 1.0e-13, sweeps, entries)
         assert sampled.tobytes() == displacement.sample(y).tobytes()
 
     def test_residual_gathers_only_moving_nodes(self, monkeypatch):
@@ -452,7 +466,7 @@ class TestInvertSolvedNodesDropOut:
         assert nodes[origin, 0] == 0.0
         assert disp.jacobian_at(nodes[origin])[0, 0] == -1.0
         seed = nodes - disp.node_values()
-        y = group_module._invert_newton(disp, nodes, seed, 1.0e-12, np.arange(len(nodes)))
+        y = group_module._invert_newton(disp, nodes, seed, 1.0e-12)
         assert y[origin, 0] == 0.0
         assert np.max(np.abs(y + disp.sample(y) - nodes)) <= 1.0e-12
         with pytest.raises(np.linalg.LinAlgError):
@@ -471,6 +485,24 @@ class TestChordInvert:
         gathered = _counting_sample(monkeypatch)
         inverse = invert(member)
         assert len(gathered) <= 12
+        monkeypatch.undo()
+        nodes = np.asarray(grid.nodes())
+        y = nodes + inverse.displacement.node_values()
+        target = 1.0e-13 * (1.0 + grid.half_width)
+        assert float(np.max(np.abs(y + member.displacement.sample(y) - nodes))) <= target
+
+    def test_repelling_chord_nodes_fall_back_to_the_fixed_point(self, monkeypatch):
+        # at x ~ 0.7 the chord rate |dg(x) - dg(y*)| / |1 + dg(x)| is about 2.6,
+        # though max |dg| = 0.69 keeps the fixed point contracting
+        grid, text, decay_class = REPELLING_CHORD_CASE
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        gathered = _counting_sample(monkeypatch)
+        inverse = invert(member)
+        chord = len(gathered)
+        gathered.clear()
+        monkeypatch.setattr(group_module, "_invert_sweeps", _plain_fixed_point)
+        invert(member)
+        assert chord <= len(gathered)
         monkeypatch.undo()
         nodes = np.asarray(grid.nodes())
         y = nodes + inverse.displacement.node_values()
