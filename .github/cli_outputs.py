@@ -58,6 +58,9 @@ COMMANDS = [
                          "--descriptor", TANH_2D, "--descriptor", GAUSS_2D]),
     ("classify-input", ["--command", "classify",
                         "--input", "invert-2d-swirl/out/inverse.dff"]),
+    # a 257^2 read, the file size perfbench group-2d reads
+    ("classify-input-257", ["--command", "classify",
+                            "--input", "conjugate-2d-257/out/conjugate.dff"]),
     ("evolve-1d", ["--command", "evolve", "--class", "Schwartz",
                    "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
     # no --class: the result's class is inferred from the final snapshot

@@ -22,7 +22,10 @@ that still move, bit-identical to sweeping every node; a retired node
 keeps the displacement its last sweep sampled, from which the residual is
 built without a second gather. Conjugation reads the outer displacement at
 the nodes and gathers the inner one there once, for the composite and for
-its diagnostics alike.
+its diagnostics alike. Its diagnostics gather past ``t = 0`` only the rows
+that the inner map moves: where ``fl(a + s) == a``, every quadrature point
+``a + t s`` rounds to ``a`` as well, since rounding is monotone, so that
+row's bracket is ``+0.0`` and each of its terms repeats the first.
 """
 
 from __future__ import annotations
@@ -480,6 +483,15 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     blocks of ``GATHER_BLOCK`` nodes, so their temporaries are a block wide;
     each row's terms are the same and added in the same order, so the two
     maxima keep their bits.
+
+    A row is still when ``fl(a + s) == a`` in every coordinate. ``t s`` lies
+    between 0 and ``s`` for ``t`` in [0, 1], and rounding is monotone, so
+    every ``a + t s`` rounds to ``a`` too (up to the sign of a zero, which
+    no gather sees). Its bracket is ``u(a) - u(a) = +0.0`` and each of its
+    nine terms is the ``t = 0`` term. So only the ``t = 0`` Jacobian is
+    gathered for the whole block; both bracket samples and the eight
+    Jacobians for ``t > 0`` are gathered on the moved rows, and a still row
+    keeps its ``t = 0`` term in the one block-wide term buffer.
     """
     _require_same_grid(outer, inner)
     grid = outer.grid
@@ -502,11 +514,24 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     for lo in range(0, len(a), GATHER_BLOCK):
         rows = slice(lo, lo + GATHER_BLOCK)
         a_rows, s_rows = a[rows], s[rows]
-        bracket = u.sample(a_rows + s_rows) - u.sample(a_rows)
-        integral = np.zeros_like(bracket)
-        for t, w in zip(quad_nodes, quad_w):
-            jac = u.jacobian_at(a_rows + t * s_rows)
-            integral += w * np.einsum("nij,nj->ni", jac, s_rows)
+        # gathered while no other block array is alive, which keeps the peak;
+        # a still row's terms for t > 0 repeat this one
+        term = np.einsum("nij,nj->ni", u.jacobian_at(a_rows), s_rows)
+        integral = np.zeros_like(term)
+        integral += quad_w[0] * term
+        # column by column, as row_max; -0.0 == +0.0 here, and both read the
+        # same stencil, since _interp_stencil adds the half-width first
+        moved = a_rows[:, 0] + s_rows[:, 0] != a_rows[:, 0]
+        for j in range(1, a.shape[1]):
+            moved |= a_rows[:, j] + s_rows[:, j] != a_rows[:, j]
+        # a slice when every row moves, so no row is copied
+        moved = slice(None) if moved.all() else np.flatnonzero(moved)
+        a_moved, s_moved = a_rows[moved], s_rows[moved]
+        bracket = np.zeros_like(term)
+        bracket[moved] = u.sample(a_moved + s_moved) - u.sample(a_moved)
+        for t, w in zip(quad_nodes[1:], quad_w[1:]):
+            term[moved] = np.einsum("nij,nj->ni", u.jacobian_at(a_moved + t * s_moved), s_moved)
+            integral += w * term
         gaps.append(np.max(np.abs(bracket - integral)))
         residuals.append(np.max(np.abs(conj_disp[rows] - (s_rows + bracket))))
     info = {

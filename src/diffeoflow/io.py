@@ -233,8 +233,13 @@ def write_displacement(path: str, displacement: DisplacementField,
 
 
 def read_displacement(path: str) -> tuple:
-    """Read a displacement file; returns ``(DisplacementField, DecayClass | None)``."""
-    # writers emit ASCII only, and float() would read "1_0" or non-ASCII digits
+    """Read a displacement file; returns ``(DisplacementField, DecayClass | None)``.
+
+    Each component row is parsed by ``np.loadtxt``, whose C reader gives every
+    sample the bits of ``float(token)`` without a Python float per sample.
+    """
+    # writers emit ASCII only; float() would read "1_0" and non-ASCII digits,
+    # and np.loadtxt a non-breaking space
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -288,7 +293,8 @@ def read_displacement(path: str) -> tuple:
     data = np.empty((dim, expected))
     for i, row in enumerate(rows):
         try:
-            data[i] = [float(tok) for tok in row.split(",")]
+            data[i] = np.loadtxt([row], delimiter=",", dtype=np.float64, comments=None,
+                                 ndmin=1)
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad sample in component {i}: {exc}")
     if not np.all(np.isfinite(data)):

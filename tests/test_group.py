@@ -589,6 +589,13 @@ def _regathering_conjugate(outer, inner):
     return result, info
 
 
+def _moved_rows(outer, inner) -> np.ndarray:
+    """The node rows whose conjugation end point ``a + s`` is not ``a``."""
+    a = np.asarray(outer.grid.nodes()) + outer.displacement.node_values()
+    s = inner.displacement.sample(a)
+    return np.flatnonzero(np.any(a + s != a, axis=1))
+
+
 CONJUGATE_CASES = [
     (Grid(1, 8.0, 513), "0.2*tanh((x-0.3)/1.1)", "0.1*exp(-x^2)"),
     (Grid(2, 8.0, 129), "0.2*tanh(x/1.1), 0.15*tanh(y)",
@@ -616,8 +623,10 @@ class TestConjugateSharesGathers:
         got_points = sum(calls)
         want, want_info = _regathering_conjugate(outer, inner)
         want_points = sum(calls) - got_points
-        # two whole-node gathers fewer: the composite's and the diagnostics' s
-        assert got_points == want_points - 2 * grid.node_count * grid.dim
+        # two whole-node gathers fewer, the composite's and the diagnostics' s,
+        # and the bracket's two gathers skip every still row
+        still = grid.node_count - len(_moved_rows(outer, inner))
+        assert got_points == want_points - 2 * (grid.node_count + still) * grid.dim
         assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
         assert got.decay_class is want.decay_class
         assert got_info == want_info
@@ -629,6 +638,104 @@ class TestConjugateSharesGathers:
         )
         with pytest.raises(UnderResolvedError):
             conjugate(shift, Diffeo.identity(coarse_grid))
+
+
+class TestConjugateStillRows:
+    """A still row, ``fl(a + s) == a``, reads no gather past ``t = 0``; the bits stay."""
+
+    @staticmethod
+    def _assert_matches_oracle(outer, inner):
+        got, got_info = conjugate(outer, inner, diagnostics=True)
+        want, want_info = _regathering_conjugate(outer, inner)
+        assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
+        assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
+        assert got_info == want_info
+
+    @staticmethod
+    def _jacobian_at_sizes(monkeypatch, outer, inner) -> list:
+        """The point count of each ``jacobian_at`` call of one diagnostic conjugation."""
+        sizes = []
+        original = DisplacementField.jacobian_at
+
+        def recording(self, points):
+            sizes.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(DisplacementField, "jacobian_at", recording)
+        conjugate(outer, inner, diagnostics=True)
+        monkeypatch.undo()
+        return sizes
+
+    def test_inner_that_moves_no_row(self, monkeypatch):
+        grid, outer_text, _ = CONJUGATE_CASES[1]
+        outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
+        inner = Diffeo(DisplacementField.zero(grid), DecayClass.SCHWARTZ)
+        assert _moved_rows(outer, inner).size == 0
+        assert (self._jacobian_at_sizes(monkeypatch, outer, inner)
+                == [GATHER_BLOCK] + [0] * 8 + [grid.node_count - GATHER_BLOCK] + [0] * 8)
+        self._assert_matches_oracle(outer, inner)
+
+    def test_bounded_inner_that_moves_almost_every_row(self, monkeypatch):
+        grid = Grid(1, 8.0, 513)
+        outer = Diffeo.from_descriptor(grid, "0.2*tanh((x-0.3)/1.1)", DecayClass.BOUNDED_ALL)
+        # below x = -7.65 the inner displacement is under half an ulp of the image
+        inner = Diffeo.from_descriptor(grid, "0.1*(1+tanh(10*(x+6)))", DecayClass.BOUNDED_ALL)
+        moved = _moved_rows(outer, inner).size
+        assert 0.9 * grid.node_count < moved < grid.node_count
+        assert (self._jacobian_at_sizes(monkeypatch, outer, inner)
+                == [grid.node_count] + [moved] * 8)
+        self._assert_matches_oracle(outer, inner)
+
+    def test_inner_that_moves_every_row(self, monkeypatch):
+        grid = Grid(1, 8.0, 513)
+        outer = Diffeo.from_descriptor(grid, "0.2*tanh((x-0.3)/1.1)", DecayClass.BOUNDED_ALL)
+        inner = Diffeo.from_descriptor(grid, "0.1*tanh(x)", DecayClass.BOUNDED_ALL)
+        assert _moved_rows(outer, inner).size == grid.node_count
+        assert self._jacobian_at_sizes(monkeypatch, outer, inner) == [grid.node_count] * 9
+        self._assert_matches_oracle(outer, inner)
+
+    def test_negative_zero_node_images(self, monkeypatch):
+        grid, outer_text, _ = CONJUGATE_CASES[1]
+        outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
+        # the first component is exactly zero, so a row whose image has
+        # x = -0.0 stays still in x, and moves when its y does
+        inner = Diffeo.from_descriptor(grid, "0, 0.1*exp(-x^2-y^2)", DecayClass.SCHWARTZ)
+        original = group_module._node_images
+
+        def negative_zeros(member):
+            g_values, images = original(member)
+            return g_values, np.where(images == 0.0, -0.0, images)
+
+        monkeypatch.setattr(group_module, "_node_images", negative_zeros)
+        a = negative_zeros(outer)[1]
+        negative = np.any(np.signbit(a) & (a == 0.0), axis=1)
+        moved = np.zeros(grid.node_count, dtype=bool)
+        moved[_moved_rows(outer, inner)] = True
+        assert np.any(negative & moved) and np.any(negative & ~moved)
+        self._assert_matches_oracle(outer, inner)
+
+    def test_planted_jacobian_fault_on_moved_rows_is_seen(self, fine_grid, monkeypatch):
+        """The case of ``test_schwartz_class_survives_bounded_outer``, its moved rows faulted."""
+        outer = Diffeo.from_descriptor(fine_grid, "0.2*tanh((x-0.3)/1.1)",
+                                       DecayClass.BOUNDED_ALL)
+        inner = gaussian_diffeo(fine_grid, 0.1)
+        a = np.asarray(fine_grid.nodes()) + outer.displacement.node_values()
+        moved = _moved_rows(outer, inner)
+        assert 0 < moved.size < fine_grid.node_count
+        still_points = {p.tobytes() for p in np.delete(a, moved, axis=0)}
+        original = DisplacementField.jacobian_at
+
+        def faulty(self, points):
+            jac = original(self, points)
+            hit = [p.tobytes() not in still_points for p in np.asarray(points)]
+            jac[hit] *= 1.0 + 1.0e-3
+            return jac
+
+        _, info = conjugate(outer, inner, diagnostics=True)
+        assert info["bracket_gap"] <= 5e-8
+        monkeypatch.setattr(DisplacementField, "jacobian_at", faulty)
+        _, info = conjugate(outer, inner, diagnostics=True)
+        assert info["bracket_gap"] > 5e-8
 
 
 def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
@@ -646,9 +753,13 @@ def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
     monkeypatch.setattr(DisplacementField, "jacobian_at", recording)
     result, info = conjugate(outer, inner, diagnostics=True)
     monkeypatch.undo()
-    # 66,049 rows: four full blocks and a last one of 513, each read at 9 quadrature nodes
+    # 66,049 rows: four full blocks and a last one of 513, each read at t = 0,
+    # and their moved rows at the 8 quadrature nodes t > 0
     assert grid.node_count == 4 * GATHER_BLOCK + 513
-    assert sizes == [n for n in [GATHER_BLOCK] * 4 + [513] for _ in range(9)]
+    moved = np.bincount(_moved_rows(outer, inner) // GATHER_BLOCK, minlength=5)
+    assert 0 < moved.sum() < grid.node_count
+    assert sizes == [n for block, size in enumerate([GATHER_BLOCK] * 4 + [513])
+                     for n in [size] + [moved[block]] * 8]
 
     u = invert(outer).displacement
     a = np.asarray(grid.nodes()) + outer.displacement.node_values()

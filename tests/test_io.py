@@ -227,6 +227,35 @@ class TestDisplacementFiles:
         with pytest.raises(FileFormatError):
             read_displacement(str(path))
 
+    @staticmethod
+    def _with_samples(grid, path, tokens):
+        """Write a zero file on ``grid`` whose first samples are ``tokens``."""
+        write_displacement(str(path), DisplacementField.zero(grid))
+        head, row = path.read_text().splitlines()[:2]
+        samples = row.split(",")
+        samples[:len(tokens)] = tokens
+        path.write_text(head + "\n" + ",".join(samples) + "\n")
+
+    def test_samples_parse_as_float_does(self, coarse_grid, tmp_path):
+        tokens = ["-0", "5e-324", "1e-320", "1E5", "+1.5", " 1.5", "0.1"]
+        path = tmp_path / "d.dsp"
+        self._with_samples(coarse_grid, path, tokens)
+        loaded, _ = read_displacement(str(path))
+        got = loaded.values.reshape(-1)[:len(tokens)]
+        # .hex() keeps the sign of -0.0
+        assert [v.hex() for v in got.tolist()] == [float(t).hex() for t in tokens]
+
+    @pytest.mark.parametrize("token, reason", [
+        *[(t, "bad sample") for t in ["", "1e", "0x10", "1#2", "1.5.2", "--1"]],
+        *[(t, "displacement samples must be finite") for t in ["inf", "-inf", "nan"]],
+    ])
+    def test_unparsable_or_infinite_samples_are_file_errors(self, coarse_grid, tmp_path,
+                                                            token, reason):
+        path = tmp_path / "d.dsp"
+        self._with_samples(coarse_grid, path, [token])
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {reason}"):
+            read_displacement(str(path))
+
 
 class TestRowKernel:
     """Rows are the bytes of ``_format_float`` per sample, fast path or guard."""
