@@ -524,8 +524,7 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
         moved = a_rows[:, 0] + s_rows[:, 0] != a_rows[:, 0]
         for j in range(1, a.shape[1]):
             moved |= a_rows[:, j] + s_rows[:, j] != a_rows[:, j]
-        # a slice when every row moves, so no row is copied
-        moved = slice(None) if moved.all() else np.flatnonzero(moved)
+        moved = np.flatnonzero(moved)
         a_moved, s_moved = a_rows[moved], s_rows[moved]
         bracket = np.zeros_like(term)
         bracket[moved] = u.sample(a_moved + s_moved) - u.sample(a_moved)
