@@ -12,12 +12,16 @@ budget (for a one-signed scalar field the two integrals agree bitwise).
 Separate helpers check the Bellman-Gronwall envelope for the growth of
 ``d_x f``, track Sobolev norms and edge decay, recover the driving field
 from the flow via the right logarithmic derivative, and probe smoothness of
-the parametrized flow map ``s -> flow(X_s)``.
+the parametrized flow map ``s -> flow(X_s)``. The right logarithmic
+derivative yields its recovered fields one at a time; it solves each
+inverse as node arrays (:func:`~diffeoflow.group.solve_inverse`) and reads
+the margin ``evolve`` already measured, so it builds no group member.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -27,7 +31,11 @@ from .descriptors import VARIABLES, bind
 from .errors import FieldError, FlowBlowupError, FlowDomainError
 from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
                      reads_only_zeros, row_max, row_norms, seminorm_table, spectral_norms)
-from .group import DOMAIN_OVERHANG_FRACTION, Diffeo, invert
+from .group import (DEFAULT_DET_THRESHOLD, DOMAIN_OVERHANG_FRACTION, Diffeo, _require_margin,
+                    solve_inverse)
+# not called here: perfbench/tests checks that its tracer patches invert in
+# every module that imports it, flows included
+from .group import invert  # noqa: F401
 
 BOUND_SLACK = 1.0e-8
 GRONWALL_REL_SLACK = 1.0e-6
@@ -359,47 +367,63 @@ def sobolev_tracking(result: FlowResult) -> dict:
     return report
 
 
-def right_log_derivative(result: FlowResult) -> list:
+def right_log_derivative(result: FlowResult) -> Iterator[tuple]:
     """Recover the driving field from the flow: ``D(t) = (d_t f) o (Id+f)^-1``.
 
-    The time derivative is a five-point stencil across consecutive
-    snapshots, so the result lists only interior snapshot times (two steps
-    in from either end). Each entry is ``(t, DisplacementField)``; for a
-    flow of ``X`` the field approximates ``X(t, .)`` to fourth order in both
-    the step and the spacing. The stencil reads ``result.displacements``,
-    and each inverse is taken of :meth:`FlowResult.snapshot`, whose
-    continuation the time derivative and the recovered field share. The
-    inverse is read at the nodes from its node values, ``nodes + u``, which
-    are exact on every spacing; no gather at the nodes is made. The time
-    derivative is then gathered at ``nodes + u``, except where ``u`` is
-    exactly zero and its stencil reads only exact zeros
+    Returns an iterator that yields ``(t, DisplacementField)`` for each
+    interior snapshot time (two steps in from either end) as it is
+    recovered, so a loop over it holds one field at a time; wrap the call
+    in ``list()`` to keep them all. For a flow of ``X`` the field
+    approximates ``X(t, .)`` to fourth order in both the step and the
+    spacing. The time derivative is a five-point stencil across
+    ``result.displacements``. Each inverse is solved as node arrays by
+    :func:`~diffeoflow.group.solve_inverse` on :meth:`FlowResult.snapshot`,
+    whose continuation the time derivative and the recovered field share;
+    no member is built. The inverse is read at the nodes from its node
+    values, ``nodes + u``, which are exact on every spacing. The time
+    derivative is gathered at ``nodes + u``, except where ``u`` is exactly
+    zero and its stencil reads only exact zeros
     (:func:`~diffeoflow.fields.reads_only_zeros`): that gather would return
-    ``+0.0``, which is written instead. A snapshot below the ``Diffeo``
-    margin has no inverse and raises
-    :class:`~diffeoflow.errors.NonDiffeoError`.
+    ``+0.0``, which is written instead.
+
+    The call validates before anything is recovered: fewer than 5
+    snapshots raise :class:`~diffeoflow.errors.FlowDomainError`, and an
+    interior snapshot below the ``Diffeo`` margin, read from the
+    ``diagnostics["min_det"]`` that ``evolve`` measured, has no inverse and
+    raises :class:`~diffeoflow.errors.NonDiffeoError` naming its worst node.
     """
     g = result.displacements
     if len(g) < 5:
         raise FlowDomainError(
             f"need at least 5 snapshots for the time stencil, have {len(g)}"
         )
+    interior = range(2, len(g) - 2)
+    for k in interior:
+        if not result.diagnostics["min_det"][k] >= DEFAULT_DET_THRESHOLD:
+            # the same minimum, measured again only to name its node
+            _require_margin(result.snapshot(k))
+    return ((float(result.times[k]), _recovered_field(result, k)) for k in interior)
+
+
+def _recovered_field(result: FlowResult, k: int) -> DisplacementField:
+    """The field :func:`right_log_derivative` recovers at snapshot ``k``.
+
+    Every array it builds dies on return, so the caller holds only the field.
+    """
+    g = result.displacements
     grid = result.grid
-    nodes = np.asarray(grid.nodes())
-    dt = result.dt
-    out = []
-    for k in range(2, len(g) - 2):
-        t_k = float(result.times[k])
-        dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * dt)
-        snap = result.snapshot(k)
-        extrap = snap.extrapolation
-        dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
-        u = invert(Diffeo(snap, result.decay_class)).displacement.node_values()
-        read = np.flatnonzero(~(reads_only_zeros(dgdt_field) & (row_max(np.abs(u)) == 0.0)))
-        recovered = np.zeros_like(u)
-        recovered[read] = dgdt_field.sample(nodes.take(read, axis=0) + u.take(read, axis=0))
-        field = DisplacementField.from_nodes(grid, recovered, extrap)
-        out.append((t_k, field))
-    return out
+    snap = result.snapshot(k)
+    extrap = snap.extrapolation
+    u, _ = solve_inverse(snap)
+    del snap
+    dgdt = (g[k - 2] - 8.0 * g[k - 1] + 8.0 * g[k + 1] - g[k + 2]) / (12.0 * result.dt)
+    dgdt_field = DisplacementField.from_nodes(grid, dgdt, extrap)
+    del dgdt
+    read = np.flatnonzero(~(reads_only_zeros(dgdt_field) & (row_max(np.abs(u)) == 0.0)))
+    recovered = np.zeros_like(u)
+    recovered[read] = dgdt_field.sample(np.asarray(grid.nodes()).take(read, axis=0)
+                                        + u.take(read, axis=0))
+    return DisplacementField.from_nodes(grid, recovered, extrap)
 
 
 def evol_smoothness_probe(family, s_values, t_final: float, dt: float,

@@ -10,22 +10,27 @@ it only samples,
 so the class bookkeeping follows the wider of the two operands. Inversion
 solves ``y + g(y) = x`` node by node against the interpolated displacement,
 which makes the inverse exact for the engine's own notion of ``g`` rather
-than for the unknowable continuum field. A contracting member takes chord
-sweeps on the node Jacobian ``I + dg(x)``, which its margin has already
-derived, and a node where the chord step does not shrink falls back to
-fixed-point sweeps; any other takes a few fixed-point sweeps and then
-damped Newton, which also polishes a residual the chord leaves above the
-target. A node whose stencil reads only exact zeros is solved by its seed
-and never gathered by the sweeps, and a node drops out of any stage once
-its iterate stops moving exactly, so later sweeps gather only the nodes
-that still move, bit-identical to sweeping every node; a retired node
-keeps the displacement its last sweep sampled, from which the residual is
-built without a second gather. Conjugation reads the outer displacement at
-the nodes and gathers the inner one there once, for the composite and for
-its diagnostics alike. Its diagnostics gather past ``t = 0`` only the rows
-that the inner map moves: where ``fl(a + s) == a``, every quadrature point
-``a + t s`` rounds to ``a`` as well, since rounding is monotone, so that
-row's bracket is ``+0.0`` and each of its terms repeats the first.
+than for the unknowable continuum field. One solver, :func:`solve_inverse`,
+returns the inverse displacement and its residuals as node arrays;
+:func:`invert` wraps them in a member, and callers that read only node
+values build none. A contracting displacement takes chord sweeps on the
+node Jacobian ``I + dg(x)``, from its cached first derivatives (a member's
+margin has already derived them), and a node where the chord step does not shrink falls back to fixed-point sweeps; any
+other takes a few fixed-point sweeps and then damped Newton, which also
+polishes a residual the chord leaves above the target. A node whose
+stencil reads only exact zeros is solved by its seed and never gathered by
+the sweeps, and a node drops out of any stage once its iterate stops moving
+exactly, so later sweeps gather only the nodes that still move,
+bit-identical to sweeping every node; a retired node keeps the displacement
+its last sweep sampled, from which the residual is built without a second
+gather. Newton starts from that residual and returns its own, so neither
+its first pass nor the final check gathers every node. Conjugation reads
+the outer displacement at the nodes and gathers the inner one there once,
+for the composite and for its diagnostics alike. Its diagnostics gather
+past ``t = 0`` only the rows that the inner map moves: where
+``fl(a + s) == a``, every quadrature point ``a + t s`` rounds to ``a`` as
+well, since rounding is monotone, so that row's bracket is ``+0.0`` and
+each of its terms repeats the first.
 """
 
 from __future__ import annotations
@@ -72,6 +77,14 @@ def _det_margin(displacement: DisplacementField) -> tuple:
 def _margin_note(epsilon: float, location: list) -> str:
     return (f"det(I + dg) reaches {epsilon:.6g} at {location}, "
             f"below the margin {DEFAULT_DET_THRESHOLD:.6g}")
+
+
+def _require_margin(displacement: DisplacementField) -> tuple:
+    """:func:`_det_margin`, raising ``NonDiffeoError`` below ``DEFAULT_DET_THRESHOLD``."""
+    epsilon, location = _det_margin(displacement)
+    if not epsilon >= DEFAULT_DET_THRESHOLD:
+        raise NonDiffeoError(_margin_note(epsilon, location))
+    return epsilon, location
 
 
 def membership_check(displacement, decay_class: DecayClass | None = None) -> tuple:
@@ -143,9 +156,7 @@ class Diffeo:
             displacement = displacement.with_extrapolation(wanted)
         self.displacement = displacement
         self.decay_class = decay_class
-        self.epsilon, self.epsilon_location = _det_margin(displacement)
-        if not self.epsilon >= DEFAULT_DET_THRESHOLD:
-            raise NonDiffeoError(_margin_note(self.epsilon, self.epsilon_location))
+        self.epsilon, self.epsilon_location = _require_margin(displacement)
 
     @property
     def grid(self) -> Grid:
@@ -373,15 +384,22 @@ def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray,
 
 
 def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
-                   seed: np.ndarray, tol: float) -> np.ndarray:
-    """Damped Newton from ``seed`` at every node."""
+                   seed: np.ndarray, residual: np.ndarray, tol: float) -> tuple:
+    """Damped Newton from ``seed`` at every node; returns ``(y, residual norms)``.
+
+    ``residual`` is ``seed + g(seed) - nodes``, which the caller has already
+    built, so the first pass gathers nothing. Each pass gathers the
+    residual at its new iterates, so the norms returned are those of ``y``
+    at every node: a retired node's is exactly 0.0, and after the last of
+    ``_NEWTON_MAX_ITER`` passes only the nodes still active are gathered.
+    """
     dim = displacement.grid.dim
     y = seed.copy()
+    norms = np.zeros(len(y))
     active, target, y_act = np.arange(len(y)), nodes, y
+    res_norm = row_max(np.abs(residual))
     eye = np.eye(dim)
     for _ in range(_NEWTON_MAX_ITER):
-        residual = y_act + displacement.sample(y_act) - target
-        res_norm = row_max(np.abs(residual))
         if float(np.max(res_norm, initial=0.0)) <= tol:
             break
         rows = [y_act, target, residual, res_norm]
@@ -401,25 +419,32 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
                 break
             scale[worse] *= 0.5
         y_act = y_act - scale * step
+        residual = y_act + displacement.sample(y_act) - target
+        res_norm = row_max(np.abs(residual))
     y[active] = y_act
-    return y
+    norms[active] = res_norm
+    return y, norms
 
 
-def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
-    """Inverse member, solved node-wise against the interpolated displacement.
+def solve_inverse(displacement: DisplacementField, tol: float | None = None) -> tuple:
+    """Solve ``y + g(y) = x`` at every node ``x``; returns ``(u, residuals)``.
 
-    The residual target is ``min(tol, 1e-13 * (1 + half_width))``; the
-    default promise ``tol`` is ``1e-8 * (1 + half_width)``, and a residual
-    above it raises with the worst node named. Two branches, chosen by the
-    node-wise Frobenius norm of ``dg``:
+    ``u = y - x`` is the inverse displacement node-major, shape
+    ``(node_count, dim)``, and ``residuals`` is each node's
+    ``max |y + g(y) - x|``. No member is built, so no margin is measured;
+    :func:`invert` wraps ``u`` in one. The residual target is
+    ``min(tol, 1e-13 * (1 + half_width))``; the default promise ``tol`` is
+    ``1e-8 * (1 + half_width)``, and a residual above it raises
+    :class:`~diffeoflow.errors.InversionError` with the worst node named.
+    Two branches, chosen by the node-wise Frobenius norm of ``dg``:
 
     - below 0.9, up to 200 chord sweeps ``y <- y - (I + dg(x))^-1 (y + g(y) - x)``,
       seeded by the Newton step from ``y = x``; the matrices come from the
-      first derivatives the member's margin cached, so ``jacobian_at`` is
-      not called. A node whose step does not shrink fourfold is handed back
-      to the fixed point ``y <- x - g(y)``, which contracts wherever
-      ``|dg| < 0.9`` (:func:`_slow_to_fixed_point`), so the cap stays the
-      200 sweeps that fixed point may need;
+      cached first derivatives, so ``jacobian_at`` is not called. A node
+      whose step does not shrink fourfold is handed back to the fixed point
+      ``y <- x - g(y)``, which contracts wherever ``|dg| < 0.9``
+      (:func:`_slow_to_fixed_point`), so the cap stays the 200 sweeps that
+      fixed point may need;
     - otherwise 8 fixed-point sweeps ``y <- x - g(y)`` from ``y = x - g(x)``
       seed a damped Newton solve.
 
@@ -431,11 +456,11 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     interpolation stencil reads only exact zeros is solved by its seed
     ``y = x`` and never gathered by the sweeps. The residual is built
     from the displacement each node's last sweep sampled, so only the nodes
-    still moving when the sweeps stop are gathered again; after a Newton
-    stage every node is.
+    still moving when the sweeps stop are gathered again; Newton starts
+    from that residual and returns its own, so it gathers no node that is
+    not still active.
     """
-    grid = diffeo.grid
-    displacement = diffeo.displacement
+    grid = displacement.grid
     nodes = np.asarray(grid.nodes())
     if tol is None:
         tol = 1.0e-8 * (1.0 + grid.half_width)
@@ -445,21 +470,32 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     # two leading axes, so the switch sees the same bits
     frob = float(np.sqrt(np.max(sum(e ** 2 for row in entries for e in row))))
     chord = frob < _FIXED_POINT_CONTRACTION
-    y, sampled = _invert_sweeps(displacement, nodes, target,
-                                _CHORD_MAX_ITER if chord else _FIXED_POINT_SEED_ITER,
-                                entries if chord else None)
-    residuals = row_max(np.abs(y + sampled - nodes))
+    y, residual = _invert_sweeps(displacement, nodes, target,
+                                 _CHORD_MAX_ITER if chord else _FIXED_POINT_SEED_ITER,
+                                 entries if chord else None)
+    # the sampled displacement becomes the residual y + g(y) - x in place
+    residual += y
+    residual -= nodes
+    residuals = row_max(np.abs(residual))
     if float(np.max(residuals)) > target:
-        y = _invert_newton(displacement, nodes, y, target)
-        residuals = row_max(np.abs(y + displacement.sample(y) - nodes))
-    residual = float(np.max(residuals))
-    if residual > tol:
-        worst = nodes[int(np.argmax(residuals))]
+        y, residuals = _invert_newton(displacement, nodes, y, residual, target)
+    worst = float(np.max(residuals))
+    if worst > tol:
         raise InversionError(
-            f"inverse solve stalled at residual {residual:.3e} "
-            f"(tolerance {tol:.3e}) near x = {[float(c) for c in worst]}"
+            f"inverse solve stalled at residual {worst:.3e} (tolerance {tol:.3e}) "
+            f"near x = {[float(c) for c in nodes[int(np.argmax(residuals))]]}"
         )
-    disp = DisplacementField.from_nodes(grid, y - nodes, displacement.extrapolation)
+    y -= nodes
+    return y, residuals
+
+
+def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
+    """Inverse member: :func:`solve_inverse` on its displacement, wrapped once.
+
+    The inverse keeps the member's decay class and continuation.
+    """
+    u, _ = solve_inverse(diffeo.displacement, tol)
+    disp = DisplacementField.from_nodes(diffeo.grid, u, diffeo.displacement.extrapolation)
     return Diffeo(disp, diffeo.decay_class)
 
 

@@ -230,7 +230,11 @@ class TestComposeInvert:
         # two sources, the inverse of the outer, the inner o outer, the result
         (["--command", "conjugate", "--descriptor", "0.2*tanh((x-0.3)/1.1)",
           "--descriptor", "0.1*exp(-x^2)"], 5),
-    ], ids=["invert", "conjugate"])
+        # no member at all: right_log_derivative reads the margins evolve measured,
+        # and without --out the final snapshot is never wrapped
+        (["--command", "evolve", "--class", "Schwartz",
+          "--descriptor", "0.08*exp(-x^2)*cos(t)"], 0),
+    ], ids=["invert", "conjugate", "evolve"])
     def test_each_member_measures_one_margin(self, capsys, monkeypatch, argv, margins):
         calls = []
         measure = group._det_margin

@@ -1,5 +1,7 @@
+import collections
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from diffeoflow import (
     FlowBlowupError,
     FlowDomainError,
     Grid,
+    NonDiffeoError,
     TimeDependentVectorField,
     displacement_sup_bound,
     evol_smoothness_probe,
@@ -252,7 +255,7 @@ class TestRightLogDerivative:
     def test_recovers_autonomous_field(self, line_grid):
         field = bump_field(0.08)
         result = evolve(field, 0.5, 1.0 / 16.0, line_grid)
-        recovered = right_log_derivative(result)
+        recovered = list(right_log_derivative(result))
         assert len(recovered) == len(result.times) - 4
         nodes = np.asarray(line_grid.nodes())
         worst = 0.0
@@ -284,7 +287,8 @@ class TestRightLogDerivative:
             result = evolve(field, 0.5, 1.0 / 16.0, grid)
             level = tracemalloc.get_traced_memory()[0]
             sobolev_tracking(result)
-            right_log_derivative(result)
+            # drained, keeping no field
+            collections.deque(right_log_derivative(result), maxlen=0)
             grown = tracemalloc.get_traced_memory()[0] - level
         finally:
             tracemalloc.stop()
@@ -295,6 +299,27 @@ class TestRightLogDerivative:
         short = evolve(bump_field(), 0.2, 0.1, line_grid)
         with pytest.raises(FlowDomainError):
             right_log_derivative(short)
+
+    def test_fold_below_the_margin_raises_at_call_time(self, line_grid, monkeypatch):
+        # a strong sink: the stencil Jacobian of the flow map folds by t = 0.875
+        field = TimeDependentVectorField.from_descriptor(
+            1, "-16*x*exp(-x^2)", DecayClass.SCHWARTZ)
+        result = evolve(field, 1.0, 1.0 / 16.0, line_grid)
+        min_det = result.diagnostics["min_det"]
+        folded = [k for k in range(2, len(min_det) - 2) if not min_det[k] >= 1e-6]
+        # the earlier interior snapshots clear the margin
+        assert folded and folded[0] > 2
+        with pytest.raises(NonDiffeoError) as member_refused:
+            Diffeo(result.snapshot(folded[0]), result.decay_class)
+
+        def refuse(displacement):
+            raise AssertionError("an inverse was solved before the margins were checked")
+
+        monkeypatch.setattr(flows, "solve_inverse", refuse)
+        with pytest.raises(NonDiffeoError) as refused:
+            right_log_derivative(result)
+        # the first folded snapshot's worst node, named as its member names it
+        assert str(refused.value) == str(member_refused.value)
 
 
 def _apply_at_nodes_right_log_derivative(result):
@@ -320,12 +345,38 @@ def battery_flows():
 class TestRightLogDerivativeReadsNodeValues:
     def test_matches_gather_at_nodes(self, battery_flows):
         for name, result in battery_flows.items():
-            got = right_log_derivative(result)
             want = _apply_at_nodes_right_log_derivative(result)
-            assert len(got) == len(want), name
-            for (t, field), (s, values) in zip(got, want):
+            for (t, field), (s, values) in zip(right_log_derivative(result), want, strict=True):
                 assert t == s
                 assert field.node_values().tobytes() == values.tobytes(), name
+
+    def test_holds_one_recovered_field_at_a_time(self, battery_flows):
+        result = battery_flows["schwartz-rotation-2d"]
+        recovered = right_log_derivative(result)
+        t, first = next(recovered)
+        alive = weakref.ref(first)
+        del first
+        s, second = next(recovered)
+        assert alive() is None
+        assert t < s and isinstance(second, DisplacementField)
+
+    def test_draining_peaks_ten_fields_below_a_list(self, battery_flows):
+        result = battery_flows["schwartz-rotation-2d"]
+        assert result.grid.shape == (129, 129)
+        field_bytes = result.displacements[0].nbytes
+        assert len(result.times) - 4 >= 11
+
+        def peak(consume):
+            tracemalloc.start()
+            try:
+                consume(right_log_derivative(result))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(list)  # node caches filled outside the measurement
+        drained = peak(lambda fields: collections.deque(fields, maxlen=0))
+        assert peak(list) - drained >= 10 * field_bytes
 
     def test_never_samples_at_the_nodes(self, battery_flows, monkeypatch):
         result = battery_flows["schwartz-rotation-2d"]
@@ -339,7 +390,7 @@ class TestRightLogDerivativeReadsNodeValues:
             return original(self, points)
 
         monkeypatch.setattr(DisplacementField, "sample", watching)
-        right_log_derivative(result)
+        list(right_log_derivative(result))
         assert at_nodes and not any(at_nodes)
 
     def test_read_back_skips_nodes_reading_only_zeros(self, battery_flows, monkeypatch):
@@ -347,12 +398,12 @@ class TestRightLogDerivativeReadsNodeValues:
         # reads are +0.0, which test_matches_gather_at_nodes checks byte for byte
         result = battery_flows["schwartz-rotation-2d"]
         inside, read_back = [False], []
-        original_invert, original_sample = flows.invert, DisplacementField.sample
+        original_solve, original_sample = flows.solve_inverse, DisplacementField.sample
 
-        def inverting(member):
+        def inverting(displacement):
             inside[0] = True
             try:
-                return original_invert(member)
+                return original_solve(displacement)
             finally:
                 inside[0] = False
 
@@ -361,9 +412,9 @@ class TestRightLogDerivativeReadsNodeValues:
                 read_back.append(np.size(points) // self.grid.dim)
             return original_sample(self, points)
 
-        monkeypatch.setattr(flows, "invert", inverting)
+        monkeypatch.setattr(flows, "solve_inverse", inverting)
         monkeypatch.setattr(DisplacementField, "sample", sampling)
-        right_log_derivative(result)
+        list(right_log_derivative(result))
         assert len(read_back) == len(result.times) - 4
         # each read-back skips about half of the 129^2 nodes
         assert all(0 < n < 0.55 * result.grid.node_count for n in read_back)
@@ -382,7 +433,7 @@ def test_two_d_margins_need_no_lapack(monkeypatch, plane_grid):
     result = evolve(field, 0.5, 1.0 / 16.0, plane_grid)
     assert np.all(result.diagnostics["beta"] > 0.0)
     assert np.all(result.diagnostics["min_det"] > 0.0)
-    assert len(right_log_derivative(result)) == len(result.times) - 4
+    assert len(list(right_log_derivative(result))) == len(result.times) - 4
     member = Diffeo(result.final_displacement, DecayClass.SCHWARTZ)
     ok, epsilon, _ = membership_check(member)
     assert ok and epsilon == member.epsilon

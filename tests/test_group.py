@@ -265,7 +265,13 @@ def _full_sweep_sweeps(displacement, nodes, tol, max_iter, entries=None):
     return y, displacement.sample(y)
 
 
-def _full_sweep_newton(displacement, nodes, seed, tol):
+def _full_sweep_newton(displacement, nodes, seed, residual, tol):
+    """Newton before solved nodes dropped out: every node, every pass.
+
+    It ignores the ``residual`` it is handed and gathers every node at the
+    top of each pass, and once more at the end for the norms it returns,
+    as the driver did before Newton started from the sweeps' residual.
+    """
     dim = displacement.grid.dim
     y = seed.copy()
     eye = np.eye(dim)
@@ -273,7 +279,7 @@ def _full_sweep_newton(displacement, nodes, seed, tol):
         residual = y + displacement.sample(y) - nodes
         res_norm = np.max(np.abs(residual), axis=1)
         if float(np.max(res_norm)) <= tol:
-            return y
+            break
         jac = displacement.jacobian_at(y) + eye
         step = np.linalg.solve(jac, residual[..., None])[..., 0]
         scale = np.ones((y.shape[0], 1))
@@ -285,7 +291,7 @@ def _full_sweep_newton(displacement, nodes, seed, tol):
                 break
             scale[worse] *= 0.5
         y = y - scale * step
-    return y
+    return y, np.max(np.abs(y + displacement.sample(y) - nodes), axis=1)
 
 
 def _two_newton_call_invert(diffeo, tol=None):
@@ -309,10 +315,12 @@ def _two_newton_call_invert(diffeo, tol=None):
     else:
         seed = group_module._invert_sweeps(displacement, nodes, target,
                                            group_module._FIXED_POINT_SEED_ITER)[0]
-        y = group_module._invert_newton(displacement, nodes, seed, target)
+        y = group_module._invert_newton(displacement, nodes, seed,
+                                        seed + displacement.sample(seed) - nodes, target)[0]
     residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > target:
-        y = group_module._invert_newton(displacement, nodes, y, target)
+        y = group_module._invert_newton(displacement, nodes, y,
+                                        y + displacement.sample(y) - nodes, target)[0]
         residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
     if residual > tol:
         raise InversionError(f"inverse solve stalled at residual {residual:.3e}")
@@ -424,6 +432,30 @@ class TestInvertSolvedNodesDropOut:
         invert(member)
         assert 0 < gathered[-1] < grid.node_count
 
+    def test_newton_gathers_no_whole_grid(self, monkeypatch):
+        # the 65^2 swirl takes the Newton branch; its first residual is the
+        # sweeps' and its final norms are its own, so only the sweeps span the grid
+        grid, text, decay_class = PARITY_CASES[5]
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        want = _two_newton_call_invert(member).displacement.values.tobytes().hex()
+        monkeypatch.setattr(group_module, "_invert_sweeps", _full_sweep_sweeps)
+        monkeypatch.setattr(group_module, "_invert_newton", _full_sweep_newton)
+        full_sweeps = invert(member).displacement.values.tobytes().hex()
+        monkeypatch.undo()
+        gathered, newton_from = _counting_sample(monkeypatch), []
+        original = group_module._invert_newton
+
+        def newton(*args):
+            newton_from.append(len(gathered))
+            return original(*args)
+
+        monkeypatch.setattr(group_module, "_invert_newton", newton)
+        got = invert(member).displacement.values.tobytes().hex()
+        (start,) = newton_from
+        assert gathered[:start] and max(gathered[:start]) == grid.node_count
+        assert gathered[start:] and max(gathered[start:]) < grid.node_count
+        assert got == want == full_sweeps
+
     def test_swirl_takes_the_newton_branch(self):
         grid = Grid(2, 8.0, 65)
         jac = Diffeo.from_descriptor(grid, SWIRL_2D, DecayClass.SCHWARTZ).displacement
@@ -466,11 +498,13 @@ class TestInvertSolvedNodesDropOut:
         assert nodes[origin, 0] == 0.0
         assert disp.jacobian_at(nodes[origin])[0, 0] == -1.0
         seed = nodes - disp.node_values()
-        y = group_module._invert_newton(disp, nodes, seed, 1.0e-12)
+        residual = seed + disp.sample(seed) - nodes
+        y, norms = group_module._invert_newton(disp, nodes, seed, residual, 1.0e-12)
         assert y[origin, 0] == 0.0
-        assert np.max(np.abs(y + disp.sample(y) - nodes)) <= 1.0e-12
+        assert np.array_equal(norms, np.max(np.abs(y + disp.sample(y) - nodes), axis=1))
+        assert np.max(norms) <= 1.0e-12
         with pytest.raises(np.linalg.LinAlgError):
-            _full_sweep_newton(disp, nodes, seed, 1.0e-12)
+            _full_sweep_newton(disp, nodes, seed, residual, 1.0e-12)
 
 
 class TestChordInvert:
