@@ -387,11 +387,9 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
                    seed: np.ndarray, residual: np.ndarray, tol: float) -> tuple:
     """Damped Newton from ``seed`` at every node; returns ``(y, residual norms)``.
 
-    ``residual`` is ``seed + g(seed) - nodes``, which the caller has already
-    built, so the first pass gathers nothing. Each pass gathers the
-    residual at its new iterates, so the norms returned are those of ``y``
-    at every node: a retired node's is exactly 0.0, and after the last of
-    ``_NEWTON_MAX_ITER`` passes only the nodes still active are gathered.
+    ``residual = seed + g(seed) - nodes`` comes from the caller, and each
+    pass gathers the residual at its new iterates only, so no pass gathers
+    a retired node; a retired node's norm is exactly 0.0.
     """
     dim = displacement.grid.dim
     y = seed.copy()
