@@ -71,6 +71,11 @@ COMMANDS = [
                             "0.12*cos(0.7*x-0.6*t), 0.1*cos(0.6*y-0.5*t)"]),
     ("evolve-2d", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--class", "Schwartz",
                    "--descriptor", "-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))"]),
+    # a bump and a (1+r^2)^-2 term: the bound Jacobian runs BumpPow and a negative Pow;
+    # sup |d_x X| * t_final = 0.2
+    ("evolve-2d-bump", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--descriptor",
+                        "0.3*bump(x/3, y/3) - 0.2*y*(1+x^2+y^2)^-2*exp(-(x^2+y^2)/4), "
+                        "0.2*x*(1+x^2+y^2)^-2*exp(-(x^2+y^2)/4)"]),
     ("evolve-3d", ["--command", "evolve", "--dim", "3", "--points", "25", "--dt", "0.125",
                    "--class", "Schwartz", "--descriptor",
                    "-0.3*y*exp(-(x^2+y^2+z^2)), 0.3*x*exp(-(x^2+y^2+z^2)), 0"]),

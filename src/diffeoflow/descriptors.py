@@ -15,10 +15,19 @@ Vector-valued descriptors are comma-separated component expressions.
 
 Expressions evaluate on numpy arrays and differentiate symbolically, so tests
 can pit finite-difference estimates against exact derivatives.
+
+:func:`bind` runs the components as one straight-line program over their
+distinct subtrees (constants are told apart by their bits, so ``-0`` is not
+``0``), computing each subtree once and freeing it after its last read. Each
+node applies the numpy operation :meth:`Expr.evaluate` applies to operands of
+the same values and types, so the bits are the tree walk's. A program is
+compiled once per structure, with constants passed in as values: its source holds
+slot names, operators and whitelisted function names, never descriptor text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -144,38 +153,54 @@ def _pow(a: Expr, n: int) -> Expr:
     return Pow(a, n)
 
 
-class Add(Expr):
+def _negative_power(base, n: int):
+    return np.asarray(base, dtype=np.float64) ** n
+
+
+def _bump_defect(*args):
+    acc = None
+    for a in args:
+        sq = np.asarray(a, dtype=np.float64) ** 2
+        acc = sq if acc is None else acc + sq
+    return 1.0 - acc
+
+
+def _bump(defect, p: int):
+    defect = np.asarray(defect, dtype=np.float64)
+    scalar = defect.ndim == 0
+    defect = np.atleast_1d(defect)
+    out = np.zeros_like(defect)
+    inside = defect > 0.0
+    d = defect[inside]
+    out[inside] = np.exp(-1.0 / d - p * np.log(d))
+    return out[0] if scalar else out
+
+
+class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         self.left, self.right = left, right
 
+    def free_vars(self):
+        return self.left.free_vars() | self.right.free_vars()
+
+
+class Add(_Binary):
     def evaluate(self, env):
         return self.left.evaluate(env) + self.right.evaluate(env)
 
     def diff(self, var):
         return _add(self.left.diff(var), self.right.diff(var))
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
 
-
-class Sub(Expr):
-    def __init__(self, left: Expr, right: Expr):
-        self.left, self.right = left, right
-
+class Sub(_Binary):
     def evaluate(self, env):
         return self.left.evaluate(env) - self.right.evaluate(env)
 
     def diff(self, var):
         return _sub(self.left.diff(var), self.right.diff(var))
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
 
-
-class Mul(Expr):
-    def __init__(self, left: Expr, right: Expr):
-        self.left, self.right = left, right
-
+class Mul(_Binary):
     def evaluate(self, env):
         return self.left.evaluate(env) * self.right.evaluate(env)
 
@@ -185,14 +210,8 @@ class Mul(Expr):
             _mul(self.left, self.right.diff(var)),
         )
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
 
-
-class Div(Expr):
-    def __init__(self, left: Expr, right: Expr):
-        self.left, self.right = left, right
-
+class Div(_Binary):
     def evaluate(self, env):
         return self.left.evaluate(env) / self.right.evaluate(env)
 
@@ -202,9 +221,6 @@ class Div(Expr):
             _mul(self.left, self.right.diff(var)),
         )
         return _div(num, _pow(self.right, 2))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
 
 
 class Pow(Expr):
@@ -216,7 +232,7 @@ class Pow(Expr):
     def evaluate(self, env):
         base = self.base.evaluate(env)
         if self.exponent < 0:
-            return np.asarray(base, dtype=np.float64) ** self.exponent
+            return _negative_power(base, self.exponent)
         return base ** self.exponent
 
     def diff(self, var):
@@ -278,22 +294,8 @@ class BumpPow(Expr):
     def __init__(self, args: list, p: int = 0):
         self.args, self.p = list(args), int(p)
 
-    def _defect(self, env):
-        acc = None
-        for a in self.args:
-            sq = np.asarray(a.evaluate(env), dtype=np.float64) ** 2
-            acc = sq if acc is None else acc + sq
-        return 1.0 - acc
-
     def evaluate(self, env):
-        defect = np.asarray(self._defect(env), dtype=np.float64)
-        scalar = defect.ndim == 0
-        defect = np.atleast_1d(defect)
-        out = np.zeros_like(defect)
-        inside = defect > 0.0
-        d = defect[inside]
-        out[inside] = np.exp(-1.0 / d - self.p * np.log(d))
-        return out[0] if scalar else out
+        return _bump(_bump_defect(*(a.evaluate(env) for a in self.args)), self.p)
 
     def diff(self, var):
         total: Expr = Const(0.0)
@@ -467,6 +469,85 @@ def evaluate_on(expr: Expr, arrays: dict) -> np.ndarray:
     return value
 
 
+_OPERATORS = {Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})", Div: "({} / {})"}
+_PROGRAM_GLOBALS = {"np": np, "_bump": _bump, "_bump_defect": _bump_defect,
+                    "_negative_power": _negative_power}
+
+
+def _lower(exprs: list) -> tuple:
+    """The distinct subtrees of ``exprs``, operands first: ``(nodes, constants, roots)``.
+
+    ``nodes[i]`` is a variable, ``c<k>`` for ``constants[k]`` or a ``(template,
+    operands)`` pair; ``roots[k]`` is component ``k``. Constants are keyed by
+    their exact bits, so ``0`` and ``-0`` stay apart; exponents are constants too.
+    """
+    index, nodes, constants = {}, [], []
+
+    def node(key, item, *value):
+        if key not in index:
+            index[key] = len(nodes)
+            nodes.append(f"c{len(constants)}" if value else item)
+            constants.extend(value)
+        return index[key]
+
+    def visit(e):
+        kind = type(e)
+        if kind is Const:
+            return node(e.value.hex(), None, np.float64(e.value))
+        if kind is Var:
+            return node(e.name, e.name)
+        if kind is Pow:
+            template = "_negative_power({}, {})" if e.exponent < 0 else "({} ** {})"
+            operands = (visit(e.base), node(e.exponent, None, e.exponent))
+        elif kind is BumpPow:
+            args = tuple(map(visit, e.args))
+            defect = ("_bump_defect(" + ", ".join(["{}"] * len(args)) + ")", args)
+            template, operands = "_bump({}, {})", (node(defect, defect), node(e.p, None, e.p))
+        elif kind is Call:
+            if e.func not in _UNARY_FUNCTIONS:
+                raise DescriptorError(f"unknown function {e.func!r}")
+            template, operands = f"np.{e.func}({{}})", (visit(e.arg),)
+        elif kind is Neg:
+            template, operands = "(-{})", (visit(e.operand),)
+        else:
+            template, operands = _OPERATORS[kind], (visit(e.left), visit(e.right))
+        return node((template, operands), (template, operands))
+
+    roots = tuple(visit(e) for e in exprs)
+    return tuple(nodes), tuple(constants), roots
+
+
+def _source(nodes: tuple, n_constants: int, roots: tuple) -> str:
+    """Source of ``program(c, out, t, x, y, z)``, which writes component ``k`` to ``out[:, k]``.
+
+    Node ``i`` is computed once into a slot ``s<i>``, deleted after its last read.
+    """
+    left = [0] * len(nodes)
+    for k in roots + tuple(k for item in nodes if isinstance(item, tuple) for k in item[1]):
+        left[k] += 1
+    names = [item if isinstance(item, str) else f"s{i}" for i, item in enumerate(nodes)]
+    lines = ["def program(c, out, t, x=None, y=None, z=None):",
+             "    " + "".join(f"c{k}, " for k in range(n_constants)) + "= c" if n_constants else ""]
+    for i, item in enumerate(nodes):
+        reads = [] if isinstance(item, str) else list(item[1])
+        if reads:
+            lines.append(f"    s{i} = " + item[0].format(*(names[k] for k in reads)))
+        reads += [i] * sum(root == i for root in roots)
+        lines += [f"    out[:, {k}] = {names[i]}" for k, root in enumerate(roots) if root == i]
+        for k in reads:
+            left[k] -= 1
+            if left[k] == 0 and names[k][0] == "s":
+                lines.append(f"    del s{k}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=128)
+def _compiled(nodes: tuple, n_constants: int, roots: tuple):
+    namespace = dict(_PROGRAM_GLOBALS)
+    exec(compile(_source(nodes, n_constants, roots), "<descriptor program>", "exec"), namespace)
+    return namespace["program"]
+
+
 def bind(descriptor, dim: int, shape: tuple = (), time: bool = False) -> tuple:
     """Bind a descriptor to points; every descriptor-built field goes through here.
 
@@ -495,16 +576,17 @@ def bind(descriptor, dim: int, shape: tuple = (), time: bool = False) -> tuple:
                 f"descriptor uses {sorted(extra)} but only {sorted(allowed)} are available here"
             )
 
+    nodes, constants, roots = _lower(exprs)
+    program = _compiled(nodes, len(constants), roots)
+    spatial = [j for j, name in enumerate(VARIABLES[:3]) if name in nodes]
+
     def evaluate(t, points: np.ndarray) -> np.ndarray:
-        env = {VARIABLES[j]: points[:, j] for j in range(points.shape[1])}
-        if time:
-            env["t"] = np.float64(t)
+        if spatial and points.shape[1] <= spatial[-1]:
+            name = VARIABLES[next(j for j in spatial if j >= points.shape[1])]
+            raise DescriptorError(f"variable {name!r} is not bound here")
         out = np.empty((points.shape[0], count))
-        for k, expr in enumerate(exprs):
-            # holding each component until the next one replaces it measured
-            # ~15% faster at 129^2 points than copying the temporary straight in
-            value = expr.evaluate(env)
-            out[:, k] = value
+        program(constants, out, np.float64(t) if time else None,
+                *(points[:, j] for j in range(points.shape[1])))
         return out.reshape(points.shape[:1] + shape)
 
     return exprs, evaluate

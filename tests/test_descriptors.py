@@ -1,5 +1,7 @@
+import io
 import math
 import re
+import tokenize
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from diffeoflow import (DescriptorError, DisplacementField, Grid, ScalarField,
                         TimeDependentVectorField, parse_scalar, parse_vector, sample)
+from diffeoflow.battery import gaussian_descriptor
+from diffeoflow import descriptors
 from diffeoflow.descriptors import VARIABLES, evaluate_on
 
 
@@ -165,26 +169,42 @@ def _oracle_flow(dim, text):
     return evaluator(exprs, (dim,)), evaluator(diffs, (dim, dim))
 
 
+def _same_bits(got, want):
+    """Bitwise equality: ``np.array_equal`` would take -0.0 for +0.0."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # (grid, scalar descriptors, displacement descriptors, flow descriptors);
-# each list holds a constant, and the flow lists hold fields with and without t
+# each list holds a constant, and the flow lists hold fields with and without
+# t. The later entries share subtrees, which a bound program computes once:
+# equal components, 0 beside -0, repeated negative powers, a bump with a
+# repeated argument, t-only factors and constant components.
 PARITY_CASES = [
     (Grid(1, 8.0, 65),
-     ["0.1*exp(-x^2)", "0.25", "1/(1+x^2)^2"],
-     ["0.2*tanh((x-0.3)/1.1)", "-0.5", "0.1*bump(x/3)"],
+     ["0.1*exp(-x^2)", "0.25", "1/(1+x^2)^2", "(1+x^2)^-2 - 0.5*x*(1+x^2)^-2",
+      "0.3*bump(x/3, x/3)"],
+     ["0.2*tanh((x-0.3)/1.1)", "-0.5", "0.1*bump(x/3)", "0.2*bump(x/3, x/3)*(1+x^2)^-2"],
      ["0.2*exp(-x^2)*(0.6+0.4*cos(t))", "0.3", "0.12*cos(0.7*x-0.6*t)", "0.1*sin(x)",
-      "0.5*t"]),
+      "0.5*t", "0.2*exp(-x^2)*cos(0.5*t)*cos(0.5*t)", "0.1*(1+x^2)^-2*(1+0.5*sin(t))",
+      "0.2*bump(x/3, x/3)*cos(t)"]),
     (Grid(2, 4.0, 17),
-     ["exp(-x^2-y^2)", "2", "x*y*gauss(x, y/2)"],
+     ["exp(-x^2-y^2)", "2", "x*y*gauss(x, y/2)", "x*(1+x^2+y^2)^-2 + y*(1+x^2+y^2)^-2"],
      ["0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", "0.2*tanh(x/1.1), 0.15",
-      "0, 0", "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*bump(x/3, y/3)"],
+      "0, 0", "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*bump(x/3, y/3)", "0*x, -0*x",
+      "0.1*exp(-x^2-y^2), 0.1*exp(-x^2-y^2)", "0.15*tanh(y), 0.15",
+      "0.2*bump(x/3, y/3, x/3), 0.1*(1+x^2+y^2)^-2"],
      ["-0.3*y*exp(-(x^2+y^2))*(1+0.5*sin(t)), 0.3*x*exp(-(x^2+y^2))",
-      "0.1*cos(t), 0", "-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))"]),
+      "0.1*cos(t), 0", "-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))", "0*x, -0*x",
+      "-0.3*y*exp(-(x^2+y^2))*(1+0.5*sin(t)), 0.3*x*exp(-(x^2+y^2))*(1+0.5*sin(t))",
+      "0.2*(1+x^2+y^2)^-2, 0.2*(1+x^2+y^2)^-2", "0.1*bump(x/3, y/3, x/3)*cos(t), 0.2"]),
     (Grid(3, 4.0, 17),
      ["exp(-x^2-y^2-z^2)", "-1.5", "x*y*z"],
      ["-0.3*y*exp(-(x^2+y^2+z^2)), 0.3*x*exp(-(x^2+y^2+z^2)), 0",
-      "0.1*tanh(z), 0.1*tanh(x), 0.1*tanh(y)"],
+      "0.1*tanh(z), 0.1*tanh(x), 0.1*tanh(y)", "0*z, -0*z, 0",
+      "0.1*gauss(x, y, z), 0.1*gauss(x, y, z), 0.1*gauss(x, y, z)"],
      ["-0.3*y*gauss(x, y, z), 0.3*x*gauss(x, y, z)*cos(t), 0.05*t",
-      "0, 0.2, 0", "0.1*bump(x/2, y/2, z/2), 0, -0.1*z*exp(-z^2)"]),
+      "0, 0.2, 0", "0.1*bump(x/2, y/2, z/2), 0, -0.1*z*exp(-z^2)",
+      "0.1*(1+x^2+y^2+z^2)^-2*cos(t), 0.1*(1+x^2+y^2+z^2)^-2*cos(t), 0.05"]),
 ]
 
 
@@ -194,15 +214,15 @@ class TestBindingParity:
     def test_scalar_fields(self, grid, scalars, displacements, flows):
         for text in scalars:
             want = _oracle_scalar(grid, text)
-            assert np.array_equal(ScalarField.from_descriptor(grid, text).values, want)
-            assert np.array_equal(sample(text, grid).values, want)
+            assert _same_bits(ScalarField.from_descriptor(grid, text).values, want), text
+            assert _same_bits(sample(text, grid).values, want), text
 
     def test_displacement_fields(self, grid, scalars, displacements, flows):
         for text in displacements:
             want = _oracle_displacement(grid, text)
-            assert np.array_equal(DisplacementField.from_descriptor(grid, text).values, want)
+            assert _same_bits(DisplacementField.from_descriptor(grid, text).values, want), text
             got = sample(text, grid)
-            assert np.array_equal(got.values, want[0] if grid.dim == 1 else want)
+            assert _same_bits(got.values, want[0] if grid.dim == 1 else want), text
 
     def test_time_dependent_fields(self, grid, scalars, displacements, flows):
         dim = grid.dim
@@ -211,8 +231,54 @@ class TestBindingParity:
             field = TimeDependentVectorField.from_descriptor(dim, text)
             values, jacobian = _oracle_flow(dim, text)
             for t in (0.0, 0.37):
-                assert np.array_equal(field(t, points), values(t, points))
-                assert np.array_equal(field.jacobian(t, points), jacobian(t, points))
+                assert _same_bits(field(t, points), values(t, points)), text
+                assert _same_bits(field.jacobian(t, points), jacobian(t, points)), text
+
+
+def test_each_distinct_subtree_is_evaluated_once(monkeypatch):
+    """The flow-2d swirl's Jacobian holds 11 ``exp`` nodes, of which 2 differ."""
+    envelope = (f"{gaussian_descriptor(0.3, 1.0, 0.0, 'x')}*"
+                f"{gaussian_descriptor(1.0, 1.0, 0.0, 'y')}")
+    field = TimeDependentVectorField.from_descriptor(2, f"-(y)*{envelope}, (x)*{envelope}")
+    points = np.asarray(Grid(2, 4.0, 17).nodes())
+    want = field.jacobian(0.5, points)
+    calls = []
+    exp = np.exp
+
+    def counting_exp(u):
+        calls.append(u)
+        return exp(u)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    got = field.jacobian(0.5, points)
+    assert len(calls) == 2
+    assert _same_bits(got, want)
+    calls.clear()
+    _, tree = _oracle_flow(2, f"-(y)*{envelope}, (x)*{envelope}")
+    assert _same_bits(tree(0.5, points), want)
+    assert len(calls) == 11
+
+
+def test_program_source_holds_no_descriptor_text():
+    """Constants and exponents reach a bound program as values, never as source."""
+    exprs = parse_vector("0.123456*exp(-x^2/7.5)*(1+y^2)^-3, bump(x/9.25, y)*tanh(4.5*t)")
+    nodes, constants, roots = descriptors._lower(exprs)
+    source = descriptors._source(nodes, len(constants), roots)
+    words = {"def", "program", "c", "out", "t", "x", "y", "z", "None", "del", "np", "exp",
+             "tanh", "_bump", "_bump_defect", "_negative_power"}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in words or re.fullmatch(r"[cs]\d+", tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string in ("0", "1"), tok  # the two output columns
+    assert {-3, 2} <= set(constants) and 0.123456 in constants
+
+
+def test_points_without_a_used_column_raise():
+    """A bound variable with no column is an error, never a silent fill."""
+    field = TimeDependentVectorField.from_descriptor(2, "x, y")
+    with pytest.raises(DescriptorError, match="variable 'y' is not bound here"):
+        field(0.0, np.zeros((5, 1)))
 
 
 @pytest.mark.parametrize("build, match", [

@@ -8,7 +8,7 @@ changed.
 
 import numpy as np
 
-from diffeoflow import DisplacementField, Diffeo, acceptance, group
+from diffeoflow import DisplacementField, Diffeo, acceptance, group, jets
 from diffeoflow.flows import FlowResult
 
 
@@ -44,3 +44,29 @@ def test_criterion_9_fails_on_a_first_order_time_difference(monkeypatch):
     result = acceptance.criterion_right_log_derivative()
     assert result.passed is False
     assert min(result.data["orders"]) < 3.5
+
+
+def test_criterion_3_fails_on_a_top_term_off_by_1e_6(monkeypatch):
+    def sloppy_invert_jet(jet):
+        inverse = jets.invert_jet(jet)
+        terms = [inverse.dense_term(k) for k in range(inverse.order + 1)]
+        terms[-1] = terms[-1] * (1.0 + 1.0e-6)
+        return jets.Jet(inverse.base_point, terms)
+
+    monkeypatch.setattr(acceptance, "invert_jet", sloppy_invert_jet)
+    result = acceptance.criterion_jet_inversion()
+    assert result.passed is False
+    assert result.data["reversion_gap"] > 1.0e-10
+
+
+def test_criterion_4_fails_on_a_bound_1_percent_low(monkeypatch):
+    def tight_inverse_norm_bound(matrix):
+        bound, _ = jets.inverse_norm_bound(matrix)
+        bound = 0.99 * np.asarray(bound)
+        actual = np.linalg.norm(np.linalg.inv(matrix), 2, axis=(-2, -1))
+        return bound, actual <= bound + 1.0e-12
+
+    monkeypatch.setattr(acceptance, "inverse_norm_bound", tight_inverse_norm_bound)
+    result = acceptance.criterion_inverse_norm_inequality()
+    assert result.passed is False
+    assert result.detail.startswith("violation at a 2x2 matrix")
