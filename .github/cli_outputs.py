@@ -23,6 +23,8 @@ GAUSS_2D = "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"
 TANH_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
 # the Newton-size swirl of tests/test_group.py: max |dg|_F >= 0.9
 SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
+BUMP_2D = "0.1*bump(x/3, y/3), 0.05*bump((x-1)/2, y/2)"
+TANH_INNER_2D = "0.1*tanh((x-0.3)/2), 0.08*tanh((y+0.2)/1.5)"
 LINE = ["--points", "513"]
 PLANE = ["--dim", "2", "--points", "129"]
 
@@ -52,6 +54,12 @@ COMMANDS = [
     # the group-2d shape: at 257^2 every gather spans several blocks
     ("conjugate-2d-257", ["--command", "conjugate", "--dim", "2", "--points", "257",
                           "--descriptor", TANH_2D, "--descriptor", GAUSS_2D]),
+    # the same at 257^2 with a compact inner, which leaves most rows still, and with a
+    # BoundedAll inner, which moves every row: both ends of the bracket-gap skip
+    ("conjugate-2d-257-bump", ["--command", "conjugate", "--dim", "2", "--points", "257",
+                               "--descriptor", TANH_2D, "--descriptor", BUMP_2D]),
+    ("conjugate-2d-257-tanh", ["--command", "conjugate", "--dim", "2", "--points", "257",
+                               "--descriptor", TANH_2D, "--descriptor", TANH_INNER_2D]),
     # h = 1/6 is not a power of two, so node sampling is inexact here: the diff
     # shows what reading node values instead of gathering at the nodes moves
     ("conjugate-2d-97", ["--command", "conjugate", "--dim", "2", "--points", "97",

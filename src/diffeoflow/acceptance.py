@@ -39,11 +39,15 @@ class CriterionResult:
     detail: str
     data: dict = dataclass_field(default_factory=dict)
 
+    def __post_init__(self):
+        # a verdict compared on numpy floats is a numpy bool, which `is False` misses
+        self.passed = bool(self.passed)
+
     def to_dict(self) -> dict:
         return {
             "index": self.index,
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "detail": self.detail,
             "data": self.data,
         }

@@ -27,13 +27,17 @@ gather. Newton starts from that residual and returns its own, so neither
 its first pass nor the final check gathers every node. Conjugation reads
 the outer displacement at the nodes and gathers the inner one there once,
 for the composite and for its diagnostics alike. Its diagnostics gather
-past ``t = 0`` only the rows that the inner map moves: where
-``fl(a + s) == a``, every quadrature point ``a + t s`` rounds to ``a`` as
-well, since rounding is monotone, so that row's bracket is ``+0.0`` and
-each of its terms repeats the first.
+the bracket ``u(a + s) - u(a)`` only on the rows that the inner map moves
+(``fl(a + s) != a``), and the quadrature Jacobians of the bracket's
+integral form only on the rows whose certified bound, from the stencil's
+Lebesgue constant and the node maximum of ``du``, can reach the largest
+gap found on the rows of largest bound. A skipped row's gap is below that
+gap, so the reported maximum keeps its bits (:func:`conjugate`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,6 +63,17 @@ _FIXED_POINT_SEED_ITER = 8
 # a chord step that shrinks less than this hands its node back to the fixed point
 _CHORD_SHRINK = 0.25
 _NEWTON_MAX_ITER = 60
+# the largest Lebesgue constant of the 4-node cubic stencil of
+# fields._interp_stencil: 1 + t (t + 1) (t - 2) on a face interval, at
+# t = (1 - sqrt 7) / 3; an inner interval gives 1 + t (1 - t) <= 1.25
+_STENCIL_LEBESGUE = (7.0 + 14.0 * math.sqrt(7.0)) / 27.0
+# relative margin of the bracket-gap bound over its own rounding
+_BOUND_MARGIN = 1.0e-12
+# rows of largest bound whose bracket gap is computed first, to set the skip
+# threshold; the result is the same for any count, which moves only work
+_BRACKET_FIRST_ROWS = 2048
+_QUAD_T = np.linspace(0.0, 1.0, 9)
+_QUAD_W = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
 
 
 def _det_margin(displacement: DisplacementField) -> tuple:
@@ -497,6 +512,26 @@ def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
     return Diffeo(disp, diffeo.decay_class)
 
 
+def _bracket_gaps(u: DisplacementField, a: np.ndarray, s: np.ndarray, rows: np.ndarray) -> list:
+    """Block maxima of ``|bracket - integral|`` over the node ``rows``, in row blocks.
+
+    The bracket is ``u(a + s) - u(a)`` and the integral its 9-point Simpson
+    quadrature ``sum_k w_k du(a + t_k s) s``, terms added from ``t = 0``
+    up into a zero start, so each row's bits do not depend on which rows
+    share its block.
+    """
+    gaps = []
+    for lo in range(0, len(rows), GATHER_BLOCK):
+        block = rows[lo:lo + GATHER_BLOCK]
+        a_rows, s_rows = a.take(block, axis=0), s.take(block, axis=0)
+        bracket = u.sample(a_rows + s_rows) - u.sample(a_rows)
+        integral = np.zeros_like(bracket)
+        for t, w in zip(_QUAD_T, _QUAD_W):
+            integral += w * np.einsum("nij,nj->ni", u.jacobian_at(a_rows + t * s_rows), s_rows)
+        gaps.append(np.max(np.abs(bracket - integral)))
+    return gaps
+
+
 def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     """``outer^-1 o inner o outer``; the decay class of ``inner`` survives.
 
@@ -512,20 +547,45 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     ``a`` is ``nodes + g`` from the outer node values and ``s`` is gathered
     once: the composite ``inner o outer`` is built from the same two arrays,
     as :func:`compose` builds it (with :func:`compose_nodes`'s overhang
-    refusal), so the diagnostics gather neither again. The bracket, its
-    9-point Simpson quadrature and the decomposition residual run over row
-    blocks of ``GATHER_BLOCK`` nodes, so their temporaries are a block wide;
-    each row's terms are the same and added in the same order, so the two
-    maxima keep their bits.
+    refusal), so the diagnostics gather neither again. The decomposition
+    residual runs over row blocks of ``GATHER_BLOCK`` nodes, so its
+    temporaries are a block wide; a max of block maxima keeps its bits.
 
-    A row is still when ``fl(a + s) == a`` in every coordinate. ``t s`` lies
-    between 0 and ``s`` for ``t`` in [0, 1], and rounding is monotone, so
-    every ``a + t s`` rounds to ``a`` too (up to the sign of a zero, which
-    no gather sees). Its bracket is ``u(a) - u(a) = +0.0`` and each of its
-    nine terms is the ``t = 0`` term. So only the ``t = 0`` Jacobian is
-    gathered for the whole block; both bracket samples and the eight
-    Jacobians for ``t > 0`` are gathered on the moved rows, and a still row
-    keeps its ``t = 0`` term in the one block-wide term buffer.
+    The bracket samples are gathered only on moved rows. A row is still
+    when ``fl(a + s) == a`` in every coordinate: ``t s`` lies between 0 and
+    ``s`` for ``t`` in [0, 1], and rounding is monotone, so every ``a + t s``
+    rounds to ``a`` too (up to the sign of a zero, which no gather sees),
+    and the still row's bracket is ``u(a) - u(a) = +0.0``.
+
+    ``bracket_gap`` is the largest ``|bracket - integral|``, and the
+    Jacobians of the integral are gathered only on the rows that can reach
+    it. Let ``L = 1.6311...`` be the largest Lebesgue constant of the 4-node
+    cubic stencil (``_STENCIL_LEBESGUE``, on a face interval; an inner
+    interval gives 1.25) and ``D`` the node maximum of ``|d_j u_i|`` over
+    the first derivatives that ``jacobian_at`` interpolates. A gathered
+    entry is then at most ``L^dim D``, and the Simpson weights are positive
+    and sum to 1, so ``|integral_i| <= L^dim D |s|_1``. Each row's gap is at
+    most its bound
+
+        B = (max_i |bracket_i| + L^dim D |s|_1) (1 + 1e-12) + tiny,
+
+    whose relative margin covers the rounding of the gathers and sums and
+    whose ``tiny`` (the smallest normal float) covers underflow. The first
+    pass computes ``B`` block by block, with the moved rows' brackets and
+    the decomposition residual, and keeps only ``B`` for the whole grid.
+    Then the exact gaps run in two phases, each row taking both bracket
+    samples again and all nine Jacobians:
+
+    1. the ``_BRACKET_FIRST_ROWS`` rows of largest ``B``; ``G`` is the
+       largest of their gaps;
+    2. every other row where ``not (B < G)``, so a NaN bound is never
+       skipped.
+
+    A skipped row's gap is at most ``B < G``, and ``G`` is at most the true
+    maximum, so the reported maximum keeps its bits whatever the phase-1
+    count; a NaN gap still reaches it. Both phases run in row blocks of
+    ``GATHER_BLOCK``, and each row's terms are added in the same order
+    whichever rows share its block.
     """
     _require_same_grid(outer, inner)
     grid = outer.grid
@@ -542,17 +602,14 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     measured = classification.inferred_class
 
     u = outer_inverse.displacement
-    quad_nodes = np.linspace(0.0, 1.0, 9)
-    quad_w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
-    gaps, residuals = [], []
+    # L^dim D: no entry jacobian_at gathers is larger, so no quadrature term
+    # exceeds this times |s|_1
+    reach = _STENCIL_LEBESGUE ** grid.dim * max(
+        max(float(e.max()), -float(e.min())) for row in u.jacobian_entries() for e in row)
+    bound, residuals = np.empty(len(a)), []
     for lo in range(0, len(a), GATHER_BLOCK):
         rows = slice(lo, lo + GATHER_BLOCK)
         a_rows, s_rows = a[rows], s[rows]
-        # gathered while no other block array is alive, which keeps the peak;
-        # a still row's terms for t > 0 repeat this one
-        term = np.einsum("nij,nj->ni", u.jacobian_at(a_rows), s_rows)
-        integral = np.zeros_like(term)
-        integral += quad_w[0] * term
         # column by column, as row_max; -0.0 == +0.0 here, and both read the
         # same stencil, since _interp_stencil adds the half-width first
         moved = a_rows[:, 0] + s_rows[:, 0] != a_rows[:, 0]
@@ -560,13 +617,24 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
             moved |= a_rows[:, j] + s_rows[:, j] != a_rows[:, j]
         moved = np.flatnonzero(moved)
         a_moved, s_moved = a_rows[moved], s_rows[moved]
-        bracket = np.zeros_like(term)
+        bracket = np.zeros_like(s_rows)
         bracket[moved] = u.sample(a_moved + s_moved) - u.sample(a_moved)
-        for t, w in zip(quad_nodes[1:], quad_w[1:]):
-            term[moved] = np.einsum("nij,nj->ni", u.jacobian_at(a_moved + t * s_moved), s_moved)
-            integral += w * term
-        gaps.append(np.max(np.abs(bracket - integral)))
         residuals.append(np.max(np.abs(conj_disp[rows] - (s_rows + bracket))))
+        row_bound = bound[rows]
+        np.abs(s_rows[:, 0], out=row_bound)
+        for j in range(1, a.shape[1]):
+            row_bound += np.abs(s_rows[:, j])
+        row_bound *= reach
+        row_bound += row_max(np.abs(bracket))
+        row_bound *= 1.0 + _BOUND_MARGIN
+        row_bound += np.finfo(np.float64).tiny
+    first = np.arange(len(a))
+    if _BRACKET_FIRST_ROWS < len(a):
+        first = np.sort(np.argpartition(bound, -_BRACKET_FIRST_ROWS)[-_BRACKET_FIRST_ROWS:])
+    gaps = _bracket_gaps(u, a, s, first)
+    bound[first] = -np.inf
+    # not (bound < gap), so a NaN bound is never skipped
+    gaps += _bracket_gaps(u, a, s, np.flatnonzero(~(bound < np.max(gaps))))
     info = {
         "expected_class": expected.value,
         "measured_class": measured.value,

@@ -639,6 +639,21 @@ CONJUGATE_CASES = [
 ]
 
 
+def _jacobian_at_sizes(monkeypatch, outer, inner) -> list:
+    """The point count of each ``jacobian_at`` call of one diagnostic conjugation."""
+    sizes = []
+    original = DisplacementField.jacobian_at
+
+    def recording(self, points):
+        sizes.append(len(points))
+        return original(self, points)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DisplacementField, "jacobian_at", recording)
+        conjugate(outer, inner, diagnostics=True)
+    return sizes
+
+
 class TestConjugateSharesGathers:
     @pytest.mark.parametrize("grid, outer_text, inner_text", CONJUGATE_CASES)
     def test_matches_regathering_conjugate(self, grid, outer_text, inner_text,
@@ -653,14 +668,19 @@ class TestConjugateSharesGathers:
             return original(self, points)
 
         monkeypatch.setattr(DisplacementField, "sample", counting)
+        sizes = _jacobian_at_sizes(monkeypatch, outer, inner)
+        exact = sum(sizes[::9])
+        assert sizes == [n for n in sizes[::9] for _ in range(9)]
+        calls.clear()
         got, got_info = conjugate(outer, inner, diagnostics=True)
         got_points = sum(calls)
         want, want_info = _regathering_conjugate(outer, inner)
         want_points = sum(calls) - got_points
-        # two whole-node gathers fewer, the composite's and the diagnostics' s,
-        # and the bracket's two gathers skip every still row
+        # two whole-node gathers fewer, the composite's and the diagnostics' s;
+        # the bound's bracket gathers skip every still row, and each row whose
+        # gap is computed exactly gathers its bracket once more
         still = grid.node_count - len(_moved_rows(outer, inner))
-        assert got_points == want_points - 2 * (grid.node_count + still) * grid.dim
+        assert got_points == want_points - 2 * (grid.node_count + still - exact) * grid.dim
         assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
         assert got.decay_class is want.decay_class
         assert got_info == want_info
@@ -675,7 +695,7 @@ class TestConjugateSharesGathers:
 
 
 class TestConjugateStillRows:
-    """A still row, ``fl(a + s) == a``, reads no gather past ``t = 0``; the bits stay."""
+    """A still row, ``fl(a + s) == a``, reads no bracket gather for its bound; the bits stay."""
 
     @staticmethod
     def _assert_matches_oracle(outer, inner):
@@ -685,28 +705,17 @@ class TestConjugateStillRows:
         assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
         assert got_info == want_info
 
-    @staticmethod
-    def _jacobian_at_sizes(monkeypatch, outer, inner) -> list:
-        """The point count of each ``jacobian_at`` call of one diagnostic conjugation."""
-        sizes = []
-        original = DisplacementField.jacobian_at
-
-        def recording(self, points):
-            sizes.append(len(points))
-            return original(self, points)
-
-        monkeypatch.setattr(DisplacementField, "jacobian_at", recording)
-        conjugate(outer, inner, diagnostics=True)
-        monkeypatch.undo()
-        return sizes
-
     def test_inner_that_moves_no_row(self, monkeypatch):
         grid, outer_text, _ = CONJUGATE_CASES[1]
         outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
         inner = Diffeo(DisplacementField.zero(grid), DecayClass.SCHWARTZ)
         assert _moved_rows(outer, inner).size == 0
-        assert (self._jacobian_at_sizes(monkeypatch, outer, inner)
-                == [GATHER_BLOCK] + [0] * 8 + [grid.node_count - GATHER_BLOCK] + [0] * 8)
+        # every gap is +0.0 and every bound the smallest normal float, above
+        # it, so no row is skipped: the first rows, then the rest in one block
+        first = group_module._BRACKET_FIRST_ROWS
+        assert grid.node_count - first <= GATHER_BLOCK
+        assert (_jacobian_at_sizes(monkeypatch, outer, inner)
+                == [first] * 9 + [grid.node_count - first] * 9)
         self._assert_matches_oracle(outer, inner)
 
     def test_bounded_inner_that_moves_almost_every_row(self, monkeypatch):
@@ -716,8 +725,9 @@ class TestConjugateStillRows:
         inner = Diffeo.from_descriptor(grid, "0.1*(1+tanh(10*(x+6)))", DecayClass.BOUNDED_ALL)
         moved = _moved_rows(outer, inner).size
         assert 0.9 * grid.node_count < moved < grid.node_count
-        assert (self._jacobian_at_sizes(monkeypatch, outer, inner)
-                == [grid.node_count] + [moved] * 8)
+        # 513 rows are fewer than the first-phase count, so all are exact
+        assert grid.node_count <= group_module._BRACKET_FIRST_ROWS
+        assert _jacobian_at_sizes(monkeypatch, outer, inner) == [grid.node_count] * 9
         self._assert_matches_oracle(outer, inner)
 
     def test_inner_that_moves_every_row(self, monkeypatch):
@@ -725,7 +735,7 @@ class TestConjugateStillRows:
         outer = Diffeo.from_descriptor(grid, "0.2*tanh((x-0.3)/1.1)", DecayClass.BOUNDED_ALL)
         inner = Diffeo.from_descriptor(grid, "0.1*tanh(x)", DecayClass.BOUNDED_ALL)
         assert _moved_rows(outer, inner).size == grid.node_count
-        assert self._jacobian_at_sizes(monkeypatch, outer, inner) == [grid.node_count] * 9
+        assert _jacobian_at_sizes(monkeypatch, outer, inner) == [grid.node_count] * 9
         self._assert_matches_oracle(outer, inner)
 
     def test_negative_zero_node_images(self, monkeypatch):
@@ -777,23 +787,16 @@ def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
     grid, outer_text, inner_text = CONJUGATE_CASES[2]
     outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
     inner = Diffeo.from_descriptor(grid, inner_text, DecayClass.SCHWARTZ)
-    sizes = []
-    original = DisplacementField.jacobian_at
-
-    def recording(self, points):
-        sizes.append(len(points))
-        return original(self, points)
-
-    monkeypatch.setattr(DisplacementField, "jacobian_at", recording)
+    sizes = _jacobian_at_sizes(monkeypatch, outer, inner)
     result, info = conjugate(outer, inner, diagnostics=True)
-    monkeypatch.undo()
-    # 66,049 rows: four full blocks and a last one of 513, each read at t = 0,
-    # and their moved rows at the 8 quadrature nodes t > 0
-    assert grid.node_count == 4 * GATHER_BLOCK + 513
-    moved = np.bincount(_moved_rows(outer, inner) // GATHER_BLOCK, minlength=5)
-    assert 0 < moved.sum() < grid.node_count
-    assert sizes == [n for block, size in enumerate([GATHER_BLOCK] * 4 + [513])
-                     for n in [size] + [moved[block]] * 8]
+    # 66,049 rows: the first-phase rows, then the rows whose bound reaches the
+    # largest gap among those, each set in blocks read at all 9 quadrature nodes
+    first = group_module._BRACKET_FIRST_ROWS
+    assert sizes[:9] == [first] * 9
+    rest = sizes[9::9]
+    assert all(0 < n <= GATHER_BLOCK for n in rest)
+    assert sizes[9:] == [n for n in rest for _ in range(9)]
+    assert first + sum(rest) < grid.node_count // 4
 
     u = invert(outer).displacement
     a = np.asarray(grid.nodes()) + outer.displacement.node_values()
@@ -807,6 +810,125 @@ def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
     residual = float(np.max(np.abs(result.displacement.node_values() - (s + bracket))))
     assert info["bracket_gap"].hex() == gap.hex()
     assert info["decomposition_residual"].hex() == residual.hex()
+
+
+TANH_OUTER_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
+BOUND_CASES = [
+    pytest.param(Grid(2, 8.0, 257), TANH_OUTER_2D,
+                 "0.08*exp(-(x+1)^2-(y-0.5)^2), -0.06*exp(-x^2-(y+1)^2)",
+                 DecayClass.SCHWARTZ, id="257-gaussians"),
+    pytest.param(Grid(2, 8.0, 257), TANH_OUTER_2D,
+                 "0.1*bump(x/3, y/3), 0.05*bump((x-1)/2, y/2)",
+                 DecayClass.COMPACT_SUPPORT, id="257-bump"),
+    pytest.param(Grid(2, 8.0, 257), TANH_OUTER_2D,
+                 "0.1*tanh((x-0.3)/2), 0.08*tanh((y+0.2)/1.5)",
+                 DecayClass.BOUNDED_ALL, id="257-tanh"),
+    pytest.param(Grid(1, 8.0, 513), "0.2*tanh((x-0.3)/1.1)", "0.1*exp(-(x+0.5)^2)",
+                 DecayClass.SCHWARTZ, id="1d-513"),
+    pytest.param(Grid(3, 8.0, 33), "0.2*tanh(x/1.1), 0.15*tanh(y), 0.1*tanh(z/1.3)",
+                 "0.1*exp(-x^2-y^2-z^2), 0.05*exp(-(x-1)^2-y^2-z^2), "
+                 "0.04*exp(-x^2-(y+1)^2-z^2)",
+                 DecayClass.SCHWARTZ, id="3d-33"),
+]
+
+
+class TestConjugateBoundSkip:
+    """A row whose certified gap bound is below the largest gap found is never gathered."""
+
+    @staticmethod
+    def _members(grid, outer_text, inner_text, inner_class):
+        return (Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL),
+                Diffeo.from_descriptor(grid, inner_text, inner_class))
+
+    @pytest.mark.parametrize("grid, outer_text, inner_text, inner_class", BOUND_CASES)
+    def test_any_first_phase_count_matches_the_oracle(self, grid, outer_text, inner_text,
+                                                      inner_class, monkeypatch):
+        outer, inner = self._members(grid, outer_text, inner_text, inner_class)
+        want, want_info = _regathering_conjugate(outer, inner)
+        for count in (1, group_module._BRACKET_FIRST_ROWS, grid.node_count):
+            monkeypatch.setattr(group_module, "_BRACKET_FIRST_ROWS", count)
+            got, got_info = conjugate(outer, inner, diagnostics=True)
+            assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
+            assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
+            assert (got_info["decomposition_residual"].hex()
+                    == want_info["decomposition_residual"].hex())
+            assert got_info == want_info
+
+    def test_cases_reach_both_ends_of_the_skip(self):
+        moved = {}
+        for case in BOUND_CASES:
+            grid, *texts = case.values
+            moved[case.id] = _moved_rows(*self._members(grid, *texts)).size / grid.node_count
+        assert Grid(2, 8.0, 257).node_count > 2 * GATHER_BLOCK
+        # the compact inner leaves most rows still; the tanh inner moves every row
+        assert moved["257-bump"] < 0.5
+        assert moved["257-tanh"] == 1.0
+        assert 0.0 < moved["257-gaussians"] < 1.0
+
+    def test_jacobian_at_gathers_fewer_points(self, monkeypatch):
+        grid, outer_text, inner_text = CONJUGATE_CASES[2]
+        outer, inner = self._members(grid, outer_text, inner_text, DecayClass.SCHWARTZ)
+        # a still/moved split alone reads every row at t = 0 and the moved rows
+        # at the eight nodes t > 0
+        split = grid.node_count + 8 * _moved_rows(outer, inner).size
+        assert 2 * sum(_jacobian_at_sizes(monkeypatch, outer, inner)) < split
+
+    def test_planted_sample_fault_on_a_tail_row_is_seen(self, monkeypatch):
+        grid, outer_text, inner_text = CONJUGATE_CASES[1]
+        outer, inner = self._members(grid, outer_text, inner_text, DecayClass.SCHWARTZ)
+        a = np.asarray(grid.nodes()) + outer.displacement.node_values()
+        s = inner.displacement.sample(a)
+        moved = _moved_rows(outer, inner)
+        # the moved row farthest out, whose bracket the clean run never re-reads
+        end = (a + s)[moved[np.argmax(np.max(np.abs(a[moved]), axis=1))]]
+        points = []
+        original_jacobian = DisplacementField.jacobian_at
+
+        def recording(self, pts):
+            points.append(np.asarray(pts))
+            return original_jacobian(self, pts)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DisplacementField, "jacobian_at", recording)
+            _, clean = conjugate(outer, inner, diagnostics=True)
+        assert not np.any(np.all(np.concatenate(points) == end, axis=1))
+        original_sample = DisplacementField.sample
+
+        def faulty(self, pts):
+            out = original_sample(self, pts)
+            out[np.all(np.asarray(pts) == end, axis=-1)] += 1.0e-3
+            return out
+
+        monkeypatch.setattr(DisplacementField, "sample", faulty)
+        _, info = conjugate(outer, inner, diagnostics=True)
+        _, want_info = _regathering_conjugate(outer, inner)
+        assert clean["bracket_gap"] < 1.0e-4 < info["bracket_gap"]
+        assert info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
+
+
+def test_stencil_lebesgue_constant_bounds_the_interpolation_weights():
+    """Each axis's weights have sum |w| <= the constant: inner, face and clipped points."""
+    grid = Grid(1, 8.0, 65)
+    h, half = grid.spacing, grid.half_width
+    t = np.linspace(0.0, 1.0, 4001)
+    worst_face = (1.0 - math.sqrt(7.0)) / 3.0
+    inner = -half + h * (5.0 + t)
+    faces = np.concatenate([-half + h * t, half - h * t, [-half + h * (1.0 + worst_face)]])
+    clipped = np.array([-1.0e3, -half - 0.3, -half - h, half + h, half + 0.3, 1.0e3])
+    sums = []
+    for points in (inner, faces, clipped):
+        m = len(points)
+        scratch = (np.empty((5, 1, m)), np.empty((1, 4, m)), np.empty((1, m), dtype=np.int64))
+        _, weights = fields_module._interp_stencil(grid, points.reshape(-1, 1), *scratch, [1])
+        assert np.allclose(weights[0].sum(axis=0), 1.0, rtol=0.0, atol=1.0e-14)
+        sums.append(np.abs(weights[0]).sum(axis=0))
+    lebesgue = group_module._STENCIL_LEBESGUE
+    assert lebesgue == pytest.approx(1.6311303094409, abs=1.0e-12)
+    assert np.max(sums[0]) <= 1.25 < lebesgue
+    assert np.max(sums[0]) == pytest.approx(1.25, abs=1.0e-12)
+    assert np.max(sums[1]) <= lebesgue
+    assert np.max(sums[1]) == pytest.approx(lebesgue, abs=1.0e-12)
+    assert np.max(sums[2]) <= lebesgue
 
 
 @pytest.mark.parametrize("dim, points", [(1, 257), (1, 513), (2, 65), (2, 129),

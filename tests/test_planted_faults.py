@@ -8,7 +8,7 @@ changed.
 
 import numpy as np
 
-from diffeoflow import DisplacementField, Diffeo, acceptance, group, jets
+from diffeoflow import DisplacementField, Diffeo, acceptance, flows, group, jets
 from diffeoflow.flows import FlowResult
 
 
@@ -70,3 +70,45 @@ def test_criterion_4_fails_on_a_bound_1_percent_low(monkeypatch):
     result = acceptance.criterion_inverse_norm_inequality()
     assert result.passed is False
     assert result.detail.startswith("violation at a 2x2 matrix")
+
+
+def test_criterion_2_fails_on_composed_jets_without_their_top_term(monkeypatch):
+    def truncated_compose_jets(outer, inner):
+        jet = jets.compose_jets(outer, inner)
+        terms = [jet.dense_term(k) for k in range(jet.order + 1)]
+        terms[-1] = np.zeros_like(terms[-1])
+        return jets.Jet(jet.base_point, terms)
+
+    monkeypatch.setattr(acceptance, "compose_jets", truncated_compose_jets)
+    result = acceptance.criterion_faa_di_bruno()
+    assert result.passed is False
+    assert min(result.data["fd_gap_1d"], result.data["fd_gap_2d"]) > 1.0e-4
+
+
+def _third_order_evolve(field, t_final, dt, grid):
+    """``evolve`` with its displacements from Kutta's third-order scheme instead of RK4."""
+    result = flows.evolve(field, t_final, dt, grid)
+    h = result.dt
+    nodes = np.asarray(grid.nodes())
+    y = nodes.copy()
+    for k, t in enumerate(result.times[:-1], start=1):
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = field(t + h, y - h * k1 + 2.0 * h * k2)
+        y = y + (h / 6.0) * (k1 + 4.0 * k2 + k3)
+        result.displacements[k] = y - nodes
+    return result
+
+
+def test_criterion_5_fails_on_a_third_order_scheme(monkeypatch):
+    monkeypatch.setattr(acceptance, "evolve", _third_order_evolve)
+    result = acceptance.criterion_flow_correctness()
+    assert result.passed is False
+    assert min(result.data["orders"]) < 3.8
+
+
+def test_criterion_8_fails_when_the_outer_stands_in_for_its_inverse(monkeypatch):
+    monkeypatch.setattr(acceptance, "invert", lambda member: member)
+    result = acceptance.criterion_normality()
+    assert result.passed is False
+    assert result.data["Schwartz"]["failures"] > 0
