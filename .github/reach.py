@@ -6,13 +6,17 @@ Runs every command of ``.github/cli_outputs.py`` in this process, through
 ``diffeoflow.cli.main`` and in a temporary working directory, under
 ``sys.setprofile``. It then prints each module-level function and method
 defined in ``SRC_DIR/diffeoflow`` whose code never ran, with its line count,
-and the totals. A function that runs only as a closure of another counts
-with its parent. The script uses the standard library only and exits 0
-whatever the commands return: it reports, it gates nothing.
+and the totals, in two groups: the functions pinned by name in the
+``TARGETS`` table of ``perfbench/tracer.py`` (read as a literal, not
+imported), which only a benchmark change can remove, and the unpinned rest.
+A function that runs only as a closure of another counts with its parent.
+The script uses the standard library only and exits 0 whatever the commands
+return: it reports, it gates nothing.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -47,6 +51,15 @@ def _functions(package) -> dict:
                     continue
                 out[value.__code__] = (f"{info.name}.{value.__qualname__}", lines)
     return out
+
+
+def _pinned(tracer: Path) -> set:
+    """``module.attribute`` names of the ``TARGETS`` table in ``tracer``."""
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return {f"{module}.{path}" for _, module, path, _ in ast.literal_eval(node.value)}
+    return set()
 
 
 def main(argv) -> int:
@@ -84,8 +97,13 @@ def main(argv) -> int:
     never = sorted(v for k, v in functions.items() if k not in called)
     print(f"never called: {len(never)} of {len(functions)} functions, "
           f"{sum(n for _, n in never)} lines")
-    for qualname, lines in never:
-        print(f"    {qualname} ({lines} lines)")
+    pinned = _pinned(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    for title, group in (("pinned by perfbench/tracer.py TARGETS",
+                          [v for v in never if v[0] in pinned]),
+                         ("unpinned", [v for v in never if v[0] not in pinned])):
+        print(f"  {title}: {len(group)} functions, {sum(n for _, n in group)} lines")
+        for qualname, lines in group:
+            print(f"    {qualname} ({lines} lines)")
     return 0
 
 

@@ -14,7 +14,6 @@ from .decay import (
     ShellFit,
     class_from_name,
     classify_decay,
-    dyadic_shells,
     extrapolation_for,
     widest,
 )
@@ -48,7 +47,6 @@ from .flows import (
     FlowResult,
     TimeDependentVectorField,
     displacement_sup_bound,
-    evol_smoothness_probe,
     evolve,
     gronwall_bound,
     right_log_derivative,
@@ -84,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayClass", "SeminormReport", "ShellFit", "class_from_name",
-    "classify_decay", "dyadic_shells", "extrapolation_for", "widest",
+    "classify_decay", "extrapolation_for", "widest",
     "parse_scalar", "parse_vector",
     "EngineError", "DescriptorError", "FieldError", "UnsupportedOrderError",
     "InsufficientAnnuliError", "JetError", "SingularJacobianError",
@@ -94,7 +92,7 @@ __all__ = [
     "partial_derivative", "sup_seminorm", "weighted_seminorm", "sobolev_seminorm",
     "FlowResult", "TimeDependentVectorField", "evolve",
     "displacement_sup_bound", "gronwall_bound", "sobolev_tracking",
-    "right_log_derivative", "evol_smoothness_probe",
+    "right_log_derivative",
     "Diffeo", "membership_check", "compose", "invert", "conjugate",
     "read_diffeo", "read_displacement", "stable_json_dumps", "write_diffeo",
     "write_displacement", "write_report", "write_time_series_csv",

@@ -223,12 +223,3 @@ def sobolev_flow_case() -> FlowCase:
     """
     return flow_battery()[2]
 
-
-def classification_battery() -> list:
-    """Descriptor/class pairs spanning the whole chain, 1-D."""
-    return [
-        ("0.5*bump(x/2)", DecayClass.COMPACT_SUPPORT),
-        ("exp(-x^2)", DecayClass.SCHWARTZ),
-        ("1/(1+x^2)", DecayClass.SOBOLEV_INFINITY),
-        ("1", DecayClass.BOUNDED_ALL),
-    ]

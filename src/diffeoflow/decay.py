@@ -158,18 +158,13 @@ class SeminormReport:
         }
 
 
-def dyadic_shells(grid) -> tuple:
-    """Shell radii and node masks ``2^(k-1) <= |x| <= 2^k`` inside the box.
-
-    Returns ``(radii, masks)`` where ``radii[k] = 2^k`` ranges over every
-    dyadic level that fits inside the half-width. Classification needs at
-    least ``MIN_SHELLS`` shells, which requires a half-width of at least 8.
-    """
-    return _shells(grid)[:2]
-
-
 def _shells(grid) -> tuple:
-    """:func:`dyadic_shells` plus the node radii it measured, shaped like the grid."""
+    """``(radii, masks, r)``: every dyadic level ``radii[k] = 2^k`` inside the box.
+
+    ``masks[k]`` holds the nodes with ``2^(k-1) <= |x| <= 2^k`` and ``r`` the
+    node radii, shaped like the grid. Classification needs at least
+    ``MIN_SHELLS`` shells, which requires a half-width of at least 8.
+    """
     levels = int(np.floor(np.log2(grid.half_width) + 1.0e-12))
     shells = levels + 1
     if shells < MIN_SHELLS:

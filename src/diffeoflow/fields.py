@@ -456,10 +456,9 @@ class ScalarField:
         self._derivatives: dict = {}
 
     @classmethod
-    def from_descriptor(cls, grid: Grid, descriptor,
-                        extrapolation: str = "zero") -> "ScalarField":
+    def from_descriptor(cls, grid: Grid, descriptor) -> "ScalarField":
         _, evaluate = bind(descriptor, grid.dim)
-        return cls(grid, evaluate(None, grid.nodes()).reshape(grid.shape), extrapolation)
+        return cls(grid, evaluate(None, grid.nodes()).reshape(grid.shape))
 
     def sample(self, points) -> np.ndarray:
         pts, lead = _normalize_points(points, self.grid.dim)
@@ -500,10 +499,9 @@ class DisplacementField:
         self._derivatives: dict = {}
 
     @classmethod
-    def from_descriptor(cls, grid: Grid, descriptor,
-                        extrapolation: str = "zero") -> "DisplacementField":
+    def from_descriptor(cls, grid: Grid, descriptor) -> "DisplacementField":
         _, evaluate = bind(descriptor, grid.dim, (grid.dim,))
-        return cls.from_nodes(grid, evaluate(None, grid.nodes()), extrapolation)
+        return cls.from_nodes(grid, evaluate(None, grid.nodes()))
 
     @classmethod
     def from_nodes(cls, grid: Grid, node_values,
@@ -513,8 +511,8 @@ class DisplacementField:
         return cls(grid, out.T.reshape((grid.dim,) + grid.shape), extrapolation)
 
     @classmethod
-    def zero(cls, grid: Grid, extrapolation: str = "zero") -> "DisplacementField":
-        return cls(grid, np.zeros((grid.dim,) + grid.shape), extrapolation)
+    def zero(cls, grid: Grid) -> "DisplacementField":
+        return cls(grid, np.zeros((grid.dim,) + grid.shape))
 
     def with_extrapolation(self, extrapolation: str) -> "DisplacementField":
         """The same node values read with another off-box continuation.
@@ -626,15 +624,16 @@ def det_plus_identity(jac) -> np.ndarray:
             + m02 * (m10 * m21 - m11 * m20))
 
 
-def sample(descriptor, grid: Grid, extrapolation: str = "zero"):
+def sample(descriptor, grid: Grid):
     """Evaluate a closed-form descriptor on the grid.
 
     A descriptor with one component yields a :class:`ScalarField`; one with
     ``grid.dim`` comma-separated components yields a :class:`DisplacementField`.
+    Either reads as zero outside the box.
     """
     exprs = parse_vector(descriptor) if isinstance(descriptor, str) else list(descriptor)
     field_type = ScalarField if len(exprs) == 1 else DisplacementField
-    return field_type.from_descriptor(grid, exprs, extrapolation)
+    return field_type.from_descriptor(grid, exprs)
 
 
 def partial_derivative(field, alpha):

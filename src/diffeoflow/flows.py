@@ -10,12 +10,11 @@ same RK4 stages; since ``|y(t) - x| <= b(t, x)`` holds pathwise, comparing
 the two certifies the displacement bound without a second quadrature error
 budget (for a one-signed scalar field the two integrals agree bitwise).
 Separate helpers check the Bellman-Gronwall envelope for the growth of
-``d_x f``, track Sobolev norms and edge decay, recover the driving field
-from the flow via the right logarithmic derivative, and probe smoothness of
-the parametrized flow map ``s -> flow(X_s)``. The right logarithmic
-derivative yields its recovered fields one at a time; it solves each
-inverse as node arrays (:func:`~diffeoflow.group.solve_inverse`) and reads
-the margin ``evolve`` already measured, so it builds no group member.
+``d_x f``, track Sobolev norms and edge decay, and recover the driving
+field from the flow via the right logarithmic derivative, which yields its
+recovered fields one at a time; it solves each inverse as node arrays
+(:func:`~diffeoflow.group.solve_inverse`) and reads the margin ``evolve``
+already measured, so it builds no group member.
 """
 
 from __future__ import annotations
@@ -425,85 +424,3 @@ def _recovered_field(result: FlowResult, k: int) -> DisplacementField:
                                         + u.take(read, axis=0))
     return DisplacementField.from_nodes(grid, recovered, extrap)
 
-
-def evol_smoothness_probe(family, s_values, t_final: float, dt: float,
-                          grid: Grid) -> dict:
-    """Difference-quotient probe of the parametrized flow ``s -> flow(X_s)``.
-
-    ``family`` maps a parameter to a vector field; ``s_values`` must list a
-    center ``s0`` and symmetric pairs ``s0 +- e/2^k`` for successively
-    halved offsets (at least two pairs). First and second central quotients
-    of the time-``t_final`` displacement are formed at each offset; their
-    successive gaps shrink at order 2 when the flow map is twice
-    differentiable in ``s``, and the probe demands order at least 1.5.
-    """
-    s_sorted = sorted(float(s) for s in s_values)
-    if len(s_sorted) < 5 or len(s_sorted) % 2 == 0:
-        raise FlowDomainError(
-            "s_values must hold a center and at least two symmetric offset pairs"
-        )
-    mid = len(s_sorted) // 2
-    s0 = s_sorted[mid]
-    # index pairs by offset; never rebuild s0 +- h, whose rounding can differ
-    # from the caller's values
-    pairs = {}
-    for i in range(1, mid + 1):
-        below, above = s_sorted[mid - i], s_sorted[mid + i]
-        h = above - s0
-        if h <= 0.0 or abs((s0 - below) - h) > 1.0e-9 * max(1.0, h):
-            raise FlowDomainError(f"s_values are not symmetric around {s0}")
-        pairs[h] = (below, above)
-    offsets = sorted(pairs, reverse=True)
-    for big, small in zip(offsets, offsets[1:]):
-        if abs(big - 2.0 * small) > 1.0e-9 * big:
-            raise FlowDomainError("offsets must halve from one pair to the next")
-
-    finals = {}
-    for s in s_sorted:
-        res = evolve(family(s), t_final, dt, grid)
-        finals[s] = res.final_displacement.values
-
-    def sup(a):
-        return float(np.max(np.abs(a)))
-
-    first = {h: (finals[pairs[h][1]] - finals[pairs[h][0]]) / (2.0 * h)
-             for h in offsets}
-    second = {h: (finals[pairs[h][1]] - 2.0 * finals[s0] + finals[pairs[h][0]])
-              / (h * h) for h in offsets}
-    first_gaps = [sup(first[a] - first[b]) for a, b in zip(offsets, offsets[1:])]
-    second_gaps = [sup(second[a] - second[b]) for a, b in zip(offsets, offsets[1:])]
-
-    def orders(gaps):
-        out = []
-        for big, small in zip(gaps, gaps[1:]):
-            if small == 0.0:
-                out.append(float("inf"))
-            elif big == 0.0:
-                out.append(0.0)
-            else:
-                out.append(float(np.log2(big / small)))
-        return out
-
-    first_orders = orders(first_gaps)
-    second_orders = orders(second_gaps)
-    # with a single gap pair there is no ratio to take; accept only if the
-    # gap already sits at the rounding floor
-    floor = 1.0e-12 * max(1.0, max(sup(v) for v in finals.values()))
-
-    def converges(gaps, measured_orders):
-        if measured_orders:
-            return all(o >= 1.5 for o in measured_orders)
-        return gaps[-1] <= floor
-
-    holds = converges(first_gaps, first_orders) and converges(second_gaps, second_orders)
-    return {
-        "s_center": s0,
-        "offsets": offsets,
-        "first_gaps": first_gaps,
-        "second_gaps": second_gaps,
-        "first_orders": first_orders,
-        "second_orders": second_orders,
-        "first_sup": sup(first[offsets[-1]]),
-        "second_sup": sup(second[offsets[-1]]),
-        "holds": bool(holds),
-    }

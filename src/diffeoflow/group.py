@@ -439,16 +439,16 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
     return y, norms
 
 
-def solve_inverse(displacement: DisplacementField, tol: float | None = None) -> tuple:
+def solve_inverse(displacement: DisplacementField) -> tuple:
     """Solve ``y + g(y) = x`` at every node ``x``; returns ``(u, residuals)``.
 
     ``u = y - x`` is the inverse displacement node-major, shape
     ``(node_count, dim)``, and ``residuals`` is each node's
     ``max |y + g(y) - x|``. No member is built, so no margin is measured;
     :func:`invert` wraps ``u`` in one. The residual target is
-    ``min(tol, 1e-13 * (1 + half_width))``; the default promise ``tol`` is
-    ``1e-8 * (1 + half_width)``, and a residual above it raises
-    :class:`~diffeoflow.errors.InversionError` with the worst node named.
+    ``1e-13 * (1 + half_width)``; the promise is ``1e-8 * (1 + half_width)``,
+    and a residual above it raises :class:`~diffeoflow.errors.InversionError`
+    with the worst node named.
     Two branches, chosen by the node-wise Frobenius norm of ``dg``:
 
     - below 0.9, up to 200 chord sweeps ``y <- y - (I + dg(x))^-1 (y + g(y) - x)``,
@@ -475,9 +475,8 @@ def solve_inverse(displacement: DisplacementField, tol: float | None = None) -> 
     """
     grid = displacement.grid
     nodes = np.asarray(grid.nodes())
-    if tol is None:
-        tol = 1.0e-8 * (1.0 + grid.half_width)
-    target = min(tol, 1.0e-13 * (1.0 + grid.half_width))
+    tol = 1.0e-8 * (1.0 + grid.half_width)
+    target = 1.0e-13 * (1.0 + grid.half_width)
     entries = displacement.jacobian_entries()
     # squares added row-major, the order of np.sum over the stacked Jacobian's
     # two leading axes, so the switch sees the same bits
@@ -502,12 +501,12 @@ def solve_inverse(displacement: DisplacementField, tol: float | None = None) -> 
     return y, residuals
 
 
-def invert(diffeo: Diffeo, tol: float | None = None) -> Diffeo:
+def invert(diffeo: Diffeo) -> Diffeo:
     """Inverse member: :func:`solve_inverse` on its displacement, wrapped once.
 
     The inverse keeps the member's decay class and continuation.
     """
-    u, _ = solve_inverse(diffeo.displacement, tol)
+    u, _ = solve_inverse(diffeo.displacement)
     disp = DisplacementField.from_nodes(diffeo.grid, u, diffeo.displacement.extrapolation)
     return Diffeo(disp, diffeo.decay_class)
 

@@ -129,9 +129,6 @@ class Jet:
             raise JetError(f"jet has degrees 0..{self.order}, asked for {k}")
         return self.terms[k]
 
-    def jacobian(self) -> np.ndarray:
-        return self.dense_term(1)
-
     @classmethod
     def identity(cls, dim: int, order: int, base_point=None) -> "Jet":
         base_point = (np.zeros(dim) if base_point is None

@@ -11,7 +11,6 @@ from diffeoflow.battery import (
     SCHWARTZ_CENTER,
     SCHWARTZ_WIDTH,
     bounded_outer_diffeos,
-    classification_battery,
     flow_battery,
     gaussian_descriptor,
     lorentzian_descriptor,
@@ -49,8 +48,7 @@ class TestDescriptorHelpers:
     def test_tanh_text_evaluates(self):
         from diffeoflow import ScalarField
         grid = Grid(1, 8.0, 65)
-        field = ScalarField.from_descriptor(grid, tanh_descriptor(0.2, 1.3, 0.4),
-                                            "clamp")
+        field = ScalarField.from_descriptor(grid, tanh_descriptor(0.2, 1.3, 0.4))
         x = np.asarray(grid.axis_coordinates())
         assert np.allclose(field.values, 0.2 * np.tanh((x - 0.4) / 1.3),
                            atol=1e-15)
@@ -129,8 +127,7 @@ def _loop_bounded(grid, count, seed):
         center = rng.uniform(-0.8, 0.8)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         amplitude = sign * rng.uniform(0.12, 0.22)
-        disp = DisplacementField.from_descriptor(
-            grid, tanh_descriptor(amplitude, width, center), "clamp")
+        disp = DisplacementField.from_descriptor(grid, tanh_descriptor(amplitude, width, center))
         out.append(Diffeo(disp, DecayClass.BOUNDED_ALL))
     return out
 
@@ -219,10 +216,3 @@ class TestFlowBattery:
         for case_a, case_b in zip(a[:4], b[:4]):
             assert np.array_equal(case_a.field(0.25, pts), case_b.field(0.25, pts))
 
-
-def test_classification_battery_spans_the_chain(fine_grid):
-    pairs = classification_battery()
-    assert [cls for _, cls in pairs] == [
-        DecayClass.COMPACT_SUPPORT, DecayClass.SCHWARTZ,
-        DecayClass.SOBOLEV_INFINITY, DecayClass.BOUNDED_ALL,
-    ]

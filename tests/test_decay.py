@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import diffeoflow.decay as decay_module
 import diffeoflow.fields as fields_module
 from diffeoflow import (
     DecayClass,
@@ -13,7 +14,6 @@ from diffeoflow import (
     InsufficientAnnuliError,
     class_from_name,
     classify_decay,
-    dyadic_shells,
     extrapolation_for,
     sample,
     sobolev_seminorm,
@@ -22,7 +22,6 @@ from diffeoflow import (
     weighted_seminorm,
     widest,
 )
-from diffeoflow.battery import classification_battery
 from diffeoflow.decay import DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT
 from diffeoflow.fields import multi_indices, multi_indices_up_to
 
@@ -92,7 +91,7 @@ class TestClassNames:
 
 class TestShells:
     def test_radii_for_standard_box(self, fine_grid):
-        radii, masks = dyadic_shells(fine_grid)
+        radii, masks, _ = decay_module._shells(fine_grid)
         assert radii == [1.0, 2.0, 4.0, 8.0]
         assert len(masks) == 4
         nodes = np.abs(np.asarray(fine_grid.nodes())[:, 0]).reshape(fine_grid.shape)
@@ -102,19 +101,27 @@ class TestShells:
 
     def test_small_box_has_too_few_annuli(self):
         with pytest.raises(InsufficientAnnuliError):
-            dyadic_shells(Grid(1, 4.0, 129))
+            decay_module._shells(Grid(1, 4.0, 129))
         with pytest.raises(InsufficientAnnuliError):
             classify_decay(sample("exp(-x^2)", Grid(1, 4.0, 129)))
 
 
 class TestClassification:
+    # one 1-D descriptor per class
+    BATTERY = [
+        ("0.5*bump(x/2)", DecayClass.COMPACT_SUPPORT),
+        ("exp(-x^2)", DecayClass.SCHWARTZ),
+        ("1/(1+x^2)", DecayClass.SOBOLEV_INFINITY),
+        ("1", DecayClass.BOUNDED_ALL),
+    ]
+
+    def test_reference_battery_spans_the_chain(self):
+        # every class once, narrowest first
+        assert [cls for _, cls in self.BATTERY] == sorted(DecayClass, key=lambda c: -c.rank)
+
     def test_reference_battery(self, fine_grid):
-        # bump -> CompactSupport, gaussian -> Schwartz,
-        # 1/(1+x^2) -> SobolevInfinity, constant -> BoundedAll
-        for descriptor, expected in classification_battery():
-            extrap = extrapolation_for(expected)
-            field = sample(descriptor, fine_grid, extrapolation=extrap)
-            report = classify_decay(field)
+        for descriptor, expected in self.BATTERY:
+            report = classify_decay(sample(descriptor, fine_grid))
             assert report.inferred_class is expected, descriptor
 
     def test_compact_support_radius_and_finiteness(self, fine_grid):
@@ -132,8 +139,7 @@ class TestClassification:
             assert fit.exponent >= DEFAULT_MAX_WEIGHT + 1
 
     def test_constant_keeps_growing_weighted_norms(self, fine_grid):
-        field = sample("1", fine_grid, extrapolation="clamp")
-        report = classify_decay(field)
+        report = classify_decay(sample("1", fine_grid))
         assert report.inferred_class is DecayClass.BOUNDED_ALL
         assert entry_value(report, "weighted", (0,), 1) == 65.0
 

@@ -170,7 +170,7 @@ class TestSeminorms:
         assert sup_seminorm(field, 1) == pytest.approx(want, abs=1e-4)
 
     def test_weighted_constant_grows_with_box(self, line_grid):
-        field = sample("1", line_grid, extrapolation="clamp")
+        field = sample("1", line_grid)
         assert weighted_seminorm(field, 0, m=1) == 65.0
         assert weighted_seminorm(field, 0, m=0) == 1.0
 
@@ -195,7 +195,7 @@ class TestSeminorms:
         assert abs(values[0] - values[1]) <= 1e-10
 
     def test_displacement_seminorm_uses_euclidean_magnitude(self, plane_grid):
-        field = sample("0.3, 0.4", plane_grid, extrapolation="clamp")
+        field = sample("0.3, 0.4", plane_grid)
         assert sup_seminorm(field, (0, 0)) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -241,7 +241,7 @@ class TestResample:
     def test_extrapolation_modes(self, line_grid):
         decaying = sample(GAUSS, line_grid)
         assert decaying.sample(np.array([[16.0]]))[0] == 0.0
-        clamped = sample("tanh(x)", line_grid, extrapolation="clamp")
+        clamped = ScalarField(line_grid, sample("tanh(x)", line_grid).values, "clamp")
         boundary = clamped.values[-1]
         assert clamped.sample(np.array([[16.0]]))[0] == pytest.approx(
             boundary, abs=1e-12)

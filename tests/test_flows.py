@@ -19,7 +19,6 @@ from diffeoflow import (
     NonDiffeoError,
     TimeDependentVectorField,
     displacement_sup_bound,
-    evol_smoothness_probe,
     evolve,
     gronwall_bound,
     invert,
@@ -439,34 +438,3 @@ def test_two_d_margins_need_no_lapack(monkeypatch, plane_grid):
     assert ok and epsilon == member.epsilon
     assert invert(member).epsilon > 0.0
 
-
-class TestSmoothnessProbe:
-    def make_family(self):
-        def family(s):
-            return TimeDependentVectorField.from_descriptor(
-                1, f"{s}*exp(-x^2)", DecayClass.SCHWARTZ)
-        return family
-
-    def test_second_order_in_parameter(self, coarse_grid):
-        s_values = [0.1 + d for d in (-0.04, -0.02, -0.01, 0.0, 0.01, 0.02, 0.04)]
-        report = evol_smoothness_probe(self.make_family(), s_values,
-                                       t_final=0.25, dt=1.0 / 16.0,
-                                       grid=coarse_grid)
-        assert report["holds"]
-        assert report["s_center"] == pytest.approx(0.1)
-        assert report["offsets"] == [pytest.approx(0.04), pytest.approx(0.02),
-                                     pytest.approx(0.01)]
-        assert all(o >= 1.5 for o in report["first_orders"])
-        assert all(o >= 1.5 for o in report["second_orders"])
-
-    def test_offset_layout_validated(self, coarse_grid):
-        family = self.make_family()
-        with pytest.raises(FlowDomainError):
-            evol_smoothness_probe(family, [0.1, 0.2, 0.3, 0.4],
-                                  0.25, 0.125, coarse_grid)
-        with pytest.raises(FlowDomainError):
-            evol_smoothness_probe(family, [0.02, 0.09, 0.1, 0.11, 0.16],
-                                  0.25, 0.125, coarse_grid)
-        with pytest.raises(FlowDomainError):
-            evol_smoothness_probe(family, [0.06, 0.095, 0.1, 0.105, 0.14],
-                                  0.25, 0.125, coarse_grid)

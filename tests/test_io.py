@@ -139,7 +139,8 @@ class TestDisplacementFiles:
 
     def test_class_hint_sets_extrapolation(self, coarse_grid, tmp_path):
         path = tmp_path / "d.dsp"
-        disp = DisplacementField.from_descriptor(coarse_grid, "0.1*tanh(x)", "clamp")
+        disp = DisplacementField.from_descriptor(coarse_grid, "0.1*tanh(x)")
+        disp = disp.with_extrapolation("clamp")
         write_displacement(str(path), disp, DecayClass.BOUNDED_ALL)
         loaded, hint = read_displacement(str(path))
         assert hint is DecayClass.BOUNDED_ALL

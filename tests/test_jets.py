@@ -136,7 +136,7 @@ class TestJetBasics:
     def test_identity_jet(self):
         jet = Jet.identity(2, 3, base_point=[1.0, -2.0])
         assert np.array_equal(jet.value, [1.0, -2.0])
-        assert np.array_equal(jet.jacobian(), np.eye(2))
+        assert np.array_equal(jet.dense_term(1), np.eye(2))
         assert np.all(jet.dense_term(2) == 0.0)
         assert jet.order == 3
 
@@ -229,7 +229,7 @@ class TestInvert:
     def test_identity_inverts_to_identity(self):
         jet = Jet.identity(2, 3, base_point=[0.5, -1.0])
         inverse = invert_jet(jet)
-        assert np.allclose(inverse.jacobian(), np.eye(2), atol=1e-15)
+        assert np.allclose(inverse.dense_term(1), np.eye(2), atol=1e-15)
         assert np.all(inverse.dense_term(3) == 0.0)
 
     def test_quadratic_map_reversion(self):
@@ -260,7 +260,7 @@ class TestInvert:
             right = compose_jets(jet, inverse)
             for composed, base in ((left, jet.base_point), (right, jet.value)):
                 assert np.allclose(composed.value, base, atol=1e-10)
-                assert np.allclose(composed.jacobian(), np.eye(2), atol=1e-10)
+                assert np.allclose(composed.dense_term(1), np.eye(2), atol=1e-10)
                 for k in range(2, 5):
                     assert np.max(np.abs(composed.dense_term(k))) <= 1e-10
 

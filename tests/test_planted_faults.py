@@ -112,3 +112,27 @@ def test_criterion_8_fails_when_the_outer_stands_in_for_its_inverse(monkeypatch)
     result = acceptance.criterion_normality()
     assert result.passed is False
     assert result.data["Schwartz"]["failures"] > 0
+
+
+def test_criterion_6_fails_on_a_beta_1_percent_low(monkeypatch):
+    spectral_sup = flows._spectral_sup
+    monkeypatch.setattr(flows, "_spectral_sup", lambda mats: 0.99 * spectral_sup(mats))
+    result = acceptance.criterion_inequality_verification()
+    assert result.passed is False
+    assert result.data["violations"] > 0
+
+
+def _evolve_with_a_far_tail(field, t_final, dt, grid):
+    """``evolve`` whose displacements gain 1e-12 beyond ``|x| = 8`` on a box wider than 8."""
+    result = flows.evolve(field, t_final, dt, grid)
+    if grid.half_width > 8.0:
+        far = np.max(np.abs(np.asarray(grid.nodes())), axis=1) > 8.0
+        result.displacements[:, far] += 1.0e-12
+    return result
+
+
+def test_criterion_7_fails_on_a_1e_12_tail_beyond_the_core(monkeypatch):
+    monkeypatch.setattr(acceptance, "evolve", _evolve_with_a_far_tail)
+    result = acceptance.criterion_class_preservation()
+    assert result.passed is False
+    assert result.data["weighted_gap"] > 1.0e-6
