@@ -222,7 +222,7 @@ def cmd_invert(config: RunConfig) -> int:
 
 def cmd_conjugate(config: RunConfig) -> int:
     outer, inner = _sources(config, 2)
-    result, diag = conjugate(outer, inner, diagnostics=True)
+    result, diag = conjugate(outer, inner)
     payload = {
         "command": "conjugate",
         "inner_class": inner.decay_class.value,

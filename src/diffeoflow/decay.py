@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, InsufficientAnnuliError
-from .fields import multi_indices_up_to, row_norms, seminorm_measure, stream_derivatives
+from .fields import derivative_values, multi_indices_up_to, row_norms, seminorm_measure
 
 MIN_SHELLS = 4
 SOBOLEV_NORM_CAP = 1.0e3
@@ -230,10 +230,9 @@ def classify_decay(field) -> SeminormReport:
     measure = seminorm_measure(field, DEFAULT_MAX_WEIGHT)
     fits, rows = [], []
     # one pass: each derivative gives its shell fit and its seminorms, then
-    # is dropped before the next is chained (the field keeps first orders only)
-    derivatives = stream_derivatives(field, alphas)
+    # is dropped before the next is derived (the field keeps first orders only)
     for alpha in alphas:
-        derivative = next(derivatives)
+        derivative = derivative_values(field, alpha)
         abs_values = _component_max(derivative, grid)
         fits.append(_shell_fit(alpha, abs_values, radii, masks))
         rows.append(measure(derivative))

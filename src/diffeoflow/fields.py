@@ -2,14 +2,14 @@
 
 Fields live on a uniform tensor grid over ``[-L, L]^dim``. Derivatives are
 fourth-order finite differences (central stencils inside, one-sided stencils
-on the two rows nearest each face). ``partial_derivative`` caches every
-``d^alpha`` it derives on the field and chains a new one from the cache: one
-first-derivative stencil along the last nonzero axis of ``alpha``, applied to
-the cached next-lower order, which is the from-scratch sequence of stencils
-bit for bit. Readers that reduce derivatives to numbers (the seminorm table
-and the decay classifier) go through :func:`stream_derivatives` instead: the
-field keeps only its first derivatives, which are its Jacobian, and each
-order >= 2 lives only until it has been read.
+on the two rows nearest each face). There is one derivative rule. A field
+caches its first derivatives, which are its Jacobian and all that the group
+operations read. Every other order is derived when it is read, by
+:func:`derivative_values`: the cached first derivative along the first axis
+of ``d^alpha``, then one first-derivative stencil per remaining step (axis 0
+``alpha_0`` times, then axis 1, ...), and nothing past the first step is
+stored. Orders >= 2 are read once each, by the decay classifier and the
+Sobolev tracking of a flow, so each lives only until it has been measured.
 Off-grid evaluation is separable piecewise-cubic Lagrange interpolation,
 which reproduces cubics exactly and therefore matches the fourth-order
 accuracy of the stencils. Points outside the box either read as zero
@@ -29,7 +29,7 @@ results are bit-identical to an unblocked pass.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,69 +154,40 @@ def _d1_stack(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.stack([_d1(channel, axis, h) for channel in values])
 
 
-def _lower(alpha: tuple) -> tuple:
-    """``(alpha - e_j, j)`` for the last nonzero axis ``j`` of ``alpha``."""
-    axis = max(j for j, a in enumerate(alpha) if a)
-    return alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:], axis
+def _steps(alpha: tuple) -> list:
+    """The stencil axes of ``d^alpha`` in order: axis 0 ``alpha_0`` times, then axis 1, ..."""
+    return [axis for axis, count in enumerate(alpha) for _ in range(count)]
 
 
-def _chain(cache: dict, alpha: tuple, base, step):
-    """``d^alpha`` of ``base`` from ``cache``: a missing one is ``step(d^(alpha - e_j), j)``.
+def derivative_values(field, alpha) -> np.ndarray:
+    """The values of ``d^alpha`` of a scalar or displacement field, contiguous.
 
-    ``j`` is the last nonzero axis and the lower order is cached or derived
-    the same way, which is the from-scratch sequence of steps (axis 0
-    ``alpha_0`` times, then axis 1, ...), so the bits are the same.
+    The first step is the field's cached first derivative along the first
+    axis of :func:`_steps`; each later step is one ``_d1`` per channel, and
+    nothing past the first step is stored. This is the from-scratch sequence
+    of stencils, so the bits are those of one taken from scratch.
     """
-    if sum(alpha) == 0:
-        return base
-    if alpha not in cache:
-        lower, axis = _lower(alpha)
-        cache[alpha] = step(_chain(cache, lower, base, step), axis)
-    return cache[alpha]
-
-
-def _chain_indices(alpha: tuple) -> list:
-    """The indices :func:`_chain` visits for ``alpha``, from order 1 up to ``alpha``."""
-    out = []
-    while sum(alpha):
-        out.append(alpha)
-        alpha = _lower(alpha)[0]
-    return out[::-1]
-
-
-def _chained_derivative(field, alpha: tuple):
-    """``d^alpha`` of a scalar or displacement field, chained from its cache by ``_d1``."""
+    steps = _steps(alpha)
+    if not steps:
+        return field.values
+    dim = field.grid.dim
+    values = field.partial_derivative(tuple(int(j == steps[0]) for j in range(dim))).values
     d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
-    return _chain(field._derivatives, alpha, field, lambda lower, axis: type(field)(
-        field.grid, d1(lower.values, axis, field.grid.spacing), field.extrapolation))
+    for axis in steps[1:]:
+        values = d1(values, axis, field.grid.spacing)
+    # contiguous, as the field constructors store it: the sums of _l2_norm read the layout
+    return np.ascontiguousarray(values)
 
 
-def stream_derivatives(field, alphas):
-    """Yield the values of ``d^alpha`` of ``field`` for each of ``alphas``, in order.
-
-    Each is bit for bit ``field.partial_derivative(alpha).values``, derived
-    once. First derivatives go through the field's cache and stay there:
-    they are its Jacobian, which margins, ``jacobian_at`` and ``invert`` read
-    again. An order >= 2 is chained in a dict local to this call, from any
-    entry the field already caches, and is dropped once no later alpha's
-    chain passes through it; so a reader that reduces each derivative before
-    drawing the next holds one such stack at a time, not the whole table.
-    """
-    d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
-    h = field.grid.spacing
-    chains = [_chain_indices(alpha) for alpha in alphas]
-    uses = Counter(beta for chain in chains for beta in chain)
-    local = {beta: d.values for beta, d in field._derivatives.items() if beta in uses}
-    for alpha, chain in zip(alphas, chains):
-        if chain and chain[0] not in local:
-            local[chain[0]] = field.partial_derivative(chain[0]).values
-        # contiguous, as the field constructors store a derivative
-        yield _chain(local, alpha, field.values,
-                     lambda lower, axis: np.ascontiguousarray(d1(lower, axis, h)))
-        for beta in chain:
-            uses[beta] -= 1
-            if not uses[beta]:
-                del local[beta]
+def _derivative_field(field, alpha: tuple):
+    """``d^alpha`` of ``field`` as a field of its type; first derivatives are cached."""
+    if sum(alpha) != 1:
+        return type(field)(field.grid, derivative_values(field, alpha), field.extrapolation)
+    if alpha not in field._derivatives:
+        d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
+        field._derivatives[alpha] = type(field)(
+            field.grid, d1(field.values, alpha.index(1), field.grid.spacing), field.extrapolation)
+    return field._derivatives[alpha]
 
 
 def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
@@ -368,11 +339,14 @@ def point_derivatives(grid: Grid, evaluate, alphas, point) -> list:
     nodes = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     values = np.asarray(evaluate(nodes), dtype=np.float64).T.reshape((-1,) + tuple(stop - start))
     window = (start[:, None] + 0.0, values.shape[1:])
-    cache = {}
-    derived = [_chain(cache, alpha, values, lambda lower, axis: _d1_stack(lower, axis, grid.spacing))
-               for alpha in alphas]
-    return [_gather(list(d.reshape(len(d), -1)), grid, point, "zero", window)[:, 0]
-            for d in derived]
+    out = []
+    for alpha in alphas:
+        derivative = values
+        for axis in _steps(alpha):
+            derivative = _d1_stack(derivative, axis, grid.spacing)
+        out.append(_gather(list(derivative.reshape(len(derivative), -1)), grid, point, "zero",
+                           window)[:, 0])
+    return out
 
 
 def reads_only_zeros(field) -> np.ndarray:
@@ -466,8 +440,8 @@ class ScalarField:
         return out[0].reshape(lead)
 
     def partial_derivative(self, alpha) -> "ScalarField":
-        """Stencil derivative ``d^alpha``, cached and chained from cached lower orders."""
-        return _chained_derivative(self, _check_alpha(alpha, self.grid.dim))
+        """Stencil derivative ``d^alpha``: cached at order 1, else :func:`derivative_values`."""
+        return _derivative_field(self, _check_alpha(alpha, self.grid.dim))
 
     def regrid(self, new_grid: Grid) -> "ScalarField":
         if new_grid.dim != self.grid.dim:
@@ -519,12 +493,11 @@ class DisplacementField:
 
         Stencil derivatives do not depend on the continuation, so the cached
         first derivatives, which the Jacobian reads, carry over re-wrapped
-        with the new mode. Higher orders stay behind: carrying them would
-        keep them alive as long as the new field, not the old one.
+        with the new mode.
         """
         out = DisplacementField(self.grid, self.values, extrapolation)
         out._derivatives = {alpha: DisplacementField(self.grid, d.values, extrapolation)
-                            for alpha, d in self._derivatives.items() if sum(alpha) == 1}
+                            for alpha, d in self._derivatives.items()}
         return out
 
     def node_values(self) -> np.ndarray:
@@ -538,8 +511,8 @@ class DisplacementField:
         return np.ascontiguousarray(out.T).reshape(lead + (self.grid.dim,))
 
     def partial_derivative(self, alpha) -> "DisplacementField":
-        """Channel-stacked ``d^alpha``, cached and chained from cached lower orders."""
-        return _chained_derivative(self, _check_alpha(alpha, self.grid.dim))
+        """Channel-stacked ``d^alpha``: cached at order 1, else :func:`derivative_values`."""
+        return _derivative_field(self, _check_alpha(alpha, self.grid.dim))
 
     def _first_derivatives(self) -> list:
         """Cached ``d_j g`` stacks, one ``(dim,) + grid.shape`` array per axis ``j``."""
@@ -637,7 +610,7 @@ def sample(descriptor, grid: Grid):
 
 
 def partial_derivative(field, alpha):
-    """Stencil derivative ``d^alpha`` of a scalar or displacement field."""
+    """Stencil ``d^alpha`` of a scalar or displacement field; cached at order 1, else derived."""
     if not isinstance(field, (ScalarField, DisplacementField)):
         raise FieldError(f"expected a field, got {type(field).__name__}")
     return field.partial_derivative(_as_alpha(alpha, field.grid.dim))
@@ -739,14 +712,13 @@ def seminorm_table(field, alphas, max_weight: int) -> tuple:
 
     ``sups[i]`` and ``sobolev[i]`` belong to ``alphas[i]``, and
     ``weighted[i][m - 1]`` is its weighted sup for ``m = 1 .. max_weight``.
-    Each magnitude and each weight is built once, and the derivatives come
-    from :func:`stream_derivatives`: the field keeps its first derivatives,
-    and each order >= 2 is dropped once measured. The values equal those of
-    :func:`sup_seminorm`, :func:`weighted_seminorm` and
+    Each magnitude and each weight is built once, and each derivative comes
+    from one :func:`derivative_values` call: the field keeps its first
+    derivatives, and each order >= 2 is dropped once measured. The values
+    equal those of :func:`sup_seminorm`, :func:`weighted_seminorm` and
     :func:`sobolev_seminorm` bit for bit.
     """
     measure = seminorm_measure(field, max_weight)
-    alphas = [_as_alpha(alpha, field.grid.dim) for alpha in alphas]
-    # map holds no derivative while the next one is chained
-    rows = list(map(measure, stream_derivatives(field, alphas)))
+    rows = [measure(derivative_values(field, _as_alpha(alpha, field.grid.dim)))
+            for alpha in alphas]
     return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]

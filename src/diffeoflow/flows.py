@@ -83,7 +83,11 @@ class TimeDependentVectorField:
     def jacobian(self, t: float, points: np.ndarray) -> np.ndarray:
         """Spatial Jacobian ``d_x X(t, .)`` at the given points, shape ``(m, dim, dim)``."""
         pts = np.asarray(points, dtype=np.float64)
-        return np.asarray(self._jac_fn(float(t), pts), dtype=np.float64)
+        out = np.asarray(self._jac_fn(float(t), pts), dtype=np.float64)
+        expected = pts.shape[:-1] + (self.dim, self.dim)
+        if out.shape != expected:
+            raise FieldError(f"vector field Jacobian has shape {out.shape}, expected {expected}")
+        return out
 
     def at_time(self, grid: Grid, t: float) -> DisplacementField:
         """Snapshot of the field on grid nodes at one time."""
@@ -342,11 +346,8 @@ def sobolev_tracking(result: FlowResult) -> dict:
     nodes = np.asarray(grid.nodes())
     edge_mask = row_max(np.abs(nodes)) >= EDGE_ANNULUS_FRACTION * grid.half_width
     final = result.final_displacement
-    edge_sup = 0.0
-    for j in range(grid.dim):
-        alpha = tuple(1 if a == j else 0 for a in range(grid.dim))
-        dv = final.partial_derivative(alpha).values.reshape(grid.dim, -1)
-        edge_sup = max(edge_sup, float(np.max(np.abs(dv[:, edge_mask]))))
+    edge_sup = max(float(np.max(np.abs(entry.reshape(-1)[edge_mask])))
+                   for row in final.jacobian_entries() for entry in row)
 
     all_finite = all(np.all(np.isfinite(vals)) for vals in history.values())
     decaying = result.decay_class is not DecayClass.BOUNDED_ALL

@@ -531,10 +531,10 @@ def _bracket_gaps(u: DisplacementField, a: np.ndarray, s: np.ndarray, rows: np.n
     return gaps
 
 
-def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
+def conjugate(outer: Diffeo, inner: Diffeo) -> tuple:
     """``outer^-1 o inner o outer``; the decay class of ``inner`` survives.
 
-    With ``diagnostics=True`` also returns a dict with the class measured on
+    Returns ``(member, info)``: ``info`` is a dict with the class measured on
     the result and a node-wise check of the bracket decomposition
 
         psi(y) - y = s(y) + [ u(a(y) + s(y)) - u(a(y)) ],
@@ -595,8 +595,6 @@ def conjugate(outer: Diffeo, inner: Diffeo, diagnostics: bool = False):
     # left unnamed so the composite and its derivative caches die with this call
     conj_disp = compose_nodes(outer_inverse, _composite(inner, outer, g_outer + s))
     result = Diffeo(DisplacementField.from_nodes(grid, conj_disp), expected)
-    if not diagnostics:
-        return result
     classification = classify_decay(result.displacement)
     measured = classification.inferred_class
 

@@ -214,7 +214,7 @@ def compose_jets(outer: Jet, inner: Jet) -> Jet:
             outer_term = outer.dense_term(j)
             for split in ordered_compositions(p, j):
                 total += _contract(outer_term, [inner_dense[a] for a in split])
-        terms.append(_sym_dense(total))
+        terms.append(total)
     return Jet(inner.base_point, terms)
 
 
@@ -242,7 +242,7 @@ def invert_jet(jet: Jet) -> Jet:
         for axis in range(1, p + 1):
             solved = np.tensordot(solved, g1_inv, axes=([axis], [0]))
             solved = np.moveaxis(solved, -1, axis)
-        dense_terms.append(_sym_dense(solved))
+        dense_terms.append(solved)
     return Jet(jet.value, dense_terms)
 
 

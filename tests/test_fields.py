@@ -32,7 +32,8 @@ from diffeoflow.fields import (
     spectral_norms,
     weight_factor,
 )
-from diffeoflow.flows import _pointwise_norm
+from diffeoflow.decay import DecayClass, classify_decay
+from diffeoflow.flows import TimeDependentVectorField, _pointwise_norm, evolve, sobolev_tracking
 
 GAUSS = "exp(-x^2)"
 
@@ -482,7 +483,8 @@ class TestStackedDerivativeStore:
             for i, channel in enumerate(channels):
                 want = channel.partial_derivative(alpha).values
                 assert np.array_equal(derivative.values[i], want)
-            assert field.partial_derivative(alpha) is derivative
+            # first derivatives are cached; every other order is derived when read
+            assert (field.partial_derivative(alpha) is derivative) == (sum(alpha) == 1)
 
     def test_jacobian_grid_matches_scalar_channels(self, field):
         grid = field.grid
@@ -540,16 +542,17 @@ def _oracle_derivative(values, alpha, h):
     return out
 
 
-def _lower_chain(alpha):
-    """``alpha`` and every index below it on the chain that drops one order
-    along the last nonzero axis, down to (but without) zero."""
-    chain = []
-    alpha = tuple(alpha)
-    while sum(alpha):
-        chain.append(alpha)
-        axis = max(j for j, a in enumerate(alpha) if a)
-        alpha = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
-    return chain
+def _count_d1(monkeypatch) -> list:
+    """Patch ``fields._d1`` to record the axis of each call; returns the record."""
+    calls = []
+    original = fields_module._d1
+
+    def counting(values, axis, h):
+        calls.append(axis)
+        return original(values, axis, h)
+
+    monkeypatch.setattr(fields_module, "_d1", counting)
+    return calls
 
 
 # every index to the order cap in 1-D and 2-D; to order 3 in 3-D
@@ -584,56 +587,63 @@ class TestChainedDerivatives:
             assert _same_bytes(got, want.reshape(got.shape)), alpha
 
     def test_one_d1_per_channel_per_new_index(self, field, grid, order, monkeypatch):
-        calls = []
-        original = fields_module._d1
-
-        def counting(values, axis, h):
-            calls.append(axis)
-            return original(values, axis, h)
-
-        monkeypatch.setattr(fields_module, "_d1", counting)
+        # a first derivative is derived once and cached; each read of an order
+        # >= 2 then takes one _d1 per channel per step after the first
+        calls = _count_d1(monkeypatch)
         width = grid.dim if isinstance(field, DisplacementField) else 1
-        derived = set()
-        for alpha in self._shuffled(grid, order):
-            new = [a for a in _lower_chain(alpha) if a not in derived]
-            before = len(calls)
-            field.partial_derivative(alpha)
-            assert len(calls) - before == width * len(new), alpha
-            derived.update(new)
-        before = len(calls)
-        for alpha in self._shuffled(grid, order):
-            field.partial_derivative(alpha)
-        assert len(calls) == before
-
+        cached = set()
+        for _ in range(2):
+            for alpha in self._shuffled(grid, order):
+                new = set()
+                if sum(alpha):
+                    first = min(j for j, a in enumerate(alpha) if a)
+                    new = {tuple(int(j == first) for j in range(grid.dim))} - cached
+                before = len(calls)
+                field.partial_derivative(alpha)
+                steps = len(new) + max(sum(alpha) - 1, 0)
+                assert len(calls) - before == width * steps, alpha
+                cached |= new
+        assert set(field._derivatives) == cached
 
     def test_stream_matches_cached_derivatives(self, field, grid, order):
+        # derivative_values read one index at a time, as the decay classifier reads them
+        channels = field.values if isinstance(field, DisplacementField) else [field.values]
         alphas = self._shuffled(grid, order)
-        twin = type(field)(grid, field.values, field.extrapolation)
-        for alpha, got in zip(alphas, fields_module.stream_derivatives(field, alphas)):
-            assert _same_bytes(got, twin.partial_derivative(alpha).values), alpha
+        for alpha in alphas:
+            got = fields_module.derivative_values(field, alpha)
+            want = np.stack([_oracle_derivative(c, alpha, grid.spacing) for c in channels])
+            assert got.flags.c_contiguous
+            assert _same_bytes(got, want.reshape(got.shape)), alpha
+            if sum(alpha) == 1:
+                assert got is field.partial_derivative(alpha).values
         # the field keeps its first derivatives, and no higher order
-        firsts = {a for a in alphas if sum(a) == 1}
-        assert set(field._derivatives) == firsts
+        assert set(field._derivatives) == {a for a in alphas if sum(a) == 1}
 
-    def test_stream_derives_each_index_once(self, field, grid, order, monkeypatch):
-        alphas = self._shuffled(grid, order)
-        # an order >= 2 the field already caches is reused, not derived again
-        held = (order,) + (0,) * (grid.dim - 1)
-        held_values = field.partial_derivative(held).values
-        calls = []
-        original = fields_module._d1
 
-        def counting(values, axis, h):
-            calls.append(axis)
-            return original(values, axis, h)
-
-        monkeypatch.setattr(fields_module, "_d1", counting)
-        width = grid.dim if isinstance(field, DisplacementField) else 1
-        needed = {b for a in alphas for b in _lower_chain(a)} - set(_lower_chain(held))
-        for alpha, got in zip(alphas, fields_module.stream_derivatives(field, alphas)):
-            if alpha == held:
-                assert got is held_values
-        assert len(calls) == width * len(needed)
+@pytest.mark.parametrize("reader", ["classify_decay", "seminorm_table", "sobolev_tracking"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_readers_take_one_d1_per_channel_per_index(reader, dim, monkeypatch):
+    """On a fresh field, one ``_d1`` per channel per distinct multi-index of order 1 or 2."""
+    grid = Grid(dim, 8.0, 33)
+    alphas = multi_indices_up_to(dim, 2)
+    if reader == "sobolev_tracking":
+        flow = TimeDependentVectorField.from_descriptor(
+            dim, ", ".join(["0.05*exp(-x^2)"] * dim), DecayClass.SCHWARTZ)
+        result = evolve(flow, 0.5, 0.25, grid)
+        calls = _count_d1(monkeypatch)
+        sobolev_tracking(result)
+        # every snapshot is a fresh field, and so is the final one of the edge check
+        expected = dim * ((len(alphas) - 1) * len(result.times) + dim)
+    else:
+        rng = np.random.default_rng(80 + dim)
+        field = DisplacementField(grid, 0.01 * rng.normal(size=(dim,) + grid.shape))
+        calls = _count_d1(monkeypatch)
+        if reader == "classify_decay":
+            classify_decay(field)
+        else:
+            fields_module.seminorm_table(field, alphas, 2)
+        expected = dim * (len(alphas) - 1)
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])

@@ -87,6 +87,16 @@ class TestVectorField:
         with pytest.raises(FieldError):
             field(0.0, np.zeros((3, 1)))
 
+    def test_bad_jacobian_shape_rejected(self, coarse_grid):
+        # an (m, 1) Jacobian in 1-D would let _spectral_sup read one node's value as beta
+        field = TimeDependentVectorField(
+            1, lambda t, p: 0.08 * np.exp(-p ** 2),
+            lambda t, p: -0.16 * p * np.exp(-p ** 2), DecayClass.SCHWARTZ)
+        with pytest.raises(FieldError, match="Jacobian has shape"):
+            field.jacobian(0.0, np.zeros((3, 1)))
+        with pytest.raises(FieldError, match="Jacobian has shape"):
+            evolve(field, 1.0, 0.25, coarse_grid)
+
 
 class TestEvolve:
     def test_constant_field_translates_exactly(self, coarse_grid):

@@ -579,7 +579,7 @@ class TestConjugate:
         outer = Diffeo.from_descriptor(fine_grid, "0.2*tanh((x-0.3)/1.1)",
                                        DecayClass.BOUNDED_ALL)
         inner = gaussian_diffeo(fine_grid, 0.1)
-        result, info = conjugate(outer, inner, diagnostics=True)
+        result, info = conjugate(outer, inner)
         assert result.decay_class is DecayClass.SCHWARTZ
         assert info["expected_class"] == "Schwartz"
         assert info["agrees"]
@@ -587,11 +587,12 @@ class TestConjugate:
         assert info["decomposition_residual"] <= 5e-7
         assert info["bracket_gap"] <= 5e-8
 
-    def test_plain_call_returns_member_only(self, fine_grid):
+    def test_returns_member_and_info(self, fine_grid):
         outer = gaussian_diffeo(fine_grid, 0.1, 1.0)
         inner = gaussian_diffeo(fine_grid, 0.1, -1.0)
-        result = conjugate(outer, inner)
+        result, info = conjugate(outer, inner)
         assert isinstance(result, Diffeo)
+        assert info["expected_class"] == result.decay_class.value
         nodes = np.asarray(fine_grid.nodes())
         direct = invert(outer).apply(inner.apply(outer.apply(nodes)))
         assert np.max(np.abs(result.apply(nodes) - direct)) <= 1e-8
@@ -653,7 +654,7 @@ def _jacobian_at_sizes(monkeypatch, outer, inner) -> list:
 
     with monkeypatch.context() as patch:
         patch.setattr(DisplacementField, "jacobian_at", recording)
-        conjugate(outer, inner, diagnostics=True)
+        conjugate(outer, inner)
     return sizes
 
 
@@ -675,7 +676,7 @@ class TestConjugateSharesGathers:
         exact = sum(sizes[::9])
         assert sizes == [n for n in sizes[::9] for _ in range(9)]
         calls.clear()
-        got, got_info = conjugate(outer, inner, diagnostics=True)
+        got, got_info = conjugate(outer, inner)
         got_points = sum(calls)
         want, want_info = _regathering_conjugate(outer, inner)
         want_points = sum(calls) - got_points
@@ -702,7 +703,7 @@ class TestConjugateStillRows:
 
     @staticmethod
     def _assert_matches_oracle(outer, inner):
-        got, got_info = conjugate(outer, inner, diagnostics=True)
+        got, got_info = conjugate(outer, inner)
         want, want_info = _regathering_conjugate(outer, inner)
         assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
         assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
@@ -778,10 +779,10 @@ class TestConjugateStillRows:
             jac[hit] *= 1.0 + 1.0e-3
             return jac
 
-        _, info = conjugate(outer, inner, diagnostics=True)
+        _, info = conjugate(outer, inner)
         assert info["bracket_gap"] <= 5e-8
         monkeypatch.setattr(DisplacementField, "jacobian_at", faulty)
-        _, info = conjugate(outer, inner, diagnostics=True)
+        _, info = conjugate(outer, inner)
         assert info["bracket_gap"] > 5e-8
 
 
@@ -791,7 +792,7 @@ def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
     outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
     inner = Diffeo.from_descriptor(grid, inner_text, DecayClass.SCHWARTZ)
     sizes = _jacobian_at_sizes(monkeypatch, outer, inner)
-    result, info = conjugate(outer, inner, diagnostics=True)
+    result, info = conjugate(outer, inner)
     # 66,049 rows: the first-phase rows, then the rows whose bound reaches the
     # largest gap among those, each set in blocks read at all 9 quadrature nodes
     first = group_module._BRACKET_FIRST_ROWS
@@ -850,7 +851,7 @@ class TestConjugateBoundSkip:
         want, want_info = _regathering_conjugate(outer, inner)
         for count in (1, group_module._BRACKET_FIRST_ROWS, grid.node_count):
             monkeypatch.setattr(group_module, "_BRACKET_FIRST_ROWS", count)
-            got, got_info = conjugate(outer, inner, diagnostics=True)
+            got, got_info = conjugate(outer, inner)
             assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
             assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
             assert (got_info["decomposition_residual"].hex()
@@ -893,7 +894,7 @@ class TestConjugateBoundSkip:
 
         with monkeypatch.context() as patch:
             patch.setattr(DisplacementField, "jacobian_at", recording)
-            _, clean = conjugate(outer, inner, diagnostics=True)
+            _, clean = conjugate(outer, inner)
         assert not np.any(np.all(np.concatenate(points) == end, axis=1))
         original_sample = DisplacementField.sample
 
@@ -903,7 +904,7 @@ class TestConjugateBoundSkip:
             return out
 
         monkeypatch.setattr(DisplacementField, "sample", faulty)
-        _, info = conjugate(outer, inner, diagnostics=True)
+        _, info = conjugate(outer, inner)
         _, want_info = _regathering_conjugate(outer, inner)
         assert clean["bracket_gap"] < 1.0e-4 < info["bracket_gap"]
         assert info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
