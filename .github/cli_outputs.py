@@ -21,7 +21,8 @@ GAUSS_1D = "0.2*exp(-(x-0.3)^2)"
 TANH_1D = "0.2*tanh((x-0.3)/1.1)"
 GAUSS_2D = "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"
 TANH_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
-# the Newton-size swirl of tests/test_group.py: max |dg|_F >= 0.9
+# the swirl of tests/test_group.py: the chord sweeps leave its nodes near the
+# centre to Newton
 SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
 BUMP_2D = "0.1*bump(x/3, y/3), 0.05*bump((x-1)/2, y/2)"
 TANH_INNER_2D = "0.1*tanh((x-0.3)/2), 0.08*tanh((y+0.2)/1.5)"
@@ -37,6 +38,13 @@ COMMANDS = [
                     "--descriptor", GAUSS_1D]),
     ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",
                    "--descriptor", GAUSS_1D]),
+    # max |g'| = 0.93 and 0.69: the chord sweeps leave nodes of both to Newton. Both
+    # exit 2: the left identity reads the interpolated inverse, 1.9e-2 and 1.0e-4
+    # against --tol 1e-6 (ROADMAP item 2's floor)
+    ("invert-1d-stiff", ["--command", "invert", *LINE, "--class", "Schwartz",
+                         "--descriptor", "1.08*exp(-x^2)"]),
+    ("invert-1d-repelling", ["--command", "invert", *LINE, "--class", "Schwartz",
+                             "--descriptor", "0.8*exp(-x^2)"]),
     # |g| reaches 1.5, so composed.dff holds samples the row kernel leaves to _format_float
     ("compose-1d-wide", ["--command", "compose", "--descriptor", "1.5*tanh(x/4)",
                          "--descriptor", GAUSS_1D]),

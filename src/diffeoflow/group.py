@@ -13,26 +13,26 @@ which makes the inverse exact for the engine's own notion of ``g`` rather
 than for the unknowable continuum field. One solver, :func:`solve_inverse`,
 returns the inverse displacement and its residuals as node arrays;
 :func:`invert` wraps them in a member, and callers that read only node
-values build none. A contracting displacement takes chord sweeps on the
-node Jacobian ``I + dg(x)``, from its cached first derivatives (a member's
-margin has already derived them), and a node where the chord step does not shrink falls back to fixed-point sweeps; any
-other takes a few fixed-point sweeps and then damped Newton, which also
-polishes a residual the chord leaves above the target. A node whose
-stencil reads only exact zeros is solved by its seed and never gathered by
-the sweeps, and a node drops out of any stage once its iterate stops moving
-exactly, so later sweeps gather only the nodes that still move,
-bit-identical to sweeping every node; a retired node keeps the displacement
-its last sweep sampled, from which the residual is built without a second
-gather. Newton starts from that residual and returns its own, so neither
-its first pass nor the final check gathers every node. Conjugation reads
-the outer displacement at the nodes and gathers the inner one there once,
-for the composite and for its diagnostics alike. Its diagnostics gather
-the bracket ``u(a + s) - u(a)`` only on the rows that the inner map moves
-(``fl(a + s) != a``), and the quadrature Jacobians of the bracket's
-integral form only on the rows whose certified bound, from the stencil's
-Lebesgue constant and the node maximum of ``du``, can reach the largest
-gap found on the rows of largest bound. A skipped row's gap is below that
-gap, so the reported maximum keeps its bits (:func:`conjugate`).
+values build none. Every member takes chord sweeps on the node Jacobian
+``I + dg(x)``, from its cached first derivatives (a member's margin has
+already derived them). A node where the chord step does not shrink stops
+where it is, and damped Newton then works only on the nodes still above the
+residual target. A node whose stencil reads only exact zeros is solved by
+its seed and never gathered by the sweeps, and a node drops out of the
+sweeps once its step is exactly 0.0, as a stopped node's is, so later
+sweeps gather only the nodes that still move, bit-identical to sweeping
+every node; a retired node keeps the displacement its last sweep sampled,
+from which the residual is built without a second gather. Newton starts
+from that residual, drops a node once it meets the target and returns its
+own norms, so neither its first pass nor the final check gathers every
+node. Conjugation reads the outer displacement at the nodes and gathers the
+inner one there once, for the composite and for its diagnostics alike. Its
+diagnostics gather the bracket ``u(a + s) - u(a)`` only on the rows that
+the inner map moves (``fl(a + s) != a``), and the quadrature Jacobians of
+the bracket's integral form only on the rows whose certified bound, from
+the stencil's Lebesgue constant and the node maximum of ``du``, can reach
+the largest gap found on the rows of largest bound. A skipped row's gap is
+below that gap, so the reported maximum keeps its bits (:func:`conjugate`).
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ from .fields import (GATHER_BLOCK, DisplacementField, Grid, det_plus_identity, r
 
 DEFAULT_DET_THRESHOLD = 1.0e-6
 DOMAIN_OVERHANG_FRACTION = 0.1
-_FIXED_POINT_CONTRACTION = 0.9
-# sweep cap of the contracting branch: a node handed back to the fixed point
-# may need all of them
+# sweep cap: every active node's step shrinks at least fourfold per sweep, so
+# about 25 sweeps reach the stop; the cap only ends a NaN
 _CHORD_MAX_ITER = 200
-_FIXED_POINT_SEED_ITER = 8
-# a chord step that shrinks less than this hands its node back to the fixed point
+# a chord step that shrinks less than this stops its node and leaves it to Newton
 _CHORD_SHRINK = 0.25
 _NEWTON_MAX_ITER = 60
 # the largest Lebesgue constant of the 4-node cubic stencil of
@@ -242,25 +240,26 @@ def _node_images(member: Diffeo) -> tuple:
     return g_values, images
 
 
-def _drop_settled(store: tuple, active: np.ndarray, change: np.ndarray, rows: list) -> np.ndarray:
-    """Retire the active nodes whose ``change`` is exactly 0.0; returns the new ``active``.
+def _drop_settled(store: tuple, active: np.ndarray, settled: np.ndarray, rows: list) -> np.ndarray:
+    """Retire the active nodes where ``settled`` holds; returns the new ``active``.
 
     Each node iterates on its own: interpolation reads a node's own iterate
-    only, and a chord sweep applies the node's own matrix. So a node whose
-    step (sweeps) or residual (Newton) is exactly 0.0 would recompute the
-    same bits on every later sweep. Each ``(whole, part)`` pair of ``store``
-    writes the retired rows of ``part`` into the whole-node array ``whole``.
-    The active-node arrays in the list ``rows`` are then compacted in place,
-    one at a time and last first, so an array that only ``rows`` holds is
-    freed as its copy is made; the sweeps put their chord matrix rows last,
-    so they are copied before any row that ``store`` still holds. A NaN
-    ``change`` keeps its node. Integer ``take`` compacts; a boolean mask is
-    several times slower.
+    only, and a chord or Newton step applies the node's own matrix. So
+    retiring a node moves no other node's bits. The sweeps retire a node
+    whose step is exactly 0.0, which would recompute the same bits on every
+    later sweep; Newton retires a node whose residual meets its target. Each
+    ``(whole, part)`` pair of ``store`` writes the retired rows of ``part``
+    into the whole-node array ``whole``. The active-node arrays in the list
+    ``rows`` are then compacted in place, one at a time and last first, so an
+    array that only ``rows`` holds is freed as its copy is made; the sweeps
+    put their chord matrix rows last, so they are copied before any row that
+    ``store`` still holds. ``settled`` is False at a NaN, which keeps its
+    node. Integer ``take`` compacts; a boolean mask is several times slower.
     """
-    keep = np.flatnonzero(change)
-    if len(keep) == len(change):
+    done = np.flatnonzero(settled)
+    if not len(done):
         return active
-    done = np.flatnonzero(change == 0.0)
+    keep = np.flatnonzero(~settled)
     retired = active.take(done)
     for whole, part in store:
         whole[retired] = part.take(done, axis=0)
@@ -311,83 +310,57 @@ def _times(matrix: list, vectors: np.ndarray) -> np.ndarray:
 
 
 def _sweep(y: np.ndarray, x: np.ndarray, matrix: list, g: np.ndarray) -> np.ndarray:
-    """One sweep's new iterates from ``y``, the targets ``x`` and ``g = g(y)``."""
-    if not matrix:
-        return x - g
+    """One chord sweep's new iterates from ``y``, the targets ``x`` and ``g = g(y)``."""
     step = y + g
     step -= x
     step = _times(matrix, step)
     return np.subtract(y, step, out=step)
 
 
-def _slow_to_fixed_point(rows: list, y_next: np.ndarray, g: np.ndarray, moved: np.ndarray,
-                         floor: float):
-    """Hand the chord nodes whose step did not shrink back to the fixed point.
+def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray, tol: float) -> tuple:
+    """Chord sweeps on ``y + g(y) = x`` at every node; returns ``(y, g(y))``.
 
-    ``rows = [y, x, limit, *M]``. A node whose step ``moved`` is above
-    ``floor`` and at least its ``limit``, ``_CHORD_SHRINK`` times its
-    previous step (the seed step first), takes the fixed-point step
-    ``x - g(y)`` from this sweep's gather instead, and the identity becomes
-    its matrix, so its later sweeps are fixed point too. The chord contracts
-    at a node at the rate ``|dg(x) - dg(y*)| / |I + dg(x)|``, which can
-    exceed 1 where the fixed point's ``|dg(y*)| < 0.9`` holds (at x = 0.7
-    for ``0.8*exp(-x^2)``). A handed-back node keeps an infinite ``limit``,
-    so it is never handed back twice; every other limit becomes
-    ``_CHORD_SHRINK`` times this step.
-    """
-    y, x, limit, *matrix = rows
-    slow = np.flatnonzero((moved >= limit) & (moved > floor))
-    np.multiply(moved, _CHORD_SHRINK, out=limit, where=limit < np.inf)
-    if not len(slow):
-        return
-    y_next[slow] = x.take(slow, axis=0) - g.take(slow, axis=0)
-    moved[slow] = row_max(np.abs(y_next.take(slow, axis=0) - y.take(slow, axis=0)))
-    limit[slow] = np.inf
-    for i, row in enumerate(matrix):
-        row[slow] = np.eye(len(matrix))[i]
-
-
-def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray,
-                   tol: float, max_iter: int, entries=None) -> tuple:
-    """Sweeps on ``y + g(y) = x`` at every node; returns ``(y, g(y))``.
-
-    With ``entries = None`` these are fixed-point sweeps ``y <- x - g(y)``
-    from ``y = x - g(x)``. With the Jacobian ``entries`` they are chord
-    sweeps ``y <- y - M (y + g(y) - x)`` with ``M = (I + dg(x))^-1`` from
-    :func:`_chord_matrix`, from the Newton step ``y = x - M g(x)``; ``g(x)``
-    is the node value in both. A node whose stencil reads only exact zeros
+    A sweep is ``y <- y - M (y + g(y) - x)``, with ``M = (I + dg(x))^-1``
+    from :func:`_chord_matrix` on the displacement's cached
+    :meth:`~diffeoflow.fields.DisplacementField.jacobian_entries`, seeded by
+    the Newton step ``y = x - M g(x)`` from the node value ``g(x)``. A node
+    whose stencil reads only exact zeros
     (:func:`~diffeoflow.fields.reads_only_zeros`) is solved by its seed
     ``y = x``, ``g(y) = +0.0``, the bits a sweep would give, and is never
-    gathered. The sweeps stop once no node moves more than ``tol / 4``. A
-    node retires with the displacement its last sweep sampled: its step was
-    exactly 0.0, so that sample is ``g`` at its final iterate. Only the
-    nodes still moving when the sweeps stop are gathered once more.
+    gathered. The chord contracts at a node at the rate
+    ``|dg(x) - dg(y*)| / |I + dg(x)|``, which can exceed 1 (near x = 0.7 for
+    ``0.8*exp(-x^2)``). So a node is slow when its step is above ``tol / 4``
+    and not below ``_CHORD_SHRINK`` times its previous step (the seed step
+    first). A slow node keeps its iterate, which makes its step 0.0, and is
+    left to Newton. A node retires once its step is exactly 0.0, with the
+    displacement its last sweep sampled, which is ``g`` at its final iterate.
+    Every active node's step thus shrinks at least fourfold per sweep. The
+    sweeps stop once no node moves more than ``tol / 4``, and only the nodes
+    still moving then are gathered once more.
     """
     # the active nodes' iterates, targets, step limits and chord matrix rows,
     # compacted by _drop_settled
     active = np.flatnonzero(~reads_only_zeros(displacement))
-    rows = [None, nodes if len(active) == len(nodes) else nodes.take(active, axis=0)]
-    g_seed = displacement.node_values().take(active, axis=0)
-    if entries is None:
-        rows[0] = rows[1] - g_seed
-    else:
-        rows += [None] + _chord_matrix(entries, active)
-        step = _times(rows[3:], g_seed)
-        rows[2] = _CHORD_SHRINK * row_max(np.abs(step))
-        rows[0] = rows[1] - step
-        del step
-    del g_seed
+    rows = [None, nodes if len(active) == len(nodes) else nodes.take(active, axis=0), None]
+    rows += _chord_matrix(displacement.jacobian_entries(), active)
+    step = _times(rows[3:], displacement.node_values().take(active, axis=0))
+    rows[2] = _CHORD_SHRINK * row_max(np.abs(step))
+    rows[0] = rows[1] - step
+    del step
     y = nodes.copy()
     sampled = np.zeros_like(y)
-    for _ in range(max_iter):
+    for _ in range(_CHORD_MAX_ITER):
         g_act = displacement.sample(rows[0])
         y_next = _sweep(rows[0], rows[1], rows[3:], g_act)
         moved = row_max(np.abs(y_next - rows[0]))
-        if entries is not None:
-            _slow_to_fixed_point(rows, y_next, g_act, moved, 0.25 * tol)
+        # a slow node keeps its iterate: its step becomes 0.0, so it retires below
+        slow = np.flatnonzero((moved >= rows[2]) & (moved > 0.25 * tol))
+        np.multiply(moved, _CHORD_SHRINK, out=rows[2])
+        y_next[slow] = rows[0].take(slow, axis=0)
+        moved[slow] = 0.0
         rows[0] = y_next
         stop = float(np.max(moved, initial=0.0)) <= 0.25 * tol
-        active = _drop_settled(((y, y_next), (sampled, g_act)), active, moved, rows)
+        active = _drop_settled(((y, y_next), (sampled, g_act)), active, moved == 0.0, rows)
         # no sweep's arrays are held across the next gather
         del y_next, g_act, moved
         if stop:
@@ -400,23 +373,25 @@ def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray,
 
 def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
                    seed: np.ndarray, residual: np.ndarray, tol: float) -> tuple:
-    """Damped Newton from ``seed`` at every node; returns ``(y, residual norms)``.
+    """Damped Newton from ``seed`` on the nodes above ``tol``; returns ``(y, residual norms)``.
 
-    ``residual = seed + g(seed) - nodes`` comes from the caller, and each
-    pass gathers the residual at its new iterates only, so no pass gathers
-    a retired node; a retired node's norm is exactly 0.0.
+    ``residual = seed + g(seed) - nodes`` comes from the caller. A node
+    drops out once its residual norm is at most ``tol``, and that norm is
+    stored then, so the first pass differentiates only the nodes the sweeps
+    left above the target. Each pass gathers the residual at its new
+    iterates only, so no pass gathers, differentiates or solves a retired
+    node, and a singular Jacobian there is never met.
     """
     dim = displacement.grid.dim
     y = seed.copy()
-    norms = np.zeros(len(y))
-    active, target, y_act = np.arange(len(y)), nodes, y
-    res_norm = row_max(np.abs(residual))
+    norms = row_max(np.abs(residual))
+    active = np.arange(len(y))
+    rows = [y, nodes, residual, norms]
     eye = np.eye(dim)
     for _ in range(_NEWTON_MAX_ITER):
-        if float(np.max(res_norm, initial=0.0)) <= tol:
+        active = _drop_settled(((y, rows[0]), (norms, rows[3])), active, rows[3] <= tol, rows)
+        if not len(active):
             break
-        rows = [y_act, target, residual, res_norm]
-        active = _drop_settled(((y, y_act),), active, res_norm, rows)
         y_act, target, residual, res_norm = rows
         jac = displacement.jacobian_at(y_act) + eye
         try:
@@ -433,9 +408,9 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
             scale[worse] *= 0.5
         y_act = y_act - scale * step
         residual = y_act + displacement.sample(y_act) - target
-        res_norm = row_max(np.abs(residual))
-    y[active] = y_act
-    norms[active] = res_norm
+        rows = [y_act, target, residual, row_max(np.abs(residual))]
+    y[active] = rows[0]
+    norms[active] = rows[3]
     return y, norms
 
 
@@ -449,42 +424,22 @@ def solve_inverse(displacement: DisplacementField) -> tuple:
     ``1e-13 * (1 + half_width)``; the promise is ``1e-8 * (1 + half_width)``,
     and a residual above it raises :class:`~diffeoflow.errors.InversionError`
     with the worst node named.
-    Two branches, chosen by the node-wise Frobenius norm of ``dg``:
 
-    - below 0.9, up to 200 chord sweeps ``y <- y - (I + dg(x))^-1 (y + g(y) - x)``,
-      seeded by the Newton step from ``y = x``; the matrices come from the
-      cached first derivatives, so ``jacobian_at`` is not called. A node
-      whose step does not shrink fourfold is handed back to the fixed point
-      ``y <- x - g(y)``, which contracts wherever ``|dg| < 0.9``
-      (:func:`_slow_to_fixed_point`), so the cap stays the 200 sweeps that
-      fixed point may need;
-    - otherwise 8 fixed-point sweeps ``y <- x - g(y)`` from ``y = x - g(x)``
-      seed a damped Newton solve.
-
-    The sweeps stop once no node moves more than a quarter of the target.
-    Newton runs after either branch whose residual is still above the
-    target. Solved nodes drop out: a node whose sweep step, or whose Newton
-    residual, is exactly zero is no longer sampled, differentiated or
-    solved, so a singular Jacobian there is never met. A node whose
-    interpolation stencil reads only exact zeros is solved by its seed
-    ``y = x`` and never gathered by the sweeps. The residual is built
-    from the displacement each node's last sweep sampled, so only the nodes
-    still moving when the sweeps stop are gathered again; Newton starts
-    from that residual and returns its own, so it gathers no node that is
-    not still active.
+    Every member takes one path. Chord sweeps
+    ``y <- y - (I + dg(x))^-1 (y + g(y) - x)`` run at every node, seeded by
+    the Newton step from ``y = x``, with matrices from the cached first
+    derivatives; a node whose step does not shrink fourfold stops where it
+    is (:func:`_invert_sweeps`). Damped Newton then runs only on the nodes
+    whose residual is still above the target, and drops each once it meets
+    it (:func:`_invert_newton`). Neither stage gathers every node at its
+    end: the residual is built from the displacement each node's last sweep
+    sampled, and Newton starts from it and returns its own norms.
     """
     grid = displacement.grid
     nodes = np.asarray(grid.nodes())
     tol = 1.0e-8 * (1.0 + grid.half_width)
     target = 1.0e-13 * (1.0 + grid.half_width)
-    entries = displacement.jacobian_entries()
-    # squares added row-major, the order of np.sum over the stacked Jacobian's
-    # two leading axes, so the switch sees the same bits
-    frob = float(np.sqrt(np.max(sum(e ** 2 for row in entries for e in row))))
-    chord = frob < _FIXED_POINT_CONTRACTION
-    y, residual = _invert_sweeps(displacement, nodes, target,
-                                 _CHORD_MAX_ITER if chord else _FIXED_POINT_SEED_ITER,
-                                 entries if chord else None)
+    y, residual = _invert_sweeps(displacement, nodes, target)
     # the sampled displacement becomes the residual y + g(y) - x in place
     residual += y
     residual -= nodes

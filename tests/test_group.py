@@ -205,7 +205,7 @@ class TestInvert:
         assert inverse.decay_class is DecayClass.SCHWARTZ
 
     def test_newton_path_for_stiff_member(self, fine_grid):
-        # max |g'| = 0.926 here, past the contraction cutoff for fixed point
+        # max |g'| = 0.926 here, so the chord leaves nodes to Newton
         member = gaussian_diffeo(fine_grid, 1.08)
         inverse = invert(member)
         nodes = np.asarray(fine_grid.nodes())
@@ -225,18 +225,16 @@ class TestInvert:
             invert(member)
 
 
-def _full_sweep_sweeps(displacement, nodes, tol, max_iter, entries=None):
-    """The sweeps before solved nodes dropped out: every node, every sweep.
+def _full_sweep_sweeps(displacement, nodes, tol):
+    """The sweeps before solved nodes dropped out: chord at every node, every sweep.
 
     No node is skipped for reading only zeros, and the chord matrices are
-    formed at every node. A chord node whose step is above ``tol / 4`` and
-    not below ``_CHORD_SHRINK`` times its previous one (the seed step first)
-    takes ``x - g(y)`` instead, and the identity as its matrix from then on.
-    The displacement at the final iterate is a fresh gather of every node.
+    formed at every node. A node whose step is above ``tol / 4`` and not
+    below ``_CHORD_SHRINK`` times its previous one (the seed step first) is
+    frozen at its iterate from then on, with a step of 0.0. The displacement
+    at the final iterate is a fresh gather of every node.
     """
-    matrix = None
-    if entries is not None:
-        matrix = group_module._chord_matrix(entries, np.arange(len(nodes)))
+    matrix = group_module._chord_matrix(displacement.jacobian_entries(), np.arange(len(nodes)))
 
     def times(vectors):
         columns = [row[:, 0] * vectors[:, 0] for row in matrix]
@@ -245,24 +243,17 @@ def _full_sweep_sweeps(displacement, nodes, tol, max_iter, entries=None):
                 column += row[:, j] * vectors[:, j]
         return np.stack(columns, axis=1)
 
-    g = displacement.node_values()
-    step = g if matrix is None else times(g)
+    step = times(displacement.node_values())
     y = nodes - step
     previous = np.max(np.abs(step), axis=1)
-    handed_back = np.zeros(len(nodes), dtype=bool)
-    for _ in range(max_iter):
-        g = displacement.sample(y)
-        y_next = nodes - g if matrix is None else y - times(y + g - nodes)
+    frozen = np.zeros(len(nodes), dtype=bool)
+    for _ in range(group_module._CHORD_MAX_ITER):
+        y_next = y - times(y + displacement.sample(y) - nodes)
         moved = np.max(np.abs(y_next - y), axis=1)
-        if matrix is not None:
-            slow = (~handed_back & (moved > 0.25 * tol)
-                    & (moved >= group_module._CHORD_SHRINK * previous))
-            y_next[slow] = nodes[slow] - g[slow]
-            moved[slow] = np.max(np.abs(y_next[slow] - y[slow]), axis=1)
-            handed_back |= slow
-            for i, row in enumerate(matrix):
-                row[slow] = np.eye(len(matrix))[i]
-            previous = moved
+        frozen |= (moved > 0.25 * tol) & (moved >= group_module._CHORD_SHRINK * previous)
+        y_next[frozen] = y[frozen]
+        moved[frozen] = 0.0
+        previous = moved
         y = y_next
         if float(np.max(moved)) <= 0.25 * tol:
             break
@@ -273,8 +264,8 @@ def _full_sweep_newton(displacement, nodes, seed, residual, tol):
     """Newton before solved nodes dropped out: every node, every pass.
 
     It ignores the ``residual`` it is handed and gathers every node at the
-    top of each pass, and once more at the end for the norms it returns,
-    as the driver did before Newton started from the sweeps' residual.
+    top of each pass, and once more at the end for the norms it returns.
+    Each pass steps every node but moves only the nodes above ``tol``.
     """
     dim = displacement.grid.dim
     y = seed.copy()
@@ -282,7 +273,8 @@ def _full_sweep_newton(displacement, nodes, seed, residual, tol):
     for _ in range(group_module._NEWTON_MAX_ITER):
         residual = y + displacement.sample(y) - nodes
         res_norm = np.max(np.abs(residual), axis=1)
-        if float(np.max(res_norm)) <= tol:
+        above = ~(res_norm <= tol)
+        if not np.any(above):
             break
         jac = displacement.jacobian_at(y) + eye
         step = np.linalg.solve(jac, residual[..., None])[..., 0]
@@ -294,53 +286,19 @@ def _full_sweep_newton(displacement, nodes, seed, residual, tol):
             if not np.any(worse):
                 break
             scale[worse] *= 0.5
-        y = y - scale * step
+        y = np.where(above[:, None], y - scale * step, y)
     return y, np.max(np.abs(y + displacement.sample(y) - nodes), axis=1)
 
 
-def _two_newton_call_invert(diffeo):
-    """The driver before its Newton stage had one call site.
-
-    Newton ran straight after the seeding sweeps on the stiff branch and
-    again, as a polish, whenever the residual check failed.
-    """
-    grid = diffeo.grid
-    displacement = diffeo.displacement
-    nodes = np.asarray(grid.nodes())
-    tol = 1.0e-8 * (1.0 + grid.half_width)
-    target = 1.0e-13 * (1.0 + grid.half_width)
-    jac = displacement.jacobian_grid().reshape(grid.dim, grid.dim, -1)
-    contraction = float(np.max(np.sqrt(np.sum(jac ** 2, axis=(0, 1)))))
-    if contraction < group_module._FIXED_POINT_CONTRACTION:
-        y = group_module._invert_sweeps(displacement, nodes, target,
-                                        group_module._CHORD_MAX_ITER,
-                                        displacement.jacobian_entries())[0]
-    else:
-        seed = group_module._invert_sweeps(displacement, nodes, target,
-                                           group_module._FIXED_POINT_SEED_ITER)[0]
-        y = group_module._invert_newton(displacement, nodes, seed,
-                                        seed + displacement.sample(seed) - nodes, target)[0]
-    residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
-    if residual > target:
-        y = group_module._invert_newton(displacement, nodes, y,
-                                        y + displacement.sample(y) - nodes, target)[0]
-        residual = float(np.max(np.abs(y + displacement.sample(y) - nodes)))
-    if residual > tol:
-        raise InversionError(f"inverse solve stalled at residual {residual:.3e}")
-    disp = DisplacementField.from_nodes(grid, y - nodes, displacement.extrapolation)
-    return Diffeo(disp, diffeo.decay_class)
-
-
-def _plain_fixed_point(displacement, nodes, tol, max_iter, entries=None):
-    """The contracting branch before the chord: fixed-point sweeps ``y <- x - g(y)``
-    from ``y = x - g(x)`` at every node, compacted as solved nodes drop out.
-
-    ``entries`` is ignored.
+def _plain_fixed_point(displacement, nodes, tol):
+    """The sweeps before the chord: up to ``_CHORD_MAX_ITER`` fixed-point sweeps
+    ``y <- x - g(y)`` from ``y = x - g(x)`` at every node, compacted as solved
+    nodes drop out.
     """
     y = nodes - displacement.node_values()
     sampled = np.empty_like(y)
     active, target, y_act = np.arange(len(y)), nodes, y
-    for _ in range(max_iter):
+    for _ in range(group_module._CHORD_MAX_ITER):
         g_act = displacement.sample(y_act)
         y_next = target - g_act
         moved = np.max(np.abs(y_next - y_act), axis=1)
@@ -396,6 +354,15 @@ ZERO_TAIL_CASES = PARITY_CASES[-3:-1]
 REPELLING_CHORD_CASE = PARITY_CASES[-1]
 
 
+def _left_to_newton(member):
+    """The number of nodes the sweeps leave above the residual target."""
+    displacement, grid = member.displacement, member.grid
+    nodes = np.asarray(grid.nodes())
+    target = 1.0e-13 * (1.0 + grid.half_width)
+    y, sampled = group_module._invert_sweeps(displacement, nodes, target)
+    return int(np.count_nonzero(np.max(np.abs(y + sampled - nodes), axis=1) > target))
+
+
 class TestInvertSolvedNodesDropOut:
     @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
     def test_matches_full_sweep_solvers(self, grid, text, decay_class, monkeypatch):
@@ -409,23 +376,16 @@ class TestInvertSolvedNodesDropOut:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
-    def test_matches_two_newton_call_driver(self, grid, text, decay_class):
-        member = Diffeo.from_descriptor(grid, text, decay_class)
-        got, want = invert(member), _two_newton_call_invert(member)
-        assert np.array_equal(got.displacement.values, want.displacement.values)
-        assert got.displacement.extrapolation == want.displacement.extrapolation
-        assert got.decay_class is want.decay_class
-
-    @pytest.mark.parametrize("grid, text, decay_class", PARITY_CASES)
-    @pytest.mark.parametrize("sweeps", [group_module._FIXED_POINT_SEED_ITER,
-                                        group_module._CHORD_MAX_ITER])
-    def test_kept_samples_are_a_fresh_gather(self, grid, text, decay_class, sweeps):
-        # the seed sweeps of the Newton branch, and the chord branch's sweeps
+    @pytest.mark.parametrize("sweeps", [8, group_module._CHORD_MAX_ITER])
+    def test_kept_samples_are_a_fresh_gather(self, grid, text, decay_class, sweeps,
+                                             monkeypatch):
+        # sweeps is the sweep cap: at 8 the sweeps of most cases end with nodes
+        # still moving, which the final gather reads; at the real cap they end at
+        # the tol / 4 stop
+        monkeypatch.setattr(group_module, "_CHORD_MAX_ITER", sweeps)
         displacement = Diffeo.from_descriptor(grid, text, decay_class).displacement
         nodes = np.asarray(grid.nodes())
-        entries = (displacement.jacobian_entries() if sweeps == group_module._CHORD_MAX_ITER
-                   else None)
-        y, sampled = group_module._invert_sweeps(displacement, nodes, 1.0e-13, sweeps, entries)
+        y, sampled = group_module._invert_sweeps(displacement, nodes, 1.0e-13)
         assert sampled.tobytes() == displacement.sample(y).tobytes()
 
     def test_residual_gathers_only_moving_nodes(self, monkeypatch):
@@ -436,11 +396,10 @@ class TestInvertSolvedNodesDropOut:
         assert 0 < gathered[-1] < grid.node_count
 
     def test_newton_gathers_no_whole_grid(self, monkeypatch):
-        # the 65^2 swirl takes the Newton branch; its first residual is the
+        # the 65^2 swirl leaves nodes to Newton; its first residual is the
         # sweeps' and its final norms are its own, so only the sweeps span the grid
         grid, text, decay_class = PARITY_CASES[5]
         member = Diffeo.from_descriptor(grid, text, decay_class)
-        want = _two_newton_call_invert(member).displacement.values.tobytes().hex()
         monkeypatch.setattr(group_module, "_invert_sweeps", _full_sweep_sweeps)
         monkeypatch.setattr(group_module, "_invert_newton", _full_sweep_newton)
         full_sweeps = invert(member).displacement.values.tobytes().hex()
@@ -457,13 +416,46 @@ class TestInvertSolvedNodesDropOut:
         (start,) = newton_from
         assert gathered[:start] and max(gathered[:start]) == grid.node_count
         assert gathered[start:] and max(gathered[start:]) < grid.node_count
-        assert got == want == full_sweeps
+        assert got == full_sweeps
 
-    def test_swirl_takes_the_newton_branch(self):
-        grid = Grid(2, 8.0, 65)
-        jac = Diffeo.from_descriptor(grid, SWIRL_2D, DecayClass.SCHWARTZ).displacement
-        frob = np.sqrt(np.sum(jac.jacobian_grid() ** 2, axis=(0, 1)))
-        assert float(np.max(frob)) >= group_module._FIXED_POINT_CONTRACTION
+    def test_swirl_leaves_nodes_to_newton(self):
+        grid, text, decay_class = PARITY_CASES[5]
+        assert _left_to_newton(Diffeo.from_descriptor(grid, text, decay_class)) > 0
+
+    def test_newton_differentiates_only_the_nodes_left_above_the_target(self, monkeypatch):
+        grid, text, decay_class = PARITY_CASES[5]
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        left = _left_to_newton(member)
+        assert 0 < left < grid.node_count // 8
+        sizes = []
+        original = DisplacementField.jacobian_at
+
+        def recording(self, points):
+            sizes.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(DisplacementField, "jacobian_at", recording)
+        invert(member)
+        assert sizes[0] == left
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("grid, text", [
+        (Grid(2, 8.0, 129), SWIRL_2D.replace("1.1", "1.4")),
+        # det(I + dg) = 1 - 1.16 sqrt(2/e) = 0.005 at x = 1/sqrt(2)
+        (Grid(1, 8.0, 513), "1.16*exp(-x^2)"),
+    ])
+    def test_members_past_the_old_switch_invert_to_the_target(self, grid, text):
+        # max |dg|_F > 0.9, where the fixed point y <- x - g(y) need not contract
+        member = Diffeo.from_descriptor(grid, text, DecayClass.SCHWARTZ)
+        entries = member.displacement.jacobian_entries()
+        assert np.max(np.sqrt(sum(e ** 2 for row in entries for e in row))) > 0.9
+        assert _left_to_newton(member) > 0
+        u, residuals = group_module.solve_inverse(member.displacement)
+        nodes = np.asarray(grid.nodes())
+        target = 1.0e-13 * (1.0 + grid.half_width)
+        assert float(np.max(residuals)) <= target
+        y = nodes + u
+        assert float(np.max(np.abs(y + member.displacement.sample(y) - nodes))) <= target
 
     def test_gathers_fewer_points_than_full_sweeps(self, monkeypatch):
         grid = Grid(2, 8.0, 65)
@@ -528,11 +520,13 @@ class TestChordInvert:
         target = 1.0e-13 * (1.0 + grid.half_width)
         assert float(np.max(np.abs(y + member.displacement.sample(y) - nodes))) <= target
 
-    def test_repelling_chord_nodes_fall_back_to_the_fixed_point(self, monkeypatch):
-        # at x ~ 0.7 the chord rate |dg(x) - dg(y*)| / |1 + dg(x)| is about 2.6,
-        # though max |dg| = 0.69 keeps the fixed point contracting
+    def test_repelling_chord_nodes_fall_back_to_newton(self, monkeypatch):
+        # at x ~ 0.7 the chord rate |dg(x) - dg(y*)| / |1 + dg(x)| is about 2.6, so
+        # those nodes stop and Newton finishes them, in fewer gathers than the fixed
+        # point, which contracts there since max |dg| = 0.69
         grid, text, decay_class = REPELLING_CHORD_CASE
         member = Diffeo.from_descriptor(grid, text, decay_class)
+        assert _left_to_newton(member) > 0
         gathered = _counting_sample(monkeypatch)
         inverse = invert(member)
         chord = len(gathered)
