@@ -34,6 +34,14 @@ COMMANDS = [
     # a second rng stream for criterion 4's drawn matrices and criterion 2's derivatives
     ("verify-101", ["--command", "verify", "--seed", "101"]),
     ("classify-descriptor", ["--command", "classify", "--descriptor", "1/(1+x^2)"]),
+    # the descriptor syntax: **, ^-2, stacked unary signs, two-argument gauss and
+    # bump, a newline
+    ("classify-descriptor-syntax", ["--command", "classify", "--descriptor",
+                                    "0.1*gauss(x, x/2)**2 - -+0.05*bump(x/3, x/4)\n"
+                                    "+ 0.02*exp(-x^2)*(1+x^2)^-2"]),
+    # a 1500-term sum, too deep for Python's recursion limit: exits 1
+    ("classify-descriptor-deep", ["--command", "classify", "--descriptor",
+                                  "+".join(["x"] * 1500)]),
     ("compose-1d", ["--command", "compose", "--descriptor", TANH_1D,
                     "--descriptor", GAUSS_1D]),
     ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",

@@ -329,6 +329,36 @@ class TestEvolve:
         assert code == 1
 
 
+class TestDeepDescriptors:
+    """Descriptors too deep for the recursive passes are input errors, not crashes."""
+
+    FLOW = ["--command", "evolve", "--class", "Schwartz", "--t-final", "0.5", "--dt", "0.03125"]
+
+    @pytest.mark.parametrize("argv", [
+        # the walk of a left-deep sum
+        ["--command", "classify", "--descriptor", "+".join(["x"] * 1500)],
+        # Python's parser: more than 200 nested parentheses
+        ["--command", "classify", "--descriptor", "(" * 400 + "x" + ")" * 400],
+        # stacked signs: Python's recursion limit, then its parser's stack
+        ["--command", "classify", "--descriptor=" + "-" * 3000 + "x"],
+        ["--command", "classify", "--descriptor=" + "-" * 100000 + "x"],
+        # the descriptor binds, its Jacobian (about twice as deep) does not
+        FLOW + ["--descriptor", "0.05*exp(-x^2)" + "*(1+0.001*cos(x))" * 600],
+    ], ids=["sum", "parentheses", "signs", "parser-stack", "jacobian"])
+    def test_too_deep_exits_1(self, capsys, argv):
+        code, payload, err = run_cli(capsys, *argv, "--quiet")
+        assert code == 1 and payload is None
+        assert json.loads(err)["error"] == "DescriptorError"
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "classify", "--descriptor", "+".join(["0.001*exp(-x^2)"] * 300)],
+        FLOW + ["--descriptor", "0.05*exp(-x^2)" + "*(1+0.001*cos(x))" * 300],
+    ], ids=["sum", "factors"])
+    def test_300_levels_run(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--quiet")
+        assert code == 0, err
+
+
 class TestVerify:
     def test_zero_tolerance_is_controlled_failure(self, capsys):
         code, payload, _ = run_cli(

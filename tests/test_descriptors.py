@@ -80,9 +80,17 @@ def test_diff_of_unused_variable_is_zero():
     assert float(d.evaluate({"x": np.float64(0.3)})) == 0.0
 
 
-def test_free_vars():
-    assert parse_scalar("exp(-x^2)*cos(t)").free_vars() == {"x", "t"}
-    assert parse_scalar("1.5").free_vars() == set()
+def test_bind_refuses_variables_it_cannot_bind():
+    """``bind`` reads the variables in use off the lowered program's variable nodes."""
+    descriptors.bind("exp(-x^2)*cos(t)", 1, time=True)
+    descriptors.bind("1.5", 0)
+    with pytest.raises(DescriptorError,
+                       match=re.escape("descriptor uses ['t'] but only ['x'] are available here")):
+        descriptors.bind("exp(-x^2)*cos(t)", 1)
+    # one message for every component, listing each variable once
+    with pytest.raises(DescriptorError,
+                       match=re.escape("descriptor uses ['y', 'z'] but only ['x'] are available")):
+        descriptors.bind("y*z, z, x", 1, (3,))
 
 
 def test_parse_vector_components():
@@ -115,6 +123,95 @@ def test_evaluate_on_broadcasts_constants():
 def test_parse_errors(text):
     with pytest.raises(DescriptorError):
         parse_scalar(text)
+
+
+def _program(exprs):
+    """``_lower``'s program with each constant's type and exact value."""
+    nodes, constants, roots = descriptors._lower(exprs)
+    return nodes, [(type(c).__name__, float(c).hex()) for c in constants], roots
+
+
+# (text, plain): each edge form is refused (plain None) or read as the plain text
+EDGE_FORMS = [
+    # characters outside the alphabet: a comment, a line continuation, strings
+    ("x # 1", None), ("x \\\n+ 1", None), ("'x'", None), ('"x"', None), ("\u0663", None),
+    # numbers that are not plain decimal, including leading zeros, which Python rejects
+    ("1_0", None), ("0x10", None), ("1j", None), ("02", None), ("x*007", None),
+    # an integer literal beyond the float range; a float literal there still reads as inf
+    ("1" + "0" * 400, None), ("1e400", "2e400"),
+    # exponents must be integer literals, optionally negated
+    ("x^2.0", None), ("x^+2", None), ("x^--2", None), ("x^t", None), ("x^2^3", None),
+    # a trailing comma anywhere, empty parentheses, other Python syntax
+    ("x,", None), ("x, y,", None), ("(x, y,)", None), ("gauss(x,)", None), ("()", None),
+    ("exp(**x)", None), ("exp(*x)", None), ("x//2", None), ("x.real", None), ("not x", None),
+    ("x if t else y", None), ("(x, y), t", None), ("...", None), ("True", None),
+    # parentheses Python drops are read
+    ("(x, y)", "x, y"), ("x^(2)", "x^2"), ("x^(-2)", "x^-2"), ("x^-(2)", "x^-2"),
+    ("(exp)(x)", "exp(x)"),
+    # whitespace, newlines included, separates tokens; ** is ^
+    ("x\n+\ty", "x + y"), ("  x ** -2 ", "x^-2"), ("- - + x", "x"), ("-2^2", "-(2^2)"),
+    ("gauss(x, y/2)", "exp(-(x^2 + (y/2)^2))"),
+]
+
+
+@pytest.mark.parametrize("text, plain", EDGE_FORMS, ids=[ascii(t)[:24] for t, _ in EDGE_FORMS])
+def test_edge_forms(text, plain):
+    if plain is None:
+        with pytest.raises(DescriptorError):
+            parse_vector(text)
+    else:
+        assert _program(parse_vector(text)) == _program(parse_vector(plain))
+
+
+def _number(value, style):
+    text = repr(abs(value)) if style == "repr" else format(abs(value), ".17g")
+    return f"(-{text})" if math.copysign(1.0, value) < 0 else text
+
+
+def _text(e, style):
+    """``e`` fully parenthesized, with ``^`` for powers."""
+    kind = type(e)
+    if kind is descriptors.Const:
+        return _number(e.value, style)
+    if kind is descriptors.Var:
+        return e.name
+    if kind is descriptors.Pow:
+        return f"({_text(e.base, style)})^{e.exponent}"
+    if kind is descriptors.Neg:
+        return f"(-{_text(e.operand, style)})"
+    if kind is descriptors.Call:
+        return f"{e.func}({_text(e.arg, style)})"
+    if kind is descriptors.BumpPow:
+        return "bump(" + ", ".join(_text(a, style) for a in e.args) + ")"
+    op = {descriptors.Add: "+", descriptors.Sub: "-", descriptors.Mul: "*", descriptors.Div: "/"}
+    return f"({_text(e.left, style)} {op[kind]} {_text(e.right, style)})"
+
+
+def _trees():
+    """Trees over every node type, built as the parser builds them."""
+    constants = st.one_of(st.sampled_from([0.0, -0.0, 1e-05, 0.1, 2.0, 1e300, 5e-324]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+    leaves = st.one_of(st.sampled_from(VARIABLES).map(descriptors.Var),
+                       constants.map(descriptors.Const))
+
+    def extend(children):
+        binary = st.sampled_from([descriptors.Add, descriptors.Sub, descriptors.Mul,
+                                  descriptors.Div])
+        return st.one_of(
+            st.builds(lambda kind, a, b: kind(a, b), binary, children, children),
+            st.builds(descriptors._pow, children, st.sampled_from([-3, -2, -1, 2, 3, 7])),
+            children.map(descriptors._neg),
+            st.builds(descriptors.Call, st.sampled_from(["exp", "sin", "cos", "tanh"]), children),
+            st.lists(children, min_size=1, max_size=3).map(descriptors.BumpPow),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@given(st.lists(_trees(), min_size=1, max_size=3), st.sampled_from(["repr", ".17g"]))
+def test_printed_trees_parse_to_the_same_program(trees, style):
+    text = ", ".join(_text(e, style) for e in trees)
+    assert _program(parse_vector(text)) == _program(trees), text
 
 
 def test_unbound_variable_at_evaluation():
