@@ -91,6 +91,9 @@ COMMANDS = [
     ("evolve-1d-inferred", ["--command", "evolve", "--descriptor", "0.12*cos(0.7*x-0.6*t)"]),
     # no --class, measured BoundedAll: both channels read the clamp continuation set
     # after the run; exits 2 because the Gronwall envelope fails at this spacing
+    # one step: right_log_derivative's time stencil needs 4, so an input error (exit 1)
+    ("evolve-1d-one-step", ["--command", "evolve", "--t-final", "0.0625", "--dt", "0.0625",
+                            "--descriptor", "0.1*exp(-x^2)"]),
     ("evolve-2d-inferred", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--descriptor",
                             "0.12*cos(0.7*x-0.6*t), 0.1*cos(0.6*y-0.5*t)"]),
     ("evolve-2d", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--class", "Schwartz",

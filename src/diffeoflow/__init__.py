@@ -15,6 +15,7 @@ from .decay import (
     class_from_name,
     classify_decay,
     extrapolation_for,
+    measured_class,
     widest,
 )
 from .descriptors import parse_scalar, parse_vector
@@ -82,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayClass", "SeminormReport", "ShellFit", "class_from_name",
-    "classify_decay", "extrapolation_for", "widest",
+    "classify_decay", "extrapolation_for", "measured_class", "widest",
     "parse_scalar", "parse_vector",
     "EngineError", "DescriptorError", "FieldError", "UnsupportedOrderError",
     "InsufficientAnnuliError", "JetError", "SingularJacobianError",

@@ -19,7 +19,7 @@ import numpy as np
 from .battery import (DEFAULT_SEED, bounded_outer_diffeos, flow_battery,
                       schwartz_diffeos, schwartz_flow_case,
                       sobolev_flow_case, sobolev_inner_diffeos)
-from .decay import DecayClass, classify_decay
+from .decay import DecayClass, measured_class
 from .descriptors import parse_vector
 from .fields import Grid, multi_indices_up_to, point_derivatives, seminorm_table
 from .flows import (displacement_sup_bound, evolve, gronwall_bound,
@@ -416,7 +416,7 @@ def criterion_class_preservation() -> CriterionResult:
         snap, snap2 = result.snapshot(k), doubled.snapshot(k)
         # the t=0 snapshot is identically zero, which honestly measures
         # CompactSupport; the evolved snapshots must measure Schwartz
-        if t > 0.0 and classify_decay(snap).inferred_class is not DecayClass.SCHWARTZ:
+        if t > 0.0 and measured_class(snap) is not DecayClass.SCHWARTZ:
             misclassified += 1
         sups1, weighted1, _ = seminorm_table(snap, alphas, 4)
         sups2, weighted2, _ = seminorm_table(snap2, alphas, 4)
@@ -432,7 +432,7 @@ def criterion_class_preservation() -> CriterionResult:
     hresult = evolve(hcase.field, hcase.t_final, hcase.dt, hcase.grid)
     tracking = sobolev_tracking(hresult)
     h_contained = all(
-        DecayClass.SOBOLEV_INFINITY.contains(classify_decay(hresult.snapshot(k)).inferred_class)
+        DecayClass.SOBOLEV_INFINITY.contains(measured_class(hresult.snapshot(k)))
         for k in range(len(hresult.times)))
     h_ok = bool(tracking["holds"]) and h_contained
 
@@ -463,7 +463,7 @@ def criterion_normality(seed: int = DEFAULT_SEED) -> CriterionResult:
         for outer, outer_inv in zip(outers, inverses):
             for inner in inners:
                 conj = compose(outer_inv, compose(inner, outer))
-                measured = classify_decay(conj.displacement).inferred_class
+                measured = measured_class(conj.displacement)
                 if not target.contains(measured):
                     failures += 1
         legs.append((name, failures, len(outers) * len(inners)))

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .decay import DecayClass, classify_decay
+from .decay import DecayClass, measured_class
 from .errors import FieldError
 from .fields import DisplacementField, Grid
 from .flows import TimeDependentVectorField
@@ -71,10 +71,10 @@ def _validated(displacement: DisplacementField, decay_class: DecayClass,
                label: str) -> Diffeo:
     # BoundedAll contains every class, so there is nothing to classify
     if decay_class is not DecayClass.BOUNDED_ALL:
-        report = classify_decay(displacement)
-        if not decay_class.contains(report.inferred_class):
+        measured = measured_class(displacement)
+        if not decay_class.contains(measured):
             raise FieldError(
-                f"battery member {label} measured {report.inferred_class.value}, "
+                f"battery member {label} measured {measured.value}, "
                 f"outside the intended class {decay_class.value}"
             )
     return Diffeo(displacement, decay_class)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import acceptance
 from .battery import DEFAULT_SEED
-from .decay import DecayClass, class_from_name, classify_decay
+from .decay import DecayClass, class_from_name, classify_decay, measured_class
 from .errors import (EngineError, FieldError, FlowBlowupError, FlowDomainError,
                      InsufficientAnnuliError, InversionError, NonDiffeoError,
                      UnderResolvedError)
@@ -29,8 +29,8 @@ from .fields import Grid, sample
 from .flows import (TimeDependentVectorField, displacement_sup_bound, evolve,
                     gronwall_bound, right_log_derivative, sobolev_tracking)
 from .group import Diffeo, compose, compose_nodes, conjugate, invert
-from .io import (read_diffeo, stable_json_dumps, write_diffeo, write_report,
-                 write_time_series_csv)
+from .io import (read_diffeo, read_displacement, stable_json_dumps, write_diffeo,
+                 write_report, write_time_series_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -149,7 +149,7 @@ def _sources(config: RunConfig, needed: int) -> list:
 def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
     """Claimed and measured class and margin; ``measured`` if already known."""
     if measured is None:
-        measured = classify_decay(diffeo.displacement).inferred_class.value
+        measured = measured_class(diffeo.displacement).value
     return {
         "decay_class": diffeo.decay_class.value,
         "measured_class": measured,
@@ -160,12 +160,16 @@ def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
 
 def cmd_classify(config: RunConfig) -> int:
     ((is_file, spec),) = _source_specs(config, 1)
+    report = None
     if is_file:
-        member = read_diffeo(spec)
-        # a file without a class hint was classified as it was read
-        target, report = member.displacement, member.classification
+        target, decay_class = read_displacement(spec)
+        if decay_class is None:
+            report = classify_decay(target)
+            decay_class = report.inferred_class
+        # read_diffeo's margin check, under the file's class or the measured one
+        Diffeo(target, decay_class)
     else:
-        target, report = sample(spec, config.grid()), None
+        target = sample(spec, config.grid())
     if report is None:
         report = classify_decay(target)
     claimed = config.claimed_class()
@@ -265,7 +269,7 @@ def cmd_evolve(config: RunConfig) -> int:
         "gronwall_holds": bool(gronwall_holds),
         "sobolev_holds": bool(tracking["holds"]),
         "right_log_derivative_gap": log_gap,
-        "final_class": classify_decay(result.final_displacement).inferred_class.value,
+        "final_class": measured_class(result.final_displacement).value,
     }
     if config.out:
         write_time_series_csv(_out_path(config, "time_series.csv"), result)

@@ -13,6 +13,15 @@ data supports. Decay rates are read off dyadic shells ``2^(k-1) <= |x| <= 2^k``:
 a least-squares fit of log(shell sup) against log(shell radius) per derivative.
 That is a finite-window heuristic, not a proof; the report carries the raw
 shell data so callers can audit the call.
+
+Two entry points share one loop over the derivatives and one decision rule:
+:func:`classify_decay` measures every derivative through order
+``DEFAULT_MAX_ORDER`` and returns the full :class:`SeminormReport`;
+:func:`measured_class` returns only the class, and stops at the first
+derivative after which no later one can change it. Order 0 settles
+CompactSupport, and BoundedAll is settled once both the Schwartz and the
+H-infinity tests have failed, so a bounded or compact field is judged on its
+values alone. Both give the same class for every field.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, InsufficientAnnuliError
-from .fields import derivative_values, multi_indices_up_to, row_norms, seminorm_measure
+from .fields import (derivative_values, multi_indices_up_to, row_norms, seminorm_measure,
+                     sobolev_measure)
 
 MIN_SHELLS = 4
 SOBOLEV_NORM_CAP = 1.0e3
@@ -215,6 +225,68 @@ def _support_radius(r: np.ndarray, abs_values: np.ndarray, radii) -> float | Non
     return None
 
 
+def _classify(field, full: bool) -> tuple:
+    """The loop over the derivatives and the decision rule of both entry points.
+
+    Returns ``(inferred, fits, rows, edge_ratio, support_radius, global_sup)``,
+    ``rows`` holding each derivative's ``(sup, weighted, sobolev)``
+    seminorms. With ``full`` false it builds no rows, takes an L2 norm only
+    while the H-infinity test can still decide, and stops once the class is
+    settled.
+    """
+    grid = field.grid
+    radii, masks, r = _shells(grid)
+    measure = seminorm_measure(field, DEFAULT_MAX_WEIGHT) if full else None
+    l2_norm = None
+    fits, rows = [], []
+    # one pass: each derivative gives its shell fit and its seminorms, then
+    # is dropped before the next is derived (the field keeps first orders only)
+    for alpha in multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER):
+        derivative = derivative_values(field, alpha)
+        abs_values = _component_max(derivative, grid)
+        fit = _shell_fit(alpha, abs_values, radii, masks)
+        fits.append(fit)
+        if not any(alpha):
+            outer_mask = r >= radii[-1] / 2.0
+            global_sup = float(np.max(abs_values))
+            edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
+            edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
+            support_radius = _support_radius(r, abs_values, radii)
+            compact = global_sup == 0.0 or support_radius is not None
+            schwartz, sobolev = True, edge_ratio <= SOBOLEV_EDGE_RATIO
+            # dropped before the higher orders are derived, so they add nothing to the peak
+            del r, outer_mask
+        schwartz = schwartz and fit.exponent >= DEFAULT_MAX_WEIGHT + 1
+        sobolev = sobolev and fit.exponent >= SOBOLEV_MIN_EXPONENT
+        if full:
+            rows.append(measure(derivative))
+            sobolev = sobolev and rows[-1][2] <= SOBOLEV_NORM_CAP
+        elif sobolev and not compact:
+            l2_norm = sobolev_measure(field) if l2_norm is None else l2_norm
+            sobolev = l2_norm(derivative) <= SOBOLEV_NORM_CAP
+        del derivative, abs_values
+        if not full and (compact or not (schwartz or sobolev)):
+            break
+    if compact:
+        inferred = DecayClass.COMPACT_SUPPORT
+    elif schwartz:
+        inferred = DecayClass.SCHWARTZ
+    elif sobolev:
+        inferred = DecayClass.SOBOLEV_INFINITY
+    else:
+        inferred = DecayClass.BOUNDED_ALL
+    return inferred, fits, rows, edge_ratio, support_radius, global_sup
+
+
+def measured_class(field) -> DecayClass:
+    """The class :func:`classify_decay` infers, without building its report.
+
+    It stops at the first derivative that settles the class, so a BoundedAll
+    or CompactSupport verdict usually reads the field's values alone.
+    """
+    return _classify(field, False)[0]
+
+
 def classify_decay(field) -> SeminormReport:
     """Estimate the narrowest decay class a scalar or displacement field fits.
 
@@ -222,29 +294,8 @@ def classify_decay(field) -> SeminormReport:
     through ``DEFAULT_MAX_WEIGHT`` are measured, and the Schwartz test asks
     every fitted exponent to clear ``DEFAULT_MAX_WEIGHT + 1``.
     """
-    grid = field.grid
-    radii, masks, r = _shells(grid)
-    notes = []
-
-    alphas = multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER)
-    measure = seminorm_measure(field, DEFAULT_MAX_WEIGHT)
-    fits, rows = [], []
-    # one pass: each derivative gives its shell fit and its seminorms, then
-    # is dropped before the next is derived (the field keeps first orders only)
-    for alpha in alphas:
-        derivative = derivative_values(field, alpha)
-        abs_values = _component_max(derivative, grid)
-        fits.append(_shell_fit(alpha, abs_values, radii, masks))
-        rows.append(measure(derivative))
-        if not any(alpha):
-            outer_mask = r >= radii[-1] / 2.0
-            global_sup = float(np.max(abs_values))
-            edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
-            edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
-            support_radius = _support_radius(r, abs_values, radii)
-            # dropped before the higher orders are derived, so they add nothing to the peak
-            del r, outer_mask
-        del derivative, abs_values
+    inferred, fits, rows, edge_ratio, support_radius, global_sup = _classify(field, True)
+    alphas = [fit.alpha for fit in fits]
     decay_rates = {fit.alpha: fit.exponent for fit in fits}
 
     sup_values, weighted, sobolev_values = zip(*rows)
@@ -255,29 +306,21 @@ def classify_decay(field) -> SeminormReport:
             entries.append({"kind": "weighted", "alpha": alpha, "m": m, "value": value})
     entries += [{"kind": "sobolev", "alpha": alpha, "m": 0, "value": value}
                 for alpha, value in zip(alphas, sobolev_values)]
-    exponents = list(decay_rates.values())
 
-    if global_sup == 0.0 or support_radius is not None:
-        inferred = DecayClass.COMPACT_SUPPORT
+    notes = []
+    if inferred is DecayClass.COMPACT_SUPPORT:
         if global_sup == 0.0:
             support_radius = 0.0
         notes.append(f"values vanish identically for |x| > {support_radius}")
-    elif all(e >= DEFAULT_MAX_WEIGHT + 1 for e in exponents):
-        inferred = DecayClass.SCHWARTZ
+    elif inferred is DecayClass.SCHWARTZ:
         notes.append(f"every fitted exponent through order {DEFAULT_MAX_ORDER} "
                      f"is at least {DEFAULT_MAX_WEIGHT + 1}")
-    elif (
-        all(v <= SOBOLEV_NORM_CAP for v in sobolev_values)
-        and all(e >= SOBOLEV_MIN_EXPONENT for e in exponents)
-        and edge_ratio <= SOBOLEV_EDGE_RATIO
-    ):
-        inferred = DecayClass.SOBOLEV_INFINITY
+    elif inferred is DecayClass.SOBOLEV_INFINITY:
         notes.append(
             f"Sobolev norms through order {DEFAULT_MAX_ORDER} stay under {SOBOLEV_NORM_CAP} "
             f"and the field has died down near the box edge"
         )
     else:
-        inferred = DecayClass.BOUNDED_ALL
         slow = [f for f in fits if f.exponent < SOBOLEV_MIN_EXPONENT]
         if slow:
             notes.append(
@@ -292,7 +335,7 @@ def classify_decay(field) -> SeminormReport:
         inferred_class=inferred,
         entries=entries,
         decay_rates=decay_rates,
-        radii=radii,
+        radii=fits[0].radii,
         fits=fits,
         edge_ratio=edge_ratio,
         support_radius=support_radius,

@@ -707,6 +707,12 @@ def seminorm_measure(field, max_weight: int):
     return measure
 
 
+def sobolev_measure(field):
+    """The L2 norm of :func:`seminorm_measure` alone, with its bits."""
+    quad = _trapezoid_weights(field.grid)
+    return lambda derivative: _l2_norm(_alpha_magnitude(field, derivative), quad)
+
+
 def seminorm_table(field, alphas, max_weight: int) -> tuple:
     """Every seminorm of every ``d^alpha f``: ``(sups, weighted, sobolev)``.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .decay import DecayClass, class_from_name, classify_decay, extrapolation_for
+from .decay import DecayClass, class_from_name, extrapolation_for, measured_class
 from .descriptors import VARIABLES, bind
 from .errors import FieldError, FlowBlowupError, FlowDomainError
 from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
@@ -253,7 +253,7 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
     notes = []
     if decay_class is None:
         final = DisplacementField.from_nodes(grid, displacements[-1])
-        decay_class = classify_decay(final).inferred_class
+        decay_class = measured_class(final)
         notes.append(f"decay class inferred from the final snapshot: {decay_class.value}")
 
     alpha = _cumulative_trapezoid(times, beta)
@@ -387,15 +387,16 @@ def right_log_derivative(result: FlowResult) -> Iterator[tuple]:
     ``+0.0``, which is written instead.
 
     The call validates before anything is recovered: fewer than 5
-    snapshots raise :class:`~diffeoflow.errors.FlowDomainError`, and an
+    snapshots (4 steps) leave the time stencil no interior snapshot and
+    raise :class:`~diffeoflow.errors.FieldError`, and an
     interior snapshot below the ``Diffeo`` margin, read from the
     ``diagnostics["min_det"]`` that ``evolve`` measured, has no inverse and
     raises :class:`~diffeoflow.errors.NonDiffeoError` naming its worst node.
     """
     g = result.displacements
     if len(g) < 5:
-        raise FlowDomainError(
-            f"need at least 5 snapshots for the time stencil, have {len(g)}"
+        raise FieldError(
+            f"need at least 5 snapshots (4 steps) for the time stencil, have {len(g)}"
         )
     interior = range(2, len(g) - 2)
     for k in interior:

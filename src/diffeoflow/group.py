@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .decay import (DecayClass, class_from_name, classify_decay,
-                    extrapolation_for, widest)
+                    extrapolation_for, measured_class, widest)
 from .errors import (
     FieldError,
     InsufficientAnnuliError,
@@ -152,16 +152,13 @@ class Diffeo:
     The constructor trusts a supplied decay class (verification is the job of
     :func:`membership_check`), gives the displacement that class's off-box
     continuation, and refuses a Jacobian margin below ``DEFAULT_DET_THRESHOLD``.
-    Without a class it measures one, and keeps that report as
-    ``classification`` (``None`` when the class was supplied).
+    Without a class it measures one with :func:`measured_class`.
     """
 
     def __init__(self, displacement: DisplacementField,
                  decay_class: DecayClass | None = None):
-        self.classification = None
         if decay_class is None:
-            self.classification = classify_decay(displacement)
-            decay_class = self.classification.inferred_class
+            decay_class = measured_class(displacement)
         else:
             decay_class = class_from_name(decay_class)
         wanted = extrapolation_for(decay_class)

@@ -171,7 +171,8 @@ class TestSharedDrawLoop:
         def refuse(displacement):
             raise AssertionError("the BoundedAll family was classified")
 
-        monkeypatch.setattr(battery_module, "classify_decay", refuse)
+        monkeypatch.setattr(battery_module, "measured_class", refuse)
+        monkeypatch.setattr(group_module, "measured_class", refuse)
         monkeypatch.setattr(group_module, "classify_decay", refuse)
         assert len(bounded_outer_diffeos(fine_grid)) == 5
 

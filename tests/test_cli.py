@@ -158,6 +158,8 @@ class TestClassify:
 
         monkeypatch.setattr(cli_module, "classify_decay", counting)
         monkeypatch.setattr(group, "classify_decay", counting)
+        # a class-only verdict counts too: the member is built from the report's class
+        monkeypatch.setattr(group, "measured_class", counting)
         got, payload, _ = run_cli(capsys, "--command", "classify", "--input", str(path))
         assert got == code
         assert len(calls) == 1
@@ -321,6 +323,16 @@ class TestEvolve:
             "--dt", "1e-13")
         assert code == 1 and payload is None
         assert json.loads(err)["error"] == "FieldError"
+
+    @pytest.mark.parametrize("t_final, code", [("0.0625", 1), ("0.1875", 1), ("0.25", 0)])
+    def test_time_stencil_needs_four_steps(self, capsys, t_final, code):
+        # 1 and 3 steps leave right_log_derivative's five-point stencil no interior snapshot
+        got, payload, err = run_cli(
+            capsys, "--command", "evolve", "--descriptor", "0.1*exp(-x^2)",
+            "--t-final", t_final, "--dt", "0.0625")
+        assert got == code
+        if code:
+            assert payload is None and json.loads(err)["error"] == "FieldError"
 
     def test_evolve_needs_one_descriptor(self, capsys):
         code, _, _ = run_cli(

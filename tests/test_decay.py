@@ -1,7 +1,10 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import diffeoflow.decay as decay_module
 import diffeoflow.fields as fields_module
@@ -15,6 +18,7 @@ from diffeoflow import (
     class_from_name,
     classify_decay,
     extrapolation_for,
+    measured_class,
     sample,
     sobolev_seminorm,
     stable_json_dumps,
@@ -22,6 +26,8 @@ from diffeoflow import (
     weighted_seminorm,
     widest,
 )
+from diffeoflow.battery import (SCHWARTZ_AMPLITUDE, SCHWARTZ_CENTER, SCHWARTZ_WIDTH,
+                                gaussian_descriptor, lorentzian_descriptor, tanh_descriptor)
 from diffeoflow.decay import DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT
 from diffeoflow.fields import multi_indices, multi_indices_up_to
 
@@ -167,6 +173,99 @@ class TestClassification:
         assert wider.support_radius == 4.0
 
 
+C, S, H, B = (DecayClass.COMPACT_SUPPORT, DecayClass.SCHWARTZ,
+              DecayClass.SOBOLEV_INFINITY, DecayClass.BOUNDED_ALL)
+
+# (descriptor, dimension, the class both entry points measure today), on
+# L = 8 grids of 513 points in 1-D and 65^2 in 2-D. ROADMAP item 3's rows
+# (from 0.1*exp(-(x/2)^2) to 0.5*bump(x/6)) and the 1-D off-centre gaussian
+# measure the wrong class; they pin today's verdict, which item 3 will move
+VERDICTS = [
+    ("0", 1, C),
+    ("1e-300*exp(-x^2)", 1, S),
+    # the support ends on the dyadic radius 1
+    ("bump(x)", 1, C),
+    ("0.5*bump(x/2)", 1, C),
+    ("exp(-x^2)", 1, S),
+    ("1/(1+x^2)", 1, H),
+    ("1", 1, B),
+    ("0.2*tanh(x/1.1)", 1, B),
+    # decays at every order, but keeps 0.29 of its sup past |x| = 4: the edge rule alone
+    ("0.1*exp(-x^2) + 0.04", 1, B),
+    # an H-infinity shape whose L2 norms exceed the cap: the cap alone
+    ("3000/(1+x^2)", 1, B),
+    # order 0 passes every H-infinity test; its first derivative's exponent is 0.12
+    ("exp(-(x/3)^2)", 1, B),
+    ("0.1*exp(-(x/2)^2)", 1, H),
+    ("0.1/(1+x^2)^3", 1, S),
+    ("0.5*bump(x/6)", 1, B),
+    ("0.1*exp(-(x+1)^2)", 1, H),
+    ("0, 0", 2, C),
+    ("1, 1", 2, B),
+    ("0.1*bump(x/3, y/3), 0.05*bump((x-1)/2, y/2)", 2, C),
+    ("0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", 2, S),
+    ("0.1/(1+x^2+y^2)^2, 0", 2, H),
+    ("0.2*tanh(x/1.1), 0.15*tanh(y)", 2, B),
+    ("0.1*exp(-x^2-y^2) + 0.04, 0", 2, B),
+    ("3000/(1+x^2+y^2), 0", 2, B),
+]
+
+# the battery builders over their drawn ranges (width, center, amplitude)
+BUILDERS = [
+    (gaussian_descriptor, (SCHWARTZ_WIDTH, SCHWARTZ_CENTER, SCHWARTZ_AMPLITUDE)),
+    (tanh_descriptor, ((0.9, 1.4), (-0.8, 0.8), (0.12, 0.22))),
+    (partial(lorentzian_descriptor, power=1, damping=2.6), ((0.8, 1.2), (-0.8, 0.8), (0.05, 0.1))),
+]
+
+
+@st.composite
+def battery_terms(draw):
+    """One battery member's text, its parameters drawn from the builder's ranges."""
+    describe, ranges = draw(st.sampled_from(BUILDERS))
+    width, center, amplitude = (draw(st.floats(lo, hi)) for lo, hi in ranges)
+    return describe(draw(st.sampled_from([1.0, -1.0])) * amplitude, width, center)
+
+
+class TestMeasuredClass:
+    """``measured_class`` is ``classify_decay``'s verdict, settled early."""
+
+    @pytest.mark.parametrize("descriptor, dim, expected", VERDICTS)
+    def test_agrees_with_the_report(self, descriptor, dim, expected):
+        grid = Grid(dim, 8.0, {1: 513, 2: 65}[dim])
+        assert classify_decay(sample(descriptor, grid)).inferred_class is expected
+        # a fresh field: the report's derivatives are not cached for the verdict
+        assert measured_class(sample(descriptor, grid)) is expected
+
+    def test_table_holds_every_class_in_both_dimensions(self):
+        for dim in (1, 2):
+            assert {cls for _, d, cls in VERDICTS if d == dim} == set(DecayClass)
+
+    @given(terms=st.lists(battery_terms(), min_size=1, max_size=3))
+    def test_agrees_on_battery_members_and_their_sums(self, terms):
+        descriptor = " + ".join(terms)
+        grid = Grid(1, 8.0, 257)
+        assert (measured_class(sample(descriptor, grid))
+                is classify_decay(sample(descriptor, grid)).inferred_class)
+
+    def test_schwartz_verdict_builds_no_weight(self, fine_grid, monkeypatch):
+        built = []
+        weight = fields_module.weight_factor
+        monkeypatch.setattr(fields_module, "weight_factor",
+                            lambda g, m: built.append(m) or weight(g, m))
+        assert measured_class(sample("exp(-x^2)", fine_grid)) is DecayClass.SCHWARTZ
+        assert built == []
+
+    def test_bounded_verdict_takes_no_norm(self, plane_grid, monkeypatch):
+        # both tests fail at order 0: no derivative and no L2 norm is taken
+        measured = []
+        magnitude = fields_module._alpha_magnitude
+        monkeypatch.setattr(fields_module, "_alpha_magnitude",
+                            lambda f, d: measured.append(d) or magnitude(f, d))
+        field = sample("0.2*tanh(x/1.1), 0.15*tanh(y)", plane_grid)
+        assert measured_class(field) is DecayClass.BOUNDED_ALL
+        assert measured == [] and field._derivatives == {}
+
+
 WORKING_SET_CASES = [
     ("0.1*exp(-x^2)", Grid(1, 8.0, 257)),
     ("0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", Grid(2, 8.0, 65)),
@@ -186,11 +285,9 @@ class TestClassifyWorkingSet:
 
     @pytest.mark.parametrize("descriptor, grid", WORKING_SET_CASES)
     def test_inferred_member_keeps_first_derivatives_only(self, descriptor, grid):
-        field = DisplacementField.from_descriptor(grid, descriptor)
-        member = Diffeo(field, None)
-        firsts = set(multi_indices(grid.dim, 1))
-        assert set(field._derivatives) == firsts
-        assert set(member.displacement._derivatives) == firsts
+        # a BoundedAll verdict reads no derivative, and the clamp copy derives its Jacobian
+        member = Diffeo(DisplacementField.from_descriptor(grid, descriptor), None)
+        assert set(member.displacement._derivatives) == set(multi_indices(grid.dim, 1))
 
     def test_traced_peak_of_a_3d_classification(self):
         # 5.6 MB traced when order >= 2 streams; 9.8 MB when each stayed cached

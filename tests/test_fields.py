@@ -32,7 +32,7 @@ from diffeoflow.fields import (
     spectral_norms,
     weight_factor,
 )
-from diffeoflow.decay import DecayClass, classify_decay
+from diffeoflow.decay import DecayClass, classify_decay, measured_class
 from diffeoflow.flows import TimeDependentVectorField, _pointwise_norm, evolve, sobolev_tracking
 
 GAUSS = "exp(-x^2)"
@@ -644,6 +644,20 @@ def test_readers_take_one_d1_per_channel_per_index(reader, dim, monkeypatch):
             fields_module.seminorm_table(field, alphas, 2)
         expected = dim * (len(alphas) - 1)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("descriptor, expected, derivatives", [
+    # both decay tests fail on the values: the verdict derives nothing
+    ("0.2*tanh(x/1.1), 0.15*tanh(y)", DecayClass.BOUNDED_ALL, 0),
+    # Schwartz is only settled by the last derivative: all five are read
+    ("0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", DecayClass.SCHWARTZ, 5),
+])
+def test_verdict_takes_d1_only_until_settled(descriptor, expected, derivatives, plane_grid,
+                                            monkeypatch):
+    field = DisplacementField.from_descriptor(plane_grid, descriptor)
+    calls = _count_d1(monkeypatch)
+    assert measured_class(field) is expected
+    assert len(calls) == 2 * derivatives
 
 
 @pytest.mark.parametrize("grid", GATHER_GRIDS, ids=["1d", "2d", "3d"])

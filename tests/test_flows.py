@@ -306,7 +306,7 @@ class TestRightLogDerivative:
 
     def test_needs_dense_snapshots(self, line_grid):
         short = evolve(bump_field(), 0.2, 0.1, line_grid)
-        with pytest.raises(FlowDomainError):
+        with pytest.raises(FieldError, match="at least 5 snapshots"):
             right_log_derivative(short)
 
     def test_fold_below_the_margin_raises_at_call_time(self, line_grid, monkeypatch):

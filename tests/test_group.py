@@ -134,8 +134,10 @@ class TestDiffeoConstruction:
         # a derivative is one _d1 per channel on the cached next-lower order, so a
         # first derivative is the one _d1 step applied to the member's own values
         monkeypatch.setattr(fields_module, "_d1", counting)
-        # classified on the zero continuation, then re-read with clamp
-        member = Diffeo.from_descriptor(plane_grid, "0.2*tanh(x/1.1), 0.15*tanh(y)")
+        # classified on the zero continuation, as classify --input classifies a file
+        # without a class hint, then re-read with clamp
+        disp = DisplacementField.from_descriptor(plane_grid, "0.2*tanh(x/1.1), 0.15*tanh(y)")
+        member = Diffeo(disp, group_module.classify_decay(disp).inferred_class)
         assert member.decay_class is DecayClass.BOUNDED_ALL
         assert member.displacement.extrapolation == "clamp"
         # one derivation per channel per axis: classify_decay's, reused by the margin
