@@ -70,8 +70,7 @@ COMMANDS = [
     # the group-2d shape: at 257^2 every gather spans several blocks
     ("conjugate-2d-257", ["--command", "conjugate", "--dim", "2", "--points", "257",
                           "--descriptor", TANH_2D, "--descriptor", GAUSS_2D]),
-    # the same at 257^2 with a compact inner, which leaves most rows still, and with a
-    # BoundedAll inner, which moves every row: both ends of the bracket-gap skip
+    # the same at 257^2 with a compact inner and with a BoundedAll inner
     ("conjugate-2d-257-bump", ["--command", "conjugate", "--dim", "2", "--points", "257",
                                "--descriptor", TANH_2D, "--descriptor", BUMP_2D]),
     ("conjugate-2d-257-tanh", ["--command", "conjugate", "--dim", "2", "--points", "257",
@@ -85,6 +84,10 @@ COMMANDS = [
     # a 257^2 read, the file size perfbench group-2d reads
     ("classify-input-257", ["--command", "classify",
                             "--input", "conjugate-2d-257/out/conjugate.dff"]),
+    # a conjugate whose inner is a file: the command that reaches io.read_diffeo
+    ("conjugate-2d-257-input", ["--command", "conjugate", "--dim", "2", "--points", "257",
+                                "--descriptor", TANH_2D,
+                                "--input", "conjugate-2d-257/out/conjugate.dff"]),
     ("evolve-1d", ["--command", "evolve", "--class", "Schwartz",
                    "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
     # no --class: the result's class is inferred from the final snapshot

@@ -29,6 +29,7 @@ results are bit-identical to an unblocked pass.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -188,6 +189,13 @@ def _derivative_field(field, alpha: tuple):
         field._derivatives[alpha] = type(field)(
             field.grid, d1(field.values, alpha.index(1), field.grid.spacing), field.extrapolation)
     return field._derivatives[alpha]
+
+
+# the largest Lebesgue constant of the 4-node cubic stencil of
+# _interp_stencil: 1 + t (t + 1) (t - 2) on a face interval, at
+# t = (1 - sqrt 7) / 3; an inner interval gives 1 + t (1 - t) <= 1.25. An
+# interpolated value is at most its dim-th power times the largest node read
+_STENCIL_LEBESGUE = (7.0 + 14.0 * math.sqrt(7.0)) / 27.0
 
 
 def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,

@@ -25,19 +25,12 @@ every node; a retired node keeps the displacement its last sweep sampled,
 from which the residual is built without a second gather. Newton starts
 from that residual, drops a node once it meets the target and returns its
 own norms, so neither its first pass nor the final check gathers every
-node. Conjugation reads the outer displacement at the nodes and gathers the
-inner one there once, for the composite and for its diagnostics alike. Its
-diagnostics gather the bracket ``u(a + s) - u(a)`` only on the rows that
-the inner map moves (``fl(a + s) != a``), and the quadrature Jacobians of
-the bracket's integral form only on the rows whose certified bound, from
-the stencil's Lebesgue constant and the node maximum of ``du``, can reach
-the largest gap found on the rows of largest bound. A skipped row's gap is
-below that gap, so the reported maximum keeps its bits (:func:`conjugate`).
+node. Conjugation composes through the inverse, classifies the result and
+reports the inverse's left-identity residual at the outer map's node
+images, the floor its class verdict sits on (:func:`conjugate`).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -50,8 +43,7 @@ from .errors import (
     NonDiffeoError,
     UnderResolvedError,
 )
-from .fields import (GATHER_BLOCK, DisplacementField, Grid, det_plus_identity, reads_only_zeros,
-                     row_max)
+from .fields import DisplacementField, Grid, det_plus_identity, reads_only_zeros, row_max
 
 DEFAULT_DET_THRESHOLD = 1.0e-6
 DOMAIN_OVERHANG_FRACTION = 0.1
@@ -61,17 +53,6 @@ _CHORD_MAX_ITER = 200
 # a chord step that shrinks less than this stops its node and leaves it to Newton
 _CHORD_SHRINK = 0.25
 _NEWTON_MAX_ITER = 60
-# the largest Lebesgue constant of the 4-node cubic stencil of
-# fields._interp_stencil: 1 + t (t + 1) (t - 2) on a face interval, at
-# t = (1 - sqrt 7) / 3; an inner interval gives 1 + t (1 - t) <= 1.25
-_STENCIL_LEBESGUE = (7.0 + 14.0 * math.sqrt(7.0)) / 27.0
-# relative margin of the bracket-gap bound over its own rounding
-_BOUND_MARGIN = 1.0e-12
-# rows of largest bound whose bracket gap is computed first, to set the skip
-# threshold; the result is the same for any count, which moves only work
-_BRACKET_FIRST_ROWS = 2048
-_QUAD_T = np.linspace(0.0, 1.0, 9)
-_QUAD_W = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
 
 
 def _det_margin(displacement: DisplacementField) -> tuple:
@@ -463,135 +444,35 @@ def invert(diffeo: Diffeo) -> Diffeo:
     return Diffeo(disp, diffeo.decay_class)
 
 
-def _bracket_gaps(u: DisplacementField, a: np.ndarray, s: np.ndarray, rows: np.ndarray) -> list:
-    """Block maxima of ``|bracket - integral|`` over the node ``rows``, in row blocks.
-
-    The bracket is ``u(a + s) - u(a)`` and the integral its 9-point Simpson
-    quadrature ``sum_k w_k du(a + t_k s) s``, terms added from ``t = 0``
-    up into a zero start, so each row's bits do not depend on which rows
-    share its block.
-    """
-    gaps = []
-    for lo in range(0, len(rows), GATHER_BLOCK):
-        block = rows[lo:lo + GATHER_BLOCK]
-        a_rows, s_rows = a.take(block, axis=0), s.take(block, axis=0)
-        bracket = u.sample(a_rows + s_rows) - u.sample(a_rows)
-        integral = np.zeros_like(bracket)
-        for t, w in zip(_QUAD_T, _QUAD_W):
-            integral += w * np.einsum("nij,nj->ni", u.jacobian_at(a_rows + t * s_rows), s_rows)
-        gaps.append(np.max(np.abs(bracket - integral)))
-    return gaps
-
-
 def conjugate(outer: Diffeo, inner: Diffeo) -> tuple:
     """``outer^-1 o inner o outer``; the decay class of ``inner`` survives.
 
-    Returns ``(member, info)``: ``info`` is a dict with the class measured on
-    the result and a node-wise check of the bracket decomposition
-
-        psi(y) - y = s(y) + [ u(a(y) + s(y)) - u(a(y)) ],
-
-    where ``a = outer``, ``u`` is the displacement of ``outer^-1`` and
-    ``s(y)`` is the inner displacement read at ``a(y)``. The bracket is
-    compared against its integral form ``int_0^1 du(a + t s) s dt``, which is
-    the identity that transports decay from ``inner`` to the conjugation.
-    ``a`` is ``nodes + g`` from the outer node values and ``s`` is gathered
-    once: the composite ``inner o outer`` is built from the same two arrays,
-    as :func:`compose` builds it (with :func:`compose_nodes`'s overhang
-    refusal), so the diagnostics gather neither again. The decomposition
-    residual runs over row blocks of ``GATHER_BLOCK`` nodes, so its
-    temporaries are a block wide; a max of block maxima keeps its bits.
-
-    The bracket samples are gathered only on moved rows. A row is still
-    when ``fl(a + s) == a`` in every coordinate: ``t s`` lies between 0 and
-    ``s`` for ``t`` in [0, 1], and rounding is monotone, so every ``a + t s``
-    rounds to ``a`` too (up to the sign of a zero, which no gather sees),
-    and the still row's bracket is ``u(a) - u(a) = +0.0``.
-
-    ``bracket_gap`` is the largest ``|bracket - integral|``, and the
-    Jacobians of the integral are gathered only on the rows that can reach
-    it. Let ``L = 1.6311...`` be the largest Lebesgue constant of the 4-node
-    cubic stencil (``_STENCIL_LEBESGUE``, on a face interval; an inner
-    interval gives 1.25) and ``D`` the node maximum of ``|d_j u_i|`` over
-    the first derivatives that ``jacobian_at`` interpolates. A gathered
-    entry is then at most ``L^dim D``, and the Simpson weights are positive
-    and sum to 1, so ``|integral_i| <= L^dim D |s|_1``. Each row's gap is at
-    most its bound
-
-        B = (max_i |bracket_i| + L^dim D |s|_1) (1 + 1e-12) + tiny,
-
-    whose relative margin covers the rounding of the gathers and sums and
-    whose ``tiny`` (the smallest normal float) covers underflow. The first
-    pass computes ``B`` block by block, with the moved rows' brackets and
-    the decomposition residual, and keeps only ``B`` for the whole grid.
-    Then the exact gaps run in two phases, each row taking both bracket
-    samples again and all nine Jacobians:
-
-    1. the ``_BRACKET_FIRST_ROWS`` rows of largest ``B``; ``G`` is the
-       largest of their gaps;
-    2. every other row where ``not (B < G)``, so a NaN bound is never
-       skipped.
-
-    A skipped row's gap is at most ``B < G``, and ``G`` is at most the true
-    maximum, so the reported maximum keeps its bits whatever the phase-1
-    count; a NaN gap still reaches it. Both phases run in row blocks of
-    ``GATHER_BLOCK``, and each row's terms are added in the same order
-    whichever rows share its block.
+    Returns ``(member, info)``. The member's displacement is
+    ``g + s + u(a + s)``, where ``g`` is the outer displacement at the
+    nodes, ``a = nodes + g`` the outer node images, ``s`` the inner
+    displacement gathered once at ``a`` and ``u`` the displacement of
+    ``outer^-1``: the composite ``inner o outer`` is built from ``g + s`` as
+    :func:`compose` builds it (with :func:`compose_nodes`'s overhang
+    refusal), then composed with ``outer^-1``. ``info`` holds the expected
+    and measured class, whether they agree, the classification report, and
+    ``left_identity``, ``max |g + u(a)|``: the residual of ``outer^-1 o
+    outer`` at the nodes, bit for bit ``max |compose_nodes(outer^-1, outer)|``.
     """
     _require_same_grid(outer, inner)
-    grid = outer.grid
     outer_inverse = invert(outer)
     expected = inner.decay_class
     g_outer, a = _node_images(outer)
-    s = inner.displacement.sample(a)
     # left unnamed so the composite and its derivative caches die with this call
-    conj_disp = compose_nodes(outer_inverse, _composite(inner, outer, g_outer + s))
-    result = Diffeo(DisplacementField.from_nodes(grid, conj_disp), expected)
+    conj_disp = compose_nodes(outer_inverse, _composite(
+        inner, outer, g_outer + inner.displacement.sample(a)))
+    result = Diffeo(DisplacementField.from_nodes(outer.grid, conj_disp), expected)
     classification = classify_decay(result.displacement)
     measured = classification.inferred_class
-
-    u = outer_inverse.displacement
-    # L^dim D: no entry jacobian_at gathers is larger, so no quadrature term
-    # exceeds this times |s|_1
-    reach = _STENCIL_LEBESGUE ** grid.dim * max(
-        max(float(e.max()), -float(e.min())) for row in u.jacobian_entries() for e in row)
-    bound, residuals = np.empty(len(a)), []
-    for lo in range(0, len(a), GATHER_BLOCK):
-        rows = slice(lo, lo + GATHER_BLOCK)
-        a_rows, s_rows = a[rows], s[rows]
-        # column by column, as row_max; -0.0 == +0.0 here, and both read the
-        # same stencil, since _interp_stencil adds the half-width first
-        moved = a_rows[:, 0] + s_rows[:, 0] != a_rows[:, 0]
-        for j in range(1, a.shape[1]):
-            moved |= a_rows[:, j] + s_rows[:, j] != a_rows[:, j]
-        moved = np.flatnonzero(moved)
-        a_moved, s_moved = a_rows[moved], s_rows[moved]
-        bracket = np.zeros_like(s_rows)
-        bracket[moved] = u.sample(a_moved + s_moved) - u.sample(a_moved)
-        residuals.append(np.max(np.abs(conj_disp[rows] - (s_rows + bracket))))
-        row_bound = bound[rows]
-        np.abs(s_rows[:, 0], out=row_bound)
-        for j in range(1, a.shape[1]):
-            row_bound += np.abs(s_rows[:, j])
-        row_bound *= reach
-        row_bound += row_max(np.abs(bracket))
-        row_bound *= 1.0 + _BOUND_MARGIN
-        row_bound += np.finfo(np.float64).tiny
-    first = np.arange(len(a))
-    if _BRACKET_FIRST_ROWS < len(a):
-        first = np.sort(np.argpartition(bound, -_BRACKET_FIRST_ROWS)[-_BRACKET_FIRST_ROWS:])
-    gaps = _bracket_gaps(u, a, s, first)
-    bound[first] = -np.inf
-    # not (bound < gap), so a NaN bound is never skipped
-    gaps += _bracket_gaps(u, a, s, np.flatnonzero(~(bound < np.max(gaps))))
     info = {
         "expected_class": expected.value,
         "measured_class": measured.value,
         "agrees": bool(expected.contains(measured)),
-        # a max of block maxima is the whole max, a NaN included
-        "bracket_gap": float(np.max(gaps)),
-        "decomposition_residual": float(np.max(residuals)),
+        "left_identity": float(np.max(np.abs(g_outer + outer_inverse.displacement.sample(a)))),
         "report": classification.to_dict(),
     }
     return result, info
-

@@ -291,6 +291,20 @@ class TestConjugate:
         assert code == 2
         assert payload["class_ok"] is False
 
+    @pytest.mark.parametrize("grid_args, outer, inner", [
+        (["--points", "513"], "0.2*tanh((x-0.3)/1.1)", "0.1*exp(-x^2)"),
+        (["--dim", "2", "--points", "129"], "0.2*tanh(x/1.1), 0.15*tanh(y)",
+         "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"),
+    ], ids=["1d-513", "2d-129"])
+    def test_left_identity_is_inverts(self, capsys, grid_args, outer, inner):
+        _, conjugated, _ = run_cli(capsys, "--command", "conjugate", *grid_args,
+                                   "--descriptor", outer, "--descriptor", inner)
+        _, inverted, _ = run_cli(capsys, "--command", "invert", *grid_args,
+                                 "--descriptor", outer)
+        got = conjugated["diagnostics"]["left_identity"]
+        assert got.hex() == inverted["residuals"]["left_identity"].hex()
+        assert 0.0 < got < 1.0e-5
+
 
 class TestEvolve:
     def test_flow_report_and_outputs(self, capsys, tmp_path):

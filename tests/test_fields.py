@@ -846,3 +846,28 @@ def test_point_derivatives_window_holds_whole_grid_values(grid, order):
         assert _same_bytes(_smooth_values(nodes), full_values[flat])
         # at most the 4 stencil nodes plus 2 rows per derivative on each side, per axis
         assert len(nodes) <= (4 + 4 * order) ** grid.dim < grid.node_count
+
+
+def test_stencil_lebesgue_constant_bounds_the_interpolation_weights():
+    """Each axis's weights have sum |w| <= the constant: inner, face and clipped points."""
+    grid = Grid(1, 8.0, 65)
+    h, half = grid.spacing, grid.half_width
+    t = np.linspace(0.0, 1.0, 4001)
+    worst_face = (1.0 - math.sqrt(7.0)) / 3.0
+    inner = -half + h * (5.0 + t)
+    faces = np.concatenate([-half + h * t, half - h * t, [-half + h * (1.0 + worst_face)]])
+    clipped = np.array([-1.0e3, -half - 0.3, -half - h, half + h, half + 0.3, 1.0e3])
+    sums = []
+    for points in (inner, faces, clipped):
+        m = len(points)
+        scratch = (np.empty((5, 1, m)), np.empty((1, 4, m)), np.empty((1, m), dtype=np.int64))
+        _, weights = fields_module._interp_stencil(grid, points.reshape(-1, 1), *scratch, [1])
+        assert np.allclose(weights[0].sum(axis=0), 1.0, rtol=0.0, atol=1.0e-14)
+        sums.append(np.abs(weights[0]).sum(axis=0))
+    lebesgue = fields_module._STENCIL_LEBESGUE
+    assert lebesgue == pytest.approx(1.6311303094409, abs=1.0e-12)
+    assert np.max(sums[0]) <= 1.25 < lebesgue
+    assert np.max(sums[0]) == pytest.approx(1.25, abs=1.0e-12)
+    assert np.max(sums[1]) <= lebesgue
+    assert np.max(sums[1]) == pytest.approx(lebesgue, abs=1.0e-12)
+    assert np.max(sums[2]) <= lebesgue

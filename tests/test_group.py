@@ -26,7 +26,7 @@ from diffeoflow import (
     read_diffeo,
     write_displacement,
 )
-from diffeoflow.fields import GATHER_BLOCK, reads_only_zeros
+from diffeoflow.fields import reads_only_zeros
 from diffeoflow.group import DEFAULT_DET_THRESHOLD
 
 
@@ -580,8 +580,7 @@ class TestConjugate:
         assert info["expected_class"] == "Schwartz"
         assert info["agrees"]
         assert info["measured_class"] == "Schwartz"
-        assert info["decomposition_residual"] <= 5e-7
-        assert info["bracket_gap"] <= 5e-8
+        assert info["left_identity"] <= 5e-7
 
     def test_returns_member_and_info(self, fine_grid):
         outer = gaussian_diffeo(fine_grid, 0.1, 1.0)
@@ -595,71 +594,62 @@ class TestConjugate:
 
 
 def _regathering_conjugate(outer, inner):
-    """Conjugation as it once ran: ``compose`` builds the composite; ``a``, ``s`` re-gathered."""
-    grid = outer.grid
+    """Conjugation as it once ran: ``compose`` builds the composite, gathering ``s`` again."""
     outer_inverse = invert(outer)
     expected = inner.decay_class
     conj_disp = group_module.compose_nodes(outer_inverse, compose(inner, outer))
-    result = Diffeo(DisplacementField.from_nodes(grid, conj_disp), expected)
+    result = Diffeo(DisplacementField.from_nodes(outer.grid, conj_disp), expected)
     classification = group_module.classify_decay(result.displacement)
     measured = classification.inferred_class
-    nodes = np.asarray(grid.nodes())
-    a = outer.apply(nodes)
-    s = inner.displacement.sample(a)
-    u = outer_inverse.displacement
-    bracket = u.sample(a + s) - u.sample(a)
-    quad_w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
-    integral = np.zeros_like(bracket)
-    for t, w in zip(np.linspace(0.0, 1.0, 9), quad_w):
-        integral += w * np.einsum("nij,nj->ni", u.jacobian_at(a + t * s), s)
     info = {
         "expected_class": expected.value,
         "measured_class": measured.value,
         "agrees": bool(expected.contains(measured)),
-        "bracket_gap": float(np.max(np.abs(bracket - integral))),
-        "decomposition_residual": float(np.max(np.abs(conj_disp - (s + bracket)))),
+        "left_identity": float(np.max(np.abs(group_module.compose_nodes(outer_inverse, outer)))),
         "report": classification.to_dict(),
     }
     return result, info
 
 
-def _moved_rows(outer, inner) -> np.ndarray:
-    """The node rows whose conjugation end point ``a + s`` is not ``a``."""
-    a = np.asarray(outer.grid.nodes()) + outer.displacement.node_values()
-    s = inner.displacement.sample(a)
-    return np.flatnonzero(np.any(a + s != a, axis=1))
-
-
+TANH_OUTER_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
+TANH_OUTER_1D = "0.2*tanh((x-0.3)/1.1)"
+# (grid, outer, inner, inner class, node images whose zeros are -0.0)
 CONJUGATE_CASES = [
-    (Grid(1, 8.0, 513), "0.2*tanh((x-0.3)/1.1)", "0.1*exp(-x^2)"),
-    (Grid(2, 8.0, 129), "0.2*tanh(x/1.1), 0.15*tanh(y)",
-     "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"),
-    (Grid(2, 8.0, 257), "0.2*tanh(x/1.1), 0.15*tanh(y)",
-     "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)"),
+    (Grid(1, 8.0, 513), TANH_OUTER_1D, "0.1*exp(-x^2)", DecayClass.SCHWARTZ, False),
+    (Grid(2, 8.0, 129), TANH_OUTER_2D, "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)",
+     DecayClass.SCHWARTZ, False),
+    (Grid(2, 8.0, 257), TANH_OUTER_2D, "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)",
+     DecayClass.SCHWARTZ, False),
+    # an inner that moves no node image
+    (Grid(2, 8.0, 129), TANH_OUTER_2D, "0, 0", DecayClass.SCHWARTZ, False),
+    # below x = -7.65 the inner displacement is under half an ulp of the image,
+    # so it moves almost every image
+    (Grid(1, 8.0, 513), TANH_OUTER_1D, "0.1*(1+tanh(10*(x+6)))", DecayClass.BOUNDED_ALL,
+     False),
+    # an inner that moves every image
+    (Grid(1, 8.0, 513), TANH_OUTER_1D, "0.1*tanh(x)", DecayClass.BOUNDED_ALL, False),
+    # a zero first component: an image at x = -0.0 stays there, and moves in y
+    (Grid(2, 8.0, 129), TANH_OUTER_2D, "0, 0.1*exp(-x^2-y^2)", DecayClass.SCHWARTZ, True),
 ]
 
 
-def _jacobian_at_sizes(monkeypatch, outer, inner) -> list:
-    """The point count of each ``jacobian_at`` call of one diagnostic conjugation."""
-    sizes = []
-    original = DisplacementField.jacobian_at
-
-    def recording(self, points):
-        sizes.append(len(points))
-        return original(self, points)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(DisplacementField, "jacobian_at", recording)
-        conjugate(outer, inner)
-    return sizes
-
-
 class TestConjugateSharesGathers:
-    @pytest.mark.parametrize("grid, outer_text, inner_text", CONJUGATE_CASES)
-    def test_matches_regathering_conjugate(self, grid, outer_text, inner_text,
-                                           monkeypatch):
+    @pytest.mark.parametrize("grid, outer_text, inner_text, inner_class, negative_zeros",
+                             CONJUGATE_CASES)
+    def test_matches_regathering_conjugate(self, grid, outer_text, inner_text, inner_class,
+                                           negative_zeros, monkeypatch):
         outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
-        inner = Diffeo.from_descriptor(grid, inner_text, DecayClass.SCHWARTZ)
+        inner = Diffeo.from_descriptor(grid, inner_text, inner_class)
+        if negative_zeros:
+            original_images = group_module._node_images
+
+            def with_negative_zeros(member):
+                g_values, images = original_images(member)
+                return g_values, np.where(images == 0.0, -0.0, images)
+
+            monkeypatch.setattr(group_module, "_node_images", with_negative_zeros)
+            a = with_negative_zeros(outer)[1]
+            assert np.any(np.signbit(a) & (a == 0.0))
         calls = []
         original = DisplacementField.sample
 
@@ -668,22 +658,33 @@ class TestConjugateSharesGathers:
             return original(self, points)
 
         monkeypatch.setattr(DisplacementField, "sample", counting)
-        sizes = _jacobian_at_sizes(monkeypatch, outer, inner)
-        exact = sum(sizes[::9])
-        assert sizes == [n for n in sizes[::9] for _ in range(9)]
-        calls.clear()
         got, got_info = conjugate(outer, inner)
         got_points = sum(calls)
         want, want_info = _regathering_conjugate(outer, inner)
-        want_points = sum(calls) - got_points
-        # two whole-node gathers fewer, the composite's and the diagnostics' s;
-        # the bound's bracket gathers skip every still row, and each row whose
-        # gap is computed exactly gathers its bracket once more
-        still = grid.node_count - len(_moved_rows(outer, inner))
-        assert got_points == want_points - 2 * (grid.node_count + still - exact) * grid.dim
+        # conjugate reuses the outer node images and s for the composite, and
+        # gathers u at those images for its left identity, as the oracle does
+        # through compose_nodes: the same whole-node gathers, three beyond invert
+        assert got_points == sum(calls) - got_points
         assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
         assert got.decay_class is want.decay_class
+        assert got_info["left_identity"].hex() == want_info["left_identity"].hex()
         assert got_info == want_info
+
+    @pytest.mark.parametrize("inner_text, inner_class", [
+        ("0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)", DecayClass.SCHWARTZ),
+        ("0.1*tanh((x-0.3)/2), 0.08*tanh((y+0.2)/1.5)", DecayClass.BOUNDED_ALL),
+    ], ids=["gaussian", "tanh"])
+    def test_takes_no_jacobian_at(self, inner_text, inner_class, monkeypatch):
+        """Only Newton calls ``jacobian_at``, and the chord sweeps alone invert the tanh outer."""
+        grid = Grid(2, 8.0, 257)
+        outer = Diffeo.from_descriptor(grid, TANH_OUTER_2D, DecayClass.BOUNDED_ALL)
+        inner = Diffeo.from_descriptor(grid, inner_text, inner_class)
+        calls = []
+        original = DisplacementField.jacobian_at
+        monkeypatch.setattr(DisplacementField, "jacobian_at",
+                            lambda self, points: calls.append(1) or original(self, points))
+        conjugate(outer, inner)
+        assert calls == []
 
     def test_overhang_still_refused(self, coarse_grid):
         shift = Diffeo(
@@ -692,243 +693,6 @@ class TestConjugateSharesGathers:
         )
         with pytest.raises(UnderResolvedError):
             conjugate(shift, Diffeo.identity(coarse_grid))
-
-
-class TestConjugateStillRows:
-    """A still row, ``fl(a + s) == a``, reads no bracket gather for its bound; the bits stay."""
-
-    @staticmethod
-    def _assert_matches_oracle(outer, inner):
-        got, got_info = conjugate(outer, inner)
-        want, want_info = _regathering_conjugate(outer, inner)
-        assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
-        assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
-        assert got_info == want_info
-
-    def test_inner_that_moves_no_row(self, monkeypatch):
-        grid, outer_text, _ = CONJUGATE_CASES[1]
-        outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
-        inner = Diffeo(DisplacementField.zero(grid), DecayClass.SCHWARTZ)
-        assert _moved_rows(outer, inner).size == 0
-        # every gap is +0.0 and every bound the smallest normal float, above
-        # it, so no row is skipped: the first rows, then the rest in one block
-        first = group_module._BRACKET_FIRST_ROWS
-        assert grid.node_count - first <= GATHER_BLOCK
-        assert (_jacobian_at_sizes(monkeypatch, outer, inner)
-                == [first] * 9 + [grid.node_count - first] * 9)
-        self._assert_matches_oracle(outer, inner)
-
-    def test_bounded_inner_that_moves_almost_every_row(self, monkeypatch):
-        grid = Grid(1, 8.0, 513)
-        outer = Diffeo.from_descriptor(grid, "0.2*tanh((x-0.3)/1.1)", DecayClass.BOUNDED_ALL)
-        # below x = -7.65 the inner displacement is under half an ulp of the image
-        inner = Diffeo.from_descriptor(grid, "0.1*(1+tanh(10*(x+6)))", DecayClass.BOUNDED_ALL)
-        moved = _moved_rows(outer, inner).size
-        assert 0.9 * grid.node_count < moved < grid.node_count
-        # 513 rows are fewer than the first-phase count, so all are exact
-        assert grid.node_count <= group_module._BRACKET_FIRST_ROWS
-        assert _jacobian_at_sizes(monkeypatch, outer, inner) == [grid.node_count] * 9
-        self._assert_matches_oracle(outer, inner)
-
-    def test_inner_that_moves_every_row(self, monkeypatch):
-        grid = Grid(1, 8.0, 513)
-        outer = Diffeo.from_descriptor(grid, "0.2*tanh((x-0.3)/1.1)", DecayClass.BOUNDED_ALL)
-        inner = Diffeo.from_descriptor(grid, "0.1*tanh(x)", DecayClass.BOUNDED_ALL)
-        assert _moved_rows(outer, inner).size == grid.node_count
-        assert _jacobian_at_sizes(monkeypatch, outer, inner) == [grid.node_count] * 9
-        self._assert_matches_oracle(outer, inner)
-
-    def test_negative_zero_node_images(self, monkeypatch):
-        grid, outer_text, _ = CONJUGATE_CASES[1]
-        outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
-        # the first component is exactly zero, so a row whose image has
-        # x = -0.0 stays still in x, and moves when its y does
-        inner = Diffeo.from_descriptor(grid, "0, 0.1*exp(-x^2-y^2)", DecayClass.SCHWARTZ)
-        original = group_module._node_images
-
-        def negative_zeros(member):
-            g_values, images = original(member)
-            return g_values, np.where(images == 0.0, -0.0, images)
-
-        monkeypatch.setattr(group_module, "_node_images", negative_zeros)
-        a = negative_zeros(outer)[1]
-        negative = np.any(np.signbit(a) & (a == 0.0), axis=1)
-        moved = np.zeros(grid.node_count, dtype=bool)
-        moved[_moved_rows(outer, inner)] = True
-        assert np.any(negative & moved) and np.any(negative & ~moved)
-        self._assert_matches_oracle(outer, inner)
-
-    def test_planted_jacobian_fault_on_moved_rows_is_seen(self, fine_grid, monkeypatch):
-        """The case of ``test_schwartz_class_survives_bounded_outer``, its moved rows faulted."""
-        outer = Diffeo.from_descriptor(fine_grid, "0.2*tanh((x-0.3)/1.1)",
-                                       DecayClass.BOUNDED_ALL)
-        inner = gaussian_diffeo(fine_grid, 0.1)
-        a = np.asarray(fine_grid.nodes()) + outer.displacement.node_values()
-        moved = _moved_rows(outer, inner)
-        assert 0 < moved.size < fine_grid.node_count
-        still_points = {p.tobytes() for p in np.delete(a, moved, axis=0)}
-        original = DisplacementField.jacobian_at
-
-        def faulty(self, points):
-            jac = original(self, points)
-            hit = [p.tobytes() not in still_points for p in np.asarray(points)]
-            jac[hit] *= 1.0 + 1.0e-3
-            return jac
-
-        _, info = conjugate(outer, inner)
-        assert info["bracket_gap"] <= 5e-8
-        monkeypatch.setattr(DisplacementField, "jacobian_at", faulty)
-        _, info = conjugate(outer, inner)
-        assert info["bracket_gap"] > 5e-8
-
-
-def test_conjugate_diagnostics_run_in_row_blocks(monkeypatch):
-    """The blocked bracket, quadrature and residual equal a whole-array oracle bit for bit."""
-    grid, outer_text, inner_text = CONJUGATE_CASES[2]
-    outer = Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL)
-    inner = Diffeo.from_descriptor(grid, inner_text, DecayClass.SCHWARTZ)
-    sizes = _jacobian_at_sizes(monkeypatch, outer, inner)
-    result, info = conjugate(outer, inner)
-    # 66,049 rows: the first-phase rows, then the rows whose bound reaches the
-    # largest gap among those, each set in blocks read at all 9 quadrature nodes
-    first = group_module._BRACKET_FIRST_ROWS
-    assert sizes[:9] == [first] * 9
-    rest = sizes[9::9]
-    assert all(0 < n <= GATHER_BLOCK for n in rest)
-    assert sizes[9:] == [n for n in rest for _ in range(9)]
-    assert first + sum(rest) < grid.node_count // 4
-
-    u = invert(outer).displacement
-    a = np.asarray(grid.nodes()) + outer.displacement.node_values()
-    s = inner.displacement.sample(a)
-    bracket = u.sample(a + s) - u.sample(a)
-    quad_w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
-    integral = np.zeros_like(bracket)
-    for t, w in zip(np.linspace(0.0, 1.0, 9), quad_w):
-        integral += w * np.einsum("nij,nj->ni", u.jacobian_at(a + t * s), s)
-    gap = float(np.max(np.abs(bracket - integral)))
-    residual = float(np.max(np.abs(result.displacement.node_values() - (s + bracket))))
-    assert info["bracket_gap"].hex() == gap.hex()
-    assert info["decomposition_residual"].hex() == residual.hex()
-
-
-TANH_OUTER_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
-BOUND_CASES = [
-    pytest.param(Grid(2, 8.0, 257), TANH_OUTER_2D,
-                 "0.08*exp(-(x+1)^2-(y-0.5)^2), -0.06*exp(-x^2-(y+1)^2)",
-                 DecayClass.SCHWARTZ, id="257-gaussians"),
-    pytest.param(Grid(2, 8.0, 257), TANH_OUTER_2D,
-                 "0.1*bump(x/3, y/3), 0.05*bump((x-1)/2, y/2)",
-                 DecayClass.COMPACT_SUPPORT, id="257-bump"),
-    pytest.param(Grid(2, 8.0, 257), TANH_OUTER_2D,
-                 "0.1*tanh((x-0.3)/2), 0.08*tanh((y+0.2)/1.5)",
-                 DecayClass.BOUNDED_ALL, id="257-tanh"),
-    pytest.param(Grid(1, 8.0, 513), "0.2*tanh((x-0.3)/1.1)", "0.1*exp(-(x+0.5)^2)",
-                 DecayClass.SCHWARTZ, id="1d-513"),
-    pytest.param(Grid(3, 8.0, 33), "0.2*tanh(x/1.1), 0.15*tanh(y), 0.1*tanh(z/1.3)",
-                 "0.1*exp(-x^2-y^2-z^2), 0.05*exp(-(x-1)^2-y^2-z^2), "
-                 "0.04*exp(-x^2-(y+1)^2-z^2)",
-                 DecayClass.SCHWARTZ, id="3d-33"),
-]
-
-
-class TestConjugateBoundSkip:
-    """A row whose certified gap bound is below the largest gap found is never gathered."""
-
-    @staticmethod
-    def _members(grid, outer_text, inner_text, inner_class):
-        return (Diffeo.from_descriptor(grid, outer_text, DecayClass.BOUNDED_ALL),
-                Diffeo.from_descriptor(grid, inner_text, inner_class))
-
-    @pytest.mark.parametrize("grid, outer_text, inner_text, inner_class", BOUND_CASES)
-    def test_any_first_phase_count_matches_the_oracle(self, grid, outer_text, inner_text,
-                                                      inner_class, monkeypatch):
-        outer, inner = self._members(grid, outer_text, inner_text, inner_class)
-        want, want_info = _regathering_conjugate(outer, inner)
-        for count in (1, group_module._BRACKET_FIRST_ROWS, grid.node_count):
-            monkeypatch.setattr(group_module, "_BRACKET_FIRST_ROWS", count)
-            got, got_info = conjugate(outer, inner)
-            assert got.displacement.values.tobytes() == want.displacement.values.tobytes()
-            assert got_info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
-            assert (got_info["decomposition_residual"].hex()
-                    == want_info["decomposition_residual"].hex())
-            assert got_info == want_info
-
-    def test_cases_reach_both_ends_of_the_skip(self):
-        moved = {}
-        for case in BOUND_CASES:
-            grid, *texts = case.values
-            moved[case.id] = _moved_rows(*self._members(grid, *texts)).size / grid.node_count
-        assert Grid(2, 8.0, 257).node_count > 2 * GATHER_BLOCK
-        # the compact inner leaves most rows still; the tanh inner moves every row
-        assert moved["257-bump"] < 0.5
-        assert moved["257-tanh"] == 1.0
-        assert 0.0 < moved["257-gaussians"] < 1.0
-
-    def test_jacobian_at_gathers_fewer_points(self, monkeypatch):
-        grid, outer_text, inner_text = CONJUGATE_CASES[2]
-        outer, inner = self._members(grid, outer_text, inner_text, DecayClass.SCHWARTZ)
-        # a still/moved split alone reads every row at t = 0 and the moved rows
-        # at the eight nodes t > 0
-        split = grid.node_count + 8 * _moved_rows(outer, inner).size
-        assert 2 * sum(_jacobian_at_sizes(monkeypatch, outer, inner)) < split
-
-    def test_planted_sample_fault_on_a_tail_row_is_seen(self, monkeypatch):
-        grid, outer_text, inner_text = CONJUGATE_CASES[1]
-        outer, inner = self._members(grid, outer_text, inner_text, DecayClass.SCHWARTZ)
-        a = np.asarray(grid.nodes()) + outer.displacement.node_values()
-        s = inner.displacement.sample(a)
-        moved = _moved_rows(outer, inner)
-        # the moved row farthest out, whose bracket the clean run never re-reads
-        end = (a + s)[moved[np.argmax(np.max(np.abs(a[moved]), axis=1))]]
-        points = []
-        original_jacobian = DisplacementField.jacobian_at
-
-        def recording(self, pts):
-            points.append(np.asarray(pts))
-            return original_jacobian(self, pts)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(DisplacementField, "jacobian_at", recording)
-            _, clean = conjugate(outer, inner)
-        assert not np.any(np.all(np.concatenate(points) == end, axis=1))
-        original_sample = DisplacementField.sample
-
-        def faulty(self, pts):
-            out = original_sample(self, pts)
-            out[np.all(np.asarray(pts) == end, axis=-1)] += 1.0e-3
-            return out
-
-        monkeypatch.setattr(DisplacementField, "sample", faulty)
-        _, info = conjugate(outer, inner)
-        _, want_info = _regathering_conjugate(outer, inner)
-        assert clean["bracket_gap"] < 1.0e-4 < info["bracket_gap"]
-        assert info["bracket_gap"].hex() == want_info["bracket_gap"].hex()
-
-
-def test_stencil_lebesgue_constant_bounds_the_interpolation_weights():
-    """Each axis's weights have sum |w| <= the constant: inner, face and clipped points."""
-    grid = Grid(1, 8.0, 65)
-    h, half = grid.spacing, grid.half_width
-    t = np.linspace(0.0, 1.0, 4001)
-    worst_face = (1.0 - math.sqrt(7.0)) / 3.0
-    inner = -half + h * (5.0 + t)
-    faces = np.concatenate([-half + h * t, half - h * t, [-half + h * (1.0 + worst_face)]])
-    clipped = np.array([-1.0e3, -half - 0.3, -half - h, half + h, half + 0.3, 1.0e3])
-    sums = []
-    for points in (inner, faces, clipped):
-        m = len(points)
-        scratch = (np.empty((5, 1, m)), np.empty((1, 4, m)), np.empty((1, m), dtype=np.int64))
-        _, weights = fields_module._interp_stencil(grid, points.reshape(-1, 1), *scratch, [1])
-        assert np.allclose(weights[0].sum(axis=0), 1.0, rtol=0.0, atol=1.0e-14)
-        sums.append(np.abs(weights[0]).sum(axis=0))
-    lebesgue = group_module._STENCIL_LEBESGUE
-    assert lebesgue == pytest.approx(1.6311303094409, abs=1.0e-12)
-    assert np.max(sums[0]) <= 1.25 < lebesgue
-    assert np.max(sums[0]) == pytest.approx(1.25, abs=1.0e-12)
-    assert np.max(sums[1]) <= lebesgue
-    assert np.max(sums[1]) == pytest.approx(lebesgue, abs=1.0e-12)
-    assert np.max(sums[2]) <= lebesgue
 
 
 @pytest.mark.parametrize("dim, points", [(1, 257), (1, 513), (2, 65), (2, 129),
