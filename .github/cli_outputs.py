@@ -81,6 +81,9 @@ COMMANDS = [
                          "--descriptor", TANH_2D, "--descriptor", GAUSS_2D]),
     ("classify-input", ["--command", "classify",
                         "--input", "invert-2d-swirl/out/inverse.dff"]),
+    # a file member's class is its header's: --class beside an --input exits 1
+    ("invert-input-class", ["--command", "invert", "--class", "Schwartz",
+                            "--input", "invert-2d-swirl/out/inverse.dff"]),
     # a 257^2 read, the file size perfbench group-2d reads
     ("classify-input-257", ["--command", "classify",
                             "--input", "conjugate-2d-257/out/conjugate.dff"]),
@@ -92,11 +95,11 @@ COMMANDS = [
                    "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
     # no --class: the result's class is inferred from the final snapshot
     ("evolve-1d-inferred", ["--command", "evolve", "--descriptor", "0.12*cos(0.7*x-0.6*t)"]),
-    # no --class, measured BoundedAll: both channels read the clamp continuation set
-    # after the run; exits 2 because the Gronwall envelope fails at this spacing
     # one step: right_log_derivative's time stencil needs 4, so an input error (exit 1)
     ("evolve-1d-one-step", ["--command", "evolve", "--t-final", "0.0625", "--dt", "0.0625",
                             "--descriptor", "0.1*exp(-x^2)"]),
+    # no --class, measured BoundedAll: both channels read the clamp continuation set
+    # after the run; exits 2 because the Gronwall envelope fails at this spacing
     ("evolve-2d-inferred", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--descriptor",
                             "0.12*cos(0.7*x-0.6*t), 0.1*cos(0.6*y-0.5*t)"]),
     ("evolve-2d", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--class", "Schwartz",

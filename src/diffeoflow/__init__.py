@@ -10,8 +10,6 @@ classifier that assigns the narrowest class the grid data supports.
 
 from .decay import (
     DecayClass,
-    SeminormReport,
-    ShellFit,
     class_from_name,
     classify_decay,
     extrapolation_for,
@@ -82,8 +80,8 @@ from .jets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecayClass", "SeminormReport", "ShellFit", "class_from_name",
-    "classify_decay", "extrapolation_for", "measured_class", "widest",
+    "DecayClass", "class_from_name", "classify_decay", "extrapolation_for",
+    "measured_class", "widest",
     "parse_scalar", "parse_vector",
     "EngineError", "DescriptorError", "FieldError", "UnsupportedOrderError",
     "InsufficientAnnuliError", "JetError", "SingularJacobianError",

@@ -139,11 +139,19 @@ def _source_specs(config: RunConfig, needed: int) -> list:
 
 
 def _sources(config: RunConfig, needed: int) -> list:
-    """Diffeos from descriptors and/or files, in the order given."""
+    """Diffeos from descriptors and/or files, in the order given.
+
+    A file member's class is its header's hint (or measured), so ``--class``
+    beside an ``--input`` is refused, not ignored.
+    """
     claimed = config.claimed_class()
     grid = config.grid()
+    specs = _source_specs(config, needed)
+    if claimed is not None and any(is_file for is_file, _ in specs):
+        raise ValueError(f"{config.command}: --class applies to --descriptor sources only; "
+                         f"an --input member takes its class from its file")
     return [read_diffeo(spec) if is_file else Diffeo.from_descriptor(grid, spec, claimed)
-            for is_file, spec in _source_specs(config, needed)]
+            for is_file, spec in specs]
 
 
 def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
@@ -165,7 +173,7 @@ def cmd_classify(config: RunConfig) -> int:
         target, decay_class = read_displacement(spec)
         if decay_class is None:
             report = classify_decay(target)
-            decay_class = report.inferred_class
+            decay_class = DecayClass(report["inferred_class"])
         # read_diffeo's margin check, under the file's class or the measured one
         Diffeo(target, decay_class)
     else:
@@ -175,14 +183,14 @@ def cmd_classify(config: RunConfig) -> int:
     claimed = config.claimed_class()
     class_ok = None
     if claimed is not None:
-        class_ok = claimed.contains(report.inferred_class)
+        class_ok = claimed.contains(DecayClass(report["inferred_class"]))
     payload = {
         "command": "classify",
         "grid": {"dim": target.grid.dim, "half_width": target.grid.half_width,
                  "points_per_axis": target.grid.points_per_axis},
         "claimed_class": None if claimed is None else claimed.value,
         "class_ok": class_ok,
-        "report": report.to_dict(),
+        "report": report,
     }
     _emit(config, payload, "classify_report.json")
     return EXIT_OK if class_ok in (None, True) else EXIT_VERIFY

@@ -16,7 +16,7 @@ shell data so callers can audit the call.
 
 Two entry points share one loop over the derivatives and one decision rule:
 :func:`classify_decay` measures every derivative through order
-``DEFAULT_MAX_ORDER`` and returns the full :class:`SeminormReport`;
+``DEFAULT_MAX_ORDER`` and returns its whole report as a JSON-ready dict;
 :func:`measured_class` returns only the class, and stops at the first
 derivative after which no later one can change it. Order 0 settles
 CompactSupport, and BoundedAll is settled once both the Schwartz and the
@@ -27,7 +27,6 @@ values alone. Both give the same class for every field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,69 +104,6 @@ def extrapolation_for(decay_class: DecayClass | None) -> str:
     return "clamp" if decay_class is DecayClass.BOUNDED_ALL else "zero"
 
 
-@dataclass
-class ShellFit:
-    """Decay fit for one derivative: shell sups against dyadic radii."""
-
-    alpha: tuple
-    radii: list
-    shell_sups: list
-    exponent: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "radii": list(self.radii),
-            "shell_sups": list(self.shell_sups),
-            "exponent": self.exponent,
-        }
-
-
-def _alpha_key(alpha) -> str:
-    return ",".join(str(int(a)) for a in alpha)
-
-
-@dataclass
-class SeminormReport:
-    """Everything the classifier measured, plus the class it settled on.
-
-    ``entries`` is a flat list of measured seminorms, one dict per
-    ``(kind, alpha, m)`` triple; ``decay_rates`` maps each derivative
-    multi-index to its fitted dyadic decay exponent.
-    """
-
-    inferred_class: DecayClass
-    entries: list
-    decay_rates: dict
-    radii: list
-    fits: list
-    edge_ratio: float
-    support_radius: float | None = None
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "inferred_class": self.inferred_class.value,
-            "max_order": DEFAULT_MAX_ORDER,
-            "max_weight": DEFAULT_MAX_WEIGHT,
-            "entries": [
-                {
-                    "kind": e["kind"],
-                    "alpha": list(e["alpha"]),
-                    "m": e["m"],
-                    "value": e["value"],
-                }
-                for e in self.entries
-            ],
-            "decay_rates": {_alpha_key(a): v for a, v in self.decay_rates.items()},
-            "radii": list(self.radii),
-            "fits": [f.to_dict() for f in self.fits],
-            "edge_ratio": self.edge_ratio,
-            "support_radius": self.support_radius,
-            "notes": list(self.notes),
-        }
-
-
 def _shells(grid) -> tuple:
     """``(radii, masks, r)``: every dyadic level ``radii[k] = 2^k`` inside the box.
 
@@ -207,10 +143,11 @@ def _fit_exponent(radii, sups) -> float:
     return float(-slope)
 
 
-def _shell_fit(alpha, values: np.ndarray, radii, masks) -> ShellFit:
+def _shell_fit(alpha, values: np.ndarray, radii, masks) -> dict:
     """Decay fit of one derivative's node magnitudes ``values`` over the shells."""
     sups = [float(np.max(values[mask])) if np.any(mask) else 0.0 for mask in masks]
-    return ShellFit(alpha, radii, sups, _fit_exponent(radii, sups))
+    return {"alpha": list(alpha), "radii": list(radii), "shell_sups": sups,
+            "exponent": _fit_exponent(radii, sups)}
 
 
 def _support_radius(r: np.ndarray, abs_values: np.ndarray, radii) -> float | None:
@@ -229,7 +166,8 @@ def _classify(field, full: bool) -> tuple:
     """The loop over the derivatives and the decision rule of both entry points.
 
     Returns ``(inferred, fits, rows, edge_ratio, support_radius, global_sup)``,
-    ``rows`` holding each derivative's ``(sup, weighted, sobolev)``
+    ``fits`` holding each derivative's report dict from :func:`_shell_fit` and
+    ``rows`` each derivative's ``(sup, weighted, sobolev)``
     seminorms. With ``full`` false it builds no rows, takes an L2 norm only
     while the H-infinity test can still decide, and stops once the class is
     settled.
@@ -256,8 +194,8 @@ def _classify(field, full: bool) -> tuple:
             schwartz, sobolev = True, edge_ratio <= SOBOLEV_EDGE_RATIO
             # dropped before the higher orders are derived, so they add nothing to the peak
             del r, outer_mask
-        schwartz = schwartz and fit.exponent >= DEFAULT_MAX_WEIGHT + 1
-        sobolev = sobolev and fit.exponent >= SOBOLEV_MIN_EXPONENT
+        schwartz = schwartz and fit["exponent"] >= DEFAULT_MAX_WEIGHT + 1
+        sobolev = sobolev and fit["exponent"] >= SOBOLEV_MIN_EXPONENT
         if full:
             rows.append(measure(derivative))
             sobolev = sobolev and rows[-1][2] <= SOBOLEV_NORM_CAP
@@ -287,24 +225,28 @@ def measured_class(field) -> DecayClass:
     return _classify(field, False)[0]
 
 
-def classify_decay(field) -> SeminormReport:
+def classify_decay(field) -> dict:
     """Estimate the narrowest decay class a scalar or displacement field fits.
 
     Derivatives through order ``DEFAULT_MAX_ORDER`` and polynomial weights
     through ``DEFAULT_MAX_WEIGHT`` are measured, and the Schwartz test asks
-    every fitted exponent to clear ``DEFAULT_MAX_WEIGHT + 1``.
+    every fitted exponent to clear ``DEFAULT_MAX_WEIGHT + 1``. Returns the
+    JSON-ready report: ``inferred_class`` (the class's value), ``max_order``,
+    ``max_weight``, ``entries`` (one ``{kind, alpha, m, value}`` per measured
+    seminorm), ``decay_rates`` (each derivative's fitted exponent, keyed
+    ``"a0,a1"``), ``radii``, ``fits`` (each derivative's ``{alpha, radii,
+    shell_sups, exponent}``), ``edge_ratio``, ``support_radius`` and ``notes``.
     """
     inferred, fits, rows, edge_ratio, support_radius, global_sup = _classify(field, True)
-    alphas = [fit.alpha for fit in fits]
-    decay_rates = {fit.alpha: fit.exponent for fit in fits}
+    alphas = [fit["alpha"] for fit in fits]
 
     sup_values, weighted, sobolev_values = zip(*rows)
-    entries = [{"kind": "sup", "alpha": alpha, "m": 0, "value": value}
+    entries = [{"kind": "sup", "alpha": list(alpha), "m": 0, "value": value}
                for alpha, value in zip(alphas, sup_values)]
     for alpha, row in zip(alphas, weighted):
         for m, value in enumerate(row, start=1):
-            entries.append({"kind": "weighted", "alpha": alpha, "m": m, "value": value})
-    entries += [{"kind": "sobolev", "alpha": alpha, "m": 0, "value": value}
+            entries.append({"kind": "weighted", "alpha": list(alpha), "m": m, "value": value})
+    entries += [{"kind": "sobolev", "alpha": list(alpha), "m": 0, "value": value}
                 for alpha, value in zip(alphas, sobolev_values)]
 
     notes = []
@@ -321,26 +263,27 @@ def classify_decay(field) -> SeminormReport:
             f"and the field has died down near the box edge"
         )
     else:
-        slow = [f for f in fits if f.exponent < SOBOLEV_MIN_EXPONENT]
+        slow = [fit["alpha"] for fit in fits if fit["exponent"] < SOBOLEV_MIN_EXPONENT]
         if slow:
-            notes.append(
-                f"derivatives {[list(f.alpha) for f in slow]} show no usable decay"
-            )
+            notes.append(f"derivatives {slow} show no usable decay")
         if edge_ratio > SOBOLEV_EDGE_RATIO:
             notes.append(
                 f"field still carries {edge_ratio:.3g} of its sup on the outermost shell"
             )
 
-    return SeminormReport(
-        inferred_class=inferred,
-        entries=entries,
-        decay_rates=decay_rates,
-        radii=fits[0].radii,
-        fits=fits,
-        edge_ratio=edge_ratio,
-        support_radius=support_radius,
-        notes=notes,
-    )
+    return {
+        "inferred_class": inferred.value,
+        "max_order": DEFAULT_MAX_ORDER,
+        "max_weight": DEFAULT_MAX_WEIGHT,
+        "entries": entries,
+        "decay_rates": {",".join(map(str, alpha)): fit["exponent"]
+                        for alpha, fit in zip(alphas, fits)},
+        "radii": list(fits[0]["radii"]),
+        "fits": fits,
+        "edge_ratio": edge_ratio,
+        "support_radius": support_radius,
+        "notes": notes,
+    }
 
 
 def _component_max(derivative: np.ndarray, grid) -> np.ndarray:

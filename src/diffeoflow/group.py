@@ -114,10 +114,10 @@ def membership_check(displacement, decay_class: DecayClass | None = None) -> tup
         except InsufficientAnnuliError as exc:
             report["notes"].append(f"decay class not verifiable: {exc}")
         else:
-            measured = classification.inferred_class
+            measured = DecayClass(classification["inferred_class"])
             report["measured_class"] = measured.value
             report["class_ok"] = bool(decay_class.contains(measured))
-            report["classification"] = classification.to_dict()
+            report["classification"] = classification
             if not report["class_ok"]:
                 ok = False
                 report["notes"].append(
@@ -356,9 +356,10 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
     ``residual = seed + g(seed) - nodes`` comes from the caller. A node
     drops out once its residual norm is at most ``tol``, and that norm is
     stored then, so the first pass differentiates only the nodes the sweeps
-    left above the target. Each pass gathers the residual at its new
-    iterates only, so no pass gathers, differentiates or solves a retired
-    node, and a singular Jacobian there is never met.
+    left above the target. Each pass gathers the residual once per
+    line-search trial, at the active nodes only, and keeps the accepted
+    trial's residual for the next pass, so no pass gathers, differentiates
+    or solves a retired node, and a singular Jacobian there is never met.
     """
     dim = displacement.grid.dim
     y = seed.copy()
@@ -377,16 +378,17 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
         except np.linalg.LinAlgError as exc:
             raise InversionError(f"Newton step hit a singular Jacobian: {exc}")
         scale = np.ones((y_act.shape[0], 1))
-        for _ in range(6):
+        # the accepted trial is the next iterate, with the residual it gathered;
+        # after six halvings the step is taken whether or not it improves
+        for halvings in range(7):
             trial = y_act - scale * step
-            trial_norm = row_max(np.abs(trial + displacement.sample(trial) - target))
+            residual = trial + displacement.sample(trial) - target
+            trial_norm = row_max(np.abs(residual))
             worse = trial_norm > res_norm
-            if not np.any(worse):
+            if halvings == 6 or not np.any(worse):
                 break
             scale[worse] *= 0.5
-        y_act = y_act - scale * step
-        residual = y_act + displacement.sample(y_act) - target
-        rows = [y_act, target, residual, row_max(np.abs(residual))]
+        rows = [trial, target, residual, trial_norm]
     y[active] = rows[0]
     norms[active] = rows[3]
     return y, norms
@@ -467,12 +469,12 @@ def conjugate(outer: Diffeo, inner: Diffeo) -> tuple:
         inner, outer, g_outer + inner.displacement.sample(a)))
     result = Diffeo(DisplacementField.from_nodes(outer.grid, conj_disp), expected)
     classification = classify_decay(result.displacement)
-    measured = classification.inferred_class
+    measured = DecayClass(classification["inferred_class"])
     info = {
         "expected_class": expected.value,
         "measured_class": measured.value,
         "agrees": bool(expected.contains(measured)),
         "left_identity": float(np.max(np.abs(g_outer + outer_inverse.displacement.sample(a)))),
-        "report": classification.to_dict(),
+        "report": classification,
     }
     return result, info

@@ -81,6 +81,24 @@ class TestConfig:
         assert main([path if arg == "FILE" else arg for arg in argv]) == 1
         capsys.readouterr()
 
+    # an --input member's class is its file's, so --class beside one is refused;
+    # the file holds a BoundedAll member
+    @pytest.mark.parametrize("argv", [
+        ["--command", "compose", "--descriptor", "0.1*exp(-x^2)", "--input", "FILE"],
+        ["--command", "invert", "--input", "FILE"],
+        ["--command", "conjugate", "--descriptor", "0.2*tanh((x-0.3)/1.1)", "--input", "FILE"],
+    ], ids=["compose", "invert", "conjugate"])
+    def test_class_beside_an_input_exits_1(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "member.dff")
+        write_diffeo(path, Diffeo.from_descriptor(Grid(1, 8.0, 257), "0.1*tanh(x)"))
+        argv = [path if arg == "FILE" else arg for arg in argv]
+        code, payload, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert payload["result"]["decay_class"] == "BoundedAll"
+        code, payload, err = run_cli(capsys, *argv, "--class", "Schwartz")
+        assert code == 1 and payload is None
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -149,7 +167,7 @@ class TestClassify:
         path = tmp_path / "m.dff"
         field = DisplacementField.from_descriptor(Grid(1, 8.0, 257), descriptor)
         write_displacement(str(path), field, None)
-        want = classify_decay(field).to_dict()
+        want = classify_decay(field)
         calls = []
 
         def counting(target):

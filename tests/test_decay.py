@@ -32,8 +32,8 @@ from diffeoflow.decay import DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT
 from diffeoflow.fields import multi_indices, multi_indices_up_to
 
 def entry_value(report, kind, alpha, m):
-    """The one measured seminorm of ``report.entries`` with this kind, index and weight."""
-    found = [e["value"] for e in report.entries
+    """The one measured seminorm of ``report["entries"]`` with this kind, index and weight."""
+    found = [e["value"] for e in report["entries"]
              if (e["kind"], tuple(e["alpha"]), e["m"]) == (kind, alpha, m)]
     if len(found) != 1:
         raise KeyError((kind, alpha, m))
@@ -128,49 +128,49 @@ class TestClassification:
     def test_reference_battery(self, fine_grid):
         for descriptor, expected in self.BATTERY:
             report = classify_decay(sample(descriptor, fine_grid))
-            assert report.inferred_class is expected, descriptor
+            assert report["inferred_class"] == expected.value, descriptor
 
     def test_compact_support_radius_and_finiteness(self, fine_grid):
         report = classify_decay(sample("bump(x)", fine_grid))
-        assert report.inferred_class is DecayClass.COMPACT_SUPPORT
-        assert report.support_radius is not None
-        assert report.support_radius == 1.0
-        for entry in report.entries:
+        assert report["inferred_class"] == DecayClass.COMPACT_SUPPORT.value
+        assert report["support_radius"] is not None
+        assert report["support_radius"] == 1.0
+        for entry in report["entries"]:
             assert np.isfinite(entry["value"])
             assert entry["value"] >= 0.0
 
     def test_schwartz_exponents_beat_weight_threshold(self, fine_grid):
         report = classify_decay(sample("exp(-x^2)", fine_grid))
-        for fit in report.fits:
-            assert fit.exponent >= DEFAULT_MAX_WEIGHT + 1
+        for fit in report["fits"]:
+            assert fit["exponent"] >= DEFAULT_MAX_WEIGHT + 1
 
     def test_constant_keeps_growing_weighted_norms(self, fine_grid):
         report = classify_decay(sample("1", fine_grid))
-        assert report.inferred_class is DecayClass.BOUNDED_ALL
+        assert report["inferred_class"] == DecayClass.BOUNDED_ALL.value
         assert entry_value(report, "weighted", (0,), 1) == 65.0
 
     def test_vector_field_classification(self):
         field = sample("-0.3*y*exp(-(x^2+y^2)), 0.3*x*exp(-(x^2+y^2))",
                        Grid(2, 8.0, 129))
         report = classify_decay(field)
-        assert DecayClass.SCHWARTZ.contains(report.inferred_class)
+        assert DecayClass.SCHWARTZ.contains(DecayClass(report["inferred_class"]))
 
     def test_caps_are_respected(self, fine_grid):
         report = classify_decay(sample("exp(-x^2)", fine_grid))
-        data = report.to_dict()
-        assert (data["max_order"], data["max_weight"]) == (DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT)
-        orders = {sum(entry["alpha"]) for entry in report.entries}
+        assert (report["max_order"], report["max_weight"]) == (DEFAULT_MAX_ORDER,
+                                                               DEFAULT_MAX_WEIGHT)
+        orders = {sum(entry["alpha"]) for entry in report["entries"]}
         assert max(orders) == DEFAULT_MAX_ORDER
-        weights = {entry["m"] for entry in report.entries if entry["kind"] == "weighted"}
+        weights = {entry["m"] for entry in report["entries"] if entry["kind"] == "weighted"}
         assert max(weights) == DEFAULT_MAX_WEIGHT
 
     def test_support_radius_is_the_smallest_dyadic_radius(self, fine_grid):
         # supported in |x| < 0.5: radius 1 already clears it, so 2 is not the answer
         report = classify_decay(sample("0.5*bump(x/0.5)", fine_grid))
-        assert report.inferred_class is DecayClass.COMPACT_SUPPORT
-        assert report.support_radius == 1.0
+        assert report["inferred_class"] == DecayClass.COMPACT_SUPPORT.value
+        assert report["support_radius"] == 1.0
         wider = classify_decay(sample("0.5*bump(x/3)", fine_grid))
-        assert wider.support_radius == 4.0
+        assert wider["support_radius"] == 4.0
 
 
 C, S, H, B = (DecayClass.COMPACT_SUPPORT, DecayClass.SCHWARTZ,
@@ -232,7 +232,7 @@ class TestMeasuredClass:
     @pytest.mark.parametrize("descriptor, dim, expected", VERDICTS)
     def test_agrees_with_the_report(self, descriptor, dim, expected):
         grid = Grid(dim, 8.0, {1: 513, 2: 65}[dim])
-        assert classify_decay(sample(descriptor, grid)).inferred_class is expected
+        assert classify_decay(sample(descriptor, grid))["inferred_class"] == expected.value
         # a fresh field: the report's derivatives are not cached for the verdict
         assert measured_class(sample(descriptor, grid)) is expected
 
@@ -244,8 +244,8 @@ class TestMeasuredClass:
     def test_agrees_on_battery_members_and_their_sums(self, terms):
         descriptor = " + ".join(terms)
         grid = Grid(1, 8.0, 257)
-        assert (measured_class(sample(descriptor, grid))
-                is classify_decay(sample(descriptor, grid)).inferred_class)
+        assert (measured_class(sample(descriptor, grid)).value
+                == classify_decay(sample(descriptor, grid))["inferred_class"])
 
     def test_schwartz_verdict_builds_no_weight(self, fine_grid, monkeypatch):
         built = []
@@ -315,14 +315,18 @@ class TestReport:
         with pytest.raises(KeyError):
             entry_value(report, "sup", (5,), 0)
 
-    def test_to_dict_is_serializable(self, fine_grid):
+    def test_report_is_serializable(self, fine_grid):
         report = classify_decay(sample("exp(-x^2)", fine_grid))
-        data = report.to_dict()
-        text = stable_json_dumps(data)
+        assert type(report) is dict
+        assert list(report) == ["inferred_class", "max_order", "max_weight", "entries",
+                                "decay_rates", "radii", "fits", "edge_ratio",
+                                "support_radius", "notes"]
+        text = stable_json_dumps(report)
         assert '"inferred_class": "Schwartz"' in text
-        assert isinstance(data["fits"], list)
-        assert data["radii"] == [1.0, 2.0, 4.0, 8.0]
-        assert isinstance(data["notes"], list)
+        assert list(report["fits"][0]) == ["alpha", "radii", "shell_sups", "exponent"]
+        assert list(report["decay_rates"]) == ["0", "1", "2"]
+        assert report["radii"] == [1.0, 2.0, 4.0, 8.0]
+        assert isinstance(report["notes"], list)
 
     @pytest.mark.parametrize("descriptor, grid", [
         ("exp(-x^2)", Grid(1, 8.0, 257)),
@@ -352,5 +356,5 @@ class TestReport:
         want += [("weighted", a, m, weighted_seminorm(field, a, m))
                  for a in alphas for m in range(1, DEFAULT_MAX_WEIGHT + 1)]
         want += [("sobolev", a, 0, sobolev_seminorm(field, a)) for a in alphas]
-        got = [(e["kind"], e["alpha"], e["m"], e["value"]) for e in report.entries]
+        got = [(e["kind"], tuple(e["alpha"]), e["m"], e["value"]) for e in report["entries"]]
         assert got == want

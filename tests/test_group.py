@@ -137,7 +137,7 @@ class TestDiffeoConstruction:
         # classified on the zero continuation, as classify --input classifies a file
         # without a class hint, then re-read with clamp
         disp = DisplacementField.from_descriptor(plane_grid, "0.2*tanh(x/1.1), 0.15*tanh(y)")
-        member = Diffeo(disp, group_module.classify_decay(disp).inferred_class)
+        member = Diffeo(disp, group_module.classify_decay(disp)["inferred_class"])
         assert member.decay_class is DecayClass.BOUNDED_ALL
         assert member.displacement.extrapolation == "clamp"
         # one derivation per channel per axis: classify_decay's, reused by the margin
@@ -441,6 +441,50 @@ class TestInvertSolvedNodesDropOut:
         assert sizes[0] == left
         assert sizes == sorted(sizes, reverse=True)
 
+    def test_newton_gathers_each_trial_once(self, monkeypatch):
+        # the accepted line-search trial is the next iterate, with the residual it
+        # gathered; this member's passes include damped ones, so some take several trials
+        grid, text, decay_class = PARITY_CASES[1]
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        gathered, passes, inside = [], [], []
+        sample, jacobian_at = DisplacementField.sample, DisplacementField.jacobian_at
+        newton = group_module._invert_newton
+
+        def recording_sample(self, points):
+            if inside:
+                gathered.append(np.asarray(points).tobytes())
+            return sample(self, points)
+
+        def recording_jacobian_at(self, points):
+            passes.append(len(points))
+            return jacobian_at(self, points)
+
+        def recording_newton(*args):
+            inside.append(True)
+            return newton(*args)
+
+        monkeypatch.setattr(DisplacementField, "sample", recording_sample)
+        monkeypatch.setattr(DisplacementField, "jacobian_at", recording_jacobian_at)
+        monkeypatch.setattr(group_module, "_invert_newton", recording_newton)
+        invert(member)
+        assert len(gathered) > len(passes) > 0
+        assert len(set(gathered)) == len(gathered)
+
+    def test_exhausted_line_search_takes_the_halved_step(self, monkeypatch):
+        # the handed residual is a millionth of the true one, so all six trials are
+        # worse than it: the pass takes the step halved six times and gathers it
+        grid = Grid(1, 8.0, 65)
+        disp = DisplacementField.from_descriptor(grid, "0.2*exp(-x^2)")
+        nodes = np.asarray(grid.nodes())
+        residual = 1.0e-6 * disp.node_values()
+        monkeypatch.setattr(group_module, "_NEWTON_MAX_ITER", 1)
+        gathered = _counting_sample(monkeypatch)
+        y, norms = group_module._invert_newton(disp, nodes, nodes, residual, 0.0)
+        assert gathered == [grid.node_count] * 7
+        step = np.linalg.solve(disp.jacobian_at(nodes) + np.eye(1), residual[..., None])[..., 0]
+        assert np.array_equal(y, nodes - np.full((grid.node_count, 1), 0.5 ** 6) * step)
+        assert np.array_equal(norms, np.max(np.abs(y + disp.sample(y) - nodes), axis=1))
+
     @pytest.mark.parametrize("grid, text", [
         (Grid(2, 8.0, 129), SWIRL_2D.replace("1.1", "1.4")),
         # det(I + dg) = 1 - 1.16 sqrt(2/e) = 0.005 at x = 1/sqrt(2)
@@ -600,13 +644,13 @@ def _regathering_conjugate(outer, inner):
     conj_disp = group_module.compose_nodes(outer_inverse, compose(inner, outer))
     result = Diffeo(DisplacementField.from_nodes(outer.grid, conj_disp), expected)
     classification = group_module.classify_decay(result.displacement)
-    measured = classification.inferred_class
+    measured = DecayClass(classification["inferred_class"])
     info = {
         "expected_class": expected.value,
         "measured_class": measured.value,
         "agrees": bool(expected.contains(measured)),
         "left_identity": float(np.max(np.abs(group_module.compose_nodes(outer_inverse, outer)))),
-        "report": classification.to_dict(),
+        "report": classification,
     }
     return result, info
 
