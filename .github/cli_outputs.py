@@ -58,6 +58,10 @@ COMMANDS = [
                          "--descriptor", GAUSS_1D]),
     ("conjugate-1d", ["--command", "conjugate", "--descriptor", TANH_1D,
                       "--descriptor", "0.1*exp(-x^2)"]),
+    # the outer's pole at x = 8.5 lies past the box, where the inner shift carries the
+    # face node: a descriptor member reads its formula there, so this exits 1
+    ("compose-1d-pole", ["--command", "compose", "--class", "BoundedAll",
+                         "--descriptor", "0.1/(8.5-x)", "--descriptor", "0.5+0*x"]),
     ("compose-2d", ["--command", "compose", *PLANE, "--descriptor", GAUSS_2D,
                     "--descriptor", TANH_2D]),
     # the left identity check is interpolation-limited at 129^2
@@ -65,6 +69,12 @@ COMMANDS = [
                    "--descriptor", GAUSS_2D]),
     ("invert-2d-swirl", ["--command", "invert", *PLANE, "--tol", "1e-3", "--class",
                          "Schwartz", "--descriptor", SWIRL_2D]),
+    # the 21^3 Gaussian of tests/test_group.py: face nodes solve y + g(y) = x just off
+    # the box, so the formula's value there decides the right identity. Exits 2: the
+    # left identity reads the inverse's interpolant, above --tol at this spacing
+    ("invert-3d-21", ["--command", "invert", "--dim", "3", "--points", "21", "--class",
+                      "Schwartz", "--descriptor",
+                      "0.3*exp(-(x^2+y^2+z^2)/4), 0.2*exp(-(x^2+y^2+z^2)/4), 0"]),
     ("conjugate-2d", ["--command", "conjugate", *PLANE, "--descriptor", TANH_2D,
                       "--descriptor", GAUSS_2D]),
     # the group-2d shape: at 257^2 every gather spans several blocks

@@ -14,13 +14,15 @@ Off-grid evaluation is separable piecewise-cubic Lagrange interpolation,
 which reproduces cubics exactly and therefore matches the fourth-order
 accuracy of the stencils. Points outside the box either read as zero
 (fields that decay) or as the clamped boundary value (fields that merely
-stay bounded).
+stay bounded). A displacement built from a descriptor reads its compiled
+formula off the grid instead, on and off the box (:class:`DisplacementField`).
 
-Interpolation is the engine's inner loop: composition, inversion and
-conjugation all read a displacement at displaced points. ``_gather`` runs
-it over blocks of at most ``GATHER_BLOCK`` query points (a constant), from
-per-axis stencil weights laid out ``(dim, 4, m)`` so each weight row is
-contiguous, written into scratch rows allocated once per gather. Blocking
+Interpolation is the engine's inner loop for fields known only at their
+nodes: composition, inversion and conjugation all read a displacement at
+displaced points. ``_gather`` runs it over blocks of at most
+``GATHER_BLOCK`` query points (a constant), from per-axis stencil weights
+laid out ``(dim, 4, m)`` so each weight row is contiguous, written into
+scratch rows allocated once per gather. Blocking
 changes only memory traffic: every point's value is the same products
 added in the same offset order into an accumulator that starts at zero, so
 results are bit-identical to an unblocked pass.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import bind, parse_vector
+from .descriptors import VARIABLES, bind, parse_vector
 from .errors import FieldError, UnsupportedOrderError
 
 MAX_DERIVATIVE_ORDER = 6
@@ -410,6 +412,23 @@ def row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_formula(evaluate, pts: np.ndarray) -> np.ndarray:
+    """A bound descriptor program at ``(m, dim)`` points; a non-finite value raises.
+
+    The program runs with numpy's floating-point warnings off, and a pole
+    or overflow it meets is reported as a :class:`FieldError` naming the
+    first point and value, not as a warning.
+    """
+    with np.errstate(all="ignore"):
+        out = evaluate(None, pts)
+    if not np.all(np.isfinite(out)):
+        row = int(np.argmin(np.isfinite(out.reshape(len(pts), -1)).all(axis=1)))
+        value = out.reshape(len(pts), -1)[row]
+        raise FieldError(f"the displacement formula reads {[float(v) for v in value]} at "
+                         f"point {[float(c) for c in pts[row]]}")
+    return out
+
+
 def _normalize_points(points, dim: int):
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 0 or pts.shape[-1] != dim:
@@ -464,6 +483,15 @@ class DisplacementField:
     Values are stored channel-stacked with shape ``(dim,) + grid.shape``;
     :meth:`from_nodes` and :meth:`node_values` convert to and from the
     node-major ``(node_count, dim)`` layout of points and samples.
+
+    How a field was built decides how it is read off the grid. One built by
+    :meth:`from_descriptor` keeps its bound program as ``formula``:
+    :meth:`sample` runs it, on and off the box, and :meth:`jacobian_at` runs
+    the program of its symbolic Jacobian, bound at the first call. Every
+    other field (op outputs, file reads, flow snapshots) has ``formula =
+    None`` and interpolates its nodes, continued off the box by
+    ``extrapolation``. Node values and stencil derivatives are the same for
+    both kinds, and :meth:`regrid` interpolates the nodes of either.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, extrapolation: str = "zero"):
@@ -479,11 +507,16 @@ class DisplacementField:
         self.values = values
         self.extrapolation = extrapolation
         self._derivatives: dict = {}
+        # (components, evaluate) of a descriptor-built field, and its bound Jacobian
+        self.formula = None
+        self._formula_jacobian = None
 
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor) -> "DisplacementField":
-        _, evaluate = bind(descriptor, grid.dim, (grid.dim,))
-        return cls.from_nodes(grid, evaluate(None, grid.nodes()))
+        exprs, evaluate = bind(descriptor, grid.dim, (grid.dim,))
+        out = cls.from_nodes(grid, evaluate(None, grid.nodes()))
+        out.formula = (exprs, evaluate)
+        return out
 
     @classmethod
     def from_nodes(cls, grid: Grid, node_values,
@@ -501,11 +534,13 @@ class DisplacementField:
 
         Stencil derivatives do not depend on the continuation, so the cached
         first derivatives, which the Jacobian reads, carry over re-wrapped
-        with the new mode.
+        with the new mode. A formula and its bound Jacobian carry over too;
+        a formula ignores the continuation.
         """
         out = DisplacementField(self.grid, self.values, extrapolation)
         out._derivatives = {alpha: DisplacementField(self.grid, d.values, extrapolation)
                             for alpha, d in self._derivatives.items()}
+        out.formula, out._formula_jacobian = self.formula, self._formula_jacobian
         return out
 
     def node_values(self) -> np.ndarray:
@@ -513,7 +548,10 @@ class DisplacementField:
         return self.values.reshape(self.grid.dim, -1).T
 
     def sample(self, points) -> np.ndarray:
+        """``g`` at points ``(..., dim)``: the formula if the field has one, else interpolated."""
         pts, lead = _normalize_points(points, self.grid.dim)
+        if self.formula is not None:
+            return _read_formula(self.formula[1], pts).reshape(lead + (self.grid.dim,))
         out = _gather(list(self.values.reshape(self.grid.dim, -1)), self.grid, pts,
                       self.extrapolation)
         return np.ascontiguousarray(out.T).reshape(lead + (self.grid.dim,))
@@ -543,9 +581,20 @@ class DisplacementField:
         return [[d[i] for d in firsts] for i in range(self.grid.dim)]
 
     def jacobian_at(self, points) -> np.ndarray:
-        """Interpolated displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``."""
+        """Displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``.
+
+        A formula's is its symbolic Jacobian (``Expr.diff``), bound once on
+        the first call; any other field interpolates its stencil derivatives.
+        """
         pts, lead = _normalize_points(points, self.grid.dim)
         dim = self.grid.dim
+        if self.formula is not None:
+            if self._formula_jacobian is None:
+                exprs = self.formula[0]
+                _, self._formula_jacobian = bind(
+                    [expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
+                    dim, (dim, dim))
+            return _read_formula(self._formula_jacobian, pts).reshape(lead + (dim, dim))
         firsts = self._first_derivatives()
         channels = [firsts[j][i].reshape(-1) for i in range(dim) for j in range(dim)]
         out = _gather(channels, self.grid, pts, self.extrapolation)

@@ -8,9 +8,10 @@ it only samples,
     (Id + f) o (Id + g) = Id + [ g + f o (Id + g) ],
 
 so the class bookkeeping follows the wider of the two operands. Inversion
-solves ``y + g(y) = x`` node by node against the interpolated displacement,
-which makes the inverse exact for the engine's own notion of ``g`` rather
-than for the unknowable continuum field. One solver, :func:`solve_inverse`,
+solves ``y + g(y) = x`` node by node against the displacement as
+:meth:`~diffeoflow.fields.DisplacementField.sample` reads it: the formula of
+a descriptor member, the interpolant of any other, so the inverse is exact
+for the engine's own notion of ``g``. One solver, :func:`solve_inverse`,
 returns the inverse displacement and its residuals as node arrays;
 :func:`invert` wraps them in a member, and callers that read only node
 values build none. Every member takes chord sweeps on the node Jacobian
@@ -133,7 +134,10 @@ class Diffeo:
     The constructor trusts a supplied decay class (verification is the job of
     :func:`membership_check`), gives the displacement that class's off-box
     continuation, and refuses a Jacobian margin below ``DEFAULT_DET_THRESHOLD``.
-    Without a class it measures one with :func:`measured_class`.
+    Without a class it measures one with :func:`measured_class`. The
+    continuation governs a displacement known only at its nodes; one built
+    from a descriptor keeps its formula through the re-wrap and reads it
+    past the box instead.
     """
 
     def __init__(self, displacement: DisplacementField,
@@ -218,7 +222,7 @@ def _node_images(member: Diffeo) -> tuple:
     return g_values, images
 
 
-def _drop_settled(store: tuple, active: np.ndarray, settled: np.ndarray, rows: list) -> np.ndarray:
+def _drop_settled(store: list, active: np.ndarray, settled: np.ndarray, rows: list) -> np.ndarray:
     """Retire the active nodes where ``settled`` holds; returns the new ``active``.
 
     Each node iterates on its own: interpolation reads a node's own iterate
@@ -226,21 +230,24 @@ def _drop_settled(store: tuple, active: np.ndarray, settled: np.ndarray, rows: l
     retiring a node moves no other node's bits. The sweeps retire a node
     whose step is exactly 0.0, which would recompute the same bits on every
     later sweep; Newton retires a node whose residual meets its target. Each
-    ``(whole, part)`` pair of ``store`` writes the retired rows of ``part``
-    into the whole-node array ``whole``. The active-node arrays in the list
-    ``rows`` are then compacted in place, one at a time and last first, so an
-    array that only ``rows`` holds is freed as its copy is made; the sweeps
-    put their chord matrix rows last, so they are copied before any row that
-    ``store`` still holds. ``settled`` is False at a NaN, which keeps its
-    node. Integer ``take`` compacts; a boolean mask is several times slower.
+    ``(whole, part)`` pair of the list ``store`` writes the retired rows of
+    ``part`` into the whole-node array ``whole``, and ``store`` is emptied
+    then. The active-node arrays in the list ``rows`` are then compacted in
+    place, one at a time and last first, so an array that only ``rows``
+    holds is freed as its copy is made: a caller that names a part only in
+    ``store`` holds no copy of it through the compaction. ``settled`` is
+    False at a NaN, which keeps its node. Integer ``take`` compacts; a
+    boolean mask is several times slower.
     """
     done = np.flatnonzero(settled)
+    if len(done):
+        retired = active.take(done)
+        for whole, part in store:
+            whole[retired] = part.take(done, axis=0)
+    store.clear()
     if not len(done):
         return active
     keep = np.flatnonzero(~settled)
-    retired = active.take(done)
-    for whole, part in store:
-        whole[retired] = part.take(done, axis=0)
     for k in reversed(range(len(rows))):
         rows[k] = rows[k].take(keep, axis=0)
     return active.take(keep)
@@ -287,10 +294,15 @@ def _times(matrix: list, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep(y: np.ndarray, x: np.ndarray, matrix: list, g: np.ndarray) -> np.ndarray:
-    """One chord sweep's new iterates from ``y``, the targets ``x`` and ``g = g(y)``."""
+def _sweep(y: np.ndarray, nodes: np.ndarray, active: np.ndarray, matrix: list,
+           g: np.ndarray) -> np.ndarray:
+    """One chord sweep's new iterates from ``y``, the targets ``nodes[active]`` and ``g = g(y)``.
+
+    The targets are taken here, not kept between sweeps: the take is brief,
+    while a kept copy would sit beside every sweep's largest temporaries.
+    """
     step = y + g
-    step -= x
+    step -= nodes if len(active) == len(nodes) else nodes.take(active, axis=0)
     step = _times(matrix, step)
     return np.subtract(y, step, out=step)
 
@@ -304,8 +316,10 @@ def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray, tol: floa
     the Newton step ``y = x - M g(x)`` from the node value ``g(x)``. A node
     whose stencil reads only exact zeros
     (:func:`~diffeoflow.fields.reads_only_zeros`) is solved by its seed
-    ``y = x``, ``g(y) = +0.0``, the bits a sweep would give, and is never
-    gathered. The chord contracts at a node at the rate
+    ``y = x`` and is never sampled. Its ``g(y)`` is the bits a fresh sample
+    there returns, which a sweep would give: ``+0.0`` from a gather, whose
+    terms are all ``+-0.0``, and from a formula the node value itself, the
+    node's own ``+-0.0``. The chord contracts at a node at the rate
     ``|dg(x) - dg(y*)| / |I + dg(x)|``, which can exceed 1 (near x = 0.7 for
     ``0.8*exp(-x^2)``). So a node is slow when its step is above ``tol / 4``
     and not below ``_CHORD_SHRINK`` times its previous step (the seed step
@@ -316,31 +330,38 @@ def _invert_sweeps(displacement: DisplacementField, nodes: np.ndarray, tol: floa
     sweeps stop once no node moves more than ``tol / 4``, and only the nodes
     still moving then are gathered once more.
     """
-    # the active nodes' iterates, targets, step limits and chord matrix rows,
-    # compacted by _drop_settled
-    active = np.flatnonzero(~reads_only_zeros(displacement))
-    rows = [None, nodes if len(active) == len(nodes) else nodes.take(active, axis=0), None]
-    rows += _chord_matrix(displacement.jacobian_entries(), active)
-    step = _times(rows[3:], displacement.node_values().take(active, axis=0))
-    rows[2] = _CHORD_SHRINK * row_max(np.abs(step))
-    rows[0] = rows[1] - step
+    # the active nodes' iterates, step limits and chord matrix rows, compacted
+    # by _drop_settled
+    idle = reads_only_zeros(displacement)
+    active = np.flatnonzero(~idle)
+    rows = [None, None] + _chord_matrix(displacement.jacobian_entries(), active)
+    step = _times(rows[2:], displacement.node_values().take(active, axis=0))
+    rows[1] = _CHORD_SHRINK * row_max(np.abs(step))
+    rows[0] = (nodes if len(active) == len(nodes) else nodes.take(active, axis=0)) - step
     del step
     y = nodes.copy()
     sampled = np.zeros_like(y)
+    if displacement.formula is not None:
+        sampled[idle] = displacement.node_values()[idle]
+    del idle
     for _ in range(_CHORD_MAX_ITER):
         g_act = displacement.sample(rows[0])
-        y_next = _sweep(rows[0], rows[1], rows[3:], g_act)
-        moved = row_max(np.abs(y_next - rows[0]))
+        y_next = _sweep(rows[0], nodes, active, rows[2:], g_act)
+        moved = y_next - rows[0]
+        moved = row_max(np.abs(moved, out=moved))
         # a slow node keeps its iterate: its step becomes 0.0, so it retires below
-        slow = np.flatnonzero((moved >= rows[2]) & (moved > 0.25 * tol))
-        np.multiply(moved, _CHORD_SHRINK, out=rows[2])
+        slow = np.flatnonzero((moved >= rows[1]) & (moved > 0.25 * tol))
+        np.multiply(moved, _CHORD_SHRINK, out=rows[1])
         y_next[slow] = rows[0].take(slow, axis=0)
         moved[slow] = 0.0
-        rows[0] = y_next
         stop = float(np.max(moved, initial=0.0)) <= 0.25 * tol
-        active = _drop_settled(((y, y_next), (sampled, g_act)), active, moved == 0.0, rows)
-        # no sweep's arrays are held across the next gather
+        settled = moved == 0.0
+        # the new iterates and their samples are named only by rows and the
+        # store, so neither is held beside its compacted copy
+        rows[0] = y_next
+        store = [(y, y_next), (sampled, g_act)]
         del y_next, g_act, moved
+        active = _drop_settled(store, active, settled, rows)
         if stop:
             break
     y[active] = rows[0]
@@ -368,7 +389,7 @@ def _invert_newton(displacement: DisplacementField, nodes: np.ndarray,
     rows = [y, nodes, residual, norms]
     eye = np.eye(dim)
     for _ in range(_NEWTON_MAX_ITER):
-        active = _drop_settled(((y, rows[0]), (norms, rows[3])), active, rows[3] <= tol, rows)
+        active = _drop_settled([(y, rows[0]), (norms, rows[3])], active, rows[3] <= tol, rows)
         if not len(active):
             break
         y_act, target, residual, res_norm = rows

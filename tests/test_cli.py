@@ -264,6 +264,18 @@ class TestComposeInvert:
         assert code == 0
         assert len(calls) == margins
 
+    def test_off_box_pole_exits_1_with_the_point(self, capsys):
+        # the inner shift carries the face node x = 8 onto the outer's pole at 8.5,
+        # which no node reads: the formula read raises, and no warning escapes
+        code, payload, err = run_cli(
+            capsys, "--command", "compose", "--class", "BoundedAll",
+            "--descriptor", "0.1/(8.5-x)", "--descriptor", "0.5+0*x")
+        assert code == 1
+        assert payload is None
+        error = json.loads(err)
+        assert error["error"] == "FieldError"
+        assert error["message"] == "the displacement formula reads [inf] at point [8.5]"
+
     def test_under_resolved_compose_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "--command", "compose", "--class", "BoundedAll",

@@ -33,6 +33,7 @@ from diffeoflow.fields import (
     weight_factor,
 )
 from diffeoflow.decay import DecayClass, classify_decay, measured_class
+from diffeoflow.descriptors import bind
 from diffeoflow.flows import TimeDependentVectorField, _pointwise_norm, evolve, sobolev_tracking
 
 GAUSS = "exp(-x^2)"
@@ -281,6 +282,59 @@ class TestDisplacementField:
         field = DisplacementField.zero(line_grid)
         with pytest.raises(FieldError):
             field.regrid(plane_grid)
+
+
+class TestFormulaReads:
+    TEXT = "0.1*exp(-x^2-y^2) + 0.02*x*y, 0.05*tanh(x*y/2)"
+
+    def _points(self, rng, grid):
+        # inside the box, off the nodes, and up to half a box past each face
+        return rng.uniform(-1.5 * grid.half_width, 1.5 * grid.half_width, size=(333, 2))
+
+    def test_sample_is_the_bound_program(self, plane_grid, rng):
+        field = DisplacementField.from_descriptor(plane_grid, self.TEXT)
+        _, evaluate = bind(self.TEXT, 2, (2,))
+        pts = self._points(rng, plane_grid)
+        assert _same_bytes(field.sample(pts), evaluate(None, pts))
+        # node values are the program at the nodes, as before
+        assert _same_bytes(field.node_values(), evaluate(None, np.asarray(plane_grid.nodes())))
+
+    def test_jacobian_at_is_the_bound_symbolic_jacobian(self, plane_grid, rng):
+        field = DisplacementField.from_descriptor(plane_grid, self.TEXT)
+        exprs, _ = bind(self.TEXT, 2, (2,))
+        _, jacobian = bind([e.diff(v) for e in exprs for v in ("x", "y")], 2, (2, 2))
+        pts = self._points(rng, plane_grid)
+        assert _same_bytes(field.jacobian_at(pts), jacobian(None, pts))
+        assert _same_bytes(field.jacobian_at(pts[:7].reshape(7, 1, 2)),
+                           jacobian(None, pts[:7]).reshape(7, 1, 2, 2))
+
+    def test_with_extrapolation_keeps_the_program(self, plane_grid, rng):
+        field = DisplacementField.from_descriptor(plane_grid, self.TEXT)
+        pts = self._points(rng, plane_grid)
+        jac = field.jacobian_at(pts)
+        clamped = field.with_extrapolation("clamp")
+        assert clamped.formula is field.formula
+        assert clamped._formula_jacobian is field._formula_jacobian
+        assert _same_bytes(clamped.sample(pts), field.sample(pts))
+        assert _same_bytes(clamped.jacobian_at(pts), jac)
+
+    def test_grid_members_keep_the_gather(self, plane_grid, rng):
+        field = DisplacementField.from_descriptor(plane_grid, self.TEXT)
+        on_grid = DisplacementField.from_nodes(plane_grid, field.node_values())
+        pts = self._points(rng, plane_grid)
+        assert on_grid.formula is None
+        want = np.stack([_per_component_oracle(on_grid.values[i], plane_grid, pts, "zero")
+                         for i in range(2)], axis=-1)
+        assert _same_bytes(on_grid.sample(pts), want)
+        assert not _same_bytes(field.sample(pts), want)
+
+    def test_pole_raises_field_error_without_a_warning(self, line_grid):
+        # the pole at x = 8.5 lies past the box, so only an off-grid read meets it
+        field = DisplacementField.from_descriptor(line_grid, "0.1/(8.5-x)")
+        with pytest.raises(FieldError, match=r"reads \[inf\] at point \[8\.5\]"):
+            field.sample(np.array([[0.0], [8.5], [9.0]]))
+        with pytest.raises(FieldError, match=r"at point \[8\.5\]"):
+            field.jacobian_at(np.array([[8.5]]))
 
 
 def _oracle_stencil(grid, coords):

@@ -520,13 +520,30 @@ class TestInvertSolvedNodesDropOut:
         idle = reads_only_zeros(member.displacement)
         assert 0 < np.count_nonzero(idle) < grid.node_count
         nodes = np.asarray(grid.nodes())
-        # the skipped gathers read +0.0, sign bit included
+        # the skipped gathers of a grid member read +0.0, sign bit included
+        on_grid = DisplacementField.from_nodes(grid, member.displacement.node_values())
         assert np.zeros(grid.dim).tobytes() * int(np.count_nonzero(idle)) == (
-            member.displacement.sample(nodes[idle]).tobytes())
+            on_grid.sample(nodes[idle]).tobytes())
         gathered = _counting_sample(monkeypatch)
         invert(member)
         assert gathered[0] == grid.node_count - np.count_nonzero(idle)
         assert max(gathered) == gathered[0]
+
+    @pytest.mark.parametrize("grid, text, decay_class", ZERO_TAIL_CASES)
+    def test_skipped_nodes_keep_the_bits_of_a_fresh_sample(self, grid, text, decay_class):
+        # a formula reads each skipped node's own +-0.0, a gather +0.0; the sweeps
+        # keep whichever the member's sample returns
+        formula = Diffeo.from_descriptor(grid, text, decay_class).displacement
+        on_grid = DisplacementField.from_nodes(grid, formula.node_values())
+        idle = reads_only_zeros(formula)
+        nodes = np.asarray(grid.nodes())
+        assert formula.sample(nodes[idle]).tobytes() == formula.node_values()[idle].tobytes()
+        # the 3-D case's -0.4*bump channel reads -0.0 where the bump vanishes
+        assert np.any(np.signbit(formula.node_values()[idle])) == (grid.dim == 3)
+        for displacement in (formula, on_grid):
+            y, sampled = group_module._invert_sweeps(displacement, nodes, 1.0e-13)
+            assert np.array_equal(y[idle], nodes[idle])
+            assert sampled[idle].tobytes() == displacement.sample(nodes[idle]).tobytes()
 
     def test_singular_jacobian_at_solved_node_is_skipped(self):
         # g = x^3 - x near the origin: the origin node is solved by its seed
@@ -546,6 +563,37 @@ class TestInvertSolvedNodesDropOut:
         assert np.max(norms) <= 1.0e-12
         with pytest.raises(np.linalg.LinAlgError):
             _full_sweep_newton(disp, nodes, seed, residual, 1.0e-12)
+
+
+class TestFormulaInverse:
+    def test_3d_gaussian_reaches_the_residual_target(self):
+        # 146 face nodes solve y + g(y) = x just off the box, where the zero
+        # continuation of an interpolant reads 0; the formula reads g there
+        grid, text, decay_class = PARITY_CASES[7]
+        member = Diffeo.from_descriptor(grid, text, decay_class)
+        _, residuals = group_module.solve_inverse(member.displacement)
+        assert float(np.max(residuals)) <= 1.0e-13 * (1.0 + grid.half_width)
+
+    def test_257_gaussian_inverse_is_newton_on_the_formula(self):
+        grid = Grid(2, 8.0, 257)
+        member = Diffeo.from_descriptor(grid, "0.1*exp(-x^2-y^2), 0.05*exp(-(x-1)^2-y^2)",
+                                        DecayClass.SCHWARTZ)
+        u = invert(member).displacement.node_values()
+        nodes = np.asarray(grid.nodes())
+
+        def g_and_jacobian(p):
+            x, y = p[:, 0], p[:, 1]
+            e0, e1 = 0.1 * np.exp(-x ** 2 - y ** 2), 0.05 * np.exp(-(x - 1) ** 2 - y ** 2)
+            jac = np.empty((len(p), 2, 2))
+            jac[:, 0, 0], jac[:, 0, 1] = -2 * x * e0, -2 * y * e0
+            jac[:, 1, 0], jac[:, 1, 1] = -2 * (x - 1) * e1, -2 * y * e1
+            return np.stack([e0, e1], axis=1), jac
+
+        y = nodes.copy()
+        for _ in range(12):
+            g, jac = g_and_jacobian(y)
+            y -= np.linalg.solve(jac + np.eye(2), (y + g - nodes)[..., None])[..., 0]
+        assert float(np.max(np.abs((nodes + u) - y))) <= 1.0e-12
 
 
 class TestChordInvert:

@@ -348,6 +348,23 @@ class TestDiffeoFiles:
         # the margin is re-measured on load
         assert clone.epsilon == member.epsilon
 
+    def test_round_trip_reads_the_interpolant(self, plane_grid, tmp_path):
+        # a file holds node values only, so its member gathers where the
+        # descriptor member it was written from reads its formula
+        member = Diffeo.from_descriptor(plane_grid, "0.1*exp(-x^2-y^2), 0.05*tanh(x)",
+                                        DecayClass.BOUNDED_ALL)
+        path = tmp_path / "m.dff"
+        write_diffeo(str(path), member)
+        clone = read_diffeo(str(path))
+        assert member.displacement.formula is not None
+        assert clone.displacement.formula is None
+        pts = np.array([[0.31, -0.17], [2.05, 1.1], [8.4, 0.2]])
+        on_grid = DisplacementField.from_nodes(plane_grid, member.displacement.node_values(),
+                                               "clamp")
+        assert clone.displacement.sample(pts).tobytes() == on_grid.sample(pts).tobytes()
+        assert clone.displacement.sample(pts).tobytes() != (
+            member.displacement.sample(pts).tobytes())
+
     def test_one_file_per_member(self, fine_grid, tmp_path):
         member = Diffeo.from_descriptor(fine_grid, "0.2*tanh(x)",
                                         DecayClass.BOUNDED_ALL)
