@@ -42,6 +42,8 @@ COMMANDS = [
     # a 1500-term sum, too deep for Python's recursion limit: exits 1
     ("classify-descriptor-deep", ["--command", "classify", "--descriptor",
                                   "+".join(["x"] * 1500)]),
+    # a pole at the node x = 0: one JSON error line naming the point, exit 1
+    ("classify-descriptor-pole", ["--command", "classify", "--descriptor", "0.1/x"]),
     ("compose-1d", ["--command", "compose", "--descriptor", TANH_1D,
                     "--descriptor", GAUSS_1D]),
     ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",

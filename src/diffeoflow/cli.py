@@ -1,9 +1,12 @@
 """Command-line orchestration: fields in, reports and dff-v1 files out.
 
-One executable, one required ``--command``. Reports are JSON printed to
-stdout and optionally written under ``--out``; floats are formatted with 17
-significant digits and dictionary keys keep insertion order, so a fixed
-configuration and seed always produce byte-identical output.
+One executable, one required ``--command``. Bad flag values, an unknown
+``--class`` included, are refused before any command runs. Each command's
+JSON report is printed to stdout unless ``--quiet``; under ``--out`` the
+same bytes are written as ``<command>_report.json`` beside the files the
+report names in ``output`` (``outputs`` for ``evolve``). Floats are
+formatted with 17 significant digits and dictionary keys keep insertion
+order, so a fixed configuration and seed always produce byte-identical output.
 
 Exit codes: 0 success, 1 input or I/O problem, 2 verification or
 classification failure, 3 the result is not a valid diffeomorphism,
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,51 +40,13 @@ EXIT_VERIFY = 2
 EXIT_NON_DIFFEO = 3
 EXIT_FLOW = 4
 
-COMMANDS = ("classify", "compose", "invert", "conjugate", "evolve", "verify")
-
-
-@dataclass
-class RunConfig:
-    """Validated CLI parameters, one field per flag; the defaults live in the parser."""
-
-    command: str
-    dim: int
-    half_width: float
-    points: int
-    decay_class: str | None
-    descriptors: list
-    inputs: list
-    t_final: float
-    dt: float
-    tol: float
-    seed: int
-    out: str | None
-    quiet: bool
-
-    def validate(self):
-        """Reject bad flags before any command runs, ``verify`` included."""
-        self.grid()
-        if not (self.tol >= 0.0 and np.isfinite(self.tol)):
-            raise ValueError("tol must be non-negative and finite")
-        if not (self.t_final > 0.0 and self.dt > 0.0
-                and np.isfinite(self.t_final) and np.isfinite(self.dt)):
-            raise ValueError("t-final and dt must be positive and finite")
-
-    def grid(self) -> Grid:
-        return Grid(self.dim, self.half_width, self.points)
-
-    def claimed_class(self) -> DecayClass | None:
-        if self.decay_class is None:
-            return None
-        return class_from_name(self.decay_class)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffeoflow",
         description="group operations, flows and verification for "
                     "diffeomorphisms x + g(x) with decaying g")
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=_DISPATCH)
     parser.add_argument("--dim", type=int, default=1)
     parser.add_argument("--half-width", type=float, default=8.0)
     parser.add_argument("--points", type=int, default=257)
@@ -105,29 +69,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_argv(argv) -> RunConfig:
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
-    config.validate()
+def config_from_argv(argv) -> argparse.Namespace:
+    """The parsed flags, with ``grid`` built and ``decay_class`` a :class:`DecayClass`.
+
+    Bad values are refused here, before any command runs, ``verify`` included.
+    """
+    config = build_parser().parse_args(argv)
+    config.grid = Grid(config.dim, config.half_width, config.points)
+    if config.decay_class is not None:
+        config.decay_class = class_from_name(config.decay_class)
+    if not 0.0 <= config.tol < np.inf:
+        raise ValueError("tol must be non-negative and finite")
+    if not (0.0 < config.t_final < np.inf and 0.0 < config.dt < np.inf):
+        raise ValueError("t-final and dt must be positive and finite")
     return config
 
 
-def _out_path(config: RunConfig, filename: str) -> str:
+def _out_path(config: argparse.Namespace, filename: str) -> str:
     """Path of ``filename`` under ``--out``, creating the directory."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return str(out_dir / filename)
 
 
-def _emit(config: RunConfig, report: dict, filename: str) -> dict:
-    text = stable_json_dumps(report)
+def _emit(config: argparse.Namespace, report: dict, member: Diffeo | None = None,
+          dff: str | None = None):
+    """The output tail of every command.
+
+    Under ``--out``, ``member`` is written as ``dff`` and named in the
+    report's ``output``. The report is printed unless ``--quiet`` and, under
+    ``--out``, written as ``<command>_report.json``: the printed bytes.
+    """
+    if config.out and member is not None:
+        write_diffeo(_out_path(config, dff), member)
+        report["output"] = dff
     if not config.quiet:
-        print(text)
+        print(stable_json_dumps(report))
     if config.out:
-        write_report(_out_path(config, filename), report)
-    return report
+        write_report(_out_path(config, f"{config.command}_report.json"), report)
 
 
-def _source_specs(config: RunConfig, needed: int) -> list:
+def _source_specs(config: argparse.Namespace, needed: int) -> list:
     """``(is_file, spec)`` for each descriptor, then each file; exactly ``needed``."""
     sources = ([(False, d) for d in config.descriptors]
                + [(True, p) for p in config.inputs])
@@ -138,19 +120,18 @@ def _source_specs(config: RunConfig, needed: int) -> list:
     return sources
 
 
-def _sources(config: RunConfig, needed: int) -> list:
+def _sources(config: argparse.Namespace, needed: int) -> list:
     """Diffeos from descriptors and/or files, in the order given.
 
     A file member's class is its header's hint (or measured), so ``--class``
     beside an ``--input`` is refused, not ignored.
     """
-    claimed = config.claimed_class()
-    grid = config.grid()
+    claimed = config.decay_class
     specs = _source_specs(config, needed)
     if claimed is not None and any(is_file for is_file, _ in specs):
         raise ValueError(f"{config.command}: --class applies to --descriptor sources only; "
                          f"an --input member takes its class from its file")
-    return [read_diffeo(spec) if is_file else Diffeo.from_descriptor(grid, spec, claimed)
+    return [read_diffeo(spec) if is_file else Diffeo.from_descriptor(config.grid, spec, claimed)
             for is_file, spec in specs]
 
 
@@ -166,7 +147,7 @@ def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
     }
 
 
-def cmd_classify(config: RunConfig) -> int:
+def cmd_classify(config: argparse.Namespace) -> int:
     ((is_file, spec),) = _source_specs(config, 1)
     report = None
     if is_file:
@@ -177,10 +158,10 @@ def cmd_classify(config: RunConfig) -> int:
         # read_diffeo's margin check, under the file's class or the measured one
         Diffeo(target, decay_class)
     else:
-        target = sample(spec, config.grid())
+        target = sample(spec, config.grid)
     if report is None:
         report = classify_decay(target)
-    claimed = config.claimed_class()
+    claimed = config.decay_class
     class_ok = None
     if claimed is not None:
         class_ok = claimed.contains(DecayClass(report["inferred_class"]))
@@ -192,25 +173,19 @@ def cmd_classify(config: RunConfig) -> int:
         "class_ok": class_ok,
         "report": report,
     }
-    _emit(config, payload, "classify_report.json")
+    _emit(config, payload)
     return EXIT_OK if class_ok in (None, True) else EXIT_VERIFY
 
 
-def cmd_compose(config: RunConfig) -> int:
+def cmd_compose(config: argparse.Namespace) -> int:
     outer, inner = _sources(config, 2)
     result = compose(outer, inner)
-    payload = {
-        "command": "compose",
-        "result": _field_summary(result),
-    }
-    if config.out:
-        write_diffeo(_out_path(config, "composed.dff"), result)
-        payload["output"] = "composed.dff"
-    _emit(config, payload, "compose_report.json")
+    _emit(config, {"command": "compose", "result": _field_summary(result)},
+          result, "composed.dff")
     return EXIT_OK
 
 
-def cmd_invert(config: RunConfig) -> int:
+def cmd_invert(config: argparse.Namespace) -> int:
     (diffeo,) = _sources(config, 1)
     inverse = invert(diffeo)
     residuals = {
@@ -225,14 +200,11 @@ def cmd_invert(config: RunConfig) -> int:
         "tol": config.tol,
         "holds": holds,
     }
-    if config.out:
-        write_diffeo(_out_path(config, "inverse.dff"), inverse)
-        payload["output"] = "inverse.dff"
-    _emit(config, payload, "invert_report.json")
+    _emit(config, payload, inverse, "inverse.dff")
     return EXIT_OK if holds else EXIT_VERIFY
 
 
-def cmd_conjugate(config: RunConfig) -> int:
+def cmd_conjugate(config: argparse.Namespace) -> int:
     outer, inner = _sources(config, 2)
     result, diag = conjugate(outer, inner)
     payload = {
@@ -243,27 +215,23 @@ def cmd_conjugate(config: RunConfig) -> int:
         "diagnostics": diag,
         "class_ok": diag["agrees"],
     }
-    if config.out:
-        write_diffeo(_out_path(config, "conjugate.dff"), result)
-        payload["output"] = "conjugate.dff"
-    _emit(config, payload, "conjugate_report.json")
+    _emit(config, payload, result, "conjugate.dff")
     return EXIT_OK if diag["agrees"] else EXIT_VERIFY
 
 
-def cmd_evolve(config: RunConfig) -> int:
+def cmd_evolve(config: argparse.Namespace) -> int:
     if len(config.descriptors) != 1 or config.inputs:
         raise ValueError("evolve needs exactly one --descriptor for X(t,x) and no --input")
     field = TimeDependentVectorField.from_descriptor(
-        config.dim, config.descriptors[0], config.claimed_class())
-    grid = config.grid()
-    result = evolve(field, config.t_final, config.dt, grid)
+        config.dim, config.descriptors[0], config.decay_class)
+    result = evolve(field, config.t_final, config.dt, config.grid)
 
-    bound, measured, sup_holds = displacement_sup_bound(result)
-    predicted, observed, gronwall_holds = gronwall_bound(result)
+    *_, sup_holds = displacement_sup_bound(result)
+    *_, gronwall_holds = gronwall_bound(result)
     tracking = sobolev_tracking(result)
     log_gap = 0.0
     for t, derived in right_log_derivative(result):
-        exact = field.at_time(grid, t).values
+        exact = field.at_time(config.grid, t).values
         log_gap = max(log_gap, float(np.max(np.abs(derived.values - exact))))
 
     payload = {
@@ -283,37 +251,27 @@ def cmd_evolve(config: RunConfig) -> int:
         write_time_series_csv(_out_path(config, "time_series.csv"), result)
         write_diffeo(_out_path(config, "final.dff"), result.to_diffeo())
         payload["outputs"] = ["time_series.csv", "final.dff"]
-    _emit(config, payload, "evolve_report.json")
+    _emit(config, payload)
     verified = sup_holds and gronwall_holds and bool(tracking["holds"])
     return EXIT_OK if verified else EXIT_VERIFY
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     _source_specs(config, 0)
+    payload = {"command": "verify", "seed": config.seed, "passed": False}
+    results = []
     if config.tol == 0.0:
-        payload = {
-            "command": "verify",
-            "seed": config.seed,
-            "passed": False,
-            "controlled_failure":
-                "tolerance 0 cannot be met by finite-precision checks",
-            "criteria": [],
-        }
-        _emit(config, payload, "verify_report.json")
-        return EXIT_VERIFY
-    results = acceptance.run_core(config.seed)
+        payload["controlled_failure"] = "tolerance 0 cannot be met by finite-precision checks"
+    else:
+        results = acceptance.run_core(config.seed)
+        payload["passed"] = all(item.passed for item in results)
     for item in results:
         if not config.quiet:
             state = "PASS" if item.passed else "FAIL"
             print(f"[{state}] criterion {item.index}: {item.detail}",
                   file=sys.stderr)
-    payload = {
-        "command": "verify",
-        "seed": config.seed,
-        "passed": all(item.passed for item in results),
-        "criteria": [item.to_dict() for item in results],
-    }
-    _emit(config, payload, "verify_report.json")
+    payload["criteria"] = [item.to_dict() for item in results]
+    _emit(config, payload)
     return EXIT_OK if payload["passed"] else EXIT_VERIFY
 
 

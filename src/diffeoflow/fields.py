@@ -459,7 +459,7 @@ class ScalarField:
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor) -> "ScalarField":
         _, evaluate = bind(descriptor, grid.dim)
-        return cls(grid, evaluate(None, grid.nodes()).reshape(grid.shape))
+        return cls(grid, _read_formula(evaluate, grid.nodes()).reshape(grid.shape))
 
     def sample(self, points) -> np.ndarray:
         pts, lead = _normalize_points(points, self.grid.dim)
@@ -514,7 +514,7 @@ class DisplacementField:
     @classmethod
     def from_descriptor(cls, grid: Grid, descriptor) -> "DisplacementField":
         exprs, evaluate = bind(descriptor, grid.dim, (grid.dim,))
-        out = cls.from_nodes(grid, evaluate(None, grid.nodes()))
+        out = cls.from_nodes(grid, _read_formula(evaluate, grid.nodes()))
         out.formula = (exprs, evaluate)
         return out
 

@@ -39,7 +39,8 @@ class TestConfig:
         assert config.command == "evolve"
         assert config.dim == 2 and config.points == 33
         assert config.half_width == 4.0
-        assert config.decay_class == "schwartz"
+        assert config.grid == Grid(2, 4.0, 33)
+        assert config.decay_class is DecayClass.SCHWARTZ
         assert config.t_final == 0.5 and config.dt == 0.125
         assert config.tol == 1e-8 and config.seed == 7
         assert config.quiet
@@ -60,6 +61,9 @@ class TestConfig:
         ["--command", "evolve", "--t-final", "nan", "--descriptor", "x"],
         ["--command", "evolve", "--dt", "inf", "--descriptor", "x"],
         ["--command", "classify", "--half-width", "inf", "--descriptor", "x"],
+        # an unknown class is refused before any command runs, verify included
+        ["--command", "verify", "--class", "Foo"],
+        ["--command", "classify", "--class", "Foo", "--descriptor", "0.1*exp(-x^2)"],
     ])
     def test_bad_configuration_exits_1(self, capsys, argv):
         assert main(argv) == 1
@@ -276,6 +280,18 @@ class TestComposeInvert:
         assert error["error"] == "FieldError"
         assert error["message"] == "the displacement formula reads [inf] at point [8.5]"
 
+    @pytest.mark.parametrize("argv, point", [
+        (["--command", "classify", "--descriptor", "exp(100*x)"], [7.125]),
+        (["--command", "invert", "--descriptor", "0.1/x"], [0.0]),
+    ], ids=["overflow", "pole"])
+    def test_non_finite_node_exits_1_with_the_point(self, capsys, argv, point):
+        # the node read raises one FieldError, and no warning escapes
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 1 and payload is None
+        assert json.loads(err) == {
+            "error": "FieldError",
+            "message": f"the displacement formula reads [inf] at point {point}"}
+
     def test_under_resolved_compose_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "--command", "compose", "--class", "BoundedAll",
@@ -422,6 +438,35 @@ class TestVerify:
         assert code == 2
         assert payload["passed"] is False
         assert "controlled_failure" in payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "classify", "--descriptor", "0.2*exp(-x^2)"],
+    ["--command", "compose", "--descriptor", "0.1*exp(-x^2)",
+     "--descriptor", "0.05*exp(-(x-1)^2)"],
+    ["--command", "invert", "--class", "Schwartz", "--descriptor", "0.1*exp(-x^2)"],
+    ["--command", "conjugate", "--descriptor", "0.2*tanh((x-0.3)/1.1)",
+     "--descriptor", "0.1*exp(-x^2)"],
+    ["--command", "evolve", "--descriptor", "0.1*exp(-x^2)", "--t-final", "0.25",
+     "--dt", "0.0625"],
+    ["--command", "verify", "--tol", "0"],
+], ids=lambda argv: argv[1])
+def test_output_tail(capsys, tmp_path, argv):
+    # the report file is the printed bytes; --out holds it and the files it names
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+    code = main([*argv, "--out", str(loud)])
+    printed = capsys.readouterr().out
+    report = f"{argv[1]}_report.json"
+    assert (loud / report).read_bytes() == printed.encode()
+    payload = json.loads(printed)
+    named = payload.get("outputs", [payload["output"]] if "output" in payload else [])
+    assert sorted(path.name for path in loud.iterdir()) == sorted([report, *named])
+    # --quiet prints nothing and writes the same bytes
+    assert main([*argv, "--out", str(quiet), "--quiet"]) == code
+    assert capsys.readouterr().out == ""
+    assert sorted(path.name for path in quiet.iterdir()) == sorted([report, *named])
+    for name in named + [report]:
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 
 
 def test_module_entry_point(tmp_path):
