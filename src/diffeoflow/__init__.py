@@ -46,6 +46,7 @@ from .flows import (
     FlowResult,
     TimeDependentVectorField,
     displacement_sup_bound,
+    edge_decay,
     evolve,
     gronwall_bound,
     right_log_derivative,
@@ -90,7 +91,7 @@ __all__ = [
     "Grid", "ScalarField", "DisplacementField", "sample",
     "partial_derivative", "sup_seminorm", "weighted_seminorm", "sobolev_seminorm",
     "FlowResult", "TimeDependentVectorField", "evolve",
-    "displacement_sup_bound", "gronwall_bound", "sobolev_tracking",
+    "displacement_sup_bound", "gronwall_bound", "edge_decay", "sobolev_tracking",
     "right_log_derivative",
     "Diffeo", "membership_check", "compose", "invert", "conjugate",
     "read_diffeo", "read_displacement", "stable_json_dumps", "write_diffeo",

@@ -421,10 +421,19 @@ def _read_formula(evaluate, pts: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         out = evaluate(None, pts)
+    return _require_finite(out, pts, "the displacement formula")
+
+
+def _require_finite(out: np.ndarray, pts: np.ndarray, what: str) -> np.ndarray:
+    """``out``, read at ``(m, dim)`` points; a non-finite row raises.
+
+    The :class:`FieldError` names ``what``, the first point with a
+    non-finite value and that point's values.
+    """
     if not np.all(np.isfinite(out)):
-        row = int(np.argmin(np.isfinite(out.reshape(len(pts), -1)).all(axis=1)))
-        value = out.reshape(len(pts), -1)[row]
-        raise FieldError(f"the displacement formula reads {[float(v) for v in value]} at "
+        rows = out.reshape(len(pts), -1)
+        row = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise FieldError(f"{what} reads {[float(v) for v in rows[row]]} at "
                          f"point {[float(c) for c in pts[row]]}")
     return out
 

@@ -10,7 +10,10 @@ same RK4 stages; since ``|y(t) - x| <= b(t, x)`` holds pathwise, comparing
 the two certifies the displacement bound without a second quadrature error
 budget (for a one-signed scalar field the two integrals agree bitwise).
 Separate helpers check the Bellman-Gronwall envelope for the growth of
-``d_x f``, track Sobolev norms and edge decay, and recover the driving
+``d_x f``, gate the decay of the final snapshot's first derivatives at the
+box edge (:func:`edge_decay`, the gate ``evolve`` reports as
+``sobolev_holds``), track Sobolev norms along the flow with that gate
+(:func:`sobolev_tracking`), and recover the driving
 field from the flow via the right logarithmic derivative, which yields its
 recovered fields one at a time; it solves each inverse as node arrays
 (:func:`~diffeoflow.group.solve_inverse`) and reads the margin ``evolve``
@@ -28,8 +31,9 @@ import numpy as np
 from .decay import DecayClass, class_from_name, extrapolation_for, measured_class
 from .descriptors import VARIABLES, bind
 from .errors import FieldError, FlowBlowupError, FlowDomainError
-from .fields import (DisplacementField, Grid, det_plus_identity, multi_indices_up_to,
-                     reads_only_zeros, row_max, row_norms, seminorm_table, spectral_norms)
+from .fields import (DisplacementField, Grid, _require_finite, det_plus_identity,
+                     multi_indices_up_to, reads_only_zeros, row_max, row_norms, seminorm_table,
+                     spectral_norms)
 from .group import (DEFAULT_DET_THRESHOLD, DOMAIN_OVERHANG_FRACTION, Diffeo, _require_margin,
                     solve_inverse)
 # not called here: perfbench/tests checks that its tracer patches invert in
@@ -174,9 +178,13 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
     anything is allocated. Any ``field`` other than a
     :class:`TimeDependentVectorField` is refused with a ``FieldError`` too.
     Trajectories that leave the box by more than a tenth of the half-width
-    raise a domain error (the grid cannot resolve them), and non-finite
-    values raise a blow-up error. The result's decay class is the field's;
-    a field without one gets the class of the final snapshot, and
+    raise a domain error (the grid cannot resolve them). ``X`` is evaluated
+    with numpy's floating-point warnings off: a non-finite ``X`` or
+    ``d_x X`` at a node at ``t = 0`` (a pole or an overflow of the input)
+    raises a ``FieldError`` naming the first such node, and a non-finite
+    value later in the flow raises a blow-up error. The result's decay
+    class is the field's; a field without one gets the class of the final
+    snapshot, and
     :meth:`FlowResult.snapshot` reads every snapshot with that class's
     off-box continuation.
     Every step also records ``beta`` (sup of ``|d_x X|`` along the
@@ -219,36 +227,41 @@ def evolve(field: TimeDependentVectorField, t_final: float, dt: float,
     beta = np.zeros(n_steps + 1)
     displacements = np.empty((n_steps + 1, m, grid.dim))
     displacements[0] = 0.0
-    beta[0] = _spectral_sup(field.jacobian(0.0, y))
+    with np.errstate(all="ignore"):
+        # only the first evaluations are checked: a non-finite X later is a blow-up
+        k1 = _require_finite(field(0.0, y), nodes, "the vector field at t = 0")
+        beta[0] = _spectral_sup(_require_finite(field.jacobian(0.0, y), nodes,
+                                                "the vector field's Jacobian at t = 0"))
 
-    for k in range(1, n_steps + 1):
-        t = times[k - 1]
-        k1 = field(t, y)
-        k2 = field(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = field(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = field(t + step, y + step * k3)
-        c1, c2, c3, c4 = (_pointwise_norm(v) for v in (k1, k2, k3, k4))
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bound = bound + (step / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        t = times[k]
+        for k in range(1, n_steps + 1):
+            t = times[k - 1]
+            if k > 1:
+                k1 = field(t, y)
+            k2 = field(t + 0.5 * step, y + 0.5 * step * k1)
+            k3 = field(t + 0.5 * step, y + 0.5 * step * k2)
+            k4 = field(t + step, y + step * k3)
+            c1, c2, c3, c4 = (_pointwise_norm(v) for v in (k1, k2, k3, k4))
+            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            bound = bound + (step / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            t = times[k]
 
-        if not np.all(np.isfinite(y)):
-            raise FlowBlowupError(f"trajectories became non-finite by t = {t:.6g}")
-        worst = float(np.max(np.abs(y)))
-        if worst > exit_limit:
-            raise FlowDomainError(
-                f"a trajectory reached |x| = {worst:.6g} by t = {t:.6g}, beyond the "
-                f"enlarged box {exit_limit:.6g}; the grid does not resolve this flow"
-            )
+            if not np.all(np.isfinite(y)):
+                raise FlowBlowupError(f"trajectories became non-finite by t = {t:.6g}")
+            worst = float(np.max(np.abs(y)))
+            if worst > exit_limit:
+                raise FlowDomainError(
+                    f"a trajectory reached |x| = {worst:.6g} by t = {t:.6g}, beyond the "
+                    f"enlarged box {exit_limit:.6g}; the grid does not resolve this flow"
+                )
 
-        disp = np.subtract(y, nodes, out=displacements[k])
-        disp_norm = _pointwise_norm(disp)
-        sup_disp[k] = float(np.max(disp_norm))
-        bound_sup[k] = float(np.max(bound))
-        bound_defect[k] = float(np.max(disp_norm - bound))
-        beta[k] = _spectral_sup(field.jacobian(t, y))
-        # stencils never read off the box, so the continuation is immaterial
-        sup_jac[k], min_det[k] = _jacobian_stats(DisplacementField.from_nodes(grid, disp))
+            disp = np.subtract(y, nodes, out=displacements[k])
+            disp_norm = _pointwise_norm(disp)
+            sup_disp[k] = float(np.max(disp_norm))
+            bound_sup[k] = float(np.max(bound))
+            bound_defect[k] = float(np.max(disp_norm - bound))
+            beta[k] = _spectral_sup(field.jacobian(t, y))
+            # stencils never read off the box, so the continuation is immaterial
+            sup_jac[k], min_det[k] = _jacobian_stats(DisplacementField.from_nodes(grid, disp))
 
     notes = []
     if decay_class is None:
@@ -324,44 +337,53 @@ def gronwall_bound(result: FlowResult) -> tuple:
     return predicted, measured, holds
 
 
-def sobolev_tracking(result: FlowResult) -> dict:
-    """Sobolev seminorms of the displacement along the flow, with an edge check.
+def edge_decay(final: DisplacementField, decay_class: DecayClass) -> dict:
+    """The edge gate on a flow's last snapshot ``final``.
 
-    Tracks every derivative through order ``SOBOLEV_TRACKING_ORDER`` at each
-    snapshot of ``result.times``, one ``history`` list per multi-index. Also
-    reports the sup of first derivatives over the outermost eighth of the
-    box at the last snapshot, which should be tiny for the decaying classes.
-    The values need no finiteness check: :func:`evolve` refuses non-finite
-    trajectories and any that leave the enlarged box.
+    Reads the sup of the first derivatives over the outermost eighth of the
+    box from the field's cached first derivatives; for the decaying classes
+    ``holds`` needs it below ``EDGE_DECAY_TOL``, and a BoundedAll
+    displacement always holds, with a note. The keys are the trailing keys
+    of :func:`sobolev_tracking`.
     """
-    grid = result.grid
-    alphas = multi_indices_up_to(grid.dim, SOBOLEV_TRACKING_ORDER)
-    per_snapshot = []
-    for k in range(len(result.times)):
-        # each snapshot's derivative cache dies with its field; the last one's
-        # first derivatives serve the edge check
-        final = result.snapshot(k)
-        per_snapshot.append(seminorm_table(final, alphas, 0)[2])
-    history = {",".join(str(a) for a in alpha): [norms[i] for norms in per_snapshot]
-               for i, alpha in enumerate(alphas)}
-
+    grid = final.grid
     nodes = np.asarray(grid.nodes())
     edge_mask = row_max(np.abs(nodes)) >= EDGE_ANNULUS_FRACTION * grid.half_width
     edge_sup = max(float(np.max(np.abs(entry.reshape(-1)[edge_mask])))
                    for row in final.jacobian_entries() for entry in row)
-
-    decaying = result.decay_class is not DecayClass.BOUNDED_ALL
+    decaying = decay_class is not DecayClass.BOUNDED_ALL
     report = {
-        "p_max": SOBOLEV_TRACKING_ORDER,
-        "history": history,
         "edge_annulus_fraction": EDGE_ANNULUS_FRACTION,
-        "edge_jacobian_sup": float(edge_sup),
-        "edge_decayed": bool(edge_sup < EDGE_DECAY_TOL),
-        "holds": bool(not decaying or edge_sup < EDGE_DECAY_TOL),
+        "edge_jacobian_sup": edge_sup,
+        "edge_decayed": edge_sup < EDGE_DECAY_TOL,
+        "holds": not decaying or edge_sup < EDGE_DECAY_TOL,
     }
     if not decaying:
         report["notes"] = ["bounded-class displacement: edge decay is not expected"]
     return report
+
+
+def sobolev_tracking(result: FlowResult) -> dict:
+    """Sobolev seminorms of the displacement along the flow, with the edge gate.
+
+    Tracks every derivative through order ``SOBOLEV_TRACKING_ORDER`` at each
+    snapshot of ``result.times``, one ``history`` list per multi-index, then
+    appends the keys of :func:`edge_decay` on the last snapshot, whose
+    cached first derivatives the seminorms already derived. The values need
+    no finiteness check: :func:`evolve` refuses non-finite
+    trajectories and any that leave the enlarged box.
+    """
+    alphas = multi_indices_up_to(result.grid.dim, SOBOLEV_TRACKING_ORDER)
+    per_snapshot = []
+    for k in range(len(result.times)):
+        # each snapshot's derivative cache dies with its field; the last one's
+        # first derivatives serve the edge gate
+        final = result.snapshot(k)
+        per_snapshot.append(seminorm_table(final, alphas, 0)[2])
+    history = {",".join(str(a) for a in alpha): [norms[i] for norms in per_snapshot]
+               for i, alpha in enumerate(alphas)}
+    return {"p_max": SOBOLEV_TRACKING_ORDER, "history": history,
+            **edge_decay(final, result.decay_class)}
 
 
 def right_log_derivative(result: FlowResult) -> Iterator[tuple]:

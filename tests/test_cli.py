@@ -16,7 +16,7 @@ from diffeoflow import (
     write_displacement,
 )
 from diffeoflow import cli as cli_module
-from diffeoflow import group
+from diffeoflow import acceptance, flows, group
 from diffeoflow.cli import config_from_argv, main
 
 
@@ -393,6 +393,35 @@ class TestEvolve:
         assert got == code
         if code:
             assert payload is None and json.loads(err)["error"] == "FieldError"
+
+    @pytest.mark.parametrize("descriptor, point", [("0.1/x", [0.0]), ("exp(100*x)", [7.125])],
+                             ids=["pole", "overflow"])
+    def test_non_finite_field_at_t0_exits_1_with_the_point(self, capsys, descriptor, point):
+        # one JSON error line naming the first bad node, and no numpy warning
+        code, payload, err = run_cli(capsys, "--command", "evolve", "--descriptor", descriptor)
+        assert code == 1 and payload is None
+        assert json.loads(err) == {
+            "error": "FieldError",
+            "message": f"the vector field at t = 0 reads [inf] at point {point}"}
+
+    def test_non_finite_flow_later_exits_4(self, capsys):
+        # finite at every node at t = 0 (exp(64) at the faces); the stages overflow
+        code, payload, err = run_cli(
+            capsys, "--command", "evolve", "--class", "BoundedAll",
+            "--descriptor", "exp(x^2)", "--t-final", "1", "--dt", "0.25")
+        assert code == 4 and payload is None
+        assert json.loads(err)["error"] == "FlowBlowupError"
+
+    def test_edge_gate_builds_no_history(self, capsys, monkeypatch):
+        def no_history(*args, **kwargs):
+            raise AssertionError("a Sobolev history was built")
+
+        monkeypatch.setattr(flows, "seminorm_table", no_history)
+        code, payload, _ = run_cli(
+            capsys, "--command", "evolve", "--class", "Schwartz",
+            "--descriptor", "0.08*exp(-x^2)*cos(t)", "--t-final", "0.5", "--dt", "0.03125")
+        assert code == 0 and payload["sobolev_holds"] is True
+        assert acceptance.criterion_class_preservation().passed is True
 
     def test_evolve_needs_one_descriptor(self, capsys):
         code, _, _ = run_cli(

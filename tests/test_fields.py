@@ -34,7 +34,8 @@ from diffeoflow.fields import (
 )
 from diffeoflow.decay import DecayClass, classify_decay, measured_class
 from diffeoflow.descriptors import bind
-from diffeoflow.flows import TimeDependentVectorField, _pointwise_norm, evolve, sobolev_tracking
+from diffeoflow.flows import (TimeDependentVectorField, _pointwise_norm, edge_decay, evolve,
+                              sobolev_tracking)
 
 GAUSS = "exp(-x^2)"
 
@@ -674,20 +675,28 @@ class TestChainedDerivatives:
         assert set(field._derivatives) == {a for a in alphas if sum(a) == 1}
 
 
-@pytest.mark.parametrize("reader", ["classify_decay", "seminorm_table", "sobolev_tracking"])
+@pytest.mark.parametrize("reader", ["classify_decay", "seminorm_table", "sobolev_tracking",
+                                    "edge_decay"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_readers_take_one_d1_per_channel_per_index(reader, dim, monkeypatch):
-    """On a fresh field, one ``_d1`` per channel per distinct multi-index of order 1 or 2."""
+    """On a fresh field, one ``_d1`` per channel per distinct multi-index of order 1 or 2.
+
+    The edge gate reads order 1 only.
+    """
     grid = Grid(dim, 8.0, 33)
     alphas = multi_indices_up_to(dim, 2)
-    if reader == "sobolev_tracking":
+    if reader in ("sobolev_tracking", "edge_decay"):
         flow = TimeDependentVectorField.from_descriptor(
             dim, ", ".join(["0.05*exp(-x^2)"] * dim), DecayClass.SCHWARTZ)
         result = evolve(flow, 0.5, 0.25, grid)
         calls = _count_d1(monkeypatch)
-        sobolev_tracking(result)
-        # every snapshot is a fresh field; the edge check reads the last one's cache
-        expected = dim * (len(alphas) - 1) * len(result.times)
+        if reader == "edge_decay":
+            edge_decay(result.final_displacement, result.decay_class)
+            expected = dim * dim
+        else:
+            sobolev_tracking(result)
+            # every snapshot is a fresh field; the edge gate reads the last one's cache
+            expected = dim * (len(alphas) - 1) * len(result.times)
     else:
         rng = np.random.default_rng(80 + dim)
         field = DisplacementField(grid, 0.01 * rng.normal(size=(dim,) + grid.shape))

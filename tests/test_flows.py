@@ -19,6 +19,7 @@ from diffeoflow import (
     NonDiffeoError,
     TimeDependentVectorField,
     displacement_sup_bound,
+    edge_decay,
     evolve,
     gronwall_bound,
     invert,
@@ -258,6 +259,22 @@ class TestSobolevTracking:
         assert report["holds"]
         assert report["notes"]
         assert not report["edge_decayed"]
+
+    @pytest.mark.parametrize("text, claimed", [
+        ("0.08*exp(-x^2)*cos(t)", DecayClass.SCHWARTZ),
+        ("0.12*cos(0.7*x - 0.6*t)", DecayClass.BOUNDED_ALL),
+    ], ids=["schwartz", "bounded"])
+    def test_edge_gate_is_the_tracking_tail(self, line_grid, text, claimed):
+        result = evolve(TimeDependentVectorField.from_descriptor(1, text, claimed),
+                        0.5, 1.0 / 16.0, line_grid)
+        gate = edge_decay(result.final_displacement, result.decay_class)
+        report = sobolev_tracking(result)
+        tail = dict(list(report.items())[2:])
+        assert list(report)[:2] == ["p_max", "history"]
+        assert list(gate) == list(tail)
+        assert gate == tail
+        assert gate["edge_jacobian_sup"].hex() == tail["edge_jacobian_sup"].hex()
+        assert ("notes" in gate) is (claimed is DecayClass.BOUNDED_ALL)
 
 
 class TestRightLogDerivative:

@@ -131,6 +131,14 @@ def _evolve_with_a_far_tail(field, t_final, dt, grid):
     return result
 
 
+def test_criterion_7_fails_when_no_edge_sup_is_small_enough(monkeypatch):
+    # edge_sup < 0 holds for no sup: the H-infinity flow's edge gate must fail
+    monkeypatch.setattr(flows, "EDGE_DECAY_TOL", 0.0)
+    result = acceptance.criterion_class_preservation()
+    assert result.passed is False
+    assert result.data["sobolev_holds"] is False
+
+
 def test_criterion_7_fails_on_a_1e_12_tail_beyond_the_core(monkeypatch):
     monkeypatch.setattr(acceptance, "evolve", _evolve_with_a_far_tail)
     result = acceptance.criterion_class_preservation()
