@@ -55,7 +55,7 @@ COMMANDS = [
                          "--descriptor", "1.08*exp(-x^2)"]),
     ("invert-1d-repelling", ["--command", "invert", *LINE, "--class", "Schwartz",
                              "--descriptor", "0.8*exp(-x^2)"]),
-    # |g| reaches 1.5, so composed.dff holds samples the row kernel leaves to _format_float
+    # |g| reaches 1.5: the largest samples any member here writes to its .dff
     ("compose-1d-wide", ["--command", "compose", "--descriptor", "1.5*tanh(x/4)",
                          "--descriptor", GAUSS_1D]),
     ("conjugate-1d", ["--command", "conjugate", "--descriptor", TANH_1D,

@@ -11,11 +11,16 @@ full below that line: strings such as class names, booleans such as
 verdicts, integers such as exit codes, and changes of shape.
 
 JSON files (reports, and ``stdout`` when it holds one JSON value) are
-compared value by value along their key paths. Other text files (``.dff``,
-``.csv``, ``exit_code``) are compared token by token, splitting on commas
-and whitespace; a token is an integer, a float or a string as it parses.
-The script uses the standard library only and exits 0 on any two trees: it
-reports, it gates nothing.
+compared value by value along their key paths. A ``.dff`` member file is
+decoded to its header and its doubles, from a v2 raw ``<f8`` body or a v1
+``.17g`` text row per component alike, and compared header key by header
+key and sample by sample as ``component C node I``; the header's ``body``
+key names the encoding only, so a v1 and a v2 file holding the same
+doubles differ in nothing. A flip of the sign of zero is listed too. Other
+text files (``.csv``, ``exit_code``) are compared token by token, splitting
+on commas and whitespace; a token is an integer, a float or a string as it
+parses. The script uses the standard library only and exits 0 on any two
+trees: it reports, it gates nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import math
 import re
 import sys
+from array import array
 from pathlib import Path
 
 _INT = re.compile(r"[+-]?\d+")
@@ -40,8 +46,12 @@ class Drift:
         self.other = []
 
     def number(self, where: str, a, b):
-        if a == b or (isinstance(a, float) and isinstance(b, float)
-                      and math.isnan(a) and math.isnan(b)):
+        floats = isinstance(a, float) and isinstance(b, float)
+        if a == b:
+            if floats and math.copysign(1.0, a) != math.copysign(1.0, b):
+                self.other.append(f"{where}: {a!r} -> {b!r}")
+            return
+        if floats and math.isnan(a) and math.isnan(b):
             return
         if isinstance(a, int) and isinstance(b, int):
             self.other.append(f"{where}: {a!r} -> {b!r}")
@@ -95,6 +105,20 @@ class Drift:
                     else:
                         self.number(f"line {n} field {k}", x_val, y_val)
 
+    def samples(self, a: tuple, b: tuple):
+        """Compare two decoded ``.dff`` files, ``(header, components, doubles)``."""
+        (header_a, rows_a, xs), (header_b, rows_b, ys) = a, b
+        self.value("header", header_a, header_b)
+        if (rows_a, len(xs)) != (rows_b, len(ys)):
+            self.other.append(f"samples: {rows_a} x {len(xs) // rows_a} -> "
+                              f"{rows_b} x {len(ys) // rows_b}")
+            return
+        if xs.tobytes() == ys.tobytes():
+            return
+        nodes = len(xs) // rows_a
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            self.number(f"component {k // nodes} node {k % nodes}", x, y)
+
     def summary(self) -> str:
         if not self.count:
             return "no float changed"
@@ -115,6 +139,29 @@ def _token(text: str):
         return float(text)
     except ValueError:
         return text
+
+
+def _dff(raw: bytes):
+    """``(header, components, doubles)`` of a ``.dff`` file, or None if it is not one."""
+    head, _, body = raw.partition(b"\n")
+    try:
+        header = json.loads(head)
+        if not isinstance(header, dict):
+            return None
+        if header.pop("body", None) == "<f8":
+            rows = header.get("components")
+            samples = array("d", body)
+            if sys.byteorder == "big":
+                samples.byteswap()
+        else:
+            lines = [line for line in body.decode("ascii").splitlines() if line.strip()]
+            rows = len(lines)
+            samples = array("d", [float(token) for line in lines for token in line.split(",")])
+    except ValueError:          # bad JSON, a body that is not whole doubles, a bad token
+        return None
+    if type(rows) is not int or rows < 1 or len(samples) % rows:
+        return None
+    return header, rows, samples
 
 
 def _json(text: str):
@@ -139,8 +186,13 @@ def compare(base: Path, head: Path) -> list:
         raw_a, raw_b = a.read_bytes(), b.read_bytes()
         if raw_a == raw_b:
             continue
-        text_a, text_b = raw_a.decode(errors="replace"), raw_b.decode(errors="replace")
         drift = Drift()
+        dff_a, dff_b = (_dff(raw_a), _dff(raw_b)) if name.suffix == ".dff" else (None, None)
+        if dff_a is not None and dff_b is not None:
+            drift.samples(dff_a, dff_b)
+            out.append((name, drift))
+            continue
+        text_a, text_b = raw_a.decode(errors="replace"), raw_b.decode(errors="replace")
         json_a, json_b = _json(text_a), _json(text_b)
         if json_a is not None and json_b is not None:
             drift.value("", json_a, json_b)

@@ -235,6 +235,8 @@ def cmd_evolve(config: argparse.Namespace) -> int:
     # one final field: the gate, its class and the written member read its derivative cache
     final = result.final_displacement
     edge_holds = edge_decay(final, result.decay_class)["holds"]
+    # without a class, evolve measured it on this snapshot already
+    final_class = result.decay_class if field.decay_class is None else measured_class(final)
 
     payload = {
         "command": "evolve",
@@ -247,7 +249,7 @@ def cmd_evolve(config: argparse.Namespace) -> int:
         "gronwall_holds": bool(gronwall_holds),
         "sobolev_holds": edge_holds,
         "right_log_derivative_gap": log_gap,
-        "final_class": measured_class(final).value,
+        "final_class": final_class.value,
     }
     if config.out:
         write_time_series_csv(_out_path(config, "time_series.csv"), result)

@@ -18,6 +18,7 @@ from diffeoflow import (
 from diffeoflow import cli as cli_module
 from diffeoflow import acceptance, flows, group
 from diffeoflow.cli import config_from_argv, main
+from diffeoflow.decay import measured_class
 
 
 def run_cli(capsys, *argv):
@@ -199,8 +200,8 @@ class TestClassify:
         member = Diffeo.from_descriptor(grid, "0.1*exp(-x^2)", DecayClass.SCHWARTZ)
         path = tmp_path / "m.dff"
         write_diffeo(str(path), member)
-        path.write_text(path.read_text().replace('"class_hint": "Schwartz"',
-                                                 '"class_hint": "Foo"', 1))
+        path.write_bytes(path.read_bytes().replace(b'"class_hint": "Schwartz"',
+                                                   b'"class_hint": "Foo"', 1))
         code, _, err = run_cli(capsys, "--command", "classify", "--input", str(path))
         assert code == 1
         assert json.loads(err)["error"] == "FileFormatError"
@@ -422,6 +423,24 @@ class TestEvolve:
             "--descriptor", "0.08*exp(-x^2)*cos(t)", "--t-final", "0.5", "--dt", "0.03125")
         assert code == 0 and payload["sobolev_holds"] is True
         assert acceptance.criterion_class_preservation().passed is True
+
+    @pytest.mark.parametrize("argv", [[], ["--class", "BoundedAll"]],
+                             ids=["inferred", "given"])
+    def test_final_snapshot_is_classified_once(self, capsys, monkeypatch, argv):
+        # without --class, evolve infers the class on the final snapshot, which the
+        # report's final_class reuses
+        calls = []
+
+        def counting(target):
+            calls.append(target)
+            return measured_class(target)
+
+        monkeypatch.setattr(flows, "measured_class", counting)
+        monkeypatch.setattr(cli_module, "measured_class", counting)
+        code, payload, _ = run_cli(capsys, "--command", "evolve",
+                                   "--descriptor", "0.12*cos(0.7*x-0.6*t)", *argv)
+        assert code == 0 and payload["final_class"] == "BoundedAll"
+        assert len(calls) == 1
 
     def test_evolve_needs_one_descriptor(self, capsys):
         code, _, _ = run_cli(

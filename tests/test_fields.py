@@ -482,7 +482,7 @@ def test_gather_adds_signed_zero_terms_to_positive_zero(extrapolation):
     """For ``t`` in (0, 1) the cubic weights have signs (-, +, +, -), so zeros
     signed (+, -, -, +) make every term ``-0.0``; an accumulator that starts
     at ``0.0`` reads ``0.0``, while one seeded with its first term would
-    read ``-0.0``, which a dff file prints as ``-0``."""
+    read ``-0.0``, whose sign bit a dff file keeps."""
     grid = Grid(1, 4.0, 33)
     signs = np.isin(np.arange(33) % 4, (1, 2))
     field = ScalarField(grid, np.where(signs, -0.0, 0.0), extrapolation)
