@@ -107,10 +107,10 @@ COMMANDS = [
                    "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
     # no --class: the result's class is inferred from the final snapshot
     ("evolve-1d-inferred", ["--command", "evolve", "--descriptor", "0.12*cos(0.7*x-0.6*t)"]),
-    # one step: right_log_derivative's time stencil needs 4, so an input error (exit 1)
     # a pole of X at the node x = 0 at t = 0: an input error, one JSON line naming the
     # point, exit 1
     ("evolve-1d-pole", ["--command", "evolve", "--descriptor", "0.1/x"]),
+    # one step: right_log_derivative's time stencil needs 4, so an input error (exit 1)
     ("evolve-1d-one-step", ["--command", "evolve", "--t-final", "0.0625", "--dt", "0.0625",
                             "--descriptor", "0.1*exp(-x^2)"]),
     # no --class, measured BoundedAll: both channels read the clamp continuation set

@@ -1,7 +1,9 @@
-"""Command-line orchestration: fields in, reports and dff-v1 files out.
+"""Command-line orchestration: fields in, reports and ``.dff`` files out.
 
-One executable, one required ``--command``. Bad flag values, an unknown
-``--class`` included, are refused before any command runs. Each command's
+One executable, one required ``--command``. ``_DISPATCH`` is the command
+table: each command accepts only the flags it reads, and exactly its count of
+field sources. Any other flag, a wrong source count and bad flag values, an
+unknown ``--class`` included, are refused before any command runs. Each command's
 JSON report is printed to stdout unless ``--quiet``; under ``--out`` the
 same bytes are written as ``<command>_report.json`` beside the files the
 report names in ``output`` (``outputs`` for ``evolve``). Floats are
@@ -41,40 +43,49 @@ EXIT_NON_DIFFEO = 3
 EXIT_FLOW = 4
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(reads=None) -> argparse.ArgumentParser:
+    """Every flag, or ``--command``, ``--out``, ``--quiet`` and the flags in ``reads``."""
     parser = argparse.ArgumentParser(
         prog="diffeoflow",
         description="group operations, flows and verification for "
                     "diffeomorphisms x + g(x) with decaying g")
-    parser.add_argument("--command", required=True, choices=_DISPATCH)
-    parser.add_argument("--dim", type=int, default=1)
-    parser.add_argument("--half-width", type=float, default=8.0)
-    parser.add_argument("--points", type=int, default=257)
-    parser.add_argument("--class", dest="decay_class", default=None,
-                        help="claimed decay class of the input field(s)")
-    parser.add_argument("--descriptor", dest="descriptors", metavar="DESCRIPTOR",
-                        action="append", default=[],
-                        help="closed-form field text; repeatable")
-    parser.add_argument("--input", dest="inputs", metavar="INPUT",
-                        action="append", default=[],
-                        help="dff-v1 file path; repeatable")
-    parser.add_argument("--t-final", type=float, default=1.0)
-    parser.add_argument("--dt", type=float, default=1.0 / 32.0)
-    parser.add_argument("--tol", type=float, default=1.0e-6)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--out", default=None,
-                        help="directory for report/field/CSV outputs")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the per-criterion progress lines")
+
+    def flag(name, **kwargs):
+        if reads is None or name in ("--command", "--out", "--quiet", *reads):
+            parser.add_argument(name, **kwargs)
+    flag("--command", required=True, choices=_DISPATCH)
+    flag("--dim", type=int, default=1)
+    flag("--half-width", type=float, default=8.0)
+    flag("--points", type=int, default=257)
+    flag("--class", dest="decay_class", default=None,
+         help="claimed decay class of the input field(s)")
+    flag("--descriptor", dest="descriptors", metavar="DESCRIPTOR", action="append",
+         default=[], help="closed-form field text; repeatable")
+    flag("--input", dest="inputs", metavar="INPUT", action="append", default=[],
+         help=".dff file path; repeatable")
+    flag("--t-final", type=float, default=1.0)
+    flag("--dt", type=float, default=1.0 / 32.0)
+    flag("--tol", type=float, default=1.0e-6)
+    flag("--seed", type=int, default=DEFAULT_SEED)
+    flag("--out", default=None, help="directory for report/field/CSV outputs")
+    flag("--quiet", action="store_true", help="suppress the per-criterion progress lines")
     return parser
 
 
 def config_from_argv(argv) -> argparse.Namespace:
     """The parsed flags, with ``grid`` built and ``decay_class`` a :class:`DecayClass`.
 
-    Bad values are refused here, before any command runs, ``verify`` included.
+    A flag the command does not read, a wrong count of field sources and bad
+    values are refused here, before any command runs, ``verify`` included.
     """
     config = build_parser().parse_args(argv)
+    _, reads, needed = _DISPATCH[config.command]
+    build_parser(reads).parse_args(argv)
+    given = len(config.descriptors) + len(config.inputs)
+    if given != needed:
+        flags = "/".join(f for f in ("--descriptor", "--input") if f in reads)
+        raise ValueError(f"{config.command} needs exactly {needed} field source(s) "
+                         f"({flags}), got {given}")
     config.grid = Grid(config.dim, config.half_width, config.points)
     if config.decay_class is not None:
         config.decay_class = class_from_name(config.decay_class)
@@ -109,30 +120,18 @@ def _emit(config: argparse.Namespace, report: dict, member: Diffeo | None = None
         write_report(_out_path(config, f"{config.command}_report.json"), report)
 
 
-def _source_specs(config: argparse.Namespace, needed: int) -> list:
-    """``(is_file, spec)`` for each descriptor, then each file; exactly ``needed``."""
-    sources = ([(False, d) for d in config.descriptors]
-               + [(True, p) for p in config.inputs])
-    if len(sources) != needed:
-        raise ValueError(
-            f"{config.command} needs exactly {needed} field source(s) "
-            f"(--descriptor/--input), got {len(sources)}")
-    return sources
-
-
-def _sources(config: argparse.Namespace, needed: int) -> list:
-    """Diffeos from descriptors and/or files, in the order given.
+def _sources(config: argparse.Namespace) -> list:
+    """Diffeos from each descriptor, then each file.
 
     A file member's class is its header's hint (or measured), so ``--class``
     beside an ``--input`` is refused, not ignored.
     """
     claimed = config.decay_class
-    specs = _source_specs(config, needed)
-    if claimed is not None and any(is_file for is_file, _ in specs):
+    if claimed is not None and config.inputs:
         raise ValueError(f"{config.command}: --class applies to --descriptor sources only; "
                          f"an --input member takes its class from its file")
-    return [read_diffeo(spec) if is_file else Diffeo.from_descriptor(config.grid, spec, claimed)
-            for is_file, spec in specs]
+    return ([Diffeo.from_descriptor(config.grid, spec, claimed) for spec in config.descriptors]
+            + [read_diffeo(path) for path in config.inputs])
 
 
 def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
@@ -148,17 +147,16 @@ def _field_summary(diffeo: Diffeo, measured: str | None = None) -> dict:
 
 
 def cmd_classify(config: argparse.Namespace) -> int:
-    ((is_file, spec),) = _source_specs(config, 1)
     report = None
-    if is_file:
-        target, decay_class = read_displacement(spec)
+    if config.inputs:
+        target, decay_class = read_displacement(config.inputs[0])
         if decay_class is None:
             report = classify_decay(target)
             decay_class = DecayClass(report["inferred_class"])
         # read_diffeo's margin check, under the file's class or the measured one
         Diffeo(target, decay_class)
     else:
-        target = sample(spec, config.grid)
+        target = sample(config.descriptors[0], config.grid)
     if report is None:
         report = classify_decay(target)
     claimed = config.decay_class
@@ -178,7 +176,7 @@ def cmd_classify(config: argparse.Namespace) -> int:
 
 
 def cmd_compose(config: argparse.Namespace) -> int:
-    outer, inner = _sources(config, 2)
+    outer, inner = _sources(config)
     result = compose(outer, inner)
     _emit(config, {"command": "compose", "result": _field_summary(result)},
           result, "composed.dff")
@@ -186,7 +184,7 @@ def cmd_compose(config: argparse.Namespace) -> int:
 
 
 def cmd_invert(config: argparse.Namespace) -> int:
-    (diffeo,) = _sources(config, 1)
+    (diffeo,) = _sources(config)
     inverse = invert(diffeo)
     residuals = {
         "left_identity": float(np.max(np.abs(compose_nodes(inverse, diffeo)))),
@@ -205,7 +203,7 @@ def cmd_invert(config: argparse.Namespace) -> int:
 
 
 def cmd_conjugate(config: argparse.Namespace) -> int:
-    outer, inner = _sources(config, 2)
+    outer, inner = _sources(config)
     result, diag = conjugate(outer, inner)
     payload = {
         "command": "conjugate",
@@ -220,8 +218,6 @@ def cmd_conjugate(config: argparse.Namespace) -> int:
 
 
 def cmd_evolve(config: argparse.Namespace) -> int:
-    if len(config.descriptors) != 1 or config.inputs:
-        raise ValueError("evolve needs exactly one --descriptor for X(t,x) and no --input")
     field = TimeDependentVectorField.from_descriptor(
         config.dim, config.descriptors[0], config.decay_class)
     result = evolve(field, config.t_final, config.dt, config.grid)
@@ -261,7 +257,6 @@ def cmd_evolve(config: argparse.Namespace) -> int:
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    _source_specs(config, 0)
     payload = {"command": "verify", "seed": config.seed, "passed": False}
     results = []
     if config.tol == 0.0:
@@ -279,13 +274,16 @@ def cmd_verify(config: argparse.Namespace) -> int:
     return EXIT_OK if payload["passed"] else EXIT_VERIFY
 
 
+# the flags that build a field from a descriptor: its grid and its claimed class
+_DESCRIPTOR = ("--dim", "--half-width", "--points", "--class", "--descriptor")
+# command: (handler, the flags it reads beside --command/--out/--quiet, field sources)
 _DISPATCH = {
-    "classify": cmd_classify,
-    "compose": cmd_compose,
-    "invert": cmd_invert,
-    "conjugate": cmd_conjugate,
-    "evolve": cmd_evolve,
-    "verify": cmd_verify,
+    "classify": (cmd_classify, (*_DESCRIPTOR, "--input"), 1),
+    "compose": (cmd_compose, (*_DESCRIPTOR, "--input"), 2),
+    "invert": (cmd_invert, (*_DESCRIPTOR, "--input", "--tol"), 1),
+    "conjugate": (cmd_conjugate, (*_DESCRIPTOR, "--input"), 2),
+    "evolve": (cmd_evolve, (*_DESCRIPTOR, "--t-final", "--dt"), 1),
+    "verify": (cmd_verify, ("--tol", "--seed"), 0),
 }
 
 
@@ -300,7 +298,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     try:
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[config.command][0](config)
     except (EngineError, OSError, ValueError) as exc:
         print(stable_json_dumps(
             {"error": type(exc).__name__, "message": str(exc)}),

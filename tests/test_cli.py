@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,23 +30,46 @@ def run_cli(capsys, *argv):
     return code, payload, captured.err
 
 
+# each flag beside --command, --out and --quiet, with a value that is not its default
+FLAG_VALUES = {"--dim": "2", "--half-width": "4", "--points": "33", "--class": "schwartz",
+               "--descriptor": "0.1*exp(-x^2-y^2), 0", "--input": "m.dff",
+               "--t-final": "0.5", "--dt": "0.125", "--tol": "1e-8", "--seed": "7"}
+# the parsed value of each flag that is not a field source
+CONFIG_VALUES = {"--dim": ("dim", 2), "--half-width": ("half_width", 4.0),
+                 "--points": ("points", 33), "--class": ("decay_class", DecayClass.SCHWARTZ),
+                 "--t-final": ("t_final", 0.5), "--dt": ("dt", 0.125),
+                 "--tol": ("tol", 1e-8), "--seed": ("seed", 7)}
+MEMBER_FLAGS = ("--dim", "--half-width", "--points", "--class", "--descriptor", "--input")
+# command: (the flags it reads, as many field sources as it takes)
+COMMAND_FLAGS = {
+    "classify": (MEMBER_FLAGS, ["--input", "m.dff"]),
+    "compose": (MEMBER_FLAGS, ["--descriptor", "x", "--input", "m.dff"]),
+    "invert": ((*MEMBER_FLAGS, "--tol"), ["--descriptor", "x"]),
+    "conjugate": (MEMBER_FLAGS, ["--descriptor", "x", "--descriptor", "x"]),
+    "evolve": (("--dim", "--half-width", "--points", "--class", "--descriptor", "--t-final",
+                "--dt"), ["--descriptor", "x"]),
+    "verify": (("--tol", "--seed"), []),
+}
+
+
 class TestConfig:
-    def test_flags_map_to_config(self):
-        config = config_from_argv([
-            "--command", "evolve", "--dim", "2", "--half-width", "4",
-            "--points", "33", "--class", "schwartz",
-            "--descriptor", "0.1*exp(-x^2-y^2), 0",
-            "--t-final", "0.5", "--dt", "0.125", "--tol", "1e-8",
-            "--seed", "7", "--quiet",
-        ])
-        assert config.command == "evolve"
-        assert config.dim == 2 and config.points == 33
-        assert config.half_width == 4.0
-        assert config.grid == Grid(2, 4.0, 33)
-        assert config.decay_class is DecayClass.SCHWARTZ
-        assert config.t_final == 0.5 and config.dt == 0.125
-        assert config.tol == 1e-8 and config.seed == 7
-        assert config.quiet
+    def test_flags_map_to_config(self, capsys):
+        for command, (reads, sources) in COMMAND_FLAGS.items():
+            argv = ["--command", command, *sources, "--quiet"]
+            for flag in reads:
+                if flag in CONFIG_VALUES:
+                    argv += [flag, FLAG_VALUES[flag]]
+            config = config_from_argv(argv)
+            assert config.command == command and config.quiet
+            for flag, (name, value) in CONFIG_VALUES.items():
+                # a flag the command does not read keeps its default
+                assert (getattr(config, name) == value) is (flag in reads), (command, flag)
+            assert (config.grid == Grid(2, 4.0, 33)) is ("--dim" in reads)
+            # argparse refuses every other flag
+            for flag in FLAG_VALUES.keys() - set(reads):
+                with pytest.raises(SystemExit):
+                    config_from_argv([*argv, flag, FLAG_VALUES[flag]])
+        capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
         ["--command", "classify", "--dim", "7", "--descriptor", "x"],
@@ -65,6 +90,12 @@ class TestConfig:
         # an unknown class is refused before any command runs, verify included
         ["--command", "verify", "--class", "Foo"],
         ["--command", "classify", "--class", "Foo", "--descriptor", "0.1*exp(-x^2)"],
+        # flags the command does not read
+        ["--command", "verify", "--quiet", "--tol", "0.5", "--points", "33", "--half-width", "3",
+         "--class", "BoundedAll", "--t-final", "9"],
+        ["--command", "classify", "--tol", "1e-3", "--descriptor", "0.1*exp(-x^2)"],
+        ["--command", "classify", "--seed", "7", "--descriptor", "0.1*exp(-x^2)"],
+        ["--command", "classify", "--t-final", "2", "--descriptor", "0.1*exp(-x^2)"],
     ])
     def test_bad_configuration_exits_1(self, capsys, argv):
         assert main(argv) == 1
@@ -223,7 +254,7 @@ class TestComposeInvert:
         code, _, err = run_cli(
             capsys, "--command", "compose", "--descriptor", "0.1*exp(-x^2)")
         assert code == 1
-        assert "exactly 2" in err
+        assert json.loads(err)["error"] == "config" and "exactly 2" in err
 
     def test_invert_reports_identity_residuals(self, capsys):
         code, payload, _ = run_cli(
@@ -443,10 +474,11 @@ class TestEvolve:
         assert len(calls) == 1
 
     def test_evolve_needs_one_descriptor(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "--command", "evolve",
             "--descriptor", "x", "--descriptor", "x")
         assert code == 1
+        assert json.loads(err)["error"] == "config"
 
 
 class TestDeepDescriptors:
@@ -526,3 +558,39 @@ def test_module_entry_point(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["report"]["inferred_class"] == "Schwartz"
     assert (tmp_path / "classify_report.json").exists()
+
+
+CLI_OUTPUTS = Path(__file__).resolve().parents[1] / ".github" / "cli_outputs.py"
+# the cli_outputs.py commands that exit 2, each a known defect with the ROADMAP
+# item that mends it
+KNOWN_DEFECTS = {
+    "verify-101": "item 3: criterion 8's width-sensitive classifier",
+    "invert-1d-stiff": "item 2: under-resolved, only the floor report can say so",
+    "invert-1d-repelling": "item 17: the interpolation floor",
+    "invert-3d-21": "item 17: the left identity reads the interpolant at h = 0.8",
+    "conjugate-2d-257-bump": "items 2 and 3: a CompactSupport result measures Schwartz",
+    "evolve-2d-inferred": "item 4: the Gronwall envelope fails at this spacing",
+}
+# the cli_outputs.py commands that exit 1 by design: input errors
+INPUT_ERRORS = {"classify-descriptor-deep", "classify-descriptor-pole", "compose-1d-pole",
+                "evolve-1d-pole", "evolve-1d-one-step", "invert-input-class"}
+
+
+def test_cli_outputs_exit_codes(capsys, tmp_path, monkeypatch):
+    """Every ``.github/cli_outputs.py`` command, run in process and in order, exits as pinned.
+
+    Known defects exit 2, input errors 1 and every other command 0. The
+    commands run in one working directory with ``--out <name>/out``, as the
+    script runs them, so a command reading an earlier one's file finds it.
+    """
+    spec = importlib.util.spec_from_file_location("cli_outputs", CLI_OUTPUTS)
+    cli_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_outputs)
+    names = [name for name, _ in cli_outputs.COMMANDS]
+    assert KNOWN_DEFECTS.keys() <= set(names) and INPUT_ERRORS <= set(names)
+    monkeypatch.chdir(tmp_path)
+    for name, args in cli_outputs.COMMANDS:
+        want = 2 if name in KNOWN_DEFECTS else 1 if name in INPUT_ERRORS else 0
+        code = main([*args, "--out", f"{name}/out"])
+        assert code == want, (name, capsys.readouterr().err)
+    capsys.readouterr()
