@@ -8,6 +8,11 @@ its own directory ``OUT_DIR/<name>`` holding ``stdout``, ``stderr``,
 ``OUT_DIR`` as their working directory and relative paths only, so two trees
 run into two directories give byte-identical files exactly when their
 outputs agree; ``diff -r`` of the two directories lists the ones that do not.
+
+``EXIT_CODES`` is the one record of which commands do not exit 0. The script
+exits 1 when a command's exit code differs from it, or when a command other
+than ``verify`` writes to stderr anything but the one JSON line of an input
+error (exit 1).
 """
 
 from __future__ import annotations
@@ -39,18 +44,19 @@ COMMANDS = [
     ("classify-descriptor-syntax", ["--command", "classify", "--descriptor",
                                     "0.1*gauss(x, x/2)**2 - -+0.05*bump(x/3, x/4)\n"
                                     "+ 0.02*exp(-x^2)*(1+x^2)^-2"]),
-    # a 1500-term sum, too deep for Python's recursion limit: exits 1
+    # a 1500-term sum, too deep for Python's recursion limit
     ("classify-descriptor-deep", ["--command", "classify", "--descriptor",
                                   "+".join(["x"] * 1500)]),
-    # a pole at the node x = 0: one JSON error line naming the point, exit 1
+    # a pole at the node x = 0: one JSON error line naming the point
     ("classify-descriptor-pole", ["--command", "classify", "--descriptor", "0.1/x"]),
+    # an unclosed parenthesis: the ast front end refuses it
+    ("classify-descriptor-malformed", ["--command", "classify", "--descriptor",
+                                       "0.2*exp(-x^2"]),
     ("compose-1d", ["--command", "compose", "--descriptor", TANH_1D,
                     "--descriptor", GAUSS_1D]),
     ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",
                    "--descriptor", GAUSS_1D]),
-    # max |g'| = 0.93 and 0.69: the chord sweeps leave nodes of both to Newton. Both
-    # exit 2: the left identity reads the interpolated inverse, 1.9e-2 and 1.0e-4
-    # against --tol 1e-6 (ROADMAP item 2's floor)
+    # max |g'| = 0.93 and 0.69: the chord sweeps leave nodes of both to Newton
     ("invert-1d-stiff", ["--command", "invert", *LINE, "--class", "Schwartz",
                          "--descriptor", "1.08*exp(-x^2)"]),
     ("invert-1d-repelling", ["--command", "invert", *LINE, "--class", "Schwartz",
@@ -61,7 +67,7 @@ COMMANDS = [
     ("conjugate-1d", ["--command", "conjugate", "--descriptor", TANH_1D,
                       "--descriptor", "0.1*exp(-x^2)"]),
     # the outer's pole at x = 8.5 lies past the box, where the inner shift carries the
-    # face node: a descriptor member reads its formula there, so this exits 1
+    # face node: a descriptor member reads its formula there
     ("compose-1d-pole", ["--command", "compose", "--class", "BoundedAll",
                          "--descriptor", "0.1/(8.5-x)", "--descriptor", "0.5+0*x"]),
     ("compose-2d", ["--command", "compose", *PLANE, "--descriptor", GAUSS_2D,
@@ -72,8 +78,7 @@ COMMANDS = [
     ("invert-2d-swirl", ["--command", "invert", *PLANE, "--tol", "1e-3", "--class",
                          "Schwartz", "--descriptor", SWIRL_2D]),
     # the 21^3 Gaussian of tests/test_group.py: face nodes solve y + g(y) = x just off
-    # the box, so the formula's value there decides the right identity. Exits 2: the
-    # left identity reads the inverse's interpolant, above --tol at this spacing
+    # the box, so the formula's value there decides the right identity
     ("invert-3d-21", ["--command", "invert", "--dim", "3", "--points", "21", "--class",
                       "Schwartz", "--descriptor",
                       "0.3*exp(-(x^2+y^2+z^2)/4), 0.2*exp(-(x^2+y^2+z^2)/4), 0"]),
@@ -93,7 +98,7 @@ COMMANDS = [
                          "--descriptor", TANH_2D, "--descriptor", GAUSS_2D]),
     ("classify-input", ["--command", "classify",
                         "--input", "invert-2d-swirl/out/inverse.dff"]),
-    # a file member's class is its header's: --class beside an --input exits 1
+    # a file member's class is its header's: --class beside an --input
     ("invert-input-class", ["--command", "invert", "--class", "Schwartz",
                             "--input", "invert-2d-swirl/out/inverse.dff"]),
     # a 257^2 read, the file size perfbench group-2d reads
@@ -107,14 +112,13 @@ COMMANDS = [
                    "--descriptor", "0.2*exp(-x^2)*(0.6+0.4*cos(t))"]),
     # no --class: the result's class is inferred from the final snapshot
     ("evolve-1d-inferred", ["--command", "evolve", "--descriptor", "0.12*cos(0.7*x-0.6*t)"]),
-    # a pole of X at the node x = 0 at t = 0: an input error, one JSON line naming the
-    # point, exit 1
+    # a pole of X at the node x = 0 at t = 0: one JSON line naming the point
     ("evolve-1d-pole", ["--command", "evolve", "--descriptor", "0.1/x"]),
-    # one step: right_log_derivative's time stencil needs 4, so an input error (exit 1)
+    # one step: right_log_derivative's time stencil needs 4
     ("evolve-1d-one-step", ["--command", "evolve", "--t-final", "0.0625", "--dt", "0.0625",
                             "--descriptor", "0.1*exp(-x^2)"]),
     # no --class, measured BoundedAll: both channels read the clamp continuation set
-    # after the run; exits 2 because the Gronwall envelope fails at this spacing
+    # after the run
     ("evolve-2d-inferred", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--descriptor",
                             "0.12*cos(0.7*x-0.6*t), 0.1*cos(0.6*y-0.5*t)"]),
     ("evolve-2d", ["--command", "evolve", *PLANE, "--dt", "0.0625", "--class", "Schwartz",
@@ -130,12 +134,33 @@ COMMANDS = [
 ]
 
 
+# every command that does not exit 0: (its exit code, why). Exit 2 is a known defect,
+# named with the ROADMAP item that mends it; exit 1 is an input error by design
+EXIT_CODES = {
+    "verify-101": (2, "item 3: criterion 8's width-sensitive classifier"),
+    "classify-descriptor-deep": (1, "input error: too deep to parse"),
+    "classify-descriptor-pole": (1, "input error: a pole at a node"),
+    "classify-descriptor-malformed": (1, "input error: a descriptor syntax error"),
+    "invert-1d-stiff": (2, "item 2: under-resolved, left identity 1.9e-2; only the floor "
+                           "report can say so"),
+    "invert-1d-repelling": (2, "item 17: the interpolation floor, left identity 1.0e-4"),
+    "compose-1d-pole": (1, "input error: a pole off the box that a node reaches"),
+    "invert-3d-21": (2, "item 17: the left identity reads the interpolant at h = 0.8"),
+    "conjugate-2d-257-bump": (2, "items 2 and 3: a CompactSupport result measures Schwartz"),
+    "invert-input-class": (1, "input error: --class beside an --input"),
+    "evolve-1d-pole": (1, "input error: a pole of X at a node at t = 0"),
+    "evolve-1d-one-step": (1, "input error: too few steps for the time stencil"),
+    "evolve-2d-inferred": (2, "item 4: the Gronwall envelope fails at this spacing"),
+}
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     env = dict(os.environ, PYTHONPATH=str(src))
+    failed = False
     for name, args in COMMANDS:
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -144,8 +169,15 @@ def main(argv) -> int:
         (run_dir / "stdout").write_bytes(proc.stdout)
         (run_dir / "stderr").write_bytes(proc.stderr)
         (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
-    return 0
+        want = EXIT_CODES.get(name, (0,))[0]
+        # verify prints its per-criterion lines to stderr; any other command prints one
+        # JSON line when it exits 1 and nothing otherwise
+        lines = 0 if args[1] == "verify" else len(proc.stderr.splitlines())
+        ok = proc.returncode == want and lines == (proc.returncode == 1)
+        failed |= not ok
+        print(f"{name}: exit {proc.returncode}"
+              + ("" if ok else f", {lines} stderr lines; the table says exit {want}"))
+    return int(failed)
 
 
 if __name__ == "__main__":

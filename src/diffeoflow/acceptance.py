@@ -325,9 +325,10 @@ def criterion_inverse_norm_inequality(seed: int = DEFAULT_SEED) -> CriterionResu
     worst_slack = np.inf
     for n in (2, 3):
         stack = _draw_invertible(rng, n)
-        bound, holds = inverse_norm_bound(stack)
+        bound = inverse_norm_bound(stack)
         direct = np.linalg.norm(np.linalg.inv(stack), 2, axis=(1, 2))
-        violated = ~holds | (direct > bound + 1.0e-12)
+        # a NaN norm is a violation too
+        violated = ~(direct <= bound + 1.0e-12)
         if np.any(violated):
             i = int(np.argmax(violated))
             return CriterionResult(
@@ -336,10 +337,9 @@ def criterion_inverse_norm_inequality(seed: int = DEFAULT_SEED) -> CriterionResu
                 f"> bound {bound[i]:.6e}", {"matrix": stack[i].tolist()})
         checked += len(stack)
         worst_slack = min(worst_slack, float(np.min(bound - direct)))
-    eq_bound, eq_holds = inverse_norm_bound(np.diag([2.0, 1.0]))
     eq_direct = float(np.linalg.norm(np.linalg.inv(np.diag([2.0, 1.0])), 2))
-    eq_gap = abs(eq_bound - eq_direct)
-    passed = eq_holds and eq_gap <= 1.0e-12
+    eq_gap = abs(inverse_norm_bound(np.diag([2.0, 1.0])) - eq_direct)
+    passed = eq_gap <= 1.0e-12
     return CriterionResult(
         4, "inverse operator norm inequality", passed,
         f"{checked} matrices hold (min slack {worst_slack:.3e}); "

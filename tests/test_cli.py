@@ -48,7 +48,7 @@ COMMAND_FLAGS = {
     "conjugate": (MEMBER_FLAGS, ["--descriptor", "x", "--descriptor", "x"]),
     "evolve": (("--dim", "--half-width", "--points", "--class", "--descriptor", "--t-final",
                 "--dt"), ["--descriptor", "x"]),
-    "verify": (("--tol", "--seed"), []),
+    "verify": (("--seed",), []),
 }
 
 
@@ -96,6 +96,8 @@ class TestConfig:
         ["--command", "classify", "--tol", "1e-3", "--descriptor", "0.1*exp(-x^2)"],
         ["--command", "classify", "--seed", "7", "--descriptor", "0.1*exp(-x^2)"],
         ["--command", "classify", "--t-final", "2", "--descriptor", "0.1*exp(-x^2)"],
+        # --help after an unknown command
+        ["--command", "nonsense", "--help"],
     ])
     def test_bad_configuration_exits_1(self, capsys, argv):
         assert main(argv) == 1
@@ -136,8 +138,19 @@ class TestConfig:
         assert json.loads(err)["error"] == "ValueError"
 
     def test_help_exits_0(self, capsys):
+        # alone, --help lists every flag
         assert main(["--help"]) == 0
-        capsys.readouterr()
+        printed = capsys.readouterr().out
+        assert all(flag in printed for flag in ("--command", "--out", "--quiet", *FLAG_VALUES))
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_command_help_lists_its_flags(self, capsys, command):
+        assert main(["--command", command, "--help"]) == 0
+        printed = capsys.readouterr().out
+        assert all(flag in printed for flag in ("--command", "--out", "--quiet"))
+        reads = COMMAND_FLAGS[command][0]
+        for flag in FLAG_VALUES:
+            assert (flag in printed) is (flag in reads), flag
 
 
 class TestClassify:
@@ -512,12 +525,12 @@ class TestDeepDescriptors:
 
 
 class TestVerify:
-    def test_zero_tolerance_is_controlled_failure(self, capsys):
-        code, payload, _ = run_cli(
-            capsys, "--command", "verify", "--tol", "0")
-        assert code == 2
-        assert payload["passed"] is False
-        assert "controlled_failure" in payload
+    def test_tol_is_refused(self, capsys):
+        # verify reads only --seed: argparse refuses --tol, whatever its value
+        for tol in ("0", "0.5"):
+            code, payload, err = run_cli(capsys, "--command", "verify", "--tol", tol)
+            assert code == 1 and payload is None
+            assert f"unrecognized arguments: --tol {tol}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -529,7 +542,7 @@ class TestVerify:
      "--descriptor", "0.1*exp(-x^2)"],
     ["--command", "evolve", "--descriptor", "0.1*exp(-x^2)", "--t-final", "0.25",
      "--dt", "0.0625"],
-    ["--command", "verify", "--tol", "0"],
+    ["--command", "verify", "--seed", "1789"],
 ], ids=lambda argv: argv[1])
 def test_output_tail(capsys, tmp_path, argv):
     # the report file is the printed bytes; --out holds it and the files it names
@@ -561,36 +574,42 @@ def test_module_entry_point(tmp_path):
 
 
 CLI_OUTPUTS = Path(__file__).resolve().parents[1] / ".github" / "cli_outputs.py"
-# the cli_outputs.py commands that exit 2, each a known defect with the ROADMAP
-# item that mends it
-KNOWN_DEFECTS = {
-    "verify-101": "item 3: criterion 8's width-sensitive classifier",
-    "invert-1d-stiff": "item 2: under-resolved, only the floor report can say so",
-    "invert-1d-repelling": "item 17: the interpolation floor",
-    "invert-3d-21": "item 17: the left identity reads the interpolant at h = 0.8",
-    "conjugate-2d-257-bump": "items 2 and 3: a CompactSupport result measures Schwartz",
-    "evolve-2d-inferred": "item 4: the Gronwall envelope fails at this spacing",
-}
-# the cli_outputs.py commands that exit 1 by design: input errors
-INPUT_ERRORS = {"classify-descriptor-deep", "classify-descriptor-pole", "compose-1d-pole",
-                "evolve-1d-pole", "evolve-1d-one-step", "invert-input-class"}
 
 
-def test_cli_outputs_exit_codes(capsys, tmp_path, monkeypatch):
-    """Every ``.github/cli_outputs.py`` command, run in process and in order, exits as pinned.
+@pytest.fixture
+def cli_outputs():
+    spec = importlib.util.spec_from_file_location("cli_outputs", CLI_OUTPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    Known defects exit 2, input errors 1 and every other command 0. The
-    commands run in one working directory with ``--out <name>/out``, as the
+
+def test_cli_outputs_exit_codes(capsys, tmp_path, monkeypatch, cli_outputs):
+    """Every ``.github/cli_outputs.py`` command, run in process and in order, exits as its
+    ``EXIT_CODES`` table pins, and every input error (exit 1) prints one JSON stderr line.
+
+    The commands run in one working directory with ``--out <name>/out``, as the
     script runs them, so a command reading an earlier one's file finds it.
     """
-    spec = importlib.util.spec_from_file_location("cli_outputs", CLI_OUTPUTS)
-    cli_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_outputs)
-    names = [name for name, _ in cli_outputs.COMMANDS]
-    assert KNOWN_DEFECTS.keys() <= set(names) and INPUT_ERRORS <= set(names)
+    assert cli_outputs.EXIT_CODES.keys() <= {name for name, _ in cli_outputs.COMMANDS}
     monkeypatch.chdir(tmp_path)
     for name, args in cli_outputs.COMMANDS:
-        want = 2 if name in KNOWN_DEFECTS else 1 if name in INPUT_ERRORS else 0
         code = main([*args, "--out", f"{name}/out"])
-        assert code == want, (name, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert code == cli_outputs.EXIT_CODES.get(name, (0,))[0], (name, err)
+        if code == 1:
+            (line,) = err.splitlines()
+            json.loads(line)
+
+
+@pytest.mark.parametrize("pinned, want", [(0, 0), (2, 1)])
+def test_cli_outputs_fails_on_a_wrong_pin(capsys, tmp_path, monkeypatch, cli_outputs,
+                                          pinned, want):
+    # one cheap command, pinned to its exit code or to another
+    monkeypatch.setattr(cli_outputs, "COMMANDS", [
+        ("classify", ["--command", "classify", "--descriptor", "0.2*exp(-x^2)"])])
+    monkeypatch.setattr(cli_outputs, "EXIT_CODES", {"classify": (pinned, "planted")})
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert cli_outputs.main([str(src), str(tmp_path)]) == want
+    assert (tmp_path / "classify" / "exit_code").read_text() == "0\n"
     capsys.readouterr()

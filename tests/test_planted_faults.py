@@ -60,11 +60,9 @@ def test_criterion_3_fails_on_a_top_term_off_by_1e_6(monkeypatch):
 
 
 def test_criterion_4_fails_on_a_bound_1_percent_low(monkeypatch):
+    # criterion 4 compares the bound with the direct norms it measures itself
     def tight_inverse_norm_bound(matrix):
-        bound, _ = jets.inverse_norm_bound(matrix)
-        bound = 0.99 * np.asarray(bound)
-        actual = np.linalg.norm(np.linalg.inv(matrix), 2, axis=(-2, -1))
-        return bound, actual <= bound + 1.0e-12
+        return 0.99 * jets.inverse_norm_bound(matrix)
 
     monkeypatch.setattr(acceptance, "inverse_norm_bound", tight_inverse_norm_bound)
     result = acceptance.criterion_inverse_norm_inequality()
