@@ -12,14 +12,12 @@ verdicts, integers such as exit codes, and changes of shape.
 
 JSON files (reports, and ``stdout`` when it holds one JSON value) are
 compared value by value along their key paths. A ``.dff`` member file is
-decoded to its header and its doubles, from a v2 raw ``<f8`` body or a v1
-``.17g`` text row per component alike, and compared header key by header
-key and sample by sample as ``component C node I``; the header's ``body``
-key names the encoding only, so a v1 and a v2 file holding the same
-doubles differ in nothing. A flip of the sign of zero is listed too. Other
-text files (``.csv``, ``exit_code``) are compared token by token, splitting
-on commas and whitespace; a token is an integer, a float or a string as it
-parses. The script uses the standard library only and exits 0 on any two
+decoded to its header and the doubles of its raw ``<f8`` body, and compared
+header key by header key and sample by sample as ``component C node I``. A
+flip of the sign of zero is listed too. Other text files (``.csv``,
+``exit_code``, and a ``.dff`` that is not one) are compared token by token,
+splitting on commas and whitespace; a token is an integer, a float or a
+string as it parses. The script uses the standard library only and exits 0 on any two
 trees: it reports, it gates nothing.
 """
 
@@ -146,19 +144,14 @@ def _dff(raw: bytes):
     head, _, body = raw.partition(b"\n")
     try:
         header = json.loads(head)
-        if not isinstance(header, dict):
+        if not isinstance(header, dict) or header.get("body") != "<f8":
             return None
-        if header.pop("body", None) == "<f8":
-            rows = header.get("components")
-            samples = array("d", body)
-            if sys.byteorder == "big":
-                samples.byteswap()
-        else:
-            lines = [line for line in body.decode("ascii").splitlines() if line.strip()]
-            rows = len(lines)
-            samples = array("d", [float(token) for line in lines for token in line.split(",")])
-    except ValueError:          # bad JSON, a body that is not whole doubles, a bad token
+        rows = header.get("components")
+        samples = array("d", body)
+    except ValueError:          # bad JSON, a body that is not whole doubles
         return None
+    if sys.byteorder == "big":
+        samples.byteswap()
     if type(rows) is not int or rows < 1 or len(samples) % rows:
         return None
     return header, rows, samples

@@ -4,6 +4,9 @@ Each criterion function measures one shipped guarantee against an oracle that
 does not share code with the implementation under test: truncated power
 series are manipulated as plain coefficient lists, matrix norms come from
 the SVD and reference trajectories from a locally written dense-step RK4.
+Criteria 2 and 3 read their closed-form members through
+:func:`diffeoflow.descriptors.bind`, the program every command runs: that
+evaluation is their input, and the jet algebra is what they test.
 Every function returns a :class:`CriterionResult` whose ``data`` is
 JSON-ready, so reports built from them are deterministic for a fixed seed.
 """
@@ -20,7 +23,7 @@ from .battery import (DEFAULT_SEED, bounded_outer_diffeos, flow_battery,
                       schwartz_diffeos, schwartz_flow_case,
                       sobolev_flow_case, sobolev_inner_diffeos)
 from .decay import DecayClass, measured_class
-from .descriptors import parse_vector
+from .descriptors import bind, parse_vector
 from .fields import Grid, multi_indices_up_to, point_derivatives, seminorm_table
 from .flows import (displacement_sup_bound, edge_decay, evolve, gronwall_bound,
                     right_log_derivative)
@@ -134,12 +137,12 @@ def _descriptor_jet(descriptor: str, point, order: int) -> Jet:
 
     ``d^alpha`` is one ``diff`` of the cached ``d^(alpha - e_j)``, ``j`` its
     last nonzero axis: the from-scratch ``diff`` sequence, so the same floats.
+    One bound program reads every derivative at ``point``.
     """
     exprs = parse_vector(descriptor)
     dim = len(exprs)
     point = np.asarray(point, dtype=np.float64).reshape(dim)
     names = ("x", "y", "z")[:dim]
-    env = dict(zip(names, point))
     cache = {(i, (0,) * dim): expr for i, expr in enumerate(exprs)}
 
     def expression(i: int, alpha: tuple):
@@ -149,19 +152,23 @@ def _descriptor_jet(descriptor: str, point, order: int) -> Jet:
             cache[i, alpha] = expression(i, lower).diff(names[axis])
         return cache[i, alpha]
 
-    terms = [point + np.array([float(expr.evaluate(env)) for expr in exprs])]
-    for p in range(1, order + 1):
-        dense = np.zeros((dim,) + (dim,) * p)
+    combos = [combo for p in range(1, order + 1)
+              for combo in combinations_with_replacement(range(dim), p)]
+    table = exprs + [expression(i, tuple(combo.count(axis) for axis in range(dim)))
+                     for combo in combos for i in range(dim)]
+    _, evaluate = bind(table, dim, (len(table),))
+    values = iter(evaluate(0.0, point[None])[0].tolist())
+    terms = [point + np.array([next(values) for _ in exprs])]
+    terms += [np.zeros((dim,) + (dim,) * p) for p in range(1, order + 1)]
+    for combo in combos:
+        p = len(combo)
         fact = math.factorial(p)
-        for combo in combinations_with_replacement(range(dim), p):
-            alpha = tuple(combo.count(axis) for axis in range(dim))
-            for i in range(dim):
-                value = float(expression(i, alpha).evaluate(env)) / fact
-                if p == 1 and i == combo[0]:
-                    value += 1.0 / fact
-                for perm_slot in set(permutations(combo)):
-                    dense[(i,) + perm_slot] = value
-        terms.append(dense)
+        for i in range(dim):
+            value = next(values) / fact
+            if p == 1 and i == combo[0]:
+                value += 1.0 / fact
+            for perm_slot in set(permutations(combo)):
+                terms[p][(i,) + perm_slot] = value
     return Jet(point, terms)
 
 
@@ -206,18 +213,13 @@ def criterion_group_axioms(seed: int = DEFAULT_SEED) -> CriterionResult:
 def _fd_jet_gap(outer_desc: str, inner_desc: str, grid: Grid, point,
                 order: int) -> float:
     """Worst relative gap between composed-jet terms and FD derivatives."""
-    outer_exprs = parse_vector(outer_desc)
-    inner_exprs = parse_vector(inner_desc)
     dim = grid.dim
-    names = ("x", "y", "z")[:dim]
+    _, outer = bind(outer_desc, dim, (dim,))
+    _, inner = bind(inner_desc, dim, (dim,))
 
     def composed(pts):
-        env = {n: pts[:, k] for k, n in enumerate(names)}
-        inner_disp = np.stack([e.evaluate(env) for e in inner_exprs])
-        image = pts + inner_disp.T
-        env2 = {n: image[:, k] for k, n in enumerate(names)}
-        outer_disp = np.stack([e.evaluate(env2) for e in outer_exprs])
-        return (inner_disp + outer_disp).T
+        inner_disp = inner(0.0, pts)
+        return inner_disp + outer(0.0, pts + inner_disp)
 
     inner_jet = _descriptor_jet(inner_desc, point, order)
     outer_jet = _descriptor_jet(outer_desc, inner_jet.value, order)

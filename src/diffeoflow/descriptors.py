@@ -24,23 +24,26 @@ digits, space and ``_.+-*/^(),`` (``#``, ``\\``, quotes), a trailing comma
 ``0x10``, ``1j``, ``02``), integer literals beyond the float range, exponents
 other than integer literals (``x^2.0``, ``x^+2``) and other Python syntax.
 
-Depth: the walk, :meth:`Expr.diff` and :func:`_lower` recurse once per level. A
+Depth: the walk, :meth:`Expr.diff` and :func:`_lower` recurse once per level;
+:func:`_lower` visits a subtree that ``diff`` shares once, by identity. A
 descriptor too deep for Python's recursion limit or parser (over 200 nested
 parentheses, say) raises :class:`DescriptorError`. At the default limit of 1000
 frames, the command line accepts a sum of 985 terms and a flow of 490 chained
 factors or 320 chained quotients (its Jacobian is two or three times as deep).
 
-Expressions evaluate on numpy arrays and differentiate symbolically, so tests
-can pit finite-difference estimates against exact derivatives.
+Expressions differentiate symbolically (:meth:`Expr.diff`) and :func:`bind`
+evaluates them on numpy arrays, so tests can pit finite-difference estimates
+against exact derivatives.
 
-:func:`bind` runs the components as one straight-line program over their
-distinct subtrees (constants are told apart by their bits, so ``-0`` is not
-``0``), computing each subtree once and freeing it after its last read; the
-variables among those subtrees are the ones the descriptor uses. Each node
-applies the numpy operation :meth:`Expr.evaluate` applies to operands of the
-same values and types, so the bits are the tree walk's. A program is compiled
-once per structure, with constants passed in as values: its source holds slot
-names, operators and whitelisted function names, never descriptor text.
+:func:`bind` is the one evaluator: every field, flow and command, and the jets
+of ``verify``'s criteria 2 and 3, run its program. It runs the components as
+one straight-line program over their distinct subtrees (constants are told
+apart by their bits, so ``-0`` is not ``0``), computing each subtree once and
+freeing it after its last read; the variables among those subtrees are the
+ones the descriptor uses. Each node applies one numpy operation to its
+operands' values. A program is compiled once per structure, with constants
+passed in as values: its source holds slot names, operators and whitelisted
+function names, never descriptor text.
 """
 
 from __future__ import annotations
@@ -62,24 +65,15 @@ _REFUSED_RE = re.compile(r"[^0-9A-Za-z_.+\-*/^(), ]|, ?(?:\)|$)|\( ?\)")
 
 
 class Expr:
-    """Base class for descriptor syntax trees."""
-
-    def evaluate(self, env: dict) -> np.ndarray:
-        raise NotImplementedError
+    """Base class for descriptor syntax trees; :func:`bind` evaluates them."""
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.__dict__})"
 
 
 class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
-
-    def evaluate(self, env):
-        return np.float64(self.value)
 
     def diff(self, var):
         return Const(0.0)
@@ -88,12 +82,6 @@ class Const(Expr):
 class Var(Expr):
     def __init__(self, name: str):
         self.name = name
-
-    def evaluate(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise DescriptorError(f"variable {self.name!r} is not bound here")
 
     def diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
@@ -190,25 +178,16 @@ class _Binary(Expr):
 
 
 class Add(_Binary):
-    def evaluate(self, env):
-        return self.left.evaluate(env) + self.right.evaluate(env)
-
     def diff(self, var):
         return _add(self.left.diff(var), self.right.diff(var))
 
 
 class Sub(_Binary):
-    def evaluate(self, env):
-        return self.left.evaluate(env) - self.right.evaluate(env)
-
     def diff(self, var):
         return _sub(self.left.diff(var), self.right.diff(var))
 
 
 class Mul(_Binary):
-    def evaluate(self, env):
-        return self.left.evaluate(env) * self.right.evaluate(env)
-
     def diff(self, var):
         return _add(
             _mul(self.left.diff(var), self.right),
@@ -217,9 +196,6 @@ class Mul(_Binary):
 
 
 class Div(_Binary):
-    def evaluate(self, env):
-        return self.left.evaluate(env) / self.right.evaluate(env)
-
     def diff(self, var):
         num = _sub(
             _mul(self.left.diff(var), self.right),
@@ -234,12 +210,6 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: int):
         self.base, self.exponent = base, int(exponent)
 
-    def evaluate(self, env):
-        base = self.base.evaluate(env)
-        if self.exponent < 0:
-            return _negative_power(base, self.exponent)
-        return base ** self.exponent
-
     def diff(self, var):
         n = self.exponent
         return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)), self.base.diff(var))
@@ -249,9 +219,6 @@ class Neg(Expr):
     def __init__(self, operand: Expr):
         self.operand = operand
 
-    def evaluate(self, env):
-        return -self.operand.evaluate(env)
-
     def diff(self, var):
         return _neg(self.operand.diff(var))
 
@@ -259,10 +226,6 @@ class Neg(Expr):
 class Call(Expr):
     def __init__(self, func: str, arg: Expr):
         self.func, self.arg = func, arg
-
-    def evaluate(self, env):
-        u = self.arg.evaluate(env)
-        return getattr(np, self.func)(u)
 
     def diff(self, var):
         du = self.arg.diff(var)
@@ -289,9 +252,6 @@ class BumpPow(Expr):
 
     def __init__(self, args: list, p: int = 0):
         self.args, self.p = list(args), int(p)
-
-    def evaluate(self, env):
-        return _bump(_bump_defect(*(a.evaluate(env) for a in self.args)), self.p)
 
     def diff(self, var):
         total: Expr = Const(0.0)
@@ -391,12 +351,13 @@ def parse_vector(text: str) -> list:
 
 
 def evaluate_on(expr: Expr, arrays: dict) -> np.ndarray:
-    """Evaluate ``expr`` and broadcast the result over the input arrays."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays.values())) if arrays else ()
-    value = np.asarray(expr.evaluate(arrays), dtype=np.float64)
-    if value.shape != shape:
-        value = np.broadcast_to(value, shape).copy()
-    return value
+    """``expr`` by :func:`bind` at ``x, y, z`` from ``arrays``, in their broadcast shape."""
+    names = VARIABLES[:next((j for j, name in enumerate(VARIABLES[:3]) if name not in arrays), 3)]
+    # a zero column ahead of the coordinates gives the shape when none is bound
+    columns = np.broadcast_arrays(np.float64(0.0), *(arrays[name] for name in names))
+    _, evaluate = bind(expr, len(names), time="t" in arrays)
+    points = np.stack([column.reshape(-1) for column in columns], axis=-1)[:, 1:]
+    return evaluate(arrays.get("t", 0.0), points).reshape(columns[0].shape)
 
 
 _OPERATORS = {Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})", Div: "({} / {})"}
@@ -411,7 +372,7 @@ def _lower(exprs: list) -> tuple:
     operands)`` pair; ``roots[k]`` is component ``k``. Constants are keyed by
     their exact bits, so ``0`` and ``-0`` stay apart; exponents are constants too.
     """
-    index, nodes, constants = {}, [], []
+    index, nodes, constants, seen = {}, [], [], {}
 
     def node(key, item, *value):
         if key not in index:
@@ -426,6 +387,8 @@ def _lower(exprs: list) -> tuple:
             return node(e.value.hex(), None, np.float64(e.value))
         if kind is Var:
             return node(e.name, e.name)
+        if id(e) in seen:  # a subtree ``diff`` shares; ``exprs`` keeps each id alive
+            return seen[id(e)]
         if kind is Pow:
             template = "_negative_power({}, {})" if e.exponent < 0 else "({} ** {})"
             operands = (visit(e.base), node(e.exponent, None, e.exponent))
@@ -441,7 +404,8 @@ def _lower(exprs: list) -> tuple:
             template, operands = "(-{})", (visit(e.operand),)
         else:
             template, operands = _OPERATORS[kind], (visit(e.left), visit(e.right))
-        return node((template, operands), (template, operands))
+        seen[id(e)] = node((template, operands), (template, operands))
+        return seen[id(e)]
 
     roots = tuple(visit(e) for e in exprs)
     return tuple(nodes), tuple(constants), roots
@@ -521,3 +485,9 @@ def bind(descriptor, dim: int, shape: tuple = (), time: bool = False) -> tuple:
         return out.reshape(points.shape[:1] + shape)
 
     return exprs, evaluate
+
+
+def bind_jacobian(exprs: list, dim: int, time: bool = False):
+    """:func:`bind`'s evaluator of the Jacobian of ``exprs``, entry ``[i, j]`` ``d_j exprs[i]``."""
+    return bind([expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
+                dim, (dim, dim), time)[1]

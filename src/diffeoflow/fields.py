@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import VARIABLES, bind, parse_vector
+from .descriptors import bind, bind_jacobian, parse_vector
 from .errors import FieldError, UnsupportedOrderError
 
 MAX_DERIVATIVE_ORDER = 6
@@ -592,17 +592,15 @@ class DisplacementField:
     def jacobian_at(self, points) -> np.ndarray:
         """Displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``.
 
-        A formula's is its symbolic Jacobian (``Expr.diff``), bound once on
-        the first call; any other field interpolates its stencil derivatives.
+        A formula's is its symbolic Jacobian (:func:`bind_jacobian`), bound
+        once on the first call; any other field interpolates its stencil
+        derivatives.
         """
         pts, lead = _normalize_points(points, self.grid.dim)
         dim = self.grid.dim
         if self.formula is not None:
             if self._formula_jacobian is None:
-                exprs = self.formula[0]
-                _, self._formula_jacobian = bind(
-                    [expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
-                    dim, (dim, dim))
+                self._formula_jacobian = bind_jacobian(self.formula[0], dim)
             return _read_formula(self._formula_jacobian, pts).reshape(lead + (dim, dim))
         firsts = self._first_derivatives()
         channels = [firsts[j][i].reshape(-1) for i in range(dim) for j in range(dim)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .decay import DecayClass, class_from_name, extrapolation_for, measured_class
-from .descriptors import VARIABLES, bind
+from .descriptors import bind, bind_jacobian
 from .errors import FieldError, FlowBlowupError, FlowDomainError
 from .fields import (DisplacementField, Grid, _require_finite, det_plus_identity,
                      multi_indices_up_to, reads_only_zeros, row_max, row_norms, seminorm_table,
@@ -73,9 +73,7 @@ class TimeDependentVectorField:
     def from_descriptor(cls, dim: int, descriptor: str,
                         decay_class: DecayClass | None = None) -> "TimeDependentVectorField":
         exprs, values = bind(descriptor, dim, (dim,), time=True)
-        _, jacobian = bind([expr.diff(var) for expr in exprs for var in VARIABLES[:dim]],
-                           dim, (dim, dim), time=True)
-        return cls(dim, values, jacobian, decay_class)
+        return cls(dim, values, bind_jacobian(exprs, dim, time=True), decay_class)
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

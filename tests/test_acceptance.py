@@ -92,14 +92,15 @@ def test_faa_di_bruno_reads_a_window_not_the_whole_grid():
     assert peak < 8 * 2**20
 
 
-def _from_scratch_jet(descriptor, point, order):
-    """``_descriptor_jet`` with each derivative differentiated from the root."""
+def _from_scratch_jet(walk, descriptor, point, order):
+    """``_descriptor_jet`` with each derivative differentiated from the root and read
+    by the reference tree walker at scalar coordinates."""
     exprs = parse_vector(descriptor)
     dim = len(exprs)
     names = ("x", "y", "z")[:dim]
     env = dict(zip(names, np.asarray(point, dtype=np.float64).reshape(dim)))
     terms = [np.asarray(point, dtype=np.float64)
-             + np.array([float(e.evaluate(env)) for e in exprs])]
+             + np.array([float(walk(e, env)) for e in exprs])]
     for p in range(1, order + 1):
         dense = np.zeros((dim,) + (dim,) * p)
         for combo in combinations_with_replacement(range(dim), p):
@@ -107,7 +108,7 @@ def _from_scratch_jet(descriptor, point, order):
                 node = exprs[i]
                 for axis in combo:
                     node = node.diff(names[axis])
-                value = float(node.evaluate(env)) / math.factorial(p)
+                value = float(walk(node, env)) / math.factorial(p)
                 if p == 1 and i == combo[0]:
                     value += 1.0
                 for slot in set(permutations(combo)):
@@ -122,7 +123,7 @@ def _from_scratch_jet(descriptor, point, order):
      "0.1*exp(-((x+0.3)^2+(y-0.2)^2)/1.5), 0.08*exp(-(x^2+y^2)/1.3)", [0.2, -0.4], 4),
     (None, "0.2*exp(-x^2)", [0.3], 3),
 ], ids=["criterion-2-1d", "criterion-2-2d", "oracle-case"])
-def test_descriptor_jet_chain_matches_from_scratch(outer, inner, point, order):
+def test_descriptor_jet_chain_matches_from_scratch(outer, inner, point, order, walk):
     """Chained symbolic derivatives give the from-scratch floats, bit for bit."""
     inner_jet = acceptance._descriptor_jet(inner, point, order)
     cases = [(inner, point, inner_jet)]
@@ -130,7 +131,7 @@ def test_descriptor_jet_chain_matches_from_scratch(outer, inner, point, order):
         cases.append((outer, inner_jet.value,
                       acceptance._descriptor_jet(outer, inner_jet.value, order)))
     for descriptor, at, jet in cases:
-        want = _from_scratch_jet(descriptor, at, order)
+        want = _from_scratch_jet(walk, descriptor, at, order)
         assert len(jet.terms) == len(want.terms) == order + 1
         for got, term in zip(jet.terms, want.terms):
             assert got.tobytes() == term.tobytes()

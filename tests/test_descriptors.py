@@ -15,8 +15,10 @@ from diffeoflow import descriptors
 from diffeoflow.descriptors import VARIABLES, evaluate_on
 
 
-def ev(text, **env):
-    return float(parse_scalar(text).evaluate({k: np.float64(v) for k, v in env.items()}))
+def ev(descriptor, x=0.0, y=0.0):
+    """``descriptor`` (text or one tree) at the point ``(x, y)``, through ``bind``."""
+    _, evaluate = descriptors.bind(descriptor, 2)
+    return float(evaluate(0.0, np.array([[x, y]]))[0])
 
 
 def test_arithmetic_and_precedence():
@@ -49,8 +51,8 @@ def test_bump_is_compactly_supported():
     assert ev("bump(x/2)", x=2.0) == 0.0
     # derivatives stay flat across the support boundary
     d = parse_scalar("bump(x)").diff("x")
-    assert float(d.evaluate({"x": np.float64(1.0)})) == 0.0
-    assert abs(float(d.evaluate({"x": np.float64(0.999)}))) < 1e-5
+    assert ev(d, x=1.0) == 0.0
+    assert abs(ev(d, x=0.999)) < 1e-5
 
 
 @pytest.mark.parametrize("text", [
@@ -68,16 +70,14 @@ def test_symbolic_derivative_matches_finite_difference(text):
     d = expr.diff("x")
     h = 1e-5
     for x0 in (-1.3, -0.2, 0.7, 2.1):
-        plus = float(expr.evaluate({"x": np.float64(x0 + h)}))
-        minus = float(expr.evaluate({"x": np.float64(x0 - h)}))
-        fd = (plus - minus) / (2.0 * h)
-        exact = float(d.evaluate({"x": np.float64(x0)}))
+        fd = (ev(expr, x=x0 + h) - ev(expr, x=x0 - h)) / (2.0 * h)
+        exact = ev(d, x=x0)
         assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
 
 def test_diff_of_unused_variable_is_zero():
     d = parse_scalar("exp(-x^2)").diff("t")
-    assert float(d.evaluate({"x": np.float64(0.3)})) == 0.0
+    assert ev(d, x=0.3) == 0.0
 
 
 def test_bind_refuses_variables_it_cannot_bind():
@@ -96,7 +96,7 @@ def test_bind_refuses_variables_it_cannot_bind():
 def test_parse_vector_components():
     comps = parse_vector("-0.3*y, 0.3*x")
     assert len(comps) == 2
-    assert float(comps[0].evaluate({"x": np.float64(0), "y": np.float64(2)})) == -0.6
+    assert ev(comps[0], x=0.0, y=2.0) == -0.6
     assert len(parse_vector("x")) == 1
 
 
@@ -214,56 +214,48 @@ def test_printed_trees_parse_to_the_same_program(trees, style):
     assert _program(parse_vector(text)) == _program(trees), text
 
 
-def test_unbound_variable_at_evaluation():
-    with pytest.raises(DescriptorError):
-        parse_scalar("x + t").evaluate({"x": np.float64(0.0)})
-
-
 @given(st.floats(min_value=-3.0, max_value=3.0),
        st.floats(min_value=-3.0, max_value=3.0))
 def test_product_rule_property(x0, a):
     # d/dx [a x sin(x)] = a sin(x) + a x cos(x)
     expr = parse_scalar(f"({a}) * x * sin(x)")
-    got = float(expr.diff("x").evaluate({"x": np.float64(x0)}))
+    got = ev(expr.diff("x"), x=x0)
     want = a * math.sin(x0) + a * x0 * math.cos(x0)
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 # -- one binding of descriptor text to points -------------------------------
 #
-# The oracles below are the per-constructor bindings that descriptors.bind
-# replaced, kept verbatim in substance; every constructor must still give the
-# same bits.
+# The oracles below evaluate each component with the reference tree walker of
+# conftest.py, per constructor; every constructor must give the walker's bits.
 
-def _oracle_env(points):
-    return {VARIABLES[j]: points[:, j] for j in range(points.shape[1])}
-
-
-def _oracle_scalar(grid, text):
-    return evaluate_on(parse_scalar(text), _oracle_env(grid.nodes())).reshape(grid.shape)
-
-
-def _oracle_displacement(grid, text):
-    env = _oracle_env(grid.nodes())
-    return np.stack([evaluate_on(expr, env).reshape(grid.shape)
-                     for expr in parse_vector(text)])
+def _oracle(walk, exprs, points, shape, t=None):
+    """``exprs`` at each row of ``points`` by the walker, shape ``(m,) + shape``."""
+    env = {VARIABLES[j]: points[:, j] for j in range(points.shape[1])}
+    if t is not None:
+        env["t"] = np.float64(t)
+    out = np.empty((points.shape[0], len(exprs)))
+    for k, expr in enumerate(exprs):
+        out[:, k] = np.broadcast_to(np.asarray(walk(expr, env), dtype=np.float64),
+                                    (points.shape[0],))
+    return out.reshape(points.shape[:1] + shape)
 
 
-def _oracle_flow(dim, text):
+def _oracle_scalar(walk, grid, text):
+    return _oracle(walk, [parse_scalar(text)], grid.nodes(), ()).reshape(grid.shape)
+
+
+def _oracle_displacement(walk, grid, text):
+    exprs = parse_vector(text)
+    values = _oracle(walk, exprs, grid.nodes(), (len(exprs),))
+    return values.T.reshape((len(exprs),) + grid.shape)
+
+
+def _oracle_flow(walk, dim, text):
     exprs = parse_vector(text)
     diffs = [expr.diff(VARIABLES[j]) for expr in exprs for j in range(dim)]
-
-    def evaluator(table, shape):
-        def evaluate(t, points):
-            env = dict(_oracle_env(points), t=np.float64(t))
-            out = np.empty((points.shape[0], len(table)))
-            for k, expr in enumerate(table):
-                value = np.asarray(expr.evaluate(env), dtype=np.float64)
-                out[:, k] = np.broadcast_to(value, (points.shape[0],))
-            return out.reshape(points.shape[:1] + shape)
-        return evaluate
-
-    return evaluator(exprs, (dim,)), evaluator(diffs, (dim, dim))
+    return (lambda t, points: _oracle(walk, exprs, points, (dim,), t),
+            lambda t, points: _oracle(walk, diffs, points, (dim, dim), t))
 
 
 def _same_bits(got, want):
@@ -308,31 +300,31 @@ PARITY_CASES = [
 @pytest.mark.parametrize("grid, scalars, displacements, flows", PARITY_CASES,
                          ids=["1d", "2d", "3d"])
 class TestBindingParity:
-    def test_scalar_fields(self, grid, scalars, displacements, flows):
+    def test_scalar_fields(self, grid, scalars, displacements, flows, walk):
         for text in scalars:
-            want = _oracle_scalar(grid, text)
+            want = _oracle_scalar(walk, grid, text)
             assert _same_bits(ScalarField.from_descriptor(grid, text).values, want), text
             assert _same_bits(sample(text, grid).values, want), text
 
-    def test_displacement_fields(self, grid, scalars, displacements, flows):
+    def test_displacement_fields(self, grid, scalars, displacements, flows, walk):
         for text in displacements:
-            want = _oracle_displacement(grid, text)
+            want = _oracle_displacement(walk, grid, text)
             assert _same_bits(DisplacementField.from_descriptor(grid, text).values, want), text
             got = sample(text, grid)
             assert _same_bits(got.values, want[0] if grid.dim == 1 else want), text
 
-    def test_time_dependent_fields(self, grid, scalars, displacements, flows):
+    def test_time_dependent_fields(self, grid, scalars, displacements, flows, walk):
         dim = grid.dim
         points = np.random.default_rng(7).uniform(-5.0, 5.0, size=(40, dim))
         for text in flows:
             field = TimeDependentVectorField.from_descriptor(dim, text)
-            values, jacobian = _oracle_flow(dim, text)
+            values, jacobian = _oracle_flow(walk, dim, text)
             for t in (0.0, 0.37):
                 assert _same_bits(field(t, points), values(t, points)), text
                 assert _same_bits(field.jacobian(t, points), jacobian(t, points)), text
 
 
-def test_each_distinct_subtree_is_evaluated_once(monkeypatch):
+def test_each_distinct_subtree_is_evaluated_once(monkeypatch, walk):
     """The flow-2d swirl's Jacobian holds 11 ``exp`` nodes, of which 2 differ."""
     envelope = (f"{gaussian_descriptor(0.3, 1.0, 0.0, 'x')}*"
                 f"{gaussian_descriptor(1.0, 1.0, 0.0, 'y')}")
@@ -351,7 +343,7 @@ def test_each_distinct_subtree_is_evaluated_once(monkeypatch):
     assert len(calls) == 2
     assert _same_bits(got, want)
     calls.clear()
-    _, tree = _oracle_flow(2, f"-(y)*{envelope}, (x)*{envelope}")
+    _, tree = _oracle_flow(walk, 2, f"-(y)*{envelope}, (x)*{envelope}")
     assert _same_bits(tree(0.5, points), want)
     assert len(calls) == 11
 
