@@ -1,7 +1,10 @@
+import ctypes
 import importlib.util
 import json
+import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -613,3 +616,50 @@ def test_cli_outputs_fails_on_a_wrong_pin(capsys, tmp_path, monkeypatch, cli_out
     assert cli_outputs.main([str(src), str(tmp_path)]) == want
     assert (tmp_path / "classify" / "exit_code").read_text() == "0\n"
     capsys.readouterr()
+
+
+def _glibc_mallopt() -> bool:
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version")
+
+
+@pytest.mark.skipif(not _glibc_mallopt(), reason="the allocator policy needs glibc's mallopt")
+def test_a_repeated_257_command_reuses_freed_arrays(capsys, tmp_path, monkeypatch,
+                                                    cli_outputs):
+    # with glibc's default thresholds each run faults in about 10k pages again
+    argv = [*dict(cli_outputs.COMMANDS)["conjugate-2d-257"], "--quiet", "--out", "c"]
+    monkeypatch.chdir(tmp_path)
+    main(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    main(argv)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, faults
+    capsys.readouterr()
+
+
+@pytest.fixture
+def unset_policy():
+    """``main`` sets the allocator policy anew on its next call, and after the test."""
+    cli_module._keep_freed_arrays.cache_clear()
+    yield
+    cli_module._keep_freed_arrays.cache_clear()
+
+
+def test_a_c_library_without_mallopt_is_a_silent_no_op(capsys, monkeypatch, unset_policy):
+    opened = []
+
+    def c_library(name):
+        opened.append(name)
+        return object()  # no mallopt, as on a C library other than glibc
+    monkeypatch.setattr(cli_module.ctypes, "CDLL", c_library)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            code, payload, err = run_cli(capsys, "--command", "classify",
+                                         "--descriptor", "0.2*exp(-x^2)")
+            assert (code, payload["report"]["inferred_class"], err) == (0, "Schwartz", "")
+    # the second call does not look again
+    assert opened == [None]
