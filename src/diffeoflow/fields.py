@@ -21,17 +21,15 @@ Interpolation is the engine's inner loop for fields known only at their
 nodes: composition, inversion and conjugation all read a displacement at
 displaced points. ``_gather`` runs it over blocks of at most
 ``GATHER_BLOCK`` query points (a constant), from per-axis stencil weights
-laid out ``(dim, 4, m)`` so each weight row is contiguous, written into
-scratch rows allocated once per gather. Blocking
-changes only memory traffic: every point's value is the same products
-added in the same offset order into an accumulator that starts at zero, so
-results are bit-identical to an unblocked pass.
+in the scratch of :func:`_stencil_scratch`, allocated once per gather, in
+contiguous rows. Blocking changes only memory traffic: every point's value
+is the same products added in the same offset order into an accumulator
+that starts at zero, so results are bit-identical to an unblocked pass.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -44,8 +42,10 @@ MAX_DERIVATIVE_ORDER = 6
 EXTRAPOLATION_MODES = ("zero", "clamp")
 # query points per interpolation block: ~1 MB of per-block rows in 2-D
 GATHER_BLOCK = 16384
-# nodes per axis that a gather at a node can read on either side of it
-STENCIL_REACH = 3
+# nodes per axis that the cubic stencil of _interp_stencil reads, and the reach
+# of a gather at a node on either side: taps - 1, as a face stencil shifts inward
+STENCIL_TAPS = 4
+STENCIL_REACH = STENCIL_TAPS - 1
 # bytes of node arrays that Grid.nodes keeps (least recently read evicted
 # first): room for 513^2 (4.2 MB), 49^3 (2.8 MB) and a few 257^2 (1.1 MB);
 # a larger array, such as 129^3 (51 MB), is built on every call
@@ -193,47 +193,49 @@ def _derivative_field(field, alpha: tuple):
     return field._derivatives[alpha]
 
 
-# the largest Lebesgue constant of the 4-node cubic stencil of
-# _interp_stencil: 1 + t (t + 1) (t - 2) on a face interval, at
-# t = (1 - sqrt 7) / 3; an inner interval gives 1 + t (1 - t) <= 1.25. An
-# interpolated value is at most its dim-th power times the largest node read
-_STENCIL_LEBESGUE = (7.0 + 14.0 * math.sqrt(7.0)) / 27.0
+def _stencil_scratch(dim: int, width: int) -> tuple:
+    """The ``(rows, weights, bases)`` scratch of :func:`_interp_stencil` at ``width`` points."""
+    return (np.empty((5, dim, width)), np.empty((dim, STENCIL_TAPS, width)),
+            np.empty((dim, width), dtype=np.int64))
 
 
-def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
-                    weights: np.ndarray, bases: np.ndarray, strides: list, start=0.0):
-    """Flat stencil origins and cubic Lagrange weights at ``points``, in scratch.
+def _first_nodes(grid: Grid, points: np.ndarray, u, t, first, start=0.0):
+    """Grid positions ``u`` and first stencil nodes of ``(m, dim)`` points, per axis in rows.
 
-    ``points`` has shape ``(m, dim)`` and is clipped to the box here. The
-    scratch comes from :func:`_gather`, which allocates it once per call:
-    ``rows`` is float ``(5, dim, width)``, ``weights`` is ``(dim, 4, width)``
-    and ``bases`` is int64 ``(dim, width)``, with ``width >= m``. Returns
-    views ``(origin, weights[:, :, :m])``: ``origin`` is the flat index, under
-    ``strides`` and from node ``start`` (0, or a window's first nodes as a
-    column), of each point's stencil corner, and every weight row
-    ``weights[j, k]`` is contiguous. The four weights of an axis interpolate
-    through nodes ``base .. base+3``; near a face the stencil shifts inward,
-    which keeps the interpolant cubic-exact. Each weight is the product
-    ``(t - a)(t - b)(t - c) / 6`` or ``/ 2`` multiplied left to right from
-    shared ``t + 1``, ``t - 1`` and ``t - 2`` rows; a leading minus sign
-    moves onto the divisor and ``(t + 1) t`` is formed once for two
-    weights, both exact, so the bits are those of the plain products.
+    ``first = t - 1 - start`` with ``t = clip(floor(u), 1, n - 3)``: the ``STENCIL_TAPS``
+    nodes from it hold the point's cell, shifted inward at a face to stay cubic-exact.
     """
-    n = grid.points_per_axis
-    m = points.shape[0]
-    u, t, tp1, tm1, tm2 = rows[:, :, :m]
-    w = weights[:, :, :m]
-    base = bases[:, :m]
     # maximum then minimum is np.clip for finite points, without its call overhead
     np.maximum(points.T, -grid.half_width, out=u)
     np.minimum(u, grid.half_width, out=u)
     u += grid.half_width
     u /= grid.spacing
-    # base + 1 = clip(floor(u), 1, n - 3): small integers, exact as floats
+    # small integers, exact as floats
     np.floor(u, out=t)
     np.maximum(t, 1.0, out=t)
-    np.minimum(t, n - 3.0, out=t)
-    np.subtract(t, 1.0 + start, out=base, casting="unsafe")
+    np.minimum(t, grid.points_per_axis - 3.0, out=t)
+    np.subtract(t, 1.0 + start, out=first, casting="unsafe")
+
+
+def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
+                    weights: np.ndarray, bases: np.ndarray, strides: list, start=0.0):
+    """Flat stencil origins and cubic Lagrange weights at ``(m, dim)`` points, in scratch.
+
+    The scratch is :func:`_stencil_scratch`'s, at least ``m`` wide. Returns
+    views ``(origin, weights[:, :, :m])``: ``origin`` is the flat index, under
+    ``strides`` and from node ``start`` (0, or a window's first nodes as a
+    column), of each point's :func:`_first_nodes` corner, and every weight
+    row ``weights[j, k]`` is contiguous. Each weight is the product
+    ``(t - a)(t - b)(t - c) / 6`` or ``/ 2`` multiplied left to right from
+    shared ``t + 1``, ``t - 1`` and ``t - 2`` rows; a leading minus sign
+    moves onto the divisor and ``(t + 1) t`` is formed once for two
+    weights, both exact, so the bits are those of the plain products.
+    """
+    m = points.shape[0]
+    u, t, tp1, tm1, tm2 = rows[:, :, :m]
+    w = weights[:, :, :m]
+    base = bases[:, :m]
+    _first_nodes(grid, points, u, t, base, start)
     np.subtract(u, t, out=t)
     np.add(t, 1.0, out=tp1)
     np.subtract(t, 1.0, out=tm1)
@@ -260,16 +262,16 @@ def _interp_stencil(grid: Grid, points: np.ndarray, rows: np.ndarray,
 
 def _stencil_terms(weights: np.ndarray, strides: list, rows: np.ndarray,
                    axis: int = 0, offset: int = 0, prefix=None):
-    """Yield ``(flat offset, weight row)`` for each of the ``4^dim`` stencil offsets.
+    """Yield ``(flat offset, weight row)`` for each of the ``STENCIL_TAPS^dim`` offsets.
 
     Offsets come in row-major order. The weight of offset ``(k_0, .., k_j)``
     is ``w_0[k_0] * .. * w_j[k_j]`` multiplied left to right; the product up
-    to axis ``j >= 1`` is written once into ``rows[j - 1]`` and shared by the
-    ``4^(dim - 1 - j)`` offsets that extend it, so 3-D forms ``w_0 * w_1``
-    once per pair. A yielded row is valid until the next one is drawn.
+    to axis ``j >= 1`` is written once into ``rows[j - 1]`` and shared by
+    every offset that extends it, so 3-D forms ``w_0 * w_1`` once per pair.
+    A yielded row is valid until the next one is drawn.
     """
     last = axis + 1 == len(strides)
-    for k in range(4):
+    for k in range(STENCIL_TAPS):
         w = weights[axis, k]
         if prefix is not None:
             w = np.multiply(prefix, w, out=rows[axis - 1])
@@ -285,17 +287,17 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str,
     """Interpolate flat node arrays ``channels`` at ``points`` of shape ``(m, dim)``.
 
     All channels share one stencil: the node index and the weight of each of
-    the ``4^dim`` offsets are built once and applied to every channel. The
-    points run in ``ceil(m / GATHER_BLOCK)`` blocks whose sizes differ by at
-    most one (the block size is a constant, not a setting), so each block's
-    stencil rows stay in cache. Offset ``k`` of the flat index is read as ``channel[k:]`` at the
-    block's one origin index. The result is bit-identical to one pass over
-    all points that adds ``weight * value`` per offset: each point gets the
-    same products, added in the same offset order into an accumulator that
-    starts at zero (so terms that are all ``-0.0`` sum to ``0.0``, not
-    ``-0.0``). With ``window = (start, shape)`` (:func:`point_derivatives`) the
-    channels hold only nodes ``start .. start + shape - 1`` of each axis.
-    Returns shape ``(len(channels), m)``.
+    the ``STENCIL_TAPS^dim`` offsets are built once and applied to every
+    channel. The points run in ``ceil(m / GATHER_BLOCK)`` blocks whose sizes
+    differ by at most one (the block size is a constant, not a setting), so
+    each block's stencil rows stay in cache. Offset ``k`` of the flat index is
+    read as ``channel[k:]`` at the block's one origin index. The result is
+    bit-identical to one pass over all points that adds ``weight * value`` per
+    offset: each point gets the same products, added in the same offset order
+    into an accumulator that starts at zero (so terms that are all ``-0.0``
+    sum to ``0.0``, not ``-0.0``). With ``window = (start, shape)``
+    (:func:`point_derivatives`) the channels hold only nodes ``start .. start
+    + shape - 1`` of each axis. Returns shape ``(len(channels), m)``.
     """
     half = grid.half_width
     dim = grid.dim
@@ -305,8 +307,7 @@ def _gather(channels: list, grid: Grid, points: np.ndarray, extrapolation: str,
     acc = np.zeros((len(channels), m))
     blocks = max(1, -(-m // GATHER_BLOCK))
     width = -(-m // blocks)
-    scratch = (np.empty((5, dim, width)), np.empty((dim, 4, width)),
-               np.empty((dim, width), dtype=np.int64))
+    scratch = _stencil_scratch(dim, width)
     term_buffer = np.empty(width)
     row_buffer = np.empty((dim - 1, width))
     for b in range(blocks):
@@ -333,18 +334,17 @@ def point_derivatives(grid: Grid, evaluate, alphas, point) -> list:
     ``evaluate`` maps ``(m, dim)`` nodes to ``(m, C)`` values. Entry ``i`` is
     bit for bit ``DisplacementField.from_nodes(grid, evaluate(grid.nodes()))
     .partial_derivative(alphas[i]).sample(point)``, but ``evaluate`` sees
-    only the window the read depends on: per axis the four interpolation
-    nodes, widened by the two rows each ``_d1`` along that axis spoils at a
-    window edge, and clipped at the faces, whose one-sided rows are the grid's.
+    only the window the read depends on: per axis the stencil of :func:`_first_nodes`,
+    widened by the two rows each ``_d1`` along that axis spoils at a window
+    edge, and clipped at the faces, whose one-sided rows are the grid's.
     """
     alphas = [_check_alpha(alpha, grid.dim) for alpha in alphas]
     point = np.asarray(point, dtype=np.float64).reshape(1, grid.dim)
-    half, n = grid.half_width, grid.points_per_axis
-    # each axis's first stencil node, by the clip and floor of _interp_stencil
-    u = (np.minimum(np.maximum(point[0], -half), half) + half) / grid.spacing
-    first = np.minimum(np.maximum(np.floor(u), 1.0), n - 3.0).astype(int) - 1
-    reach = 2 * np.max(alphas, axis=0)
-    start, stop = np.maximum(first - reach, 0), np.minimum(first + 4 + reach, n)
+    rows, _, first = _stencil_scratch(grid.dim, 1)
+    _first_nodes(grid, point, rows[0], rows[1], first)
+    first, reach = first[:, 0], 2 * np.max(alphas, axis=0)
+    start = np.maximum(first - reach, 0)
+    stop = np.minimum(first + STENCIL_TAPS + reach, grid.points_per_axis)
     axes = [grid.axis_coordinates()[lo:hi] for lo, hi in zip(start, stop)]
     nodes = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     values = np.asarray(evaluate(nodes), dtype=np.float64).T.reshape((-1,) + tuple(stop - start))
@@ -363,11 +363,9 @@ def reads_only_zeros(field) -> np.ndarray:
     """Flat mask of the nodes whose interpolation stencil reads only exact zeros.
 
     A node is marked when every channel of ``field`` is exactly 0.0 on the
-    nodes within ``STENCIL_REACH`` of it along each axis. A gather at the
-    node itself reads the four nodes of :func:`_interp_stencil`, which lie
-    within two of it inside and within three at the faces, on any spacing;
-    each term is then ``+-0.0`` and the sum starts at zero, so the gather
-    returns ``+0.0`` without being made.
+    nodes within ``STENCIL_REACH`` of it along each axis, all that a gather at
+    the node reads on any spacing; each term is then ``+-0.0`` and the sum
+    starts at zero, so the gather returns ``+0.0`` without being made.
     """
     nonzero = np.any(field.values != 0.0, axis=0)
     if nonzero.all():
@@ -593,8 +591,9 @@ class DisplacementField:
         """Displacement Jacobian, shape ``points.shape[:-1] + (dim, dim)``.
 
         A formula's is its symbolic Jacobian (:func:`bind_jacobian`), bound
-        once on the first call; any other field interpolates its stencil
-        derivatives.
+        once on the first call. Any other field's is its interpolated stencil
+        derivatives, not the derivative of the interpolant :meth:`sample`
+        reads, so Newton on it solves one map with another map's Jacobian.
         """
         pts, lead = _normalize_points(points, self.grid.dim)
         dim = self.grid.dim

@@ -513,7 +513,8 @@ def test_node_gathers_read_within_the_stencil_reach(grid):
     plane.values[1, 3, 16] = -0.0
     plane.values[0, 8, 2] = 1.0e-300
     rows, cols = np.divmod(np.arange(17 ** 2), 17)
-    far = (np.abs(rows - 8) > 3) | (np.abs(cols - 2) > 3)
+    reach = fields_module.STENCIL_REACH
+    far = (np.abs(rows - 8) > reach) | (np.abs(cols - 2) > reach)
     assert np.array_equal(reads_only_zeros(plane), far)
 
 
@@ -856,12 +857,17 @@ def _smooth_values(points):
 
 
 def _window_points(grid):
-    """Criterion 2's point, a node, near and on the faces, and off the box."""
+    """Criterion 2's point, two nodes, near and on the faces, and off the box.
+
+    At h = 1/6, ``(x + L) / h`` of node 2 floors to 1, so its first stencil
+    node is one lower than at a node whose position is exact.
+    """
     dim, half, h = grid.dim, grid.half_width, grid.spacing
     coords = grid.axis_coordinates()
     signs = np.where(np.arange(dim) % 2, -1.0, 1.0)
     return [np.array([0.25] if dim == 1 else [0.2, -0.4, 0.1][:dim]),
             coords[[grid.points_per_axis // 3, grid.points_per_axis // 2 + 3, 5][:dim]],
+            coords[[2] * dim],
             signs * (half - 0.4 * h),
             np.array([1.5 * h - half, 0.3, -0.1][:dim]),
             signs * half,
@@ -912,7 +918,12 @@ def test_point_derivatives_window_holds_whole_grid_values(grid, order):
 
 
 def test_stencil_lebesgue_constant_bounds_the_interpolation_weights():
-    """Each axis's weights have sum |w| <= the constant: inner, face and clipped points."""
+    """Each axis's weights have sum |w| <= the constant: inner, face and clipped points.
+
+    The constant is the closed form of the largest Lebesgue function of the
+    cubic stencil: ``1 + t (t + 1) (t - 2)`` on a face interval, at
+    ``t = (1 - sqrt 7) / 3``; an inner interval gives ``1 + t (1 - t) <= 1.25``.
+    """
     grid = Grid(1, 8.0, 65)
     h, half = grid.spacing, grid.half_width
     t = np.linspace(0.0, 1.0, 4001)
@@ -923,11 +934,11 @@ def test_stencil_lebesgue_constant_bounds_the_interpolation_weights():
     sums = []
     for points in (inner, faces, clipped):
         m = len(points)
-        scratch = (np.empty((5, 1, m)), np.empty((1, 4, m)), np.empty((1, m), dtype=np.int64))
+        scratch = fields_module._stencil_scratch(1, m)
         _, weights = fields_module._interp_stencil(grid, points.reshape(-1, 1), *scratch, [1])
         assert np.allclose(weights[0].sum(axis=0), 1.0, rtol=0.0, atol=1.0e-14)
         sums.append(np.abs(weights[0]).sum(axis=0))
-    lebesgue = fields_module._STENCIL_LEBESGUE
+    lebesgue = (7.0 + 14.0 * math.sqrt(7.0)) / 27.0
     assert lebesgue == pytest.approx(1.6311303094409, abs=1.0e-12)
     assert np.max(sums[0]) <= 1.25 < lebesgue
     assert np.max(sums[0]) == pytest.approx(1.25, abs=1.0e-12)
