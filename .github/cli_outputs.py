@@ -31,6 +31,7 @@ TANH_2D = "0.2*tanh(x/1.1), 0.15*tanh(y)"
 SWIRL_2D = "-1.1*y*exp(-(x^2+y^2)/2), 1.1*x*exp(-(x^2+y^2)/2)"
 BUMP_2D = "0.1*bump(x/3, y/3), 0.05*bump((x-1)/2, y/2)"
 TANH_INNER_2D = "0.1*tanh((x-0.3)/2), 0.08*tanh((y+0.2)/1.5)"
+GAUSS_3D = "0.3*exp(-(x^2+y^2+z^2)/4), 0.2*exp(-(x^2+y^2+z^2)/4), 0"
 LINE = ["--points", "513"]
 PLANE = ["--dim", "2", "--points", "129"]
 
@@ -52,6 +53,12 @@ COMMANDS = [
     # an unclosed parenthesis: the ast front end refuses it
     ("classify-descriptor-malformed", ["--command", "classify", "--descriptor",
                                        "0.2*exp(-x^2"]),
+    # the shell plan of a 3-D grid, whose corner nodes lie past the largest radius 8; it
+    # measures BoundedAll, as its mixed second derivatives fit exponent 0.21 (item 3)
+    ("classify-3d-33", ["--command", "classify", "--dim", "3", "--points", "33",
+                        "--descriptor", GAUSS_3D]),
+    # a compact support measured at the dyadic radius 4
+    ("classify-2d-bump", ["--command", "classify", *PLANE, "--descriptor", BUMP_2D]),
     ("compose-1d", ["--command", "compose", "--descriptor", TANH_1D,
                     "--descriptor", GAUSS_1D]),
     ("invert-1d", ["--command", "invert", *LINE, "--class", "Schwartz",
@@ -80,8 +87,7 @@ COMMANDS = [
     # the 21^3 Gaussian of tests/test_group.py: face nodes solve y + g(y) = x just off
     # the box, so the formula's value there decides the right identity
     ("invert-3d-21", ["--command", "invert", "--dim", "3", "--points", "21", "--class",
-                      "Schwartz", "--descriptor",
-                      "0.3*exp(-(x^2+y^2+z^2)/4), 0.2*exp(-(x^2+y^2+z^2)/4), 0"]),
+                      "Schwartz", "--descriptor", GAUSS_3D]),
     ("conjugate-2d", ["--command", "conjugate", *PLANE, "--descriptor", TANH_2D,
                       "--descriptor", GAUSS_2D]),
     # the group-2d shape: at 257^2 every gather spans several blocks

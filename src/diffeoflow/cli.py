@@ -88,6 +88,20 @@ def build_parser(reads=None) -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser(reads=None) -> argparse.ArgumentParser:
+    """:func:`build_parser` of one ``_DISPATCH`` row's flags, built once per process."""
+    return build_parser(reads)
+
+
+@lru_cache(maxsize=None)
+def _command_probe() -> argparse.ArgumentParser:
+    """The parser of ``--command`` alone, which finds the row before the row's parser runs."""
+    probe = argparse.ArgumentParser(prog="diffeoflow", add_help=False)
+    probe.add_argument("--command")
+    return probe
+
+
 def config_from_argv(argv) -> argparse.Namespace:
     """The parsed flags, with ``grid`` built and ``decay_class`` a :class:`DecayClass`.
 
@@ -95,11 +109,11 @@ def config_from_argv(argv) -> argparse.Namespace:
     values are refused here, before any command runs, ``verify`` included.
     The command's own parser answers ``--help`` with its row's flags.
     """
-    probe = argparse.ArgumentParser(prog="diffeoflow", add_help=False)
-    probe.add_argument("--command")
-    command = probe.parse_known_args(argv)[0].command
-    build_parser(_DISPATCH[command][1] if command in _DISPATCH else None).parse_args(argv)
-    config = build_parser().parse_args(argv)
+    command = _command_probe().parse_known_args(argv)[0].command
+    _parser(_DISPATCH[command][1] if command in _DISPATCH else None).parse_args(argv)
+    config = _parser().parse_args(argv)
+    # the parser is shared: each config gets lists of its own, not the parser's defaults
+    config.descriptors, config.inputs = list(config.descriptors), list(config.inputs)
     _, reads, needed = _DISPATCH[config.command]
     given = len(config.descriptors) + len(config.inputs)
     if given != needed:

@@ -14,6 +14,12 @@ a least-squares fit of log(shell sup) against log(shell radius) per derivative.
 That is a finite-window heuristic, not a proof; the report carries the raw
 shell data so callers can audit the call.
 
+The shells are read through a plan built once per grid and cached like the
+grid's nodes: the nodes ordered by radius, kept as an int32 permutation (4
+bytes per node). Each derivative's node magnitudes are gathered into that
+order once, and then every shell, the edge set near the box and each set
+outside a dyadic radius is one slice of them.
+
 Two entry points share one loop over the derivatives and one decision rule:
 :func:`classify_decay` measures every derivative through order
 ``DEFAULT_MAX_ORDER`` and returns its whole report as a JSON-ready dict;
@@ -27,12 +33,14 @@ values alone. Both give the same class for every field.
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FieldError, InsufficientAnnuliError
-from .fields import (derivative_values, multi_indices_up_to, row_norms, seminorm_measure,
-                     sobolev_measure)
+from .fields import (derivative_values, grid_cached, multi_indices_up_to, row_norms,
+                     seminorm_measure, sobolev_measure)
 
 MIN_SHELLS = 4
 SOBOLEV_NORM_CAP = 1.0e3
@@ -104,12 +112,37 @@ def extrapolation_for(decay_class: DecayClass | None) -> str:
     return "clamp" if decay_class is DecayClass.BOUNDED_ALL else "zero"
 
 
-def _shells(grid) -> tuple:
-    """``(radii, masks, r)``: every dyadic level ``radii[k] = 2^k`` inside the box.
+@dataclass(frozen=True, eq=False)
+class _ShellPlan:
+    """A grid's nodes in rising radius ``r = |x|``: every set the classifier reads is a slice.
 
-    ``masks[k]`` holds the nodes with ``2^(k-1) <= |x| <= 2^k`` and ``r`` the
-    node radii, shaped like the grid. Classification needs at least
-    ``MIN_SHELLS`` shells, which requires a half-width of at least 8.
+    ``radii[k] = 2^k`` is every dyadic level inside the box, and ``order`` a
+    read-only int32 node permutation (4 bytes per node) whose bins, each
+    radius ``2^j`` (``j >= -1``) and each open interval between two, come in
+    rising ``r``. ``shells[k]`` is the ``(start, stop)`` of ``2^(k-1) <= r <=
+    2^k``; ``r >= radii[-1] / 2`` starts at ``edge`` and ``r > radii[k]`` at
+    ``outside[k]``.
+    """
+
+    radii: list
+    order: np.ndarray
+    shells: tuple
+    edge: int
+    outside: tuple
+
+    @property
+    def nbytes(self) -> int:
+        return self.order.nbytes
+
+
+_plan_cache: OrderedDict = OrderedDict()
+
+
+def _build_plan(grid) -> _ShellPlan:
+    """The :class:`_ShellPlan` of ``grid``, its bins filled in turn, with no sort.
+
+    Classification needs at least ``MIN_SHELLS`` shells, which requires a
+    half-width of at least 8; fewer raise.
     """
     levels = int(np.floor(np.log2(grid.half_width) + 1.0e-12))
     shells = levels + 1
@@ -118,14 +151,29 @@ def _shells(grid) -> tuple:
             f"only {shells} dyadic shells fit in half_width {grid.half_width}; "
             f"need {MIN_SHELLS} (half_width of at least 8)"
         )
-    nodes = np.asarray(grid.nodes())
-    r = row_norms(nodes).reshape(grid.shape)
+    order = np.empty(grid.node_count, dtype=np.int32)
+    r = row_norms(np.asarray(grid.nodes()))
+    index = np.arange(grid.node_count, dtype=np.int32)
+    # below[t] and through[t]: where r >= t and r > t start in order
+    below, through, filled, lower = {}, {}, 0, -1.0
+    for t in [2.0 ** j for j in range(-1, shells)]:
+        for starts, in_bin in ((below, (r > lower) & (r < t)), (through, r == t)):
+            run = index[in_bin]
+            order[filled:filled + run.size] = run
+            filled += run.size
+            starts[t] = filled
+        lower = t
+    order[filled:] = index[r > lower]
+    order.flags.writeable = False
     radii = [float(2.0 ** k) for k in range(shells)]
-    masks = []
-    for k in range(shells):
-        lo, hi = 2.0 ** (k - 1), 2.0 ** k
-        masks.append((r >= lo) & (r <= hi))
-    return radii, masks, r
+    return _ShellPlan(radii, order,
+                      tuple((below[2.0 ** (k - 1)], through[2.0 ** k]) for k in range(shells)),
+                      below[radii[-1] / 2.0], tuple(through[radius] for radius in radii))
+
+
+def _shells(grid) -> _ShellPlan:
+    """The shell plan of ``grid``, built once and cached like :meth:`Grid.nodes`."""
+    return grid_cached(_plan_cache, grid, _build_plan)
 
 
 def _fit_exponent(radii, sups) -> float:
@@ -143,22 +191,22 @@ def _fit_exponent(radii, sups) -> float:
     return float(-slope)
 
 
-def _shell_fit(alpha, values: np.ndarray, radii, masks) -> dict:
-    """Decay fit of one derivative's node magnitudes ``values`` over the shells."""
-    sups = [float(np.max(values[mask])) if np.any(mask) else 0.0 for mask in masks]
-    return {"alpha": list(alpha), "radii": list(radii), "shell_sups": sups,
-            "exponent": _fit_exponent(radii, sups)}
+def _shell_fit(alpha, ranked: np.ndarray, plan: _ShellPlan) -> dict:
+    """Decay fit of one derivative's node magnitudes ``ranked``, in the plan's order."""
+    sups = [float(np.max(ranked[lo:hi])) if hi > lo else 0.0 for lo, hi in plan.shells]
+    return {"alpha": list(alpha), "radii": list(plan.radii), "shell_sups": sups,
+            "exponent": _fit_exponent(plan.radii, sups)}
 
 
-def _support_radius(r: np.ndarray, abs_values: np.ndarray, radii) -> float | None:
+def _support_radius(ranked: np.ndarray, plan: _ShellPlan) -> float | None:
     """Smallest dyadic radius outside of which every sample is exactly zero.
 
-    ``r`` holds the node radii and ``abs_values`` the node magnitudes.
+    ``ranked`` holds the node magnitudes in the plan's order, so the nodes
+    outside a radius are a tail of it.
     """
-    for radius in radii:
-        outside = r > radius
-        if np.any(outside) and float(np.max(abs_values[outside])) == 0.0:
-            return float(radius)
+    for radius, start in zip(plan.radii, plan.outside):
+        if start < ranked.size and float(np.max(ranked[start:])) == 0.0:
+            return radius
     return None
 
 
@@ -173,7 +221,7 @@ def _classify(field, full: bool) -> tuple:
     settled.
     """
     grid = field.grid
-    radii, masks, r = _shells(grid)
+    plan = _shells(grid)
     measure = seminorm_measure(field, DEFAULT_MAX_WEIGHT) if full else None
     l2_norm = None
     fits, rows = [], []
@@ -181,19 +229,17 @@ def _classify(field, full: bool) -> tuple:
     # is dropped before the next is derived (the field keeps first orders only)
     for alpha in multi_indices_up_to(grid.dim, DEFAULT_MAX_ORDER):
         derivative = derivative_values(field, alpha)
-        abs_values = _component_max(derivative, grid)
-        fit = _shell_fit(alpha, abs_values, radii, masks)
+        # one gather puts the magnitudes in the plan's order: every shell is a slice
+        ranked = np.take(_component_max(derivative, grid), plan.order)
+        fit = _shell_fit(alpha, ranked, plan)
         fits.append(fit)
         if not any(alpha):
-            outer_mask = r >= radii[-1] / 2.0
-            global_sup = float(np.max(abs_values))
-            edge_sup = float(np.max(abs_values[outer_mask])) if np.any(outer_mask) else 0.0
+            global_sup = float(np.max(ranked))
+            edge_sup = float(np.max(ranked[plan.edge:])) if plan.edge < ranked.size else 0.0
             edge_ratio = edge_sup / global_sup if global_sup > 0.0 else 0.0
-            support_radius = _support_radius(r, abs_values, radii)
+            support_radius = _support_radius(ranked, plan)
             compact = global_sup == 0.0 or support_radius is not None
             schwartz, sobolev = True, edge_ratio <= SOBOLEV_EDGE_RATIO
-            # dropped before the higher orders are derived, so they add nothing to the peak
-            del r, outer_mask
         schwartz = schwartz and fit["exponent"] >= DEFAULT_MAX_WEIGHT + 1
         sobolev = sobolev and fit["exponent"] >= SOBOLEV_MIN_EXPONENT
         if full:
@@ -202,7 +248,7 @@ def _classify(field, full: bool) -> tuple:
         elif sobolev and not compact:
             l2_norm = sobolev_measure(field) if l2_norm is None else l2_norm
             sobolev = l2_norm(derivative) <= SOBOLEV_NORM_CAP
-        del derivative, abs_values
+        del derivative, ranked
         if not full and (compact or not (schwartz or sobolev)):
             break
     if compact:
@@ -288,4 +334,9 @@ def classify_decay(field) -> dict:
 
 def _component_max(derivative: np.ndarray, grid) -> np.ndarray:
     """Node-wise max over components of ``|d^alpha f_i|``, shaped like the grid."""
-    return np.max(np.abs(derivative.reshape((-1,) + grid.shape)), axis=0)
+    channels = derivative.reshape((-1,) + grid.shape)
+    out, magnitude = np.abs(channels[0]), None
+    for channel in channels[1:]:
+        magnitude = np.abs(channel, out=magnitude)
+        np.maximum(out, magnitude, out=out)
+    return out

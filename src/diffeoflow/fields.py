@@ -2,7 +2,9 @@
 
 Fields live on a uniform tensor grid over ``[-L, L]^dim``. Derivatives are
 fourth-order finite differences (central stencils inside, one-sided stencils
-on the two rows nearest each face). There is one derivative rule. A field
+on the two rows nearest each face). There is one derivative rule and one
+kernel, :func:`_d1`, which takes a ``(C,) + shape`` channel stack for every
+field type (a scalar field's values are one channel). A field
 caches its first derivatives, which are its Jacobian and all that the group
 operations read. Every other order is derived when it is read, by
 :func:`derivative_values`: the cached first derivative along the first axis
@@ -30,6 +32,7 @@ that starts at zero, so results are bit-identical to an unblocked pass.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -46,9 +49,9 @@ GATHER_BLOCK = 16384
 # of a gather at a node on either side: taps - 1, as a face stencil shifts inward
 STENCIL_TAPS = 4
 STENCIL_REACH = STENCIL_TAPS - 1
-# bytes of node arrays that Grid.nodes keeps (least recently read evicted
-# first): room for 513^2 (4.2 MB), 49^3 (2.8 MB) and a few 257^2 (1.1 MB);
-# a larger array, such as 129^3 (51 MB), is built on every call
+# bytes of per-grid arrays that each grid_cached cache keeps (least recently read
+# evicted first). Grid.nodes has room for 513^2 (4.2 MB), 49^3 (2.8 MB) and a few
+# 257^2 (1.1 MB); a larger array, such as 129^3 (51 MB), is built on every call
 NODE_CACHE_BYTES = 16 * 2 ** 20
 
 
@@ -85,27 +88,36 @@ class Grid:
         return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
 
     def nodes(self) -> np.ndarray:
-        """All grid nodes as a read-only ``(node_count, dim)`` array, row-major."""
-        return _grid_nodes(self)
+        """All grid nodes as a read-only ``(node_count, dim)`` array, row-major, cached."""
+        return grid_cached(_node_cache, self, _build_nodes)
 
 
 _node_cache: OrderedDict = OrderedDict()
 
 
-def _grid_nodes(grid: Grid) -> np.ndarray:
-    """The read-only node array of ``grid``, cached within ``NODE_CACHE_BYTES``."""
-    nodes = _node_cache.get(grid)
-    if nodes is not None:
-        _node_cache.move_to_end(grid)
-        return nodes
+def grid_cached(cache: OrderedDict, grid: Grid, build):
+    """``build(grid)``, kept in ``cache`` while its values hold at most ``NODE_CACHE_BYTES``.
+
+    The least recently read value is evicted first; one larger than the whole
+    budget is built on every call. A value reports its size as ``nbytes``.
+    """
+    value = cache.get(grid)
+    if value is not None:
+        cache.move_to_end(grid)
+        return value
+    value = build(grid)
+    if value.nbytes <= NODE_CACHE_BYTES:
+        cache[grid] = value
+        while sum(v.nbytes for v in cache.values()) > NODE_CACHE_BYTES:
+            cache.popitem(last=False)
+    return value
+
+
+def _build_nodes(grid: Grid) -> np.ndarray:
     axes = [grid.axis_coordinates() for _ in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     nodes.flags.writeable = False
-    if nodes.nbytes <= NODE_CACHE_BYTES:
-        _node_cache[grid] = nodes
-        while sum(a.nbytes for a in _node_cache.values()) > NODE_CACHE_BYTES:
-            _node_cache.popitem(last=False)
     return nodes
 
 
@@ -129,16 +141,37 @@ def multi_indices_up_to(dim: int, order: int) -> list:
     return out
 
 
-def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order first derivative along ``axis`` (one-sided at the faces)."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-    out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
-    out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+def _d1(stack: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order first derivative along grid ``axis`` of each channel of ``(C,) + shape``.
+
+    Central inside, one-sided on the two rows nearest each face. Each channel
+    is written into one C-contiguous output by ``out=`` ufuncs in the order of
+    ``(v0 - 8 v1 + 8 v3 - v4) / 12h``: one flat pass whose neighbours lie
+    ``stride`` apart, and where it straddles two rows the face rows then
+    overwrite it. Temporaries are one channel wide.
+    """
+    out = np.empty(stack.shape)
+    shape = stack.shape[1:]
+    stride, size = math.prod(shape[axis + 1:]), math.prod(shape)
+    reach = 2 * stride
+    term = np.empty(size - 2 * reach)
+    scale = 12.0 * h
+    for channel, o in zip(stack, out):
+        v = channel.reshape(-1)  # a copy only of a channel that is not contiguous
+        inner = o.reshape(-1)[reach:size - reach]
+        np.multiply(v[stride:size - 3 * stride], 8.0, out=term)
+        np.subtract(v[:size - 2 * reach], term, out=inner)
+        np.multiply(v[3 * stride:size - stride], 8.0, out=term)
+        inner += term
+        inner -= v[2 * reach:]
+        inner /= scale
+        # the face rows: position 0, 1, n - 2 and n - 1 along axis
+        v, o = v.reshape(shape).swapaxes(0, axis), o.swapaxes(0, axis)
+        o[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / scale
+        o[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / scale
+        o[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / scale
+        o[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / scale
+    return out
 
 
 def _check_alpha(alpha, dim: int) -> tuple:
@@ -152,34 +185,33 @@ def _check_alpha(alpha, dim: int) -> tuple:
     return alpha
 
 
-def _d1_stack(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``_d1`` of a ``(C,) + shape`` stack one channel at a time (temporaries one channel wide)."""
-    return np.stack([_d1(channel, axis, h) for channel in values])
-
-
 def _steps(alpha: tuple) -> list:
     """The stencil axes of ``d^alpha`` in order: axis 0 ``alpha_0`` times, then axis 1, ..."""
     return [axis for axis, count in enumerate(alpha) for _ in range(count)]
+
+
+def _channel_d1(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """``_d1`` of a field's values, scalar ``shape`` or stacked ``(C,) + shape``, in their shape."""
+    return _d1(values.reshape((-1,) + grid.shape), axis, grid.spacing).reshape(values.shape)
 
 
 def derivative_values(field, alpha) -> np.ndarray:
     """The values of ``d^alpha`` of a scalar or displacement field, contiguous.
 
     The first step is the field's cached first derivative along the first
-    axis of :func:`_steps`; each later step is one ``_d1`` per channel, and
-    nothing past the first step is stored. This is the from-scratch sequence
-    of stencils, so the bits are those of one taken from scratch.
+    axis of :func:`_steps`; each later step is one ``_d1`` over the channel
+    stack, and nothing past the first step is stored. This is the
+    from-scratch sequence of stencils, so the bits are those of one taken
+    from scratch.
     """
     steps = _steps(alpha)
     if not steps:
         return field.values
     dim = field.grid.dim
     values = field.partial_derivative(tuple(int(j == steps[0]) for j in range(dim))).values
-    d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
     for axis in steps[1:]:
-        values = d1(values, axis, field.grid.spacing)
-    # contiguous, as the field constructors store it: the sums of _l2_norm read the layout
-    return np.ascontiguousarray(values)
+        values = _channel_d1(values, field.grid, axis)
+    return values
 
 
 def _derivative_field(field, alpha: tuple):
@@ -187,9 +219,8 @@ def _derivative_field(field, alpha: tuple):
     if sum(alpha) != 1:
         return type(field)(field.grid, derivative_values(field, alpha), field.extrapolation)
     if alpha not in field._derivatives:
-        d1 = _d1 if isinstance(field, ScalarField) else _d1_stack
         field._derivatives[alpha] = type(field)(
-            field.grid, d1(field.values, alpha.index(1), field.grid.spacing), field.extrapolation)
+            field.grid, _channel_d1(field.values, field.grid, alpha.index(1)), field.extrapolation)
     return field._derivatives[alpha]
 
 
@@ -353,7 +384,7 @@ def point_derivatives(grid: Grid, evaluate, alphas, point) -> list:
     for alpha in alphas:
         derivative = values
         for axis in _steps(alpha):
-            derivative = _d1_stack(derivative, axis, grid.spacing)
+            derivative = _d1(derivative, axis, grid.spacing)
         out.append(_gather(list(derivative.reshape(len(derivative), -1)), grid, point, "zero",
                            window)[:, 0])
     return out
@@ -696,7 +727,12 @@ def _alpha_magnitude(field, derivative: np.ndarray) -> np.ndarray:
     if isinstance(field, ScalarField):
         return np.abs(derivative)
     if isinstance(field, DisplacementField):
-        return np.sqrt(np.sum(derivative * derivative, axis=0))
+        # channel by channel, in order: the bits of a sum over the leading axis
+        total, square = derivative[0] * derivative[0], None
+        for channel in derivative[1:]:
+            square = np.multiply(channel, channel, out=square)
+            total += square
+        return np.sqrt(total, out=total)
     raise FieldError(f"expected a field, got {type(field).__name__}")
 
 

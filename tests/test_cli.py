@@ -1,5 +1,6 @@
 import ctypes
 import importlib.util
+import itertools
 import json
 import resource
 import subprocess
@@ -73,6 +74,29 @@ class TestConfig:
                 with pytest.raises(SystemExit):
                     config_from_argv([*argv, flag, FLAG_VALUES[flag]])
         capsys.readouterr()
+
+    def test_parsers_are_built_once_and_configs_share_no_list(self, monkeypatch):
+        built = []
+        build = cli_module.build_parser
+        monkeypatch.setattr(cli_module, "build_parser",
+                            lambda reads=None: built.append(reads) or build(reads))
+        cli_module._parser.cache_clear()
+        try:
+            configs = [config_from_argv(["--command", "verify"]) for _ in range(3)]
+            configs.append(config_from_argv(["--command", "classify", "--descriptor", "x"]))
+            # one parser for verify's row, one for classify's, one with every flag
+            assert built == [("--seed",), None, cli_module._DISPATCH["classify"][1]]
+            # a config given no source holds lists of its own, not the parser's defaults
+            configs[0].descriptors.append("y")
+            configs[0].inputs.append("m.dff")
+            assert configs[1].descriptors == [] and configs[1].inputs == []
+            assert config_from_argv(["--command", "verify"]).descriptors == []
+            for a, b in itertools.combinations(configs, 2):
+                shared = [name for name, value in vars(a).items()
+                          if isinstance(value, list) and value is getattr(b, name)]
+                assert shared == []
+        finally:
+            cli_module._parser.cache_clear()
 
     @pytest.mark.parametrize("argv", [
         ["--command", "classify", "--dim", "7", "--descriptor", "x"],

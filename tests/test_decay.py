@@ -29,7 +29,7 @@ from diffeoflow import (
 from diffeoflow.battery import (SCHWARTZ_AMPLITUDE, SCHWARTZ_CENTER, SCHWARTZ_WIDTH,
                                 gaussian_descriptor, lorentzian_descriptor, tanh_descriptor)
 from diffeoflow.decay import DEFAULT_MAX_ORDER, DEFAULT_MAX_WEIGHT
-from diffeoflow.fields import multi_indices, multi_indices_up_to
+from diffeoflow.fields import ScalarField, multi_indices, multi_indices_up_to, row_norms
 
 def entry_value(report, kind, alpha, m):
     """The one measured seminorm of ``report["entries"]`` with this kind, index and weight."""
@@ -97,19 +97,104 @@ class TestClassNames:
 
 class TestShells:
     def test_radii_for_standard_box(self, fine_grid):
-        radii, masks, _ = decay_module._shells(fine_grid)
-        assert radii == [1.0, 2.0, 4.0, 8.0]
-        assert len(masks) == 4
-        nodes = np.abs(np.asarray(fine_grid.nodes())[:, 0]).reshape(fine_grid.shape)
-        for k, mask in enumerate(masks):
-            assert np.all(nodes[mask] >= 2.0 ** (k - 1) - 1e-12)
-            assert np.all(nodes[mask] <= 2.0 ** k + 1e-12)
+        plan = decay_module._shells(fine_grid)
+        assert plan.radii == [1.0, 2.0, 4.0, 8.0]
+        assert len(plan.shells) == 4
+        nodes = np.abs(np.asarray(fine_grid.nodes())[:, 0])
+        for k, (start, stop) in enumerate(plan.shells):
+            shell = nodes[plan.order[start:stop]]
+            assert np.all(shell >= 2.0 ** (k - 1) - 1e-12)
+            assert np.all(shell <= 2.0 ** k + 1e-12)
 
     def test_small_box_has_too_few_annuli(self):
         with pytest.raises(InsufficientAnnuliError):
             decay_module._shells(Grid(1, 4.0, 129))
         with pytest.raises(InsufficientAnnuliError):
             classify_decay(sample("exp(-x^2)", Grid(1, 4.0, 129)))
+
+
+def _mask_reading(grid, magnitude):
+    """``(shell_sups, edge_ratio, support_radius)`` of node magnitudes, read through masks.
+
+    The definitions the shell plan replaces: shell ``k`` holds the nodes with
+    ``2^(k-1) <= |x| <= 2^k``, the edge those with ``|x| >= radii[-1] / 2``, and
+    the support radius is the smallest dyadic radius with a node outside it and
+    only exact zeros there.
+    """
+    r = row_norms(np.asarray(grid.nodes()))
+    levels = int(np.floor(np.log2(grid.half_width) + 1.0e-12))
+    radii = [2.0 ** k for k in range(levels + 1)]
+    masks = [(r >= 2.0 ** (k - 1)) & (r <= 2.0 ** k) for k in range(len(radii))]
+    sups = [float(np.max(magnitude[m])) if np.any(m) else 0.0 for m in masks]
+    outer = r >= radii[-1] / 2.0
+    top = float(np.max(magnitude))
+    edge = float(np.max(magnitude[outer])) if np.any(outer) else 0.0
+    support = next((radius for radius in radii
+                    if np.any(r > radius) and float(np.max(magnitude[r > radius])) == 0.0), None)
+    return sups, edge / top if top > 0.0 else 0.0, support
+
+
+# nodes on the dyadic radii: 4 on each of 0.5-8 at 257^2 and 2 at 513 points (h = 1/16),
+# 6, 16 and 16 on radii 2, 4 and 8 at 25^3 (h = 2/3); none at L = 9.3 (h = 0.186)
+PLAN_GRIDS = [Grid(2, 8.0, 257), Grid(1, 9.3, 101), Grid(3, 8.0, 25), Grid(1, 8.0, 513)]
+
+
+class TestShellPlan:
+    """The radius-ordered plan reads what the mask definitions read, bit for bit."""
+
+    @pytest.mark.parametrize("grid", PLAN_GRIDS, ids=["2d-257", "1d-9.3", "3d-25", "1d-513"])
+    def test_plan_is_an_int32_permutation_in_rising_radius_bins(self, grid):
+        plan = decay_module._shells(grid)
+        assert decay_module._shells(grid) is plan
+        assert plan.order.dtype == np.int32 and plan.nbytes <= 4 * grid.node_count
+        assert not plan.order.flags.writeable
+        assert np.array_equal(np.sort(plan.order), np.arange(grid.node_count))
+        r = row_norms(np.asarray(grid.nodes()))[plan.order]
+        for k, (start, stop) in enumerate(plan.shells):
+            assert np.all((r[start:stop] >= 2.0 ** (k - 1)) & (r[start:stop] <= 2.0 ** k))
+            assert np.all(r[:start] < 2.0 ** (k - 1)) and np.all(r[stop:] > 2.0 ** k)
+        assert np.all(r[plan.edge:] >= plan.radii[-1] / 2.0)
+        assert np.all(r[:plan.edge] < plan.radii[-1] / 2.0)
+        for radius, start in zip(plan.radii, plan.outside):
+            assert np.all(r[start:] > radius) and np.all(r[:start] <= radius)
+
+    @pytest.mark.parametrize("pattern", ["dense", "zero core", "zero tail at 4", "zero tail",
+                                         "on the radii", "scattered zeros", "all zero"])
+    @pytest.mark.parametrize("grid", PLAN_GRIDS, ids=["2d-257", "1d-9.3", "3d-25", "1d-513"])
+    def test_plan_reads_what_the_masks_read(self, grid, pattern):
+        rng = np.random.default_rng(len(pattern) + grid.node_count)
+        r = row_norms(np.asarray(grid.nodes()))
+        magnitude = rng.uniform(0.5, 2.0, size=grid.node_count)
+        magnitude *= {"dense": 1.0, "zero core": r >= 2.0, "zero tail at 4": r <= 4.0,
+                      "zero tail": r < 2.5, "on the radii": np.isin(r, 2.0 ** np.arange(-1, 5)),
+                      "scattered zeros": rng.random(grid.node_count) < 0.5,
+                      "all zero": 0.0}[pattern]
+        if pattern == "on the radii":
+            assert np.any(magnitude) == (grid.half_width == 8.0)
+        want_sups, want_edge, want_support = _mask_reading(grid, magnitude)
+        field = ScalarField(grid, magnitude.reshape(grid.shape))
+        _, fits, _, edge_ratio, support_radius, _ = decay_module._classify(field, False)
+        assert fits[0]["shell_sups"] == want_sups
+        assert np.float64(edge_ratio).tobytes() == np.float64(want_edge).tobytes()
+        assert support_radius == want_support
+        if pattern == "zero tail at 4" and grid.half_width == 8.0:
+            assert support_radius == 4.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_channel_loops_give_the_bits_of_the_reductions_over_channels(dim):
+    # the magnitudes loop over the channels in place; the reductions add them in order too
+    grid = Grid(dim, 8.0, 17)
+    rng = np.random.default_rng(120 + dim)
+    values = rng.normal(size=(dim,) + grid.shape) * rng.uniform(1e-3, 1e3, size=(dim,) + grid.shape)
+    field = DisplacementField(grid, values)
+    assert (fields_module._alpha_magnitude(field, values).tobytes()
+            == np.sqrt(np.sum(values * values, axis=0)).tobytes())
+    assert np.array_equal(decay_module._component_max(values, grid),
+                          np.max(np.abs(values), axis=0))
+    scalar = ScalarField(grid, values[0])
+    assert np.array_equal(fields_module._alpha_magnitude(scalar, values[0]), np.abs(values[0]))
+    assert np.array_equal(decay_module._component_max(values[0], grid), np.abs(values[0]))
 
 
 class TestClassification:
